@@ -124,6 +124,5 @@ def load_or_solve(m: int, R: float, h: float,
             pass  # fall through to a fresh solve
     grid = build_grid(R, h)
     sol = newton_solve(DimensionParams(m=m), config, grid)
-    sol = compute_derivatives(sol)
     save_solution(sol, config, directory)
     return sol, False

@@ -8,31 +8,33 @@ A product rule plus the differentiated equation collapses L(Phi) to
 with C_s = Delta_m f + ((m-1)/s^2) f, C_ss = 2 f_s, C_tt = 2 h_t,
 C_st = 2 f_t + 2 h_s, and C_t the s<->t mirror of C_s.  Stability follows
 once Phi > 0 and L Phi <= 0, so the verifier needs tight point values of the
-five C coefficients.  Partial derivatives of f are produced two independent
-ways: symbolically (differentiated and compiled once per dimension) and by
-forward-mode second-order jets on the same generic formula.
+five C coefficients.  f is written once, in f_generic, and its partials
+come two independent ways: forward-mode second-order jets give the grid
+values, and symbolic differentiation of the same formula built as an
+expression DAG gives the interval proofs (and, evaluated over floats, the
+cross-check of the jets).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from saddlecheck import jets
 from saddlecheck.grid import NODE_INTERIOR
 from saddlecheck.params import CandidateParams, SQRT2
+from saddlecheck.rigor import ExprNode, differentiate
 
 
 def f_generic(s, t, cand: CandidateParams):
     """The anisotropic decay profile f(s,t).
 
-    Works on plain arrays or on Jet2 values.  The leading factor interpolates
-    between the cone direction and the s-axis; the power enforces the decay
-    rate (s+t)^-(n-3)/2 that sits strictly between the indicial rates at
-    infinity.  n = 8 carries an extra short-range term and a sqrt(2) factor.
+    Works on plain arrays, on Jet2 values and on ExprNode DAGs.  The leading
+    factor interpolates between the cone direction and the s-axis; the power
+    enforces the decay rate (s+t)^-(n-3)/2 that sits strictly between the
+    indicial rates at infinity.  n = 8 carries an extra short-range term and
+    a sqrt(2) factor.
     """
     radial = jets.sqrt(s * s + t * t)
     if cand.has_exp_term:
@@ -51,35 +53,29 @@ def phi0_generic(s, t, cand: CandidateParams):
     return c * (s ** (-p) * jets.exp(-t / 3.0) + t ** (-p) * jets.exp(-s / 3.0))
 
 
-@lru_cache(maxsize=8)
-def _compiled_partials(n: int):
-    """Symbolic partials of f through second order, compiled to numpy.
-    Returns callables (f, f_s, f_t, f_ss, f_st, f_tt) of (s, t)."""
-    cand = CandidateParams(n=n)
-    s, t = sp.symbols("s t", positive=True)
-    radial = sp.sqrt(s**2 + t**2)
-    if cand.has_exp_term:
-        core = (sp.tanh(s / t) * sp.sqrt(2) * s / radial
-                + sp.Rational(10, 42) * (1 - sp.exp(-s / (2 * t))))
-    else:
-        core = sp.tanh(s / t) * s / radial
-    expr = core * (s + t) ** (-sp.Rational(n - 3, 2))
-    orders = [expr,
-              sp.diff(expr, s), sp.diff(expr, t),
-              sp.diff(expr, s, 2), sp.diff(expr, s, t), sp.diff(expr, t, 2)]
-    return tuple(sp.lambdify((s, t), e, modules="numpy") for e in orders)
+def _f_dags(cand: CandidateParams, first: str, second: str):
+    """(f, f_1, f_2, f_11, f_12, f_22) as DAGs in the variables s and t, with
+    the variable named `first` in f's first slot."""
+    e = f_generic(ExprNode.var(first), ExprNode.var(second), cand)
+    memo_1, memo_2 = {}, {}
+    e1, e2 = differentiate(e, first, memo_1), differentiate(e, second, memo_2)
+    return (e, e1, e2, differentiate(e1, first, memo_1),
+            differentiate(e1, second, memo_2),
+            differentiate(e2, second, memo_2))
 
 
-def f_partials(s, t, cand: CandidateParams, route: str = "symbolic"):
-    """(f, f_s, f_t, f_ss, f_st, f_tt) at (s, t) by the requested route."""
+def f_partials(s, t, cand: CandidateParams, route: str = "jet"):
+    """(f, f_s, f_t, f_ss, f_st, f_tt) at (s, t) by the requested route:
+    forward-mode jets, or the symbolic DAG partials evaluated over floats."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if route == "symbolic":
-        fns = _compiled_partials(cand.n)
-        return tuple(np.asarray(fn(s, t), dtype=float) for fn in fns)
     if route == "jet":
         j = f_generic(jets.Jet2.variable_s(s, t), jets.Jet2.variable_t(s, t), cand)
         return (j.v, j.ds, j.dt, j.dss, j.dst, j.dtt)
+    if route == "symbolic":
+        env, memo = {"s": s, "t": t}, {}
+        return tuple(np.asarray(e.evaluate(env, memo), dtype=float)
+                     for e in _f_dags(cand, "s", "t"))
     raise ValueError(f"unknown derivative route {route!r}")
 
 
@@ -93,21 +89,37 @@ class CoefficientSet:
     c_tt: np.ndarray
 
 
-def coefficient_set(s, t, cand: CandidateParams, route: str = "symbolic") -> CoefficientSet:
-    """All five C coefficients, using h(s,t) = -f(t,s) so that every h
-    partial is a mirrored f partial."""
+def _coefficients(s, t, d, fp, gp) -> CoefficientSet:
+    """The five C's from f's partials at (s, t) (fp) and at (t, s) (gp), both
+    in slot order, using h(s,t) = -f(t,s) so that every h partial is a
+    mirrored f partial.  Works on arrays and on expression DAGs alike."""
+    f, fs, ft, fss, fst, ftt = fp
+    g, gs, gt, gss, gst, gtt = gp
+    # h_s = -g_t, h_t = -g_s, h_ss = -g_tt, h_st = -g_st, h_tt = -g_ss
+    return CoefficientSet(
+        c_s=fss + ftt + d / s * fs + d / t * ft + d / s**2 * f,
+        c_t=-(gss + gtt + d / s * gt + d / t * gs + d / t**2 * g),
+        c_ss=2.0 * fs,
+        c_st=2.0 * ft - 2.0 * gt,
+        c_tt=-2.0 * gs)
+
+
+def coefficient_set(s, t, cand: CandidateParams, route: str = "jet") -> CoefficientSet:
+    """All five C coefficients at (s, t) by the requested derivative route."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    d = cand.m - 1
-    f, fs, ft, fss, fst, ftt = f_partials(s, t, cand, route)
-    g, gs, gt, gss, gst, gtt = f_partials(t, s, cand, route)  # f and partials at (t, s)
-    # h(s,t) = -f(t,s): h_s = -g_t, h_t = -g_s, h_ss = -g_tt, h_st = -g_st, h_tt = -g_ss
-    c_s = fss + ftt + d / s * fs + d / t * ft + d / s**2 * f
-    c_t = -(gss + gtt + d / s * gt + d / t * gs + d / t**2 * g)
-    c_ss = 2.0 * fs
-    c_tt = -2.0 * gs
-    c_st = 2.0 * ft - 2.0 * gt
-    return CoefficientSet(c_s=c_s, c_t=c_t, c_ss=c_ss, c_st=c_st, c_tt=c_tt)
+    return _coefficients(s, t, cand.m - 1, f_partials(s, t, cand, route),
+                         f_partials(t, s, cand, route))
+
+
+def candidate_expressions(cand: CandidateParams) -> dict:
+    """f, h and the five C's as expression DAGs in the variables s and t,
+    for the interval proofs."""
+    fp = _f_dags(cand, "s", "t")
+    gp = _f_dags(cand, "t", "s")  # f(t, s), partials in slot order
+    cs = _coefficients(ExprNode.var("s"), ExprNode.var("t"), cand.m - 1,
+                       fp, gp)
+    return {"f": fp[0], "h": -gp[0], **vars(cs)}
 
 
 def l_phi0_summand(s, t, u_value, cand: CandidateParams):
@@ -141,16 +153,14 @@ def phi_field(sol, cand: CandidateParams, include_phi0: bool = True):
     S, T = grid.meshgrid()
     s = np.where(mask, S, 1.0)
     t = np.where(mask, T, 1.0)
-    f = f_partials(s, t, cand)[0]
-    h = -f_partials(t, s, cand)[0]
-    out = f * sol.u_s + h * sol.u_t
+    out = f_generic(s, t, cand) * sol.u_s - f_generic(t, s, cand) * sol.u_t
     if include_phi0:
         out += np.asarray(phi0_generic(s, t, cand))
     return np.where(mask, out, 0.0), mask
 
 
 def l_phi(sol, cand: CandidateParams, include_phi0: bool = True,
-          route: str = "symbolic"):
+          route: str = "jet"):
     """L Phi assembled from the coefficient identity at interior nodes.
     Returns (field, mask)."""
     _require_match(sol, cand)

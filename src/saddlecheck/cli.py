@@ -26,7 +26,7 @@ from saddlecheck.reporting import (build_report, check_report_to_dict,
                                    proof_to_dict, report_passed,
                                    solver_to_dict, write_report)
 from saddlecheck.rigor import HalfPlane, builtin_expressions, prove_nonpositive
-from saddlecheck.solver import SolverConfig
+from saddlecheck.solver import SaddleSolution, SolverConfig
 from saddlecheck.spectral import (assemble, min_eigenvalue, report_digest,
                                   stability_certificate)
 
@@ -42,7 +42,6 @@ class RunConfig:
     stages: tuple = ALL_STAGES
     out: str = "out"
     cache: str | None = None           # None -> env var / default directory
-    threads: int = 1
     rigor_max_boxes: int = 2_000_000
 
     @property
@@ -68,7 +67,7 @@ def _config_from_file(path: str) -> dict:
     section = parser["run"] if parser.has_section("run") else parser.defaults()
     out = {}
     for key, raw in dict(section).items():
-        if key in ("m", "threads", "rigor_max_boxes"):
+        if key in ("m", "rigor_max_boxes"):
             out[key] = int(raw)
         elif key in ("r", "h", "tol"):
             out["R" if key == "r" else key] = float(raw)
@@ -103,9 +102,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # stages
 # ---------------------------------------------------------------------------
 
-def run_stages(cfg: RunConfig, log=print) -> dict:
+def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
     """Execute the requested stages in dependency order; returns the report
-    dictionary (also carries 'failures', a list of failed item names)."""
+    dictionary (also carries 'failures', a list of failed item names) and the
+    solution the stages ran on."""
     stages: dict = {}
     timing: dict = {}
     failures: list[str] = []
@@ -177,7 +177,7 @@ def run_stages(cfg: RunConfig, log=print) -> dict:
 
     report = build_report(_config_echo(cfg), stages, timing)
     report["failures"] = failures
-    return report
+    return report, sol
 
 
 def run_rigor(cfg: RunConfig) -> list[dict]:
@@ -203,8 +203,7 @@ def run_rigor(cfg: RunConfig) -> list[dict]:
 
 def _config_echo(cfg: RunConfig) -> dict:
     return {"m": cfg.m, "n": cfg.n, "R": cfg.R, "h": cfg.h, "tol": cfg.tol,
-            "stages": list(cfg.stages), "out": cfg.out,
-            "threads": cfg.threads}
+            "stages": list(cfg.stages), "out": cfg.out}
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +220,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory")
     p.add_argument("--cache", help="solution cache directory "
                                    "(default: $SADDLECHECK_CACHE_DIR)")
-    p.add_argument("--threads", type=int, help="thread cap for solver pools")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,15 +263,12 @@ def main(argv=None) -> int:
         if args.command in _COMMAND_STAGES:
             cfg = replace(cfg, stages=_COMMAND_STAGES[args.command])
         cfg = cfg.validated()
-        report = run_stages(cfg)
+        report, sol = run_stages(cfg)
         out = Path(cfg.out)
         if args.command in ("report", "run"):
             path = write_report(report, out / "report.json")
             print(f"report: {path}")
         if args.command == "plot":
-            sol, _ = load_or_solve(cfg.m, cfg.R, cfg.h,
-                                   SolverConfig(newton_tol=cfg.tol),
-                                   directory=cfg.cache)
             paths = export_signmaps(sol, CandidateParams(n=cfg.n), out)
             export_csv(sol.u, "u", cfg.h, out / "u.csv")
             for p in paths:

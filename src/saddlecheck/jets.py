@@ -2,8 +2,10 @@
 
 A Jet2 carries a value and its first and second partials with respect to two
 independent variables (s, t).  Formulas written against the helper functions
-here (tanh/exp/sqrt/power) evaluate either on plain numpy arrays or on jets,
-which gives a derivative route independent of symbolic differentiation.
+here (tanh/exp/sqrt/power) evaluate on plain numpy arrays, on jets, and on
+rigor.ExprNode DAGs (numpy's object ufuncs call the nodes' own methods).  So
+one formula yields both forward-mode partials and a DAG for symbolic
+differentiation, two independent derivative routes.
 """
 
 from __future__ import annotations

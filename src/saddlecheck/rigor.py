@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
+
+from saddlecheck.params import CandidateParams
 
 _NEG = np.float64(-np.inf)
 _POS = np.float64(np.inf)
@@ -173,6 +174,19 @@ class ExprNode:
     def __pow__(self, p):
         return ExprNode("pow", (self,), value=float(p))
 
+    # numpy's object-dtype ufuncs call these, so np.exp(node) builds a node
+    def exp(self):
+        return ExprNode("exp", (self,))
+
+    def tanh(self):
+        return ExprNode("tanh", (self,))
+
+    def sqrt(self):
+        return ExprNode("sqrt", (self,))
+
+    def log(self):
+        return ExprNode("log", (self,))
+
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, env, memo=None):
         """Evaluate over whatever value type env supplies (floats, ndarrays,
@@ -222,20 +236,8 @@ class ExprNode:
         return out
 
 
-def nexp(x):
-    return ExprNode("exp", (x,))
-
-
-def ntanh(x):
-    return ExprNode("tanh", (x,))
-
-
-def nsqrt(x):
-    return ExprNode("sqrt", (x,))
-
-
-def nlog(x):
-    return ExprNode("log", (x,))
+nexp = ExprNode.exp
+ntanh = ExprNode.tanh
 
 
 def _smart_add(a, b):
@@ -326,65 +328,6 @@ def differentiate(expr: ExprNode, name: str, memo=None) -> ExprNode:
     return out
 
 
-def from_sympy(expr, cache=None) -> ExprNode:
-    """Convert a sympy expression into an ExprNode DAG (shared subtrees)."""
-    if cache is None:
-        cache = {}
-    key = expr
-    if key in cache:
-        return cache[key]
-    if expr.is_Symbol:
-        node = ExprNode.var(expr.name)
-    elif expr.is_Number:
-        node = ExprNode.const(float(expr))
-    elif expr.is_Add:
-        args = [from_sympy(a, cache) for a in expr.args]
-        node = args[0]
-        for a in args[1:]:
-            node = node + a
-    elif expr.is_Mul:
-        args = [from_sympy(a, cache) for a in expr.args]
-        node = args[0]
-        for a in args[1:]:
-            node = node * a
-    elif expr.is_Pow:
-        base, p = expr.args
-        if p.is_Number:
-            pf = float(p)
-            b = from_sympy(base, cache)
-            if pf == -1.0:
-                node = ExprNode.const(1.0) / b
-            elif pf == 0.5:
-                node = nsqrt(b)
-            elif pf == int(pf) and abs(pf) <= 8:
-                # integer powers by repeated squaring keep enclosures tight
-                k = abs(int(pf))
-                acc = b
-                node = None
-                while k:
-                    if k & 1:
-                        node = acc if node is None else node * acc
-                    k >>= 1
-                    if k:
-                        acc = acc * acc
-                if pf < 0:
-                    node = ExprNode.const(1.0) / node
-            else:
-                node = b ** pf
-        else:
-            node = nexp(from_sympy(p * sp.log(base), cache))
-    elif isinstance(expr, sp.tanh):
-        node = ntanh(from_sympy(expr.args[0], cache))
-    elif isinstance(expr, sp.exp):
-        node = nexp(from_sympy(expr.args[0], cache))
-    elif isinstance(expr, sp.log):
-        node = nlog(from_sympy(expr.args[0], cache))
-    else:
-        raise ValueError(f"unsupported sympy node {type(expr)}")
-    cache[key] = node
-    return node
-
-
 # ---------------------------------------------------------------------------
 # claim catalog
 # ---------------------------------------------------------------------------
@@ -462,48 +405,19 @@ def defect_gap_expression() -> ExprNode:
     return base + (a * a) * coef
 
 
-def _candidate_sympy(n: int):
-    from saddlecheck.params import CandidateParams
-    cand = CandidateParams(n=n)
-    s, t = sp.symbols("s t", positive=True)
-    radial = sp.sqrt(s**2 + t**2)
-    if cand.has_exp_term:
-        core = (sp.tanh(s / t) * sp.sqrt(2) * s / radial
-                + sp.Rational(10, 42) * (1 - sp.exp(-s / (2 * t))))
-    else:
-        core = sp.tanh(s / t) * s / radial
-    return s, t, core * (s + t) ** (-sp.Rational(n - 3, 2))
-
-
 def builtin_expressions(n: int = 8) -> dict:
     """Expression-tree catalog for dimension n: the profile f and its mirror
     h, the five coefficient fields, the subsolution defect, and the radial
     part of the corrector Laplacian."""
-    s, t, f = _candidate_sympy(n)
-    d = n // 2 - 1
-    fs, ft = sp.diff(f, s), sp.diff(f, t)
-    fss, fst, ftt = sp.diff(f, s, 2), sp.diff(f, s, t), sp.diff(f, t, 2)
-    c_s = fss + ftt + d * fs / s + d * ft / t + d * f / s**2
-    c_ss = 2 * fs
-    # h(s, t) = -f(t, s); as a sympy object the swap is already composed,
-    # so plain derivatives of g are the slot-correct h partials.
-    g = f.subs({s: t, t: s}, simultaneous=True)
-    c_t = -(sp.diff(g, s, 2) + sp.diff(g, t, 2)
-            + d * sp.diff(g, s) / s + d * sp.diff(g, t) / t + d * g / t**2)
-    c_tt = -2 * sp.diff(g, t)
-    c_st = 2 * ft - 2 * sp.diff(g, s)
-
-    cache = {}
-    cat = {name: from_sympy(e, cache) for name, e in
-           (("f", f), ("h", -g), ("c_s", c_s), ("c_t", c_t),
-            ("c_ss", c_ss), ("c_st", c_st), ("c_tt", c_tt))}
+    # candidate builds its DAGs with this module, so it is imported late
+    from saddlecheck.candidate import candidate_expressions
+    cand = CandidateParams(n=n)
+    cat = candidate_expressions(cand)
     cat["defect"] = defect_expression()
     cat["defect_gap"] = defect_gap_expression()
     # radial part of L applied to the corrector summand c0 s^-p e^(-t/3):
     # coefficient (p^2 + p - d p) s^(-p-2) e^(-t/3)
-    from saddlecheck.params import CandidateParams
-    cand = CandidateParams(n=n)
-    p = cand.phi0_exponent
+    p, d = cand.phi0_exponent, cand.m - 1
     sv, tv = ExprNode.var("s"), ExprNode.var("t")
     cat["phi0_radial"] = (ExprNode.const(cand.phi0_coeff * (p * p + p - d * p))
                           * sv ** (-p - 2.0) * nexp(tv * ExprNode.const(-1 / 3)))

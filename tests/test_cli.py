@@ -2,9 +2,14 @@
 and the RESULT summary line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import saddlecheck
 from saddlecheck.cache import CACHE_ENV_VAR
 from saddlecheck.cli import main, resolve_config, build_parser
 
@@ -122,3 +127,15 @@ def test_full_run_emits_certificate(tmp_path, capsys):
     assert cert["n"] == 8
     assert _last_line(capsys) == \
         "RESULT pass stages=solve,suite,supersolution,spectrum,rigor failures=0"
+
+
+def test_cli_import_leaves_sympy_out():
+    # a fresh interpreter: this process may have imported sympy elsewhere
+    src = str(Path(saddlecheck.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, saddlecheck.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

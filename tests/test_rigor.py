@@ -178,3 +178,18 @@ def test_interval_division_by_zero_flags_bad():
     out = num / den
     assert out.bad[0]
     assert out.lo[0] == -np.inf and out.hi[0] == np.inf
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_catalog_matches_jet_coefficients(n):
+    # the catalog's DAG partials (proofs) and the jets (grid values) are two
+    # independent derivative routes through the one formula f_generic
+    rng = np.random.default_rng(n)
+    t = rng.uniform(0.2, 20.0, 2000)
+    s = t + rng.uniform(1e-3, 20.0, 2000)
+    cat = builtin_expressions(n)
+    cs = coefficient_set(s, t, CandidateParams(n=n))
+    for key in ("c_s", "c_t", "c_ss", "c_st", "c_tt"):
+        want = getattr(cs, key)
+        got = cat[key].evaluate({"s": s, "t": t})
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9, key
