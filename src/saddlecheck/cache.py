@@ -20,7 +20,7 @@ from saddlecheck.params import DimensionParams
 from saddlecheck.solver import (SaddleSolution, SolverConfig,
                                 compute_derivatives, newton_solve)
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2          # 2: fields solved with solver.weighted_form
 CACHE_ENV_VAR = "SADDLECHECK_CACHE_DIR"
 
 

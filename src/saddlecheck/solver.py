@@ -4,8 +4,12 @@
 
 on the triangle {0 <= t <= s <= R}, with u = 0 on the diagonal, even
 reflection across t = 0, and Dirichlet data H(y)H(z) on the outer edge.
-The solved field is odd-reflected onto the full quadrant and all first and
-second derivative fields are produced with second-order stencils.
+The one discrete operator is weighted_form, the (s t)^(m-1) edge form on the
+closed triangle.  The s <-> t mirror splits its full-quadrant form into an
+odd sector (zero on the cone), which this Newton solve uses, and an even
+sector, which spectral uses for the stability pencil.  The solved field is
+odd-reflected onto the full quadrant and all first and second derivative
+fields are produced with second-order stencils.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from saddlecheck.grid import Grid, NODE_AXIS, build_grid
+from saddlecheck.grid import Grid, build_grid
 from saddlecheck.params import DimensionParams, SQRT2, st_to_yz
-from saddlecheck.scalars import heteroclinic, hh_supersolution
+from saddlecheck.scalars import hh_supersolution
 
 
 @dataclass(frozen=True)
@@ -99,96 +103,76 @@ def impose_boundary(U: np.ndarray, grid: Grid) -> np.ndarray:
     return U
 
 
+def weighted_form(m: int, grid: Grid):
+    """The one discrete operator: -Delta_m u = (K u) / V.
+
+    K is the symmetric edge Laplacian of int |grad eta|^2 (s t)^(m-1) over
+    the closed triangle {t <= s}; each edge weighs (midpoint coordinate along
+    the edge)^(m-1) times (cell length across the edge) / h, with cell length
+    V1(x) = ((x + h/2)^m - max(x - h/2, 0)^m) / m.  V = V1(s) V1(t) is the cell
+    volume, halved on the cone.  Nodes are numbered i*(N+1) + j, so K acts on
+    U.ravel() for a full-quadrant field U and is zero outside the triangle, as
+    is V, an (N+1, N+1) array.  On the axis t = 0 the row reduces to the
+    even-reflection limit -2m(u1 - u0)/h^2.
+    """
+    N, h = grid.N, grid.h
+    x = grid.coords
+    cell = ((x + h / 2.0) ** m - np.maximum(x - h / 2.0, 0.0) ** m) / m
+    mid = ((np.arange(N) + 0.5) * h) ** (m - 1)
+    V = np.where(grid.mask_triangle, np.outer(cell, cell), 0.0)
+    V[np.diag_indices(N + 1)] *= 0.5
+
+    i, j = np.nonzero(grid.mask_triangle[:N])      # s-edges (i, j)-(i+1, j)
+    k, l = np.nonzero(np.tril(grid.mask_triangle, -1))  # t-edges (k, l)-(k, l+1)
+    a = np.concatenate((i * (N + 1) + j, k * (N + 1) + l))
+    b = np.concatenate((a[:i.size] + N + 1, a[i.size:] + 1))
+    w = np.concatenate((mid[i] * cell[j], mid[l] * cell[k])) / h
+    K = sp.csr_matrix((np.concatenate((-w, -w, w, w)),
+                       (np.concatenate((a, b, a, b)),
+                        np.concatenate((b, a, a, b)))),
+                      shape=((N + 1) ** 2,) * 2)
+    return K, V
+
+
+def _residual(K, V, U: np.ndarray, grid: Grid,
+              nonlinearity: Callable = cubic_nonlinearity):
+    ii, jj = grid.ii, grid.jj
+    KU = (K @ U.ravel()).reshape(U.shape)
+    return KU[ii, jj] / V[ii, jj] - nonlinearity(U[ii, jj])
+
+
 def apply_operator(U: np.ndarray, params: DimensionParams, grid: Grid,
                    nonlinearity: Callable = cubic_nonlinearity) -> np.ndarray:
-    """Discrete residual -Delta_h u - drift_h u - g(u) at the unknown nodes.
+    """Discrete residual (K u)/V - g(u) of weighted_form at the unknown nodes.
 
     U is a full-quadrant field; values at fixed nodes are taken from U as
     given, so exact fixed points (u = 0, u = +-1 with matching data) return
-    an identically zero residual.  On the axis t = 0 the drift term uses the
-    even-reflection limit (m-1) u_tt.  Returns an (N+1, N+1) array that is
-    zero at non-unknown nodes.
+    an identically zero residual.  Returns an (N+1, N+1) array that is zero
+    at non-unknown nodes.
     """
-    h = grid.h
-    drift = params.drift
-    ii, jj = grid.ii, grid.jj
-    s = ii * h
-    c = U[ii, jj]
-    east, west = U[ii + 1, jj], U[ii - 1, jj]
-    res = -(east - 2.0 * c + west) / h**2 - drift / s * (east - west) / (2.0 * h)
-
-    axis = jj == 0
-    inte = ~axis
-    ia, ja = ii[axis], jj[axis]
-    ib, jb = ii[inte], jj[inte]
-    t = jb * h
-    north, south = U[ib, jb + 1], U[ib, jb - 1]
-    cb = U[ib, jb]
-    res[inte] += (-(north - 2.0 * cb + south) / h**2
-                  - drift / t * (north - south) / (2.0 * h))
-    # t = 0: -(u_tt + (m-1) u_t / t) -> -m u_tt with the even ghost u(s,-h) = u(s,h)
-    res[axis] += -2.0 * params.m * (U[ia, 1] - U[ia, 0]) / h**2
-
-    res -= nonlinearity(U[ii, jj])
+    K, V = weighted_form(params.m, grid)
     out = np.zeros_like(U)
-    out[ii, jj] = res
+    out[grid.ii, grid.jj] = _residual(K, V, U, grid, nonlinearity)
     return out
-
-
-def _jacobian_structure(params: DimensionParams, grid: Grid):
-    """Constant off-diagonal part of the Jacobian and the constant diagonal
-    contribution (everything except the nonlinearity derivative)."""
-    h = grid.h
-    drift = params.drift
-    ii, jj = grid.ii, grid.jj
-    n = grid.n_unknowns
-    rows, cols, vals = [], [], []
-    s = ii * h
-    diag_const = np.full(n, 4.0 / h**2)
-    axis = jj == 0
-    diag_const[axis] = 2.0 / h**2 + 2.0 * params.m / h**2
-
-    def add(ni, nj, coeff, mask):
-        neigh = grid.unknown_index[ni[mask], nj[mask]]
-        ok = neigh >= 0
-        rows.append(np.nonzero(mask)[0][ok])
-        cols.append(neigh[ok])
-        vals.append(coeff[mask][ok])
-
-    all_mask = np.ones_like(ii, dtype=bool)
-    add(ii + 1, jj, -1.0 / h**2 - drift / (2.0 * h * s), all_mask)
-    add(ii - 1, jj, -1.0 / h**2 + drift / (2.0 * h * s), all_mask)
-
-    t = jj * h
-    with np.errstate(divide="ignore"):
-        cn = np.where(axis, -2.0 * params.m / h**2,
-                      -1.0 / h**2 - drift / (2.0 * h * np.where(axis, 1.0, t)))
-        cs = -1.0 / h**2 + drift / (2.0 * h * np.where(axis, 1.0, t))
-    add(ii, jj + 1, cn, all_mask)
-    add(ii, jj - 1, cs, ~axis)
-
-    off = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return off, diag_const
 
 
 def newton_solve(params: DimensionParams, config: SolverConfig,
                  grid: Grid) -> SaddleSolution:
     """Solve for the saddle solution by damped Newton iteration.
 
-    Deterministic: identical inputs produce bitwise-identical fields.
-    Raises NewtonError on non-convergence or line-search failure.
+    Each step solves the symmetric system (K_uu + diag(V (3u^2 - 1))) delta
+    = -V res on the unknowns.  Deterministic: identical inputs produce
+    bitwise-identical fields.  Raises NewtonError on non-convergence or
+    line-search failure.
     """
     U = initial_guess(grid)
     ii, jj = grid.ii, grid.jj
-    off, diag_const = _jacobian_structure(params, grid)
+    K, V = weighted_form(params.m, grid)
+    flat = ii * (grid.N + 1) + jj
+    K_uu = K[flat][:, flat]
+    vol = V[ii, jj]
 
-    def residual_vec(Ufull):
-        return apply_operator(Ufull, params, grid)[ii, jj]
-
-    res = residual_vec(U)
+    res = _residual(K, V, U, grid)
     norm = float(np.abs(res).max())
     iters = 0
     while norm > config.newton_tol:
@@ -197,9 +181,10 @@ def newton_solve(params: DimensionParams, config: SolverConfig,
                 f"no convergence after {iters} iterations; last residual {norm:.3e}"
             )
         u_vec = U[ii, jj]
-        J = (off + sp.diags(diag_const - 1.0 + 3.0 * u_vec**2)).tocsc()
-        delta = spla.splu(J).solve(-res)
-        lin_res = float(np.linalg.norm(J @ delta + res) / max(np.linalg.norm(res), 1e-300))
+        J = (K_uu + sp.diags(vol * (3.0 * u_vec**2 - 1.0))).tocsc()
+        rhs = -vol * res
+        delta = spla.splu(J).solve(rhs)
+        lin_res = float(np.linalg.norm(J @ delta - rhs) / max(np.linalg.norm(rhs), 1e-300))
         if lin_res > config.linear_tol:
             raise NewtonError(f"inner linear solve stalled (relative residual {lin_res:.3e})")
 
@@ -208,7 +193,7 @@ def newton_solve(params: DimensionParams, config: SolverConfig,
             Utry = U.copy()
             Utry[ii, jj] = u_vec + lam * delta
             Utry = impose_boundary(Utry, grid)
-            res_try = residual_vec(Utry)
+            res_try = _residual(K, V, Utry, grid)
             norm_try = float(np.abs(res_try).max())
             if norm_try < norm or norm <= config.newton_tol:
                 break

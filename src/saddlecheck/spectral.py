@@ -2,12 +2,15 @@
 class, as the generalized pencil
 
     K v = lambda B v,
-    K = assembly of int (|grad eta|^2 + (3u^2-1) eta^2) (s t)^(m-1),
-    B = diag((s t)^(m-1) h^2),
+    K = int (|grad eta|^2 + (3u^2-1) eta^2) (s t)^(m-1),
+    B = int eta^2 (s t)^(m-1),
 
-over the full quadrant (perturbations need not vanish on the cone), with
-Dirichlet truncation on the outer edges and natural (reflection) treatment
-on the axes.  Negative lambda_min reproduces the known instability for
+discretized by solver.weighted_form.  The s <-> t mirror splits the
+full-quadrant pencil exactly into an even and an odd sector; the odd sector
+(zero on the cone) is the Newton Jacobian, and the principal eigenvector is
+even, so only the even sector is assembled: the triangle {t <= s} with the
+cone and axis as natural (reflection) boundaries and Dirichlet truncation on
+the outer edge.  Negative lambda_min reproduces the known instability for
 m <= 3; for m >= 4 it is a one-sided consistency indicator (the stability
 proof itself goes through the supersolution certificate, not this pencil).
 """
@@ -23,7 +26,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from saddlecheck.solver import SaddleSolution
+from saddlecheck.solver import SaddleSolution, weighted_form
 
 
 @dataclass(frozen=True)
@@ -44,73 +47,30 @@ class QuadraticFormAssembly:
 class EigEstimate:
     lambda_min: float
     residual: float
-    iterations: int
+    iterations: int          # shift-invert solves
     vector: np.ndarray = field(repr=False)
 
 
 def assemble(sol: SaddleSolution) -> QuadraticFormAssembly:
-    """Build the weighted stiffness/mass pencil from a solved field.
-
-    Edge-based: each grid edge contributes w_edge (eta_a - eta_b)^2 / h^2
-    with w_edge the weight (s t)^(m-1) h^2 at the edge midpoint.  Axis nodes
-    carry zero measure for m >= 2 and are eliminated; for m = 1 they are
-    ordinary interior nodes of the quarter-plane Neumann problem.
-    """
+    """Build the even-sector pencil (K + diag(V(3u^2-1)), diag(V)) from a
+    solved field; the dofs are the triangle nodes with s < R."""
     grid, m = sol.grid, sol.params.m
-    N, h = grid.N, grid.h
-    x = grid.coords
-
-    def weight(svals, tvals):
-        return (np.outer(svals, tvals)) ** (m - 1) * h * h
-
-    keep_axis = m == 1
-    lo = 0 if keep_axis else 1
+    N = grid.N
+    K, V = weighted_form(m, grid)
+    i, j = np.nonzero(grid.mask_triangle[:N])
     node_index = -np.ones((N + 1, N + 1), dtype=np.int64)
-    ii, jj = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
-    active = (ii < N) & (jj < N) & (ii >= lo) & (jj >= lo)
-    node_index[active] = np.arange(int(active.sum()))
-    n = int(active.sum())
-
-    w_node = weight(x, x)
-    rows, cols, vals = [], [], []
-    diag_extra = np.zeros(n)
-
-    def add_edges(ia, ja, ib, jb, w_edge):
-        a = node_index[ia, ja].ravel()
-        b = node_index[ib, jb].ravel()
-        w = (w_edge / (h * h)).ravel()
-        both = (a >= 0) & (b >= 0)
-        rows.extend((a[both], b[both], a[both], b[both]))
-        cols.extend((b[both], a[both], a[both], b[both]))
-        vals.extend((-w[both], -w[both], w[both], w[both]))
-        # an edge into the outer Dirichlet boundary pins the ghost to zero;
-        # edges into eliminated (zero-measure axis) nodes are dropped
-        for dof, oi, oj in ((a, ib.ravel(), jb.ravel()),
-                            (b, ia.ravel(), ja.ravel())):
-            dirichlet = (dof >= 0) & ((oi == N) | (oj == N))
-            d = dof[dirichlet]
-            np.add.at(diag_extra, d, w[dirichlet])
-
-    # horizontal edges (s-direction): midpoints (x_i + h/2, x_j)
-    ia, ja = np.meshgrid(np.arange(N), np.arange(N + 1), indexing="ij")
-    add_edges(ia, ja, ia + 1, ja, weight(x[:N] + h / 2.0, x))
-    # vertical edges (t-direction)
-    ia, ja = np.meshgrid(np.arange(N + 1), np.arange(N), indexing="ij")
-    add_edges(ia, ja, ia, ja + 1, weight(x, x[:N] + h / 2.0))
-
-    K = sp.csr_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    K = K + sp.diags(((3.0 * sol.u**2 - 1.0) * w_node)[active] + diag_extra)
-    B = sp.diags(w_node[active])
-    return QuadraticFormAssembly(stiffness=K.tocsr(), mass=B,
-                                 node_index=node_index, m=m, R=grid.R, h=h)
+    node_index[i, j] = np.arange(i.size)
+    flat = i * (N + 1) + j
+    vol = V[i, j]
+    stiffness = K[flat][:, flat] + sp.diags((3.0 * sol.u[i, j]**2 - 1.0) * vol)
+    return QuadraticFormAssembly(stiffness=stiffness.tocsr(),
+                                 mass=sp.diags(vol), node_index=node_index,
+                                 m=m, R=grid.R, h=grid.h)
 
 
 def rayleigh_quotient(asm: QuadraticFormAssembly, v_full: np.ndarray) -> float:
-    """Quadratic-form ratio for a test field given on the full grid."""
+    """Quadratic-form ratio for a test field given on the full grid (its
+    values on the triangle, mirrored)."""
     keep = asm.node_index >= 0
     v = np.zeros(asm.n_dof)
     v[asm.node_index[keep]] = v_full[keep]
@@ -124,9 +84,10 @@ def min_eigenvalue(asm: QuadraticFormAssembly, tol: float = 1e-10,
     """Smallest generalized eigenvalue of (K, B).
 
     Shift-invert Lanczos around sigma (below the spectrum: the potential
-    3u^2-1 >= -1 bounds it) with a deterministic start vector.  dense=True
-    uses LAPACK on the full matrices as an independent oracle; only sensible
-    on coarse grids.
+    3u^2-1 >= -1 bounds it) with a deterministic start vector and one LU of
+    K - sigma B; `iterations` counts the solves with it.  dense=True uses
+    LAPACK on the full matrices as an independent oracle; only sensible on
+    coarse grids.
     """
     K, B = asm.stiffness, asm.mass
     if dense:
@@ -135,22 +96,33 @@ def min_eigenvalue(asm: QuadraticFormAssembly, tol: float = 1e-10,
         lam = float(w[0])
         return EigEstimate(lambda_min=lam, residual=0.0, iterations=0,
                            vector=np.zeros(asm.n_dof))
+    lu = spla.splu((K - sigma * B).tocsc())
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
+    op_inv = spla.LinearOperator(K.shape, matvec=solve, dtype=K.dtype)
     v0 = np.ones(asm.n_dof)
-    w, V = spla.eigsh(K, k=1, M=B, sigma=sigma, which="LM", v0=v0, tol=tol)
+    w, V = spla.eigsh(K, k=1, M=B, sigma=sigma, which="LM", v0=v0, tol=tol,
+                      OPinv=op_inv)
     lam = float(w[0])
     vec = V[:, 0]
     res = float(np.linalg.norm(K @ vec - lam * (B @ vec))
                 / np.linalg.norm(B @ vec))
-    return EigEstimate(lambda_min=lam, residual=res, iterations=1, vector=vec)
+    return EigEstimate(lambda_min=lam, residual=res, iterations=solves,
+                       vector=vec)
 
 
 def eigenvector_field(asm: QuadraticFormAssembly, est: EigEstimate) -> np.ndarray:
-    """Scatter an eigenvector back onto the (N+1, N+1) grid (zeros at
-    eliminated/Dirichlet nodes)."""
+    """Scatter an eigenvector onto the (N+1, N+1) grid, mirrored across the
+    cone (zeros on the outer Dirichlet edges)."""
     out = np.zeros(asm.node_index.shape)
     keep = asm.node_index >= 0
     out[keep] = est.vector[asm.node_index[keep]]
-    return out
+    return out + np.tril(out, -1).T
 
 
 class CertificateError(RuntimeError):

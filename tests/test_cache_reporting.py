@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from saddlecheck.cache import (CACHE_ENV_VAR, CacheMismatch, cache_dir,
-                               load_or_solve, load_solution, save_solution,
-                               solution_key)
+from saddlecheck.cache import (CACHE_ENV_VAR, CacheMismatch, _content_hash,
+                               cache_dir, load_or_solve, load_solution,
+                               save_solution, solution_key)
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite
 from saddlecheck.reporting import (REPORT_SCHEMA, build_report,
@@ -57,6 +57,25 @@ def test_cache_rejects_tampering(tmp_path, solved):
     sol2, cached = load_or_solve(M, R, H, directory=tmp_path)
     assert not cached
     assert np.array_equal(sol2.u, sol.u)
+
+
+def test_cache_rejects_entry_of_older_format(tmp_path, solved):
+    # a field solved by an older discretization must not be certified by
+    # the current one, even when its header hash is self-consistent
+    sol = solved(M, R, H)
+    path = save_solution(sol, SolverConfig(), tmp_path)
+    with np.load(path) as data:
+        header = json.loads(bytes(data["header"]).decode())
+        u = data["u"].copy()
+    header.pop("sha256")
+    header["format"] = 1
+    header["sha256"] = _content_hash(header, u)
+    with open(path, "wb") as fh:
+        np.savez(fh, u=u, header=np.bytes_(json.dumps(header, sort_keys=True)))
+    with pytest.raises(CacheMismatch):
+        load_solution(path)
+    _, cached = load_or_solve(M, R, H, directory=tmp_path)
+    assert not cached
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

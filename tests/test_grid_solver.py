@@ -7,8 +7,9 @@ from saddlecheck.grid import (NODE_AXIS, NODE_DIAGONAL, NODE_INTERIOR,
                               NODE_OUTER, NODE_OUTSIDE, build_grid)
 from saddlecheck.params import DimensionParams, st_to_yz
 from saddlecheck.scalars import hh_supersolution
-from saddlecheck.solver import (SolverConfig, compute_derivatives,
-                                impose_boundary, newton_solve,
+from saddlecheck.solver import (SolverConfig, apply_operator,
+                                compute_derivatives, impose_boundary,
+                                newton_solve,
                                 residual_yz_form, sine_gordon_saddle,
                                 validate_exact)
 
@@ -38,6 +39,25 @@ def test_node_classification():
 def test_sine_gordon_convergence_rate():
     out = validate_exact(build_grid(12.0, 0.1))
     assert out["rate"] == pytest.approx(2.0, abs=0.2)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+def test_weighted_operator_rate_on_manufactured_field(m):
+    # the sine-Gordon oracle runs at m = 1, where the (s t)^(m-1) weights
+    # are trivial; cos s cos t checks them at higher m
+    def max_error(h):
+        g = build_grid(12.0, h)
+        S, T = g.meshgrid()
+        res = apply_operator(np.cos(S) * np.cos(T), DimensionParams(m=m), g,
+                             nonlinearity=lambda u: 0 * u)[g.ii, g.jj]
+        s, t = S[g.ii, g.jj], T[g.ii, g.jj]
+        sinc_t = np.sinc(t / np.pi)     # sin t / t, 1 on the axis
+        exact = (2.0 * np.cos(s) * np.cos(t)
+                 + (m - 1) * (np.sin(s) / s * np.cos(t) + np.cos(s) * sinc_t))
+        return float(np.abs(res - exact).max())
+
+    rate = np.log2(max_error(0.1) / max_error(0.05))
+    assert 1.8 <= rate <= 2.2, rate
 
 
 def test_sine_gordon_vanishes_on_cone():

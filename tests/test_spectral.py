@@ -3,6 +3,8 @@ stability certificate built on the verification reports."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
@@ -10,6 +12,7 @@ from saddlecheck.spectral import (CertificateError, assemble,
                                   eigenvector_field, min_eigenvalue,
                                   rayleigh_quotient, report_digest,
                                   stability_certificate)
+from saddlecheck.solver import weighted_form
 
 
 def test_stiffness_symmetric_and_mass_positive(sol_m4_coarse):
@@ -71,6 +74,28 @@ def test_rayleigh_quotient_upper_bounds(sol_m4_coarse):
     # the eigenvector itself reproduces the eigenvalue
     rq_min = rayleigh_quotient(asm, eigenvector_field(asm, est))
     assert rq_min == pytest.approx(est.lambda_min, rel=1e-8)
+
+
+def test_even_sector_holds_full_quadrant_minimum(solved):
+    # the s <-> t mirror splits the full-quadrant pencil into an even and an
+    # odd sector; the odd one (zero on the cone) must lie above the even one
+    for m in range(1, 7):
+        sol = solved(m, 12.0, 0.1)
+        grid = sol.grid
+        K, V = weighted_form(m, grid)
+        flat = grid.ii * (grid.N + 1) + grid.jj
+        vol = V[grid.ii, grid.jj]
+        u = sol.u[grid.ii, grid.jj]
+        odd = spla.eigsh(K[flat][:, flat] + sp.diags(vol * (3.0 * u**2 - 1.0)),
+                         k=1, M=sp.diags(vol), sigma=-1.05, which="LM",
+                         v0=np.ones(flat.size), tol=1e-10)[0][0]
+        even = min_eigenvalue(assemble(sol)).lambda_min
+        assert odd > even, (m, odd, even)
+
+
+def test_eigensolver_reports_its_solve_count(sol_m4_coarse):
+    est = min_eigenvalue(assemble(sol_m4_coarse))
+    assert est.iterations > 1
 
 
 def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
