@@ -3,13 +3,15 @@
 A cache entry is a single ``.npz`` holding the solved field plus a JSON
 header (format version, dimension, grid, solver metadata) and a SHA-256
 content hash.  Any header or hash mismatch is treated as a miss and forces a
-re-solve; loading never silently returns stale or corrupted data.
+re-solve, logged with its reason on the ``saddlecheck.cache`` logger; loading
+never silently returns stale or corrupted data.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -22,6 +24,8 @@ from saddlecheck.solver import (SaddleSolution, SolverConfig,
 
 CACHE_FORMAT = 2          # 2: fields solved with solver.weighted_form
 CACHE_ENV_VAR = "SADDLECHECK_CACHE_DIR"
+
+log = logging.getLogger(__name__)
 
 
 class CacheMismatch(RuntimeError):
@@ -120,8 +124,9 @@ def load_or_solve(m: int, R: float, h: float,
     if not refresh and path.exists():
         try:
             return load_solution(path), True
-        except (CacheMismatch, json.JSONDecodeError, ValueError, OSError):
-            pass  # fall through to a fresh solve
+        except (CacheMismatch, json.JSONDecodeError, ValueError,
+                OSError) as exc:
+            log.warning("cache entry %s rejected, re-solving: %s", path, exc)
     grid = build_grid(R, h)
     sol = newton_solve(DimensionParams(m=m), config, grid)
     save_solution(sol, config, directory)

@@ -2,7 +2,11 @@
 claims: the subsolution defect and the candidate coefficient fields.
 
 Intervals are vectorized (arrays of boxes evaluated at once) with outward
-rounding by two ulps around every primitive operation.  Partial operations
+rounding by two ulps around every primitive operation: one integer step on
+the float64 bit pattern, with nextafter for the lanes where that step would
+cross zero or pass +-inf, and for NaN.  Two ulps cover the correctly rounded
++ - * / sqrt and the libm exp, tanh, log and pow, whose measured error stays
+below it (tests/test_libm_audit.py).  Partial operations
 (division through zero, roots/powers of nonpositive bases) mark a box "bad"
 instead of failing; bad boxes are simply split further.  A claim is proven
 when every surviving leaf box has an enclosure with hi <= -margin.
@@ -20,14 +24,43 @@ _NEG = np.float64(-np.inf)
 _POS = np.float64(np.inf)
 
 
+def _two_ulps(x, direction):
+    """x moved two ulps toward direction (-1: -inf, +1: +inf), lane by lane.
+
+    Read as an int64 b, the bit pattern of a float orders positive floats
+    upward and negative ones downward (sign-magnitude), so two ulps toward
+    +inf is b + 2 for a positive x and b - 2 for a negative one.  The step
+    2 + 4 (b >> 63), that is +2 or -2, is added for +inf and subtracted for
+    -inf.  It is exact except where it lands on a NaN pattern: crossing
+    zero (x = +-0, +-5e-324), stepping past +-inf (x = +-inf, +-max), and
+    NaN inputs, whose payload the step may turn into a number.  Those lanes
+    are redone with nextafter.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    b = x.view(np.int64)
+    step = np.right_shift(b, 63, out=np.empty_like(b))  # 0 or -1
+    step *= 4
+    step += 2
+    if direction < 0:
+        np.subtract(b, step, out=step)
+    else:
+        np.add(b, step, out=step)
+    out = step.view(np.float64)
+    redo = np.isnan(out)
+    redo |= np.isnan(x)
+    if redo.any():
+        toward = _NEG if direction < 0 else _POS
+        with np.errstate(over="ignore"):
+            out[redo] = np.nextafter(np.nextafter(x[redo], toward), toward)
+    return out
+
+
 def _down(x):
-    with np.errstate(over="ignore"):
-        return np.nextafter(np.nextafter(x, _NEG), _NEG)
+    return _two_ulps(x, -1)
 
 
 def _up(x):
-    with np.errstate(over="ignore"):
-        return np.nextafter(np.nextafter(x, _POS), _POS)
+    return _two_ulps(x, +1)
 
 
 @dataclass(frozen=True)
@@ -67,11 +100,17 @@ class IntervalArray:
 
     def __mul__(self, o):
         o = _lift(o, self)
-        cands = np.stack([self.lo * o.lo, self.lo * o.hi,
-                          self.hi * o.lo, self.hi * o.hi])
-        cands = np.nan_to_num(cands, nan=0.0)  # 0 * inf only from bad lanes
-        return self._wrap(cands.min(axis=0), cands.max(axis=0),
-                          self.bad | o.bad)
+        ll, lh = self.lo * o.lo, self.lo * o.hi
+        hl, hh = self.hi * o.lo, self.hi * o.hi
+        lo = np.minimum(np.minimum(ll, lh), np.minimum(hl, hh))
+        hi = np.maximum(np.maximum(ll, lh), np.maximum(hl, hh))
+        # min/max propagate NaN and keep +-inf, so both are finite exactly
+        # when all four products are; otherwise clamp as nan_to_num does
+        # (0 * inf only comes from bad lanes, which _wrap overwrites)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            cands = np.nan_to_num(np.stack([ll, lh, hl, hh]), nan=0.0)
+            lo, hi = cands.min(axis=0), cands.max(axis=0)
+        return self._wrap(lo, hi, self.bad | o.bad)
 
     def __truediv__(self, o):
         o = _lift(o, self)

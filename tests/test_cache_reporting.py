@@ -1,6 +1,7 @@
 """Solution cache (hash-validated npz) and report/CSV/SVG serialization."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -59,11 +60,9 @@ def test_cache_rejects_tampering(tmp_path, solved):
     assert np.array_equal(sol2.u, sol.u)
 
 
-def test_cache_rejects_entry_of_older_format(tmp_path, solved):
-    # a field solved by an older discretization must not be certified by
-    # the current one, even when its header hash is self-consistent
-    sol = solved(M, R, H)
-    path = save_solution(sol, SolverConfig(), tmp_path)
+def _save_as_format_1(sol, directory):
+    """A cache entry whose header says format 1, with a matching hash."""
+    path = save_solution(sol, SolverConfig(), directory)
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
         u = data["u"].copy()
@@ -72,10 +71,30 @@ def test_cache_rejects_entry_of_older_format(tmp_path, solved):
     header["sha256"] = _content_hash(header, u)
     with open(path, "wb") as fh:
         np.savez(fh, u=u, header=np.bytes_(json.dumps(header, sort_keys=True)))
+    return path
+
+
+def test_cache_rejects_entry_of_older_format(tmp_path, solved):
+    # a field solved by an older discretization must not be certified by
+    # the current one, even when its header hash is self-consistent
+    sol = solved(M, R, H)
+    path = _save_as_format_1(sol, tmp_path)
     with pytest.raises(CacheMismatch):
         load_solution(path)
     _, cached = load_or_solve(M, R, H, directory=tmp_path)
     assert not cached
+
+
+def test_rejected_cache_entry_is_logged_with_its_reason(tmp_path, solved,
+                                                      caplog):
+    path = _save_as_format_1(solved(M, R, H), tmp_path)
+    with caplog.at_level(logging.WARNING, logger="saddlecheck.cache"):
+        _, cached = load_or_solve(M, R, H, directory=tmp_path)
+    assert not cached
+    [record] = [r for r in caplog.records if r.name == "saddlecheck.cache"]
+    assert record.levelno == logging.WARNING
+    assert str(path) in record.getMessage()
+    assert "format 1, expected 2" in record.getMessage()
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

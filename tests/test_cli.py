@@ -11,7 +11,8 @@ import pytest
 
 import saddlecheck
 from saddlecheck.cache import CACHE_ENV_VAR
-from saddlecheck.cli import main, resolve_config, build_parser
+from saddlecheck.cli import (RunConfig, build_parser, main, resolve_config,
+                             run_rigor)
 
 M_ARGS = ["--m", "4", "--R", "8", "--h", "0.2"]
 
@@ -139,3 +140,17 @@ def test_cli_import_leaves_sympy_out():
          "import sys, saddlecheck.cli; print('sympy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("m, expected", [
+    (4, [("defect<=0", 86_321), ("c_s<0", 8_371), ("c_ss<0", 1_059),
+         ("c_st<0", 3_339)]),
+    (5, [("defect<=0", 346_425)]),
+])
+def test_rigor_decisions_pinned(m, expected):
+    # every box decision of the prover shows in the box count, so a change to
+    # the interval kernels that moves one is caught here even if the claim
+    # still proves
+    proofs = run_rigor(RunConfig(m=m))
+    assert [(p["claim"], p["status"], p["boxes_examined"]) for p in proofs] \
+        == [(claim, "proven", boxes) for claim, boxes in expected]

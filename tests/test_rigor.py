@@ -6,8 +6,8 @@ import pytest
 
 from saddlecheck.candidate import coefficient_set
 from saddlecheck.params import CandidateParams
-from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray,
-                               builtin_expressions, defect_expression,
+from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, _down,
+                               _up, builtin_expressions, defect_expression,
                                defect_gap_expression, differentiate, nexp,
                                prove_nonpositive)
 
@@ -193,3 +193,103 @@ def test_catalog_matches_jet_coefficients(n):
         want = getattr(cs, key)
         got = cat[key].evaluate({"s": s, "t": t})
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9, key
+
+
+# ---------------------------------------------------------------------------
+# rounding kernels against their nextafter / nan_to_num reference
+# ---------------------------------------------------------------------------
+
+def _ref_down(x):
+    with np.errstate(over="ignore"):
+        return np.nextafter(np.nextafter(x, -np.inf), -np.inf)
+
+
+def _ref_up(x):
+    with np.errstate(over="ignore"):
+        return np.nextafter(np.nextafter(x, np.inf), np.inf)
+
+
+def _ref_mul(a, b):
+    cands = np.stack([a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi])
+    cands = np.nan_to_num(cands, nan=0.0)
+    bad = a.bad | b.bad
+    return (np.where(bad, -np.inf, _ref_down(cands.min(axis=0))),
+            np.where(bad, np.inf, _ref_up(cands.max(axis=0))), bad)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _whole_range_sample(rng, n):
+    """Random sign, biased exponent 0..2046 (subnormals included) and
+    mantissa: finite doubles spread over every binade."""
+    sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    expo = rng.integers(0, 2047, n, dtype=np.uint64) << np.uint64(52)
+    mant = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    return (sign | expo | mant).view(np.float64)
+
+
+_TINY = np.finfo(np.float64).tiny
+_MAX = np.finfo(np.float64).max
+_EDGES = np.array([0.0, 5e-324, 1e-323, 1.5e-323, _TINY, np.nextafter(_TINY, 0),
+                   np.nextafter(_MAX, 0), _MAX, np.inf, 1.0, 2.0])
+_EDGES = np.concatenate([_EDGES, -_EDGES, [np.nan, -np.nan]])
+# NaNs with small payloads: one integer step would turn them into numbers
+_PAYLOAD_NANS = np.array([0x7FF0000000000001, 0x7FF0000000000002,
+                          -0x000FFFFFFFFFFFFF], dtype=np.int64).view(np.float64)
+
+
+@pytest.mark.parametrize("kernel, ref", [(_down, _ref_down), (_up, _ref_up)])
+def test_rounding_kernels_match_nextafter_bitwise(kernel, ref):
+    rng = np.random.default_rng(4)
+    values = np.concatenate([_whole_range_sample(rng, 200_000), _EDGES,
+                             _PAYLOAD_NANS])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_bits(kernel(values)), _bits(ref(values)))
+        for v in np.concatenate([_EDGES, _PAYLOAD_NANS]):
+            assert _bits(kernel(np.asarray(v))) == _bits(ref(np.asarray(v)))
+
+
+def _intervals(a, b, bad=None):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    bad = np.zeros(lo.shape, dtype=bool) if bad is None else bad
+    return IntervalArray(np.where(bad, -np.inf, lo), np.where(bad, np.inf, hi),
+                         bad)
+
+
+def _assert_mul_matches_reference(x, y):
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = x * y
+        want = _ref_mul(x, y)
+    assert np.array_equal(_bits(got.lo), _bits(want[0]))
+    assert np.array_equal(_bits(got.hi), _bits(want[1]))
+    assert np.array_equal(got.bad, want[2])
+
+
+def test_interval_multiply_matches_reference_bitwise():
+    rng = np.random.default_rng(5)
+    n = 100_000
+    # finite products of moderate size: the min/max path
+    mod = [rng.uniform(-30, 30, n) * 10.0 ** rng.integers(-20, 20, n)
+           for _ in range(4)]
+    _assert_mul_matches_reference(_intervals(*mod[:2]), _intervals(*mod[2:]))
+    # the whole exponent range overflows and underflows, with bad lanes
+    wide = [_whole_range_sample(rng, n) for _ in range(4)]
+    bad = rng.uniform(size=(2, n)) < 0.05
+    _assert_mul_matches_reference(_intervals(*wide[:2], bad[0]),
+                                  _intervals(*wide[2:], bad[1]))
+    # every interval with edge-value endpoints against every other one
+    lo, hi = np.meshgrid(_EDGES, _EDGES)
+    keep = (lo <= hi) | np.isnan(lo) | np.isnan(hi)
+    edge = IntervalArray.from_bounds(lo[keep], hi[keep])
+    k = len(edge.lo)
+    left = IntervalArray.from_bounds(np.repeat(edge.lo, k),
+                                     np.repeat(edge.hi, k))
+    right = IntervalArray.from_bounds(np.tile(edge.lo, k), np.tile(edge.hi, k))
+    _assert_mul_matches_reference(left, right)
+    # products that underflow to signed zeros stay on the min/max path
+    small = _EDGES[np.isfinite(_EDGES) & (np.abs(_EDGES) < 1.0)]
+    a, b = np.meshgrid(small, small)
+    _assert_mul_matches_reference(_intervals(a.ravel(), -a.ravel()),
+                                  _intervals(b.ravel(), b.ravel()))
