@@ -297,7 +297,7 @@ def _build_suite(sol: SaddleSolution):
     return suite
 
 
-def run_inequality_suite(sol: SaddleSolution, kappa: float = KAPPA_DEFAULT):
+def run_inequality_suite(sol: SaddleSolution):
     """Evaluate every catalog inequality; returns a list of CheckReport."""
     if sol.u_s is None:
         raise ValueError("solution lacks derivative fields")
@@ -305,7 +305,7 @@ def run_inequality_suite(sol: SaddleSolution, kappa: float = KAPPA_DEFAULT):
     reports = []
     total_nodes = int(sol.grid.mask_triangle.sum())
     for cid, desc, margin, scale, mask, kmult in _build_suite(sol):
-        tol = np.maximum(kappa * kmult * h * h * scale, TOL_FLOOR)
+        tol = np.maximum(KAPPA_DEFAULT * kmult * h * h * scale, TOL_FLOOR)
         slack = np.where(mask, margin + tol, np.inf)
         i, j = np.unravel_index(np.argmin(slack), slack.shape)
         reports.append(CheckReport(
@@ -321,10 +321,9 @@ def run_inequality_suite(sol: SaddleSolution, kappa: float = KAPPA_DEFAULT):
 
 
 def verify_supersolution(sol: SaddleSolution, cand: CandidateParams,
-                         tol: float = 1e-8,
-                         phi_floor: float = 0.0) -> CheckReport:
-    """Check L Phi <= tol and Phi > phi_floor at interior nodes; extras carry
-    worst margins per region (E1/E2/E3)."""
+                         tol: float = 1e-8) -> CheckReport:
+    """Check L Phi <= tol and Phi > 0 at interior nodes; extras carry worst
+    margins per region (E1/E2/E3)."""
     lp, mask = l_phi(sol, cand)
     ph, _ = phi_field(sol, cand)
     h = sol.grid.h
@@ -337,7 +336,7 @@ def verify_supersolution(sol: SaddleSolution, cand: CandidateParams,
     extras["min_phi"] = float(ph[mask].min())
     worst = float(lp[mask].max())
     i, j = np.unravel_index(np.argmax(np.where(mask, lp, -np.inf)), lp.shape)
-    passed = worst <= tol and extras["min_phi"] > phi_floor
+    passed = worst <= tol and extras["min_phi"] > 0.0
     return CheckReport(
         id=f"supersolution-n{cand.n}",
         description="L Phi <= 0 and Phi > 0 at interior nodes",

@@ -13,21 +13,19 @@ import argparse
 import configparser
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from saddlecheck.cache import load_or_solve
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.params import CandidateParams, DimensionParams
 from saddlecheck.reporting import (build_report, check_report_to_dict,
                                    eig_to_dict, export_csv, export_signmaps,
-                                   proof_to_dict, report_passed,
-                                   solver_to_dict, write_report)
-from saddlecheck.rigor import HalfPlane, builtin_expressions, prove_nonpositive
+                                   proof_to_dict, solver_to_dict,
+                                   write_report)
+from saddlecheck.rigor import builtin_expressions, claims, prove_nonpositive
 from saddlecheck.solver import SaddleSolution, SolverConfig
-from saddlecheck.spectral import (assemble, min_eigenvalue, report_digest,
+from saddlecheck.spectral import (assemble, min_eigenvalue,
                                   stability_certificate)
 
 ALL_STAGES = ("solve", "suite", "supersolution", "spectrum", "rigor")
@@ -170,10 +168,8 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
                 failures.append(f"rigor:{p['claim']}")
 
     if super_report is not None and super_report.passed and not failures:
-        all_reports = suite_reports + [super_report]
         stages["certificate"] = stability_certificate(
-            sol, cand, all_reports,
-            [report_digest(r) for r in all_reports])
+            sol, cand, suite_reports + [super_report])
 
     report = build_report(_config_echo(cfg), stages, timing)
     report["failures"] = failures
@@ -181,24 +177,12 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
 
 
 def run_rigor(cfg: RunConfig) -> list[dict]:
-    """Interval proofs: defect nonpositivity (gap coordinates cover the
-    requested wedge), and the three coefficient sign claims for n = 8."""
+    """Interval proofs of the claims in rigor.claims(n), in table order."""
     cat = builtin_expressions(cfg.n)
-    proofs = []
-    res = prove_nonpositive(
-        cat["defect_gap"], ["a", "u", "z"],
-        [[0.01, 0.45], [0.01, 11.99], [0.01, 12.0]],
-        fixed={"d": float(cfg.m - 1)}, frozen_dims=("a",),
-        min_width=1e-6, max_boxes=cfg.rigor_max_boxes)
-    proofs.append(proof_to_dict(res, "defect<=0"))
-    if cfg.n == 8:
-        for claim in ("c_s", "c_ss", "c_st"):
-            res = prove_nonpositive(cat[claim], ["s", "t"],
-                                    [[0.2, 20.0], [0.2, 20.0]],
-                                    constraints=[HalfPlane(0, 1, 0.05)],
-                                    max_boxes=cfg.rigor_max_boxes)
-            proofs.append(proof_to_dict(res, f"{claim}<0"))
-    return proofs
+    return [proof_to_dict(prove_nonpositive(cat[key], **kwargs,
+                                            max_boxes=cfg.rigor_max_boxes),
+                          label)
+            for label, key, kwargs in claims(cfg.n)]
 
 
 def _config_echo(cfg: RunConfig) -> dict:

@@ -33,12 +33,6 @@ class DimensionParams:
     def drift(self) -> float:
         return float(self.m - 1)
 
-    @classmethod
-    def from_n(cls, n: int) -> "DimensionParams":
-        if n % 2 != 0:
-            raise ValueError(f"ambient dimension must be even, got n={n}")
-        return cls(m=n // 2)
-
 
 @dataclass(frozen=True)
 class CandidateParams:
@@ -61,10 +55,6 @@ class CandidateParams:
     @property
     def m(self) -> int:
         return self.n // 2
-
-    @property
-    def dims(self) -> DimensionParams:
-        return DimensionParams(m=self.m)
 
     @property
     def decay_exponent(self) -> float:

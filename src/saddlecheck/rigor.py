@@ -1,5 +1,7 @@
 """Interval-arithmetic branch-and-bound prover for the closed-form sign
 claims: the subsolution defect and the candidate coefficient fields.
+claims(n) is the one table of what is proven for dimension n and on which
+domain; the CLI, the acceptance gate and the libm audit all read it.
 
 Intervals are vectorized (arrays of boxes evaluated at once) with outward
 rounding by two ulps around every primitive operation: one integer step on
@@ -446,20 +448,12 @@ def defect_gap_expression() -> ExprNode:
 
 def builtin_expressions(n: int = 8) -> dict:
     """Expression-tree catalog for dimension n: the profile f and its mirror
-    h, the five coefficient fields, the subsolution defect, and the radial
-    part of the corrector Laplacian."""
+    h, the five coefficient fields and the subsolution defect in gap
+    coordinates."""
     # candidate builds its DAGs with this module, so it is imported late
     from saddlecheck.candidate import candidate_expressions
-    cand = CandidateParams(n=n)
-    cat = candidate_expressions(cand)
-    cat["defect"] = defect_expression()
+    cat = candidate_expressions(CandidateParams(n=n))
     cat["defect_gap"] = defect_gap_expression()
-    # radial part of L applied to the corrector summand c0 s^-p e^(-t/3):
-    # coefficient (p^2 + p - d p) s^(-p-2) e^(-t/3)
-    p, d = cand.phi0_exponent, cand.m - 1
-    sv, tv = ExprNode.var("s"), ExprNode.var("t")
-    cat["phi0_radial"] = (ExprNode.const(cand.phi0_coeff * (p * p + p - d * p))
-                          * sv ** (-p - 2.0) * nexp(tv * ExprNode.const(-1 / 3)))
     return cat
 
 
@@ -473,6 +467,28 @@ class HalfPlane:
     greater: int
     lesser: int
     delta: float = 0.0
+
+
+def claims(n: int) -> list[tuple[str, str, dict]]:
+    """The interval claims proven for dimension n, in report order, as rows
+    (label, key into builtin_expressions(n), keyword arguments of
+    prove_nonpositive other than max_boxes).
+
+    The defect is proven in gap coordinates with d = m - 1 fixed and the
+    single-occurrence a frozen; the coefficient claims (n = 8 only) on the
+    wedge s >= t + 0.05.
+    """
+    rows = [("defect<=0", "defect_gap",
+             {"names": ["a", "u", "z"],
+              "box": [[0.01, 0.45], [0.01, 11.99], [0.01, 12.0]],
+              "fixed": {"d": n / 2 - 1}, "frozen_dims": ("a",),
+              "min_width": 1e-6})]
+    if n == 8:
+        rows += [(f"{key}<0", key,
+                  {"names": ["s", "t"], "box": [[0.2, 20.0], [0.2, 20.0]],
+                   "constraints": [HalfPlane(0, 1, 0.05)]})
+                 for key in ("c_s", "c_ss", "c_st")]
+    return rows
 
 
 @dataclass(frozen=True)

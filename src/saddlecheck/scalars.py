@@ -8,8 +8,6 @@ All functions accept floats or numpy arrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from saddlecheck.params import DimensionParams, SQRT2

@@ -27,18 +27,18 @@ from saddlecheck.params import DimensionParams, SQRT2, st_to_yz
 from saddlecheck.scalars import hh_supersolution
 
 
+MAX_NEWTON_ITERS = 40
+DAMPING_HALVINGS = 30
+LINEAR_TOL = 1e-10                     # relative residual of the inner solve
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-10          # max-norm of the discrete residual
-    max_newton_iters: int = 40
-    damping_halvings: int = 30
-    linear_tol: float = 1e-10          # relative residual of the inner solve
 
     def __post_init__(self) -> None:
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def newton_solve(params: DimensionParams, config: SolverConfig,
     norm = float(np.abs(res).max())
     iters = 0
     while norm > config.newton_tol:
-        if iters >= config.max_newton_iters:
+        if iters >= MAX_NEWTON_ITERS:
             raise NewtonError(
                 f"no convergence after {iters} iterations; last residual {norm:.3e}"
             )
@@ -185,11 +185,11 @@ def newton_solve(params: DimensionParams, config: SolverConfig,
         rhs = -vol * res
         delta = spla.splu(J).solve(rhs)
         lin_res = float(np.linalg.norm(J @ delta - rhs) / max(np.linalg.norm(rhs), 1e-300))
-        if lin_res > config.linear_tol:
+        if lin_res > LINEAR_TOL:
             raise NewtonError(f"inner linear solve stalled (relative residual {lin_res:.3e})")
 
         lam = 1.0
-        for _ in range(config.damping_halvings + 1):
+        for _ in range(DAMPING_HALVINGS + 1):
             Utry = U.copy()
             Utry[ii, jj] = u_vec + lam * delta
             Utry = impose_boundary(Utry, grid)

@@ -126,7 +126,7 @@ def eigenvector_field(asm: QuadraticFormAssembly, est: EigEstimate) -> np.ndarra
 
 
 class CertificateError(RuntimeError):
-    """Prerequisite reports failed or were tampered with."""
+    """Prerequisite reports failed or do not match the solution."""
 
 
 def _digest(obj) -> str:
@@ -143,23 +143,20 @@ def report_digest(report) -> str:
     return _digest(payload)
 
 
-def stability_certificate(sol: SaddleSolution, cand, reports,
-                          report_hashes=None) -> dict:
+def stability_certificate(sol: SaddleSolution, cand, reports) -> dict:
     """Record the supersolution-based stability conclusion.
 
     `reports` must contain a passing supersolution report (and may carry the
-    inequality suite).  Refuses if any report failed, the dimension
-    mismatches, or a provided hash does not match its report.
+    inequality suite).  Refuses if any report failed or the dimension
+    mismatches.
     """
     if sol.params.m != cand.m:
         raise CertificateError("solution/candidate dimension mismatch")
     if not reports:
         raise CertificateError("no verification reports supplied")
-    for idx, rep in enumerate(reports):
+    for rep in reports:
         if not rep.passed:
             raise CertificateError(f"prerequisite report {rep.id} failed")
-        if report_hashes is not None and report_hashes[idx] != report_digest(rep):
-            raise CertificateError(f"report {rep.id} hash mismatch")
     if not any(r.id.startswith("supersolution") for r in reports):
         raise CertificateError("missing supersolution report")
     return {

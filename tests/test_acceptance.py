@@ -11,7 +11,7 @@ from saddlecheck.candidate import CandidateParams, coefficient_set, l_phi
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.grid import build_grid
 from saddlecheck.params import st_to_yz
-from saddlecheck.rigor import (HalfPlane, IntervalArray, builtin_expressions,
+from saddlecheck.rigor import (IntervalArray, builtin_expressions, claims,
                                prove_nonpositive)
 from saddlecheck.scalars import (double_well, heteroclinic, hh_supersolution,
                                  rho, rho1)
@@ -97,17 +97,9 @@ def test_criterion_6_ablation(solved):
 
 def test_criterion_7_rigor_proofs():
     cat = builtin_expressions(8)
-    results = {}
-    res = prove_nonpositive(
-        cat["defect_gap"], ["a", "u", "z"],
-        [[0.01, 0.45], [0.01, 11.99], [0.01, 12.0]],
-        fixed={"d": 3.0}, frozen_dims=("a",), min_width=1e-6,
-        max_boxes=2_000_000)
-    results["defect"] = res
-    for claim in ("c_s", "c_ss", "c_st"):
-        results[claim] = prove_nonpositive(
-            cat[claim], ["s", "t"], [[0.2, 20.0], [0.2, 20.0]],
-            constraints=[HalfPlane(0, 1, 0.05)], max_boxes=2_000_000)
+    results = {label: prove_nonpositive(cat[key], **kwargs,
+                                        max_boxes=2_000_000)
+               for label, key, kwargs in claims(8)}
     ok = all(r.proven for r in results.values())
     detail = ", ".join(f"{k}: {v.status} ({v.boxes_examined} boxes)"
                        for k, v in results.items())

@@ -12,19 +12,29 @@ from collections import defaultdict
 import mpmath
 import numpy as np
 
-from saddlecheck.rigor import builtin_expressions
+from saddlecheck.rigor import builtin_expressions, claims, differentiate
 
 PADDING_ULPS = 2.0
 SAMPLES = 1500          # arguments audited per (function, exponent)
+POINTS = 4000           # domain points sampled per claim
 
 
-def _claim_samples(rng, n):
-    """Points of the domains run_rigor proves its claims on."""
-    t = rng.uniform(0.2, 19.95, n)
-    coef = {"s": rng.uniform(t + 0.05, 20.0), "t": t}
-    defect = [{"a": rng.uniform(0.01, 0.45, n), "u": rng.uniform(0.01, 11.99, n),
-               "z": rng.uniform(0.01, 12.0, n), "d": d} for d in (3.0, 4.0, 5.0)]
-    return coef, defect
+def _domain_points(rng, kwargs, n):
+    """Points of a claim's domain: uniform in its box, kept where its
+    half-plane constraints hold, with its fixed values."""
+    lo, hi = np.array(kwargs["box"], dtype=float).T
+    x = rng.uniform(lo, hi, (n, len(lo)))
+    for c in kwargs.get("constraints", ()):
+        x = x[x[:, c.greater] >= x[:, c.lesser] + c.delta]
+    return dict(zip(kwargs["names"], x.T)) | kwargs.get("fixed", {})
+
+
+def _proof_expressions(expr, kwargs):
+    """What prove_nonpositive evaluates: the claim and its partials in the
+    bisected variables."""
+    frozen = kwargs.get("frozen_dims", ())
+    return [expr] + [differentiate(expr, nm) for nm in kwargs["names"]
+                     if nm not in frozen and nm in expr.variables()]
 
 
 def _nodes(expr):
@@ -38,29 +48,25 @@ def _nodes(expr):
             stack.extend(node.children)
 
 
-def _unary_arguments(expr, env, out):
-    """Collect the argument values of every exp/tanh/log/pow node of expr
-    evaluated at the points env."""
-    memo = {}
-    expr.evaluate(env, memo)
-    for node in _nodes(expr):
-        if node.kind in ("exp", "tanh", "log", "pow"):
-            arg = np.atleast_1d(memo[id(node.children[0])])
-            out[(node.kind, node.value)].append(arg)
-
-
-def _catalog_arguments(rng):
-    coef, defect = _claim_samples(rng, 4000)
-    args = defaultdict(list)
+def _claim_arguments(rng):
+    """Argument values of every exp/tanh/log/pow node the proofs of
+    rigor.claims(n), n = 8, 10, 12, evaluate, at points of each claim's
+    domain, and the values the claims' variables take there."""
+    args, variables = defaultdict(list), []
     for n in (8, 10, 12):
-        # the coefficient claims and every other (s, t) entry of the catalogue
-        for expr in builtin_expressions(n).values():
-            if expr.variables() <= {"s", "t"}:
-                _unary_arguments(expr, coef, args)
-    gap = builtin_expressions(8)["defect_gap"]
-    for env in defect:
-        _unary_arguments(gap, env, args)
-    return {key: np.concatenate(v) for key, v in args.items()}
+        cat = builtin_expressions(n)
+        for _, key, kwargs in claims(n):
+            env = _domain_points(rng, kwargs, POINTS)
+            variables.extend(env[nm] for nm in kwargs["names"])
+            memo = {}
+            for expr in _proof_expressions(cat[key], kwargs):
+                expr.evaluate(env, memo)
+                for node in _nodes(expr):
+                    if node.kind in ("exp", "tanh", "log", "pow"):
+                        arg = memo[id(node.children[0])]
+                        args[(node.kind, node.value)].append(np.atleast_1d(arg))
+    return ({key: np.concatenate(v) for key, v in args.items()},
+            np.concatenate(variables))
 
 
 def _ulp(exact):
@@ -83,15 +89,17 @@ def _max_ulp_error(np_fn, mp_fn, x):
 
 def test_libm_error_below_rounding_padding():
     rng = np.random.default_rng(2024)
-    args = _catalog_arguments(rng)
-    # the catalogue has no log node; IntervalArray.log is audited over the
+    args, variables = _claim_arguments(rng)
+    # the claims have no log node; IntervalArray.log is audited over the
     # values the claims' exponentials and variables take
     args[("log", None)] = np.concatenate([np.exp(args[("exp", None)]),
-                                          rng.uniform(0.01, 20.0, 4000)])
+                                          variables])
     funcs = {"exp": (np.exp, mpmath.exp), "tanh": (np.tanh, mpmath.tanh),
              "log": (np.log, mpmath.log)}
     exponents = {node.value for n in (8, 10, 12)
-                 for expr in builtin_expressions(n).values()
+                 for _, key, kwargs in claims(n)
+                 for expr in _proof_expressions(builtin_expressions(n)[key],
+                                                kwargs)
                  for node in _nodes(expr) if node.kind == "pow"}
     assert set(args) >= {("pow", p) for p in exponents}
     assert {kind for kind, _ in args} == {"exp", "tanh", "log", "pow"}

@@ -7,9 +7,9 @@ import pytest
 from saddlecheck.candidate import coefficient_set
 from saddlecheck.params import CandidateParams
 from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, _down,
-                               _up, builtin_expressions, defect_expression,
-                               defect_gap_expression, differentiate, nexp,
-                               prove_nonpositive)
+                               _up, builtin_expressions, claims,
+                               defect_expression, defect_gap_expression,
+                               differentiate, nexp, prove_nonpositive)
 
 RNG = np.random.default_rng(917)
 
@@ -47,15 +47,32 @@ def test_interval_arithmetic_soundness_bulk():
 
 def test_catalog_size_and_point_agreement():
     cat = builtin_expressions(8)
-    assert len(cat) >= 9
+    assert len(cat) >= 8
     for key in ("f", "h", "c_s", "c_t", "c_ss", "c_st", "c_tt",
-                "defect", "defect_gap", "phi0_radial"):
+                "defect_gap"):
         assert key in cat
     cs = coefficient_set(2.0, 1.0, CandidateParams(n=8))
     env = {"s": 2.0, "t": 1.0}
     for key, want in (("c_s", cs.c_s), ("c_t", cs.c_t), ("c_ss", cs.c_ss),
                       ("c_st", cs.c_st), ("c_tt", cs.c_tt)):
         assert cat[key].evaluate(env) == pytest.approx(want, rel=1e-12)
+
+
+def _claims_name_their_catalog(n, cat):
+    for label, key, kwargs in claims(n):
+        assert key in cat, (n, label, key)
+        known = set(kwargs["names"]) | set(kwargs.get("fixed", {}))
+        assert cat[key].variables() <= known, (n, label)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_claim_table_matches_catalog(n):
+    cat = builtin_expressions(n)
+    _claims_name_their_catalog(n, cat)
+    # a row naming a missing key is caught
+    with pytest.raises(AssertionError):
+        _claims_name_their_catalog(n, {k: v for k, v in cat.items()
+                                       if k != "defect_gap"})
 
 
 def test_cross_coefficient_vanishes_on_diagonal_interval():
