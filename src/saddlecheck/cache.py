@@ -3,8 +3,9 @@
 A cache entry is a single ``.npz`` holding the solved field plus a JSON
 header (format version, dimension, grid, solver metadata) and a SHA-256
 content hash.  Any header or hash mismatch is treated as a miss and forces a
-re-solve, logged with its reason on the ``saddlecheck.cache`` logger; loading
-never silently returns stale or corrupted data.
+re-solve; the reason is logged on the ``saddlecheck.cache`` logger and
+returned by load_or_solve.  Loading never silently returns stale or corrupted
+data.
 """
 
 from __future__ import annotations
@@ -116,18 +117,23 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
 def load_or_solve(m: int, R: float, h: float,
                   config: SolverConfig | None = None,
                   directory: str | os.PathLike | None = None,
-                  refresh: bool = False) -> tuple[SaddleSolution, bool]:
-    """Return (solution, came_from_cache), re-solving on miss or mismatch."""
+                  refresh: bool = False
+                  ) -> tuple[SaddleSolution, bool, str | None]:
+    """Return (solution, came_from_cache, rejected_reason), re-solving on
+    miss or mismatch; rejected_reason is None unless an existing entry was
+    rejected."""
     config = config or SolverConfig()
     path = cache_dir(directory) / (solution_key(m, R, h, config.newton_tol)
                                    + ".npz")
+    reason = None
     if not refresh and path.exists():
         try:
-            return load_solution(path), True
+            return load_solution(path), True, None
         except (CacheMismatch, json.JSONDecodeError, ValueError,
                 OSError) as exc:
-            log.warning("cache entry %s rejected, re-solving: %s", path, exc)
+            reason = str(exc)
+            log.warning("cache entry %s rejected, re-solving: %s", path, reason)
     grid = build_grid(R, h)
     sol = newton_solve(DimensionParams(m=m), config, grid)
     save_solution(sol, config, directory)
-    return sol, False
+    return sol, False, reason

@@ -111,13 +111,15 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
     solver_cfg = SolverConfig(newton_tol=cfg.tol)
 
     t0 = time.perf_counter()
-    sol, cached = load_or_solve(cfg.m, cfg.R, cfg.h, solver_cfg,
-                                directory=cfg.cache)
+    sol, cached, rejected = load_or_solve(cfg.m, cfg.R, cfg.h, solver_cfg,
+                                          directory=cfg.cache)
     timing["solve"] = time.perf_counter() - t0
     stages["solve"] = solver_to_dict(sol) | {"from_cache": cached}
+    if rejected is not None:
+        stages["solve"]["cache_rejected"] = rejected
     log(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
         f"residual={sol.residual_norm:.3e} "
-        f"({'cache' if cached else f'{sol.newton_iters} Newton iters'})")
+        f"({'cache' if cached else _newton_summary(sol)})")
 
     suite_reports = []
     if "suite" in cfg.stages:
@@ -174,6 +176,17 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
     report = build_report(_config_echo(cfg), stages, timing)
     report["failures"] = failures
     return report, sol
+
+
+def _newton_summary(sol: SaddleSolution) -> str:
+    """'2 Newton iters, started from h=0.1 (2) and h=0.2 (6)'."""
+    text = f"{sol.newton_iters} Newton iters"
+    if sol.coarse_iters:
+        *finer, coarsest = [f"h={h:g} ({iters})"
+                            for h, iters in sol.coarse_iters]
+        chain = f"{', '.join(finer)} and {coarsest}" if finer else coarsest
+        text += f", started from {chain}"
+    return text
 
 
 def run_rigor(cfg: RunConfig) -> list[dict]:

@@ -18,6 +18,8 @@ NODE_AXIS = 1
 NODE_DIAGONAL = 2
 NODE_OUTER = 3
 
+H_MAX = 0.2            # coarsest spacing build_grid accepts
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -52,8 +54,8 @@ class Grid:
 
 def build_grid(R: float, h: float) -> Grid:
     """Build the triangle grid; R/h must be an integer."""
-    if h <= 0.0 or h > 0.2:
-        raise ValueError(f"spacing must satisfy 0 < h <= 0.2, got h={h}")
+    if h <= 0.0 or h > H_MAX:
+        raise ValueError(f"spacing must satisfy 0 < h <= {H_MAX:g}, got h={h}")
     if R < 8.0:
         raise ValueError(f"truncation radius must be >= 8, got R={R}")
     ratio = R / h

@@ -7,7 +7,10 @@ reflection across t = 0, and Dirichlet data H(y)H(z) on the outer edge.
 The one discrete operator is weighted_form, the (s t)^(m-1) edge form on the
 closed triangle.  The s <-> t mirror splits its full-quadrant form into an
 odd sector (zero on the cone), which this Newton solve uses, and an even
-sector, which spectral uses for the stability pencil.  The solved field is
+sector, which spectral uses for the stability pencil.  Newton starts from
+the field solved at 2h, prolonged bilinearly, and recurses down to the
+coarsest grid build_grid allows; each step is one sparse LU of the symmetric
+Jacobian in the minimum-degree ordering LU_ORDERING.  The solved field is
 odd-reflected onto the full quadrant and all first and second derivative
 fields are produced with second-order stencils.
 """
@@ -22,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from saddlecheck.grid import Grid, build_grid
+from saddlecheck.grid import H_MAX, Grid, build_grid
 from saddlecheck.params import DimensionParams, SQRT2, st_to_yz
 from saddlecheck.scalars import hh_supersolution
 
@@ -30,6 +33,9 @@ from saddlecheck.scalars import hh_supersolution
 MAX_NEWTON_ITERS = 40
 DAMPING_HALVINGS = 30
 LINEAR_TOL = 1e-10                     # relative residual of the inner solve
+# Both sparse LUs (the Newton J here, K - sigma B in spectral) factor
+# symmetric matrices: minimum degree on A^T + A keeps their fill low.
+LU_ORDERING = "MMD_AT_PLUS_A"
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,10 @@ class SaddleSolution:
     All arrays are (N+1, N+1), indexed [i, j] = (s = i*h, t = j*h).  The
     field u is odd under (s,t) <-> (t,s) by construction; derivative fields
     are second-order accurate except in the flagged outer band where
-    one-sided stencils are used.
+    one-sided stencils are used.  newton_iters counts the Newton iterations
+    on this grid; coarse_iters lists (h, iterations) of each coarser level
+    that produced the start field, finest first (empty for a cold start or
+    a field loaded from the cache).
     """
 
     params: DimensionParams
@@ -64,6 +73,7 @@ class SaddleSolution:
     onesided_band: np.ndarray | None = field(default=None, repr=False)
     residual_norm: float = math.nan
     newton_iters: int = 0
+    coarse_iters: tuple = ()
 
 
 class NewtonError(RuntimeError):
@@ -160,12 +170,51 @@ def newton_solve(params: DimensionParams, config: SolverConfig,
                  grid: Grid) -> SaddleSolution:
     """Solve for the saddle solution by damped Newton iteration.
 
-    Each step solves the symmetric system (K_uu + diag(V (3u^2 - 1))) delta
-    = -V res on the unknowns.  Deterministic: identical inputs produce
+    The first iterate is the field solved on build_grid(R, 2h), prolonged
+    bilinearly, whenever N is even and 2h <= H_MAX; the rule recurses, and
+    the coarsest level starts from initial_guess.  Every level is solved to
+    config.newton_tol.  Deterministic: identical inputs produce
     bitwise-identical fields.  Raises NewtonError on non-convergence or
-    line-search failure.
+    line-search failure at any level.
     """
-    U = initial_guess(grid)
+    U, norm, iters, coarse = _nested_solve(params, config, grid)
+    sol = SaddleSolution(params=params, grid=grid, u=U, residual_norm=norm,
+                         newton_iters=iters, coarse_iters=coarse)
+    return compute_derivatives(sol)
+
+
+def _nested_solve(params: DimensionParams, config: SolverConfig, grid: Grid):
+    """(U, residual norm, iterations, coarse_iters) on grid, started from
+    the prolonged 2h field when that grid exists, else from initial_guess."""
+    if grid.N % 2 == 0 and 2.0 * grid.h <= H_MAX:
+        coarse_grid = build_grid(grid.R, 2.0 * grid.h)
+        Uc, _, iters_c, coarse = _nested_solve(params, config, coarse_grid)
+        U0 = impose_boundary(_prolong(Uc), grid)
+        coarse = ((coarse_grid.h, iters_c),) + coarse
+    else:
+        U0, coarse = initial_guess(grid), ()
+    return _newton(params, config, grid, U0) + (coarse,)
+
+
+def _prolong(Uc: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of an (n+1, n+1) field onto the grid of half
+    the spacing, (2n+1, 2n+1); the coarse nodes keep their values."""
+    n = Uc.shape[0] - 1
+    U = np.empty((2 * n + 1, 2 * n + 1))
+    U[::2, ::2] = Uc
+    U[1::2, ::2] = 0.5 * (Uc[:-1] + Uc[1:])
+    U[:, 1::2] = 0.5 * (U[:, :-1:2] + U[:, 2::2])
+    return U
+
+
+def _newton(params: DimensionParams, config: SolverConfig, grid: Grid,
+            U: np.ndarray):
+    """Damped Newton from the full-quadrant iterate U; returns
+    (U, residual norm, iterations).
+
+    Each step solves the symmetric system (K_uu + diag(V (3u^2 - 1))) delta
+    = -V res on the unknowns with one sparse LU in LU_ORDERING.
+    """
     ii, jj = grid.ii, grid.jj
     K, V = weighted_form(params.m, grid)
     flat = ii * (grid.N + 1) + jj
@@ -183,7 +232,7 @@ def newton_solve(params: DimensionParams, config: SolverConfig,
         u_vec = U[ii, jj]
         J = (K_uu + sp.diags(vol * (3.0 * u_vec**2 - 1.0))).tocsc()
         rhs = -vol * res
-        delta = spla.splu(J).solve(rhs)
+        delta = spla.splu(J, permc_spec=LU_ORDERING).solve(rhs)
         lin_res = float(np.linalg.norm(J @ delta - rhs) / max(np.linalg.norm(rhs), 1e-300))
         if lin_res > LINEAR_TOL:
             raise NewtonError(f"inner linear solve stalled (relative residual {lin_res:.3e})")
@@ -202,10 +251,7 @@ def newton_solve(params: DimensionParams, config: SolverConfig,
             raise NewtonError(f"line search failed at residual {norm:.3e}")
         U, res, norm = Utry, res_try, norm_try
         iters += 1
-
-    sol = SaddleSolution(params=params, grid=grid, u=U,
-                         residual_norm=norm, newton_iters=iters)
-    return compute_derivatives(sol)
+    return U, norm, iters
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ full-quadrant pencil exactly into an even and an odd sector; the odd sector
 (zero on the cone) is the Newton Jacobian, and the principal eigenvector is
 even, so only the even sector is assembled: the triangle {t <= s} with the
 cone and axis as natural (reflection) boundaries and Dirichlet truncation on
-the outer edge.  Negative lambda_min reproduces the known instability for
+the outer edge.  The shift-invert LU uses the Newton solve's symmetric
+minimum-degree ordering.  Negative lambda_min reproduces the known instability for
 m <= 3; for m >= 4 it is a one-sided consistency indicator (the stability
 proof itself goes through the supersolution certificate, not this pencil).
 """
@@ -26,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from saddlecheck.solver import SaddleSolution, weighted_form
+from saddlecheck.solver import LU_ORDERING, SaddleSolution, weighted_form
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ def min_eigenvalue(asm: QuadraticFormAssembly, tol: float = 1e-10,
 
     Shift-invert Lanczos around sigma (below the spectrum: the potential
     3u^2-1 >= -1 bounds it) with a deterministic start vector and one LU of
-    K - sigma B; `iterations` counts the solves with it.  dense=True uses
+    the symmetric K - sigma B in solver.LU_ORDERING, the minimum-degree
+    ordering of the Newton solve; `iterations` counts the solves with it.  dense=True uses
     LAPACK on the full matrices as an independent oracle; only sensible on
     coarse grids.
     """
@@ -96,7 +98,7 @@ def min_eigenvalue(asm: QuadraticFormAssembly, tol: float = 1e-10,
         lam = float(w[0])
         return EigEstimate(lambda_min=lam, residual=0.0, iterations=0,
                            vector=np.zeros(asm.n_dof))
-    lu = spla.splu((K - sigma * B).tocsc())
+    lu = spla.splu((K - sigma * B).tocsc(), permc_spec=LU_ORDERING)
     solves = 0
 
     def solve(x):

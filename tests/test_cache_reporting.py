@@ -11,6 +11,7 @@ from saddlecheck.cache import (CACHE_ENV_VAR, CacheMismatch, _content_hash,
                                save_solution, solution_key)
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite
+from saddlecheck.cli import RunConfig, run_stages
 from saddlecheck.reporting import (REPORT_SCHEMA, build_report,
                                    check_report_to_dict, export_csv,
                                    export_signmaps, import_csv, read_report,
@@ -36,9 +37,9 @@ def test_cache_roundtrip_bitwise(tmp_path, solved):
 def test_load_or_solve_hits_and_refreshes(tmp_path, solved):
     sol = solved(M, R, H)
     save_solution(sol, SolverConfig(), tmp_path)
-    hit, cached = load_or_solve(M, R, H, directory=tmp_path)
+    hit, cached, _ = load_or_solve(M, R, H, directory=tmp_path)
     assert cached and np.array_equal(hit.u, sol.u)
-    fresh, cached = load_or_solve(M, R, H, directory=tmp_path, refresh=True)
+    fresh, cached, _ = load_or_solve(M, R, H, directory=tmp_path, refresh=True)
     assert not cached
     assert np.array_equal(fresh.u, sol.u)   # deterministic solver
 
@@ -55,7 +56,7 @@ def test_cache_rejects_tampering(tmp_path, solved):
     with pytest.raises(CacheMismatch):
         load_solution(path)
     # load_or_solve treats the bad entry as a miss and re-solves
-    sol2, cached = load_or_solve(M, R, H, directory=tmp_path)
+    sol2, cached, _ = load_or_solve(M, R, H, directory=tmp_path)
     assert not cached
     assert np.array_equal(sol2.u, sol.u)
 
@@ -81,7 +82,7 @@ def test_cache_rejects_entry_of_older_format(tmp_path, solved):
     path = _save_as_format_1(sol, tmp_path)
     with pytest.raises(CacheMismatch):
         load_solution(path)
-    _, cached = load_or_solve(M, R, H, directory=tmp_path)
+    _, cached, _ = load_or_solve(M, R, H, directory=tmp_path)
     assert not cached
 
 
@@ -89,12 +90,25 @@ def test_rejected_cache_entry_is_logged_with_its_reason(tmp_path, solved,
                                                       caplog):
     path = _save_as_format_1(solved(M, R, H), tmp_path)
     with caplog.at_level(logging.WARNING, logger="saddlecheck.cache"):
-        _, cached = load_or_solve(M, R, H, directory=tmp_path)
+        _, cached, _ = load_or_solve(M, R, H, directory=tmp_path)
     assert not cached
     [record] = [r for r in caplog.records if r.name == "saddlecheck.cache"]
     assert record.levelno == logging.WARNING
     assert str(path) in record.getMessage()
     assert "format 1, expected 2" in record.getMessage()
+
+
+def test_rejected_cache_reason_reaches_the_report(tmp_path, solved):
+    _save_as_format_1(solved(M, R, H), tmp_path)
+    cfg = RunConfig(m=M, R=R, h=H, stages=("solve",), cache=str(tmp_path))
+    report, _ = run_stages(cfg, log=lambda line: None)
+    solve = report["stages"]["solve"]
+    assert solve["from_cache"] is False
+    assert "format 1, expected 2" in solve["cache_rejected"]
+    # the re-solve replaced the entry: a hit carries no rejection key
+    report, _ = run_stages(cfg, log=lambda line: None)
+    assert report["stages"]["solve"]["from_cache"] is True
+    assert "cache_rejected" not in report["stages"]["solve"]
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ and the RESULT summary line."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,14 @@ def test_verify_command_passes(capsys):
     assert rc == 0
     line = _last_line(capsys)
     assert line == "RESULT pass stages=solve,suite,supersolution failures=0"
+
+
+def test_solve_log_names_the_coarse_chain(capsys):
+    assert main(["solve", "--m", "4", "--R", "8", "--h", "0.1"]) == 0
+    [line] = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("solve:")]
+    assert re.search(r"\(\d+ Newton iters, started from h=0\.2 \(\d+\)\)$",
+                     line), line
 
 
 def test_spectrum_command_skips_candidate_validation(capsys):

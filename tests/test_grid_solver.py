@@ -7,9 +7,9 @@ from saddlecheck.grid import (NODE_AXIS, NODE_DIAGONAL, NODE_INTERIOR,
                               NODE_OUTER, NODE_OUTSIDE, build_grid)
 from saddlecheck.params import DimensionParams, st_to_yz
 from saddlecheck.scalars import hh_supersolution
-from saddlecheck.solver import (SolverConfig, apply_operator,
+from saddlecheck.solver import (SolverConfig, _newton, apply_operator,
                                 compute_derivatives, impose_boundary,
-                                newton_solve,
+                                initial_guess, newton_solve,
                                 residual_yz_form, sine_gordon_saddle,
                                 validate_exact)
 
@@ -119,3 +119,29 @@ def test_monotone_in_m(solved):
     u5 = solved(5, 12.0, 0.1).u
     tri = build_grid(12.0, 0.1).mask_triangle
     assert np.all(u5[tri] <= u4[tri] + 1e-10)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_coarse_start_finds_the_cold_start_field(m, solved):
+    # R12 h.1 starts from the field solved at h = 0.2; the cold start from
+    # H(0.45y)H(0.45z) must land on the same discrete solution
+    grid = build_grid(12.0, 0.1)
+    sol = solved(m, 12.0, 0.1)
+    assert [h for h, _ in sol.coarse_iters] == [0.2]
+    tol = SolverConfig().newton_tol
+    cold, cold_norm, _ = _newton(DimensionParams(m=m), SolverConfig(), grid,
+                                 initial_guess(grid))
+    assert np.abs(sol.u - cold).max() <= 1e-9
+    assert sol.residual_norm <= tol and cold_norm <= tol
+
+
+def test_odd_grid_starts_cold():
+    # N = 81 has no 2h grid, so the solve is the cold start itself
+    grid = build_grid(8.1, 0.1)
+    assert grid.N % 2 == 1
+    sol = newton_solve(DimensionParams(m=4), SolverConfig(), grid)
+    cold, cold_norm, cold_iters = _newton(DimensionParams(m=4), SolverConfig(),
+                                          grid, initial_guess(grid))
+    assert sol.coarse_iters == ()
+    assert np.array_equal(sol.u, cold)
+    assert (sol.residual_norm, sol.newton_iters) == (cold_norm, cold_iters)
