@@ -2,10 +2,10 @@
 
 A cache entry is a single ``.npz`` holding the solved field plus a JSON
 header (format version, dimension, grid, solver metadata) and a SHA-256
-content hash.  Any header or hash mismatch is treated as a miss and forces a
-re-solve; the reason is logged on the ``saddlecheck.cache`` logger and
-returned by load_or_solve.  Loading never silently returns stale or corrupted
-data.
+content hash.  An unreadable entry or any header or hash mismatch is treated
+as a miss and forces a re-solve; the reason is logged on the
+``saddlecheck.cache`` logger and returned by load_or_solve.  Loading never
+silently returns stale or corrupted data.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -90,34 +91,46 @@ def save_solution(sol: SaddleSolution, config: SolverConfig,
 
 
 def load_solution(path: str | os.PathLike) -> SaddleSolution:
-    """Load and revalidate a cache entry; raises CacheMismatch on any
-    format, header, or hash discrepancy."""
-    with np.load(path) as data:
-        try:
+    """Load and revalidate a cache entry; raises CacheMismatch, naming the
+    cause, on an unreadable file or any format, header or hash
+    discrepancy."""
+    try:
+        with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
             u = data["u"]
-        except KeyError as exc:
-            raise CacheMismatch(f"{path}: missing entry {exc}") from exc
+    except KeyError as exc:
+        raise CacheMismatch(f"{path}: missing entry {exc}") from exc
+    except (OSError, EOFError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise CacheMismatch(
+            f"{path}: unreadable ({type(exc).__name__}: {exc})") from exc
     if header.get("format") != CACHE_FORMAT:
         raise CacheMismatch(f"{path}: format {header.get('format')!r}, "
                             f"expected {CACHE_FORMAT}")
     expected = header.pop("sha256", None)
     if _content_hash(header, u) != expected:
         raise CacheMismatch(f"{path}: content hash mismatch")
-    grid = build_grid(header["R"], header["h"])
+    missing = sorted({"m", "R", "h", "residual_norm", "newton_iters"}
+                     - header.keys())
+    if missing:
+        raise CacheMismatch(f"{path}: header lacks {', '.join(missing)}")
+    try:
+        grid = build_grid(header["R"], header["h"])
+        params = DimensionParams(m=header["m"])
+    except ValueError as exc:
+        raise CacheMismatch(f"{path}: {exc}") from exc
     if u.shape != (grid.N + 1, grid.N + 1):
         raise CacheMismatch(f"{path}: field shape {u.shape} does not match "
                             f"grid N={grid.N}")
-    sol = SaddleSolution(params=DimensionParams(m=header["m"]), grid=grid,
-                         u=u, residual_norm=header["residual_norm"],
+    sol = SaddleSolution(params=params, grid=grid, u=u,
+                         residual_norm=header["residual_norm"],
                          newton_iters=header["newton_iters"])
     return compute_derivatives(sol)
 
 
 def load_or_solve(m: int, R: float, h: float,
                   config: SolverConfig | None = None,
-                  directory: str | os.PathLike | None = None,
-                  refresh: bool = False
+                  directory: str | os.PathLike | None = None
                   ) -> tuple[SaddleSolution, bool, str | None]:
     """Return (solution, came_from_cache, rejected_reason), re-solving on
     miss or mismatch; rejected_reason is None unless an existing entry was
@@ -126,11 +139,10 @@ def load_or_solve(m: int, R: float, h: float,
     path = cache_dir(directory) / (solution_key(m, R, h, config.newton_tol)
                                    + ".npz")
     reason = None
-    if not refresh and path.exists():
+    if path.exists():
         try:
             return load_solution(path), True, None
-        except (CacheMismatch, json.JSONDecodeError, ValueError,
-                OSError) as exc:
+        except CacheMismatch as exc:
             reason = str(exc)
             log.warning("cache entry %s rejected, re-solving: %s", path, reason)
     grid = build_grid(R, h)

@@ -11,8 +11,7 @@ once Phi > 0 and L Phi <= 0, so the verifier needs tight point values of the
 five C coefficients.  f is written once, in f_generic, and its partials
 come two independent ways: forward-mode second-order jets give the grid
 values, and symbolic differentiation of the same formula built as an
-expression DAG gives the interval proofs (and, evaluated over floats, the
-cross-check of the jets).
+expression DAG gives the interval proofs.
 """
 
 from __future__ import annotations
@@ -64,19 +63,12 @@ def _f_dags(cand: CandidateParams, first: str, second: str):
             differentiate(e2, second, memo_2))
 
 
-def f_partials(s, t, cand: CandidateParams, route: str = "jet"):
-    """(f, f_s, f_t, f_ss, f_st, f_tt) at (s, t) by the requested route:
-    forward-mode jets, or the symbolic DAG partials evaluated over floats."""
+def f_partials(s, t, cand: CandidateParams):
+    """(f, f_s, f_t, f_ss, f_st, f_tt) at (s, t) by forward-mode jets."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if route == "jet":
-        j = f_generic(jets.Jet2.variable_s(s, t), jets.Jet2.variable_t(s, t), cand)
-        return (j.v, j.ds, j.dt, j.dss, j.dst, j.dtt)
-    if route == "symbolic":
-        env, memo = {"s": s, "t": t}, {}
-        return tuple(np.asarray(e.evaluate(env, memo), dtype=float)
-                     for e in _f_dags(cand, "s", "t"))
-    raise ValueError(f"unknown derivative route {route!r}")
+    j = f_generic(jets.Jet2.variable_s(s, t), jets.Jet2.variable_t(s, t), cand)
+    return (j.v, j.ds, j.dt, j.dss, j.dst, j.dtt)
 
 
 @dataclass(frozen=True)
@@ -104,12 +96,12 @@ def _coefficients(s, t, d, fp, gp) -> CoefficientSet:
         c_tt=-2.0 * gs)
 
 
-def coefficient_set(s, t, cand: CandidateParams, route: str = "jet") -> CoefficientSet:
-    """All five C coefficients at (s, t) by the requested derivative route."""
+def coefficient_set(s, t, cand: CandidateParams) -> CoefficientSet:
+    """All five C coefficients at (s, t) from the jet partials."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    return _coefficients(s, t, cand.m - 1, f_partials(s, t, cand, route),
-                         f_partials(t, s, cand, route))
+    return _coefficients(s, t, cand.m - 1, f_partials(s, t, cand),
+                         f_partials(t, s, cand))
 
 
 def candidate_expressions(cand: CandidateParams) -> dict:
@@ -144,7 +136,7 @@ def l_phi0(s, t, u_value, cand: CandidateParams):
             + l_phi0_summand(t, s, u_value, cand))
 
 
-def phi_field(sol, cand: CandidateParams, include_phi0: bool = True):
+def phi_field(sol, cand: CandidateParams):
     """Phi = f u_s + h u_t + Phi_0 on the triangle.  Returns (field, mask);
     the field is only meaningful where the mask (interior nodes) is set."""
     _require_match(sol, cand)
@@ -153,14 +145,12 @@ def phi_field(sol, cand: CandidateParams, include_phi0: bool = True):
     S, T = grid.meshgrid()
     s = np.where(mask, S, 1.0)
     t = np.where(mask, T, 1.0)
-    out = f_generic(s, t, cand) * sol.u_s - f_generic(t, s, cand) * sol.u_t
-    if include_phi0:
-        out += np.asarray(phi0_generic(s, t, cand))
+    out = (f_generic(s, t, cand) * sol.u_s - f_generic(t, s, cand) * sol.u_t
+           + np.asarray(phi0_generic(s, t, cand)))
     return np.where(mask, out, 0.0), mask
 
 
-def l_phi(sol, cand: CandidateParams, include_phi0: bool = True,
-          route: str = "jet"):
+def l_phi(sol, cand: CandidateParams):
     """L Phi assembled from the coefficient identity at interior nodes.
     Returns (field, mask)."""
     _require_match(sol, cand)
@@ -169,11 +159,10 @@ def l_phi(sol, cand: CandidateParams, include_phi0: bool = True,
     S, T = grid.meshgrid()
     s = np.where(mask, S, 2.0)
     t = np.where(mask, T, 1.0)
-    cs = coefficient_set(s, t, cand, route)
+    cs = coefficient_set(s, t, cand)
     out = (cs.c_s * sol.u_s + cs.c_t * sol.u_t + cs.c_ss * sol.u_ss
-           + cs.c_st * sol.u_st + cs.c_tt * sol.u_tt)
-    if include_phi0:
-        out += l_phi0(s, t, sol.u, cand)
+           + cs.c_st * sol.u_st + cs.c_tt * sol.u_tt
+           + l_phi0(s, t, sol.u, cand))
     return np.where(mask, out, 0.0), mask
 
 

@@ -344,10 +344,3 @@ def verify_supersolution(sol: SaddleSolution, cand: CandidateParams,
         nodes_checked=int(mask.sum()), nodes_excluded=0,
         tolerance_used=tol, extras=extras)
 
-
-def sign_map(field_arr: np.ndarray, grid, tau: float = 0.0) -> np.ndarray:
-    """Per-node sign classification: -1, 0 (within tau), +1."""
-    out = np.zeros(field_arr.shape, dtype=np.int8)
-    out[field_arr > tau] = 1
-    out[field_arr < -tau] = -1
-    return out

@@ -27,7 +27,6 @@ class Grid:
     h: float
     N: int
     kind: np.ndarray = field(repr=False)       # (N+1, N+1) int8, [i, j] = (s, t)
-    unknown_index: np.ndarray = field(repr=False)  # (N+1, N+1) int64, -1 where fixed
     ii: np.ndarray = field(repr=False)         # s-indices of unknowns
     jj: np.ndarray = field(repr=False)         # t-indices of unknowns
 
@@ -72,10 +71,5 @@ def build_grid(R: float, h: float) -> Grid:
     kind[(ii == jj)] = NODE_DIAGONAL
     kind[(ii == N) & tri & (jj < N)] = NODE_OUTER
 
-    unknown = (kind == NODE_INTERIOR) | (kind == NODE_AXIS)
-    unknown_index = np.full((N + 1, N + 1), -1, dtype=np.int64)
-    ui, uj = np.nonzero(unknown)
-    unknown_index[ui, uj] = np.arange(ui.size)
-
-    return Grid(R=float(R), h=float(h), N=N, kind=kind,
-                unknown_index=unknown_index, ii=ui, jj=uj)
+    ui, uj = np.nonzero((kind == NODE_INTERIOR) | (kind == NODE_AXIS))
+    return Grid(R=float(R), h=float(h), N=N, kind=kind, ii=ui, jj=uj)

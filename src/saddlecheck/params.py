@@ -72,22 +72,8 @@ class CandidateParams:
     def has_exp_term(self) -> bool:
         return self.n == 8
 
-    def indicial_roots(self) -> tuple[float, float]:
-        """Roots of a^2 + (n-3)a + (n-2) = 0 (real for n >= 8)."""
-        b = self.n - 3
-        c = self.n - 2
-        disc = b * b - 4 * c
-        if disc < 0:
-            raise ValueError(f"indicial roots complex for n={self.n}")
-        r = math.sqrt(disc)
-        return ((-b - r) / 2.0, (-b + r) / 2.0)
-
 
 def st_to_yz(s, t):
     """Rotate (s, t) to (y, z) with y = (s+t)/sqrt(2), z = (s-t)/sqrt(2)."""
     return (s + t) / SQRT2, (s - t) / SQRT2
 
-
-def yz_to_st(y, z):
-    """Inverse of st_to_yz."""
-    return (y + z) / SQRT2, (y - z) / SQRT2

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from saddlecheck.candidate import (css_over_gap, ct_over_cs, l_phi,
-                                   lambda_coeff, region_classify,
+from saddlecheck.candidate import (coefficient_set, css_over_gap, ct_over_cs,
+                                   l_phi, lambda_coeff, region_classify,
                                    REGION_E1, REGION_E3, t_ratio)
 from saddlecheck.checks import CheckReport
 from saddlecheck.params import CandidateParams
@@ -92,28 +92,11 @@ def build_report(config: dict, stages: dict, timing: dict) -> dict:
     }
 
 
-def report_passed(report: dict) -> bool:
-    """True iff every recorded verification in the report passed."""
-    ok = True
-    for name, stage in report["stages"].items():
-        if name in ("suite", "supersolution"):
-            ok &= all(c["passed"] for c in stage["checks"])
-        elif name == "rigor":
-            ok &= all(p["status"] == "proven" for p in stage["proofs"])
-        elif name == "spectrum":
-            ok &= bool(stage.get("sign_consistent", True))
-    return ok
-
-
 def write_report(report: dict, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def read_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +120,6 @@ def export_csv(field: np.ndarray, name: str, h: float,
         writer.writerow(["%.17g" % v for v in row])
     path.write_text(buf.getvalue())
     return path
-
-
-def import_csv(path: str | Path) -> tuple[np.ndarray, dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader)
-        meta = {"name": head[1], "rows": int(head[3]), "cols": int(head[5]),
-                "h": float(head[7])}
-        field = np.array([[float(v) for v in row] for row in reader])
-    if field.shape != (meta["rows"], meta["cols"]):
-        raise ValueError(f"{path}: shape {field.shape} does not match header")
-    return field, meta
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +182,18 @@ def _orient(arr: np.ndarray) -> np.ndarray:
 
 
 def svg_sign_map(field: np.ndarray, mask: np.ndarray, title: str,
-                 path: str | Path, tau: float = 0.0) -> Path:
-    """Three-color sign map (negative / within tau / positive) of the field
-    on the masked nodes; unmasked nodes are left blank."""
+                 path: str | Path) -> Path:
+    """Three-color sign map (negative / zero / positive) of the field on the
+    masked nodes; unmasked nodes are left blank."""
     k = _stride(field.shape[0])
     f = _orient(field[::k, ::k])
     m = _orient(np.asarray(mask)[::k, ::k])
     sign = np.zeros(f.shape, dtype=np.int8)
-    sign[f > tau] = 1
-    sign[f < -tau] = -1
+    sign[f > 0.0] = 1
+    sign[f < 0.0] = -1
     colors = np.where(m, np.vectorize(_SIGN_COLORS.get)(sign), "")
     legend = [(_SIGN_COLORS[-1], "negative"),
-              (_SIGN_COLORS[0], f"|value| <= {tau:g}"),
+              (_SIGN_COLORS[0], "|value| <= 0"),
               (_SIGN_COLORS[1], "positive")]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -270,6 +241,7 @@ def export_signmaps(sol: SaddleSolution, cand: CandidateParams,
         lam = lambda_coeff(s_safe, t_safe, cand)
         r = np.clip(1.0 - lam, 0.0, 1.0 - 1e-9)
         tval, tok = t_ratio(s_safe, t_safe, r, cand)
+    c_tt = coefficient_set(s_safe, t_safe, cand).c_tt
     paths = [
         svg_heatmap(ratio_ts, tri & np.isfinite(ratio_ts),
                     "C_t / C_s", outdir / "map-ct-over-cs.svg", 0.0, 2.0),
@@ -282,12 +254,8 @@ def export_signmaps(sol: SaddleSolution, cand: CandidateParams,
                      "L Phi on inner wedge", outdir / "map-lphi-e1.svg"),
         svg_sign_map(lphi, lmask & (region == REGION_E3),
                      "L Phi on small-t strip", outdir / "map-lphi-e3.svg"),
-        svg_sign_map(np.where(tri, _ctt(s_safe, t_safe, cand), 0.0), tri,
+        svg_sign_map(np.where(tri, c_tt, 0.0), tri,
                      "sign of C_tt", outdir / "map-ctt-sign.svg"),
     ]
     return paths
 
-
-def _ctt(S, T, cand):
-    from saddlecheck.candidate import coefficient_set
-    return coefficient_set(S, T, cand).c_tt

@@ -278,7 +278,6 @@ class ExprNode:
 
 
 nexp = ExprNode.exp
-ntanh = ExprNode.tanh
 
 
 def _smart_add(a, b):
@@ -373,43 +372,17 @@ def differentiate(expr: ExprNode, name: str, memo=None) -> ExprNode:
 # claim catalog
 # ---------------------------------------------------------------------------
 
-def _even_square_deficit(x: ExprNode) -> ExprNode:
-    """1 - tanh(x/sqrt2)^2 in the cancellation-free form
-    4 e^(-2w) / (1 + e^(-2w))^2, w = x / sqrt2."""
-    e = nexp(ExprNode.const(-np.sqrt(2.0)) * x)
-    one = ExprNode.const(1.0)
-    return 4.0 * e / ((one + e) * (one + e))
-
-
-def defect_expression() -> ExprNode:
-    """Subsolution defect of H(a y)H(a z) in scaled variables (a, y, z),
-    drift coefficient taken from the variable d = m - 1.
-
-    Uses the rearrangement
-       potential = Hy Hz (-(1-a^2) p - (Hy^2 - a^2) q),
-       drift bracket = y Hz p - z Hy q,          p = 1-Hy^2, q = 1-Hz^2,
-    which avoids the catastrophic cancellations of the printed form at large
-    arguments.
-    """
-    a, y, z, d = (ExprNode.var(n) for n in "ayzd")
-    s2 = ExprNode.const(np.sqrt(2.0))
-    hy = ntanh(y / s2)
-    hz = ntanh(z / s2)
-    p = _even_square_deficit(y)
-    q = _even_square_deficit(z)
-    a2 = a * a
-    potential = hy * hz * (ExprNode.const(0.0) - (1.0 - a2) * p
-                           - (hy * hy - a2) * q)
-    bracket = y * hz * p - z * hy * q
-    drift = ExprNode.const(0.0) - d * s2 * a2 / (y * y - z * z) * bracket
-    return potential + drift
-
-
 def defect_gap_expression() -> ExprNode:
-    """Subsolution defect in gap coordinates (a, u, z) with u = y - z > 0.
+    """Defect -Delta(eta) - eta + eta^3 of eta = H(a y)H(a z), drift
+    coefficient d = m - 1, in gap coordinates (a, u, z) of the scaled
+    variables (y, z) <- (a y, a z), u = y - z > 0.  With Hy = H(y),
+    p = 1 - Hy^2 and q = 1 - Hz^2 the printed form is
 
-    Same quantity as ``defect_expression`` but with the two removable
-    cancellations of the drift term eliminated algebraically:
+      Hy Hz (2a^2 - 1 - a^2 Hy^2 - a^2 Hz^2 + Hy^2 Hz^2)
+        - d sqrt2 a^2 (y Hz p - z Hy q) / (y^2 - z^2),
+
+    and here the two removable cancellations of its drift term are
+    eliminated algebraically:
 
       * the denominator y^2 - z^2 becomes u (2z + u) exactly, and
       * the bracket y Hz p(y) - z Hy q(z) equals
@@ -491,6 +464,9 @@ def claims(n: int) -> list[tuple[str, str, dict]]:
     return rows
 
 
+MAX_DEPTH = 60              # bisections of one box before it counts as stuck
+
+
 @dataclass(frozen=True)
 class ProofResult:
     status: str                       # "proven" | "undecided"
@@ -515,13 +491,13 @@ def _clip(boxes: np.ndarray, constraints):
 
 def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
                       margin: float = 0.0, fixed=None, frozen_dims=(),
-                      min_width: float = 1e-4, max_depth: int = 60,
+                      min_width: float = 1e-4,
                       max_boxes: int = 400_000) -> ProofResult:
     """Prove expr <= -margin on the box (list of per-variable [lo, hi])
     intersected with the half-plane constraints.
 
     Bisects the scaled-widest dimension of every undecided box; stops
-    refining a box once it falls below min_width or max_depth and reports
+    refining a box once it falls below min_width or MAX_DEPTH and reports
     undecided with the surviving frontier.
 
     Each box is bounded twice and the tighter bound wins: once by direct
@@ -589,7 +565,7 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
             continue
         widths = np.where(splittable, (boxes[:, :, 1] - boxes[:, :, 0]) / scale,
                           -np.inf)
-        refinable = (widths.max(axis=1) > min_width) & (depth < max_depth)
+        refinable = (widths.max(axis=1) > min_width) & (depth < MAX_DEPTH)
         if not refinable.all():
             stuck.append(boxes[~refinable])
             boxes, depth = boxes[refinable], depth[refinable]

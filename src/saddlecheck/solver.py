@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,10 +77,6 @@ class SaddleSolution:
 
 class NewtonError(RuntimeError):
     """Newton iteration failed to converge or the line search stalled."""
-
-
-def cubic_nonlinearity(u):
-    return u - u**3
 
 
 def outer_boundary_values(grid: Grid):
@@ -144,26 +139,13 @@ def weighted_form(m: int, grid: Grid):
     return K, V
 
 
-def _residual(K, V, U: np.ndarray, grid: Grid,
-              nonlinearity: Callable = cubic_nonlinearity):
+def _residual(K, V, U: np.ndarray, grid: Grid):
+    """Discrete residual (K u)/V - (u - u^3) of weighted_form at the
+    unknown nodes, for the full-quadrant field U."""
     ii, jj = grid.ii, grid.jj
     KU = (K @ U.ravel()).reshape(U.shape)
-    return KU[ii, jj] / V[ii, jj] - nonlinearity(U[ii, jj])
-
-
-def apply_operator(U: np.ndarray, params: DimensionParams, grid: Grid,
-                   nonlinearity: Callable = cubic_nonlinearity) -> np.ndarray:
-    """Discrete residual (K u)/V - g(u) of weighted_form at the unknown nodes.
-
-    U is a full-quadrant field; values at fixed nodes are taken from U as
-    given, so exact fixed points (u = 0, u = +-1 with matching data) return
-    an identically zero residual.  Returns an (N+1, N+1) array that is zero
-    at non-unknown nodes.
-    """
-    K, V = weighted_form(params.m, grid)
-    out = np.zeros_like(U)
-    out[grid.ii, grid.jj] = _residual(K, V, U, grid, nonlinearity)
-    return out
+    u = U[ii, jj]
+    return KU[ii, jj] / V[ii, jj] - (u - u**3)
 
 
 def newton_solve(params: DimensionParams, config: SolverConfig,
@@ -309,70 +291,3 @@ def compute_derivatives(sol: SaddleSolution) -> SaddleSolution:
     fields = dict(u_s=u_s, u_t=u_t, u_ss=u_ss, u_st=u_st, u_tt=u_tt,
                   u_y=u_y, u_z=u_z, onesided_band=band)
     return replace(sol, **fields)
-
-
-def residual_yz_form(sol: SaddleSolution, guard: float | None = None):
-    """Cross-check residual in the rotated frame
-
-        -u_yy - u_zz - (2(m-1)/(y^2-z^2)) (y u_y - z u_z) - u + u^3,
-
-    using diagonal stencils.  y^2 - z^2 = 2 s t vanishes on the axes, so nodes
-    with min(s, t) below the guard (default h) are masked out.  Returns
-    (field, mask).
-    """
-    grid, h = sol.grid, sol.grid.h
-    if guard is None:
-        guard = h
-    U = sol.u
-    P = np.pad(U, 1, mode="reflect")
-    u_yy = np.zeros_like(U)
-    u_zz = np.zeros_like(U)
-    u_yy[:-1, :-1] = (P[2:-1, 2:-1] - 2.0 * P[1:-2, 1:-2] + P[:-3, :-3]) / (2.0 * h**2)
-    u_zz[:-1, :-1] = (P[2:-1, :-3] - 2.0 * P[1:-2, 1:-2] + P[:-3, 2:-1]) / (2.0 * h**2)
-
-    S, T = grid.meshgrid()
-    y, z = st_to_yz(S, T)
-    mask = (np.minimum(S, T) >= guard - 1e-12) & (S < grid.R - h / 2) & (T < grid.R - h / 2)
-    denom = np.where(mask, y**2 - z**2, 1.0)
-    uyd = np.where(mask, compute_field(sol, "u_y"), 0.0)
-    uzd = np.where(mask, compute_field(sol, "u_z"), 0.0)
-    res = (-u_yy - u_zz
-           - 2.0 * sol.params.drift / denom * (y * uyd - z * uzd)
-           - U + U**3)
-    return np.where(mask, res, 0.0), mask
-
-
-def compute_field(sol: SaddleSolution, name: str) -> np.ndarray:
-    arr = getattr(sol, name)
-    if arr is None:
-        raise ValueError(f"derivative field {name} not computed yet")
-    return arr
-
-
-# ---------------------------------------------------------------------------
-# exact-solution oracle (planar sine-Gordon analogue)
-# ---------------------------------------------------------------------------
-
-def sine_gordon_saddle(s, t):
-    """Exact planar saddle of -Delta u = sin(u):
-    4*arctan(cosh(s/sqrt 2)/cosh(t/sqrt 2)) - pi; vanishes on s = t."""
-    return 4.0 * np.arctan(np.cosh(np.asarray(s) / SQRT2)
-                           / np.cosh(np.asarray(t) / SQRT2)) - math.pi
-
-
-def validate_exact(grid: Grid) -> dict:
-    """Discrete residual of the exact sine-Gordon saddle at spacing h and
-    h/2, plus the observed convergence rate (should be close to 2)."""
-    params = DimensionParams(m=1)
-
-    def max_residual(g: Grid) -> float:
-        S, T = g.meshgrid()
-        U = sine_gordon_saddle(S, T)
-        res = apply_operator(U, params, g, nonlinearity=np.sin)
-        return float(np.abs(res).max())
-
-    fine = build_grid(grid.R, grid.h / 2.0)
-    res_h = max_residual(grid)
-    res_h2 = max_residual(fine)
-    rate = math.log2(res_h / res_h2)
-    return {"h": grid.h, "residual_h": res_h, "residual_h_half": res_h2, "rate": rate}

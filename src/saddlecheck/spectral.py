@@ -23,21 +23,19 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from saddlecheck.solver import LU_ORDERING, SaddleSolution, weighted_form
+
+EIG_SIGMA = -1.05        # shift below the spectrum
+EIG_TOL = 1e-10          # eigsh convergence tolerance
 
 
 @dataclass(frozen=True)
 class QuadraticFormAssembly:
     stiffness: sp.csr_matrix = field(repr=False)
     mass: sp.dia_matrix = field(repr=False)
-    node_index: np.ndarray = field(repr=False)   # (N+1,N+1) -> dof or -1
-    m: int
-    R: float
-    h: float
 
     @property
     def n_dof(self) -> int:
@@ -55,50 +53,28 @@ class EigEstimate:
 def assemble(sol: SaddleSolution) -> QuadraticFormAssembly:
     """Build the even-sector pencil (K + diag(V(3u^2-1)), diag(V)) from a
     solved field; the dofs are the triangle nodes with s < R."""
-    grid, m = sol.grid, sol.params.m
+    grid = sol.grid
     N = grid.N
-    K, V = weighted_form(m, grid)
+    K, V = weighted_form(sol.params.m, grid)
     i, j = np.nonzero(grid.mask_triangle[:N])
-    node_index = -np.ones((N + 1, N + 1), dtype=np.int64)
-    node_index[i, j] = np.arange(i.size)
     flat = i * (N + 1) + j
     vol = V[i, j]
     stiffness = K[flat][:, flat] + sp.diags((3.0 * sol.u[i, j]**2 - 1.0) * vol)
     return QuadraticFormAssembly(stiffness=stiffness.tocsr(),
-                                 mass=sp.diags(vol), node_index=node_index,
-                                 m=m, R=grid.R, h=grid.h)
+                                 mass=sp.diags(vol))
 
 
-def rayleigh_quotient(asm: QuadraticFormAssembly, v_full: np.ndarray) -> float:
-    """Quadratic-form ratio for a test field given on the full grid (its
-    values on the triangle, mirrored)."""
-    keep = asm.node_index >= 0
-    v = np.zeros(asm.n_dof)
-    v[asm.node_index[keep]] = v_full[keep]
-    num = float(v @ (asm.stiffness @ v))
-    den = float(v @ (asm.mass @ v))
-    return num / den
-
-
-def min_eigenvalue(asm: QuadraticFormAssembly, tol: float = 1e-10,
-                   sigma: float = -1.05, dense: bool = False) -> EigEstimate:
+def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
     """Smallest generalized eigenvalue of (K, B).
 
-    Shift-invert Lanczos around sigma (below the spectrum: the potential
-    3u^2-1 >= -1 bounds it) with a deterministic start vector and one LU of
-    the symmetric K - sigma B in solver.LU_ORDERING, the minimum-degree
-    ordering of the Newton solve; `iterations` counts the solves with it.  dense=True uses
-    LAPACK on the full matrices as an independent oracle; only sensible on
-    coarse grids.
+    Shift-invert Lanczos around EIG_SIGMA (below the spectrum: the potential
+    3u^2-1 >= -1 bounds it) to EIG_TOL, with a deterministic start vector
+    and one LU of the symmetric K - sigma B in solver.LU_ORDERING, the
+    minimum-degree ordering of the Newton solve; `iterations` counts the
+    solves with it.
     """
     K, B = asm.stiffness, asm.mass
-    if dense:
-        w = scipy.linalg.eigh(K.toarray(), B.toarray(), eigvals_only=True,
-                              subset_by_index=[0, 0])
-        lam = float(w[0])
-        return EigEstimate(lambda_min=lam, residual=0.0, iterations=0,
-                           vector=np.zeros(asm.n_dof))
-    lu = spla.splu((K - sigma * B).tocsc(), permc_spec=LU_ORDERING)
+    lu = spla.splu((K - EIG_SIGMA * B).tocsc(), permc_spec=LU_ORDERING)
     solves = 0
 
     def solve(x):
@@ -108,23 +84,14 @@ def min_eigenvalue(asm: QuadraticFormAssembly, tol: float = 1e-10,
 
     op_inv = spla.LinearOperator(K.shape, matvec=solve, dtype=K.dtype)
     v0 = np.ones(asm.n_dof)
-    w, V = spla.eigsh(K, k=1, M=B, sigma=sigma, which="LM", v0=v0, tol=tol,
-                      OPinv=op_inv)
+    w, V = spla.eigsh(K, k=1, M=B, sigma=EIG_SIGMA, which="LM", v0=v0,
+                      tol=EIG_TOL, OPinv=op_inv)
     lam = float(w[0])
     vec = V[:, 0]
     res = float(np.linalg.norm(K @ vec - lam * (B @ vec))
                 / np.linalg.norm(B @ vec))
     return EigEstimate(lambda_min=lam, residual=res, iterations=solves,
                        vector=vec)
-
-
-def eigenvector_field(asm: QuadraticFormAssembly, est: EigEstimate) -> np.ndarray:
-    """Scatter an eigenvector onto the (N+1, N+1) grid, mirrored across the
-    cone (zeros on the outer Dirichlet edges)."""
-    out = np.zeros(asm.node_index.shape)
-    keep = asm.node_index >= 0
-    out[keep] = est.vector[asm.node_index[keep]]
-    return out + np.tril(out, -1).T
 
 
 class CertificateError(RuntimeError):

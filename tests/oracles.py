@@ -1,0 +1,176 @@
+"""Reference implementations the tests compare the program against.
+
+Nothing here runs in `saddlecheck run` or `plot`.  Each function is a
+second, independent route to a quantity the program computes another way
+(the subsolution defect in 60-digit arithmetic, a dense eigensolve, a
+Rayleigh quotient), a closed form the discretization must reproduce (the
+sine-Gordon saddle, the indicial roots), or a reader for what the program
+writes.  mpmath is a test-only dependency and is imported only here.
+"""
+
+import csv
+import math
+
+import mpmath
+import numpy as np
+import scipy.linalg
+
+from saddlecheck.grid import build_grid
+from saddlecheck.params import SQRT2, st_to_yz
+from saddlecheck.scalars import _rho_generic
+from saddlecheck.solver import weighted_form
+
+
+def subsolution_defect(a, y, z, d):
+    """Defect -Delta(eta) - eta + eta^3 of eta = H(a y)H(a z), drift
+    coefficient d = m - 1, in the scaled variables (y, z) <- (a y, a z), by
+    the printed two-term form
+
+      Hy Hz (2a^2 - 1 - a^2 Hy^2 - a^2 Hz^2 + Hy^2 Hz^2)
+        - d sqrt2 a^2 (y Hz - z Hy + Hy Hz (z Hz - y Hy)) / (y^2 - z^2)
+
+    in 60-digit arithmetic, point by point (arrays broadcast)."""
+    def point(a, y, z, d):
+        with mpmath.workdps(60):
+            a, y, z, d = (mpmath.mpf(float(v)) for v in (a, y, z, d))
+            hy, hz = mpmath.tanh(y / mpmath.sqrt(2)), mpmath.tanh(z / mpmath.sqrt(2))
+            a2 = a * a
+            potential = hy * hz * (2 * a2 - 1 - a2 * hy**2 - a2 * hz**2
+                                   + hy**2 * hz**2)
+            bracket = y * hz - z * hy + hy * hz * (z * hz - y * hy)
+            return float(potential
+                         - d * mpmath.sqrt(2) * a2 / (y * y - z * z) * bracket)
+
+    out = np.vectorize(point, otypes=[float])(a, y, z, d)
+    return out if out.ndim else float(out)
+
+
+def _rho1_integrand(sigma):
+    """Outer integrand of rho1: (int_sigma^inf tau H'^2 dtau) / H'(sigma)^2.
+
+    The inner tail integral has the closed form
+    w(1-T)^2(2+T)/3 + (2/3) log1p(e^{-2w}) - (1-T^2)/6 with w = sigma/sqrt(2);
+    the rearrangement avoids the w - log cosh(w) cancellation at large w.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    w = sigma / SQRT2
+    t = np.tanh(w)
+    one_minus_t = 2.0 * np.exp(-2.0 * w) / (1.0 + np.exp(-2.0 * w))
+    one_minus_t2 = one_minus_t * (1.0 + t)
+    inner = (
+        w * one_minus_t**2 * (2.0 + t) / 3.0
+        + (2.0 / 3.0) * np.log1p(np.exp(-2.0 * w))
+        - one_minus_t2 / 6.0
+    )
+    hprime2 = one_minus_t2**2 / 2.0
+    return inner / hprime2
+
+
+def rho1(z):
+    """Weighted variant of scalars.rho with inner integrand tau*H'(tau)^2.
+
+    Satisfies -rho1'' + (3H^2 - 1) rho1 = z H'(z).
+    """
+    return _rho_generic(z, _rho1_integrand)
+
+
+def indicial_roots(n: int) -> tuple[float, float]:
+    """Roots of a^2 + (n-3)a + (n-2) = 0 (real for n >= 8)."""
+    b, c = n - 3, n - 2
+    r = math.sqrt(b * b - 4 * c)
+    return ((-b - r) / 2.0, (-b + r) / 2.0)
+
+
+def even_sector_values(grid, field: np.ndarray) -> np.ndarray:
+    """A full-grid field at the dofs of spectral.assemble (the triangle
+    nodes with s < R), in their order."""
+    i, j = np.nonzero(grid.mask_triangle[:grid.N])
+    return field[i, j]
+
+
+def rayleigh_quotient(asm, v: np.ndarray) -> float:
+    """v.Kv / v.Bv of the assembled pencil: an upper bound of lambda_min."""
+    return float(v @ (asm.stiffness @ v)) / float(v @ (asm.mass @ v))
+
+
+def dense_min_eigenvalue(asm) -> float:
+    """Smallest eigenvalue of the pencil by LAPACK on the dense matrices;
+    only sensible on coarse grids."""
+    return float(scipy.linalg.eigh(asm.stiffness.toarray(), asm.mass.toarray(),
+                                   eigvals_only=True, subset_by_index=[0, 0])[0])
+
+
+def residual_yz_form(sol, guard: float | None = None):
+    """Residual of the solved field in the rotated frame
+
+        -u_yy - u_zz - (2(m-1)/(y^2-z^2)) (y u_y - z u_z) - u + u^3,
+
+    with diagonal stencils for u_yy, u_zz.  y^2 - z^2 = 2 s t vanishes on
+    the axes, so nodes with min(s, t) below the guard (default h) are masked
+    out.  Returns (field, mask).
+    """
+    grid, h = sol.grid, sol.grid.h
+    if guard is None:
+        guard = h
+    U = sol.u
+    P = np.pad(U, 1, mode="reflect")
+    u_yy = np.zeros_like(U)
+    u_zz = np.zeros_like(U)
+    u_yy[:-1, :-1] = (P[2:-1, 2:-1] - 2.0 * P[1:-2, 1:-2] + P[:-3, :-3]) / (2.0 * h**2)
+    u_zz[:-1, :-1] = (P[2:-1, :-3] - 2.0 * P[1:-2, 1:-2] + P[:-3, 2:-1]) / (2.0 * h**2)
+
+    S, T = grid.meshgrid()
+    y, z = st_to_yz(S, T)
+    mask = (np.minimum(S, T) >= guard - 1e-12) & (S < grid.R - h / 2) & (T < grid.R - h / 2)
+    denom = np.where(mask, y**2 - z**2, 1.0)
+    uyd = np.where(mask, sol.u_y, 0.0)
+    uzd = np.where(mask, sol.u_z, 0.0)
+    res = (-u_yy - u_zz
+           - 2.0 * sol.params.drift / denom * (y * uyd - z * uzd)
+           - U + U**3)
+    return np.where(mask, res, 0.0), mask
+
+
+def weighted_residual(U: np.ndarray, m: int, grid, nonlinearity) -> np.ndarray:
+    """(K u)/V - g(u) of solver.weighted_form at the unknown nodes of grid,
+    for the full-quadrant field U (fixed nodes taken from U as given)."""
+    K, V = weighted_form(m, grid)
+    ii, jj = grid.ii, grid.jj
+    KU = (K @ U.ravel()).reshape(U.shape)
+    return KU[ii, jj] / V[ii, jj] - nonlinearity(U[ii, jj])
+
+
+def sine_gordon_saddle(s, t):
+    """Exact planar saddle of -Delta u = sin(u):
+    4*arctan(cosh(s/sqrt 2)/cosh(t/sqrt 2)) - pi; vanishes on s = t."""
+    return 4.0 * np.arctan(np.cosh(np.asarray(s) / SQRT2)
+                           / np.cosh(np.asarray(t) / SQRT2)) - math.pi
+
+
+def validate_exact(grid) -> dict:
+    """Discrete residual of the exact sine-Gordon saddle under the m = 1
+    weighted operator at spacing h and h/2, plus the observed convergence
+    rate (should be close to 2)."""
+    def max_residual(g) -> float:
+        S, T = g.meshgrid()
+        return float(np.abs(weighted_residual(sine_gordon_saddle(S, T), 1, g,
+                                              np.sin)).max())
+
+    res_h = max_residual(grid)
+    res_h2 = max_residual(build_grid(grid.R, grid.h / 2.0))
+    return {"h": grid.h, "residual_h": res_h, "residual_h_half": res_h2,
+            "rate": math.log2(res_h / res_h2)}
+
+
+def import_csv(path) -> tuple[np.ndarray, dict]:
+    """Read a reporting.export_csv dump back; raises ValueError when the
+    shape does not match its header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        head = next(reader)
+        meta = {"name": head[1], "rows": int(head[3]), "cols": int(head[5]),
+                "h": float(head[7])}
+        field = np.array([[float(v) for v in row] for row in reader])
+    if field.shape != (meta["rows"], meta["cols"]):
+        raise ValueError(f"{path}: shape {field.shape} does not match header")
+    return field, meta

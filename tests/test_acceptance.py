@@ -7,15 +7,16 @@ output) and then asserts, so the gate doubles as a human-readable scorecard.
 import numpy as np
 import pytest
 
-from saddlecheck.candidate import CandidateParams, coefficient_set, l_phi
+from oracles import dense_min_eigenvalue, rho1, validate_exact
+from saddlecheck.candidate import (CandidateParams, coefficient_set, l_phi,
+                                   l_phi0)
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.grid import build_grid
 from saddlecheck.params import st_to_yz
 from saddlecheck.rigor import (IntervalArray, builtin_expressions, claims,
                                prove_nonpositive)
 from saddlecheck.scalars import (double_well, heteroclinic, hh_supersolution,
-                                 rho, rho1)
-from saddlecheck.solver import validate_exact
+                                 rho)
 from saddlecheck.spectral import assemble, min_eigenvalue
 
 SQRT2 = np.sqrt(2.0)
@@ -86,9 +87,11 @@ def test_criterion_5_supersolution_certificate(solved):
 
 def test_criterion_6_ablation(solved):
     sol = solved(4, 30.0, 0.1)
-    lp, mask = l_phi(sol, CandidateParams(n=8), include_phi0=False)
-    worst = float(lp[mask].max())
-    full, _ = l_phi(sol, CandidateParams(n=8), include_phi0=True)
+    cand = CandidateParams(n=8)
+    full, mask = l_phi(sol, cand)
+    S, T = sol.grid.meshgrid()
+    without = full[mask] - l_phi0(S[mask], T[mask], sol.u[mask], cand)
+    worst = float(without.max())
     worst_full = float(full[mask].max())
     _line(6, "ablation-phi0", worst > 0.0 and worst_full <= 1e-8,
           f"without corrector max LPhi={worst:+.2e} (> 0), "
@@ -113,7 +116,7 @@ def test_criterion_8_spectral_dichotomy(solved):
                 and all(lams[m] > -0.01 for m in (4, 5, 6)))
     asm = assemble(solved(2, 8.0, 0.2))
     sparse = min_eigenvalue(asm).lambda_min
-    dense = min_eigenvalue(asm, dense=True).lambda_min
+    dense = dense_min_eigenvalue(asm)
     oracle_ok = abs(dense - sparse) <= 0.05 * abs(dense)
     detail = (", ".join(f"m={m}: {v:+.4f}" for m, v in lams.items())
               + f"; dense oracle {dense:+.6f} vs sparse {sparse:+.6f}")

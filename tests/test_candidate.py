@@ -4,11 +4,13 @@ region diagnostics."""
 import numpy as np
 import pytest
 
-from saddlecheck.candidate import (REGION_E1, REGION_E2, REGION_E3,
-                                   coefficient_set, css_over_gap, ct_over_cs,
-                                   f_generic, f_partials, l_phi, l_phi0,
-                                   l_phi0_summand, lambda_coeff, phi_field,
-                                   region_classify, t_ratio)
+from oracles import indicial_roots
+from saddlecheck.candidate import (REGION_E1, REGION_E2, REGION_E3, _f_dags,
+                                   candidate_expressions, coefficient_set,
+                                   css_over_gap, ct_over_cs, f_generic,
+                                   f_partials, l_phi, l_phi0, l_phi0_summand,
+                                   lambda_coeff, phi_field, region_classify,
+                                   t_ratio)
 from saddlecheck.params import CandidateParams
 
 RNG = np.random.default_rng(20240818)
@@ -34,7 +36,7 @@ def test_parameter_table():
 
 
 def test_indicial_roots_bracket_decay():
-    lo, hi = N8.indicial_roots()
+    lo, hi = indicial_roots(N8.n)
     assert (lo, hi) == (-3.0, -2.0)
     assert abs(hi) < N8.decay_exponent < abs(lo)
 
@@ -54,9 +56,12 @@ def test_profile_signs():
 
 
 def test_partials_two_routes_agree():
+    # the symbolic DAG partials of the proofs, evaluated over floats,
+    # against the forward-mode jets of the grid values
     s, t = _omega_samples(200)
-    sym = f_partials(s, t, N8, route="symbolic")
-    jet = f_partials(s, t, N8, route="jet")
+    env, memo = {"s": s, "t": t}, {}
+    sym = [e.evaluate(env, memo) for e in _f_dags(N8, "s", "t")]
+    jet = f_partials(s, t, N8)
     for a, b in zip(sym, jet):
         assert np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30)) < 1e-10
 
@@ -139,9 +144,18 @@ def test_phi_positive_and_symmetric(sol_m4_coarse):
 
 
 def test_l_phi_routes_and_symmetry(sol_m4_coarse):
-    lp_sym, mask = l_phi(sol_m4_coarse, N8, route="symbolic")
-    lp_jet, _ = l_phi(sol_m4_coarse, N8, route="jet")
-    assert np.max(np.abs(lp_sym[mask] - lp_jet[mask])) < 1e-10
+    # L Phi from the catalogue's C DAGs over floats against l_phi (jets)
+    sol = sol_m4_coarse
+    lp_jet, mask = l_phi(sol, N8)
+    S, T = sol.grid.meshgrid()
+    s, t = S[mask], T[mask]
+    env, memo = {"s": s, "t": t}, {}
+    c = {k: e.evaluate(env, memo)
+         for k, e in candidate_expressions(N8).items()}
+    lp_sym = (c["c_s"] * sol.u_s[mask] + c["c_t"] * sol.u_t[mask]
+              + c["c_ss"] * sol.u_ss[mask] + c["c_st"] * sol.u_st[mask]
+              + c["c_tt"] * sol.u_tt[mask] + l_phi0(s, t, sol.u[mask], N8))
+    assert np.max(np.abs(lp_sym - lp_jet[mask])) < 1e-10
 
 
 def test_l_phi_dimension_guard(sol_m1):

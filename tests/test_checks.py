@@ -6,8 +6,8 @@ import pytest
 
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import (CheckReport, _deficit_rho_constant,
-                                cone_interp, run_inequality_suite, sign_map,
-                                tri_mask, verify_supersolution)
+                                cone_interp, run_inequality_suite, tri_mask,
+                                verify_supersolution)
 from saddlecheck.grid import build_grid
 
 
@@ -91,15 +91,6 @@ def test_cone_interp_exact_on_linear_field(sol_m4_coarse):
     F = S + T
     got = cone_interp(sol_m4_coarse, F)
     assert np.allclose(got, S + T, rtol=0.0, atol=1e-12)
-
-
-def test_sign_map_thresholds():
-    grid = build_grid(8.0, 0.2)
-    arr = np.array([[-1.0, -0.01, 0.0], [0.005, 0.2, 3.0], [0.0, 0.0, 0.0]])
-    sm = sign_map(arr, grid, tau=0.05)
-    assert sm.dtype == np.int8
-    expect = np.array([[-1, 0, 0], [0, 1, 1], [0, 0, 0]], dtype=np.int8)
-    assert np.array_equal(sm, expect)
 
 
 def test_verify_supersolution_coarse(sol_m4_coarse):

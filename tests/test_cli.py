@@ -140,15 +140,17 @@ def test_full_run_emits_certificate(tmp_path, capsys):
 
 
 def test_cli_import_leaves_sympy_out():
-    # a fresh interpreter: this process may have imported sympy elsewhere
+    # a fresh interpreter, since this one has pytest and the oracles' mpmath
+    # loaded: neither they nor sympy may come in with the program
     src = str(Path(saddlecheck.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, saddlecheck.cli; print('sympy' in sys.modules)"],
+         "import sys, saddlecheck.cli; print([m for m in "
+         "('sympy', 'mpmath', 'pytest') if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("m, expected", [

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
+from oracles import residual_yz_form, sine_gordon_saddle, weighted_residual
 from saddlecheck.grid import (NODE_AXIS, NODE_DIAGONAL, NODE_INTERIOR,
                               NODE_OUTER, NODE_OUTSIDE, build_grid)
 from saddlecheck.params import DimensionParams, st_to_yz
 from saddlecheck.scalars import hh_supersolution
-from saddlecheck.solver import (SolverConfig, _newton, apply_operator,
-                                compute_derivatives, impose_boundary,
-                                initial_guess, newton_solve,
-                                residual_yz_form, sine_gordon_saddle,
-                                validate_exact)
+from saddlecheck.solver import (SolverConfig, _newton, impose_boundary,
+                                initial_guess, newton_solve)
 
 
 def test_build_grid_validation():
@@ -33,12 +31,9 @@ def test_node_classification():
     assert np.all(kind[g.N, :g.N] == NODE_OUTER)
     assert kind[5, 0] == NODE_AXIS and kind[5, 3] == NODE_INTERIOR
     assert g.n_unknowns == g.ii.size
-    assert np.all(g.unknown_index[g.ii, g.jj] == np.arange(g.n_unknowns))
-
-
-def test_sine_gordon_convergence_rate():
-    out = validate_exact(build_grid(12.0, 0.1))
-    assert out["rate"] == pytest.approx(2.0, abs=0.2)
+    # the unknowns are the axis and interior nodes, numbered row by row
+    unknown = (kind == NODE_INTERIOR) | (kind == NODE_AXIS)
+    assert np.array_equal(g.ii * (g.N + 1) + g.jj, np.flatnonzero(unknown))
 
 
 @pytest.mark.parametrize("m", [3, 4, 6])
@@ -48,8 +43,8 @@ def test_weighted_operator_rate_on_manufactured_field(m):
     def max_error(h):
         g = build_grid(12.0, h)
         S, T = g.meshgrid()
-        res = apply_operator(np.cos(S) * np.cos(T), DimensionParams(m=m), g,
-                             nonlinearity=lambda u: 0 * u)[g.ii, g.jj]
+        res = weighted_residual(np.cos(S) * np.cos(T), m, g,
+                                nonlinearity=lambda u: 0 * u)
         s, t = S[g.ii, g.jj], T[g.ii, g.jj]
         sinc_t = np.sinc(t / np.pi)     # sin t / t, 1 on the axis
         exact = (2.0 * np.cos(s) * np.cos(t)

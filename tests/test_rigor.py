@@ -4,12 +4,13 @@ differentiation, and the branch-and-bound nonpositivity prover."""
 import numpy as np
 import pytest
 
+from oracles import subsolution_defect
 from saddlecheck.candidate import coefficient_set
 from saddlecheck.params import CandidateParams
 from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, _down,
                                _up, builtin_expressions, claims,
-                               defect_expression, defect_gap_expression,
-                               differentiate, nexp, prove_nonpositive)
+                               defect_gap_expression, differentiate, nexp,
+                               prove_nonpositive)
 
 RNG = np.random.default_rng(917)
 
@@ -87,9 +88,9 @@ def test_cross_coefficient_vanishes_on_diagonal_interval():
 
 
 def test_defect_frozen_oracle_and_gap_form_agreement():
-    defect = defect_expression()
+    # the oracle is the printed two-term form in 60-digit arithmetic
     gap = defect_gap_expression()
-    got = defect.evaluate({"a": 0.3, "y": 3.0, "z": 0.5, "d": 3.0})
+    got = subsolution_defect(0.3, 3.0, 0.5, 3.0)
     assert got == pytest.approx(DEFECT_ORACLE, rel=1e-14)
     got_gap = gap.evaluate({"a": 0.3, "u": 2.5, "z": 0.5, "d": 3.0})
     assert got_gap == pytest.approx(DEFECT_ORACLE, rel=1e-12)
@@ -97,7 +98,7 @@ def test_defect_frozen_oracle_and_gap_form_agreement():
     a = RNG.uniform(0.01, 0.45, 3000)
     z = RNG.uniform(0.01, 12.0, 3000)
     u = RNG.uniform(0.01, 12.0, 3000)
-    v1 = defect.evaluate({"a": a, "y": z + u, "z": z, "d": 3.0})
+    v1 = subsolution_defect(a, z + u, z, 3.0)
     v2 = gap.evaluate({"a": a, "u": u, "z": z, "d": 3.0})
     assert np.max(np.abs(v1 - v2) / np.maximum(np.abs(v1), 1e-300)) < 1e-9
 

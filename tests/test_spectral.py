@@ -6,11 +6,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from oracles import dense_min_eigenvalue, even_sector_values, rayleigh_quotient
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
-from saddlecheck.spectral import (CertificateError, assemble,
-                                  eigenvector_field, min_eigenvalue,
-                                  rayleigh_quotient, stability_certificate)
+from saddlecheck.spectral import (CertificateError, assemble, min_eigenvalue,
+                                  stability_certificate)
 from saddlecheck.solver import weighted_form
 
 
@@ -19,7 +19,8 @@ def test_stiffness_symmetric_and_mass_positive(sol_m4_coarse):
     K = asm.stiffness
     assert abs(K - K.T).max() == 0.0
     assert np.all(asm.mass.diagonal() > 0.0)
-    assert asm.n_dof == int((asm.node_index >= 0).sum())
+    grid = sol_m4_coarse.grid
+    assert asm.n_dof == int(grid.mask_triangle[:grid.N].sum())
 
 
 def test_eigenvalue_signs_by_dimension(solved):
@@ -34,10 +35,10 @@ def test_eigenvalue_signs_by_dimension(solved):
 def test_dense_oracle_agrees_with_sparse(solved):
     asm = assemble(solved(2, 8.0, 0.2))
     sparse = min_eigenvalue(asm)
-    dense = min_eigenvalue(asm, dense=True)
-    assert dense.lambda_min == pytest.approx(sparse.lambda_min, rel=5e-2)
+    dense = dense_min_eigenvalue(asm)
+    assert dense == pytest.approx(sparse.lambda_min, rel=5e-2)
     # on this coarse grid the agreement is in fact much tighter
-    assert dense.lambda_min == pytest.approx(sparse.lambda_min, abs=1e-9)
+    assert dense == pytest.approx(sparse.lambda_min, abs=1e-9)
 
 
 def test_eigenvalue_decreases_with_domain_size(solved):
@@ -56,22 +57,15 @@ def test_eigenvalue_h_refinement(solved):
     assert coarse == pytest.approx(fine, rel=0.1)
 
 
-def test_ground_state_symmetric(sol_m4_coarse):
-    asm = assemble(sol_m4_coarse)
-    est = min_eigenvalue(asm)
-    v = eigenvector_field(asm, est)
-    v = v / np.max(np.abs(v))
-    assert np.max(np.abs(v - v.T)) < 1e-6
-
-
 def test_rayleigh_quotient_upper_bounds(sol_m4_coarse):
     asm = assemble(sol_m4_coarse)
     est = min_eigenvalue(asm)
     # any test field gives an upper bound for lambda_min
-    rq = rayleigh_quotient(asm, sol_m4_coarse.u_s + sol_m4_coarse.u_t)
+    rq = rayleigh_quotient(asm, even_sector_values(
+        sol_m4_coarse.grid, sol_m4_coarse.u_s + sol_m4_coarse.u_t))
     assert rq >= est.lambda_min
     # the eigenvector itself reproduces the eigenvalue
-    rq_min = rayleigh_quotient(asm, eigenvector_field(asm, est))
+    rq_min = rayleigh_quotient(asm, est.vector)
     assert rq_min == pytest.approx(est.lambda_min, rel=1e-8)
 
 
