@@ -12,10 +12,28 @@ below it (tests/test_libm_audit.py).  Partial operations
 (division through zero, roots/powers of nonpositive bases) mark a box "bad"
 instead of failing; bad boxes are simply split further.  A claim is proven
 when every surviving leaf box has an enclosure with hi <= -margin.
+
+A proof merges the claim and its gradients into one DAG in which
+structurally equal subtrees are one node, and runs it as a Tape: a
+topological list of operations that drops each intermediate value after
+its last reader, so a batch of boxes holds only the arrays still to be
+read.  Constants are 0-d intervals that broadcast.  A product takes fewer
+than the four endpoint products when it can: x * x reuses lo*hi for hi*lo,
+a finite point constant c needs c*lo and c*hi, and two operands of one sign
+each need only the two corner products that are extreme in exact
+arithmetic.  Rounding to nearest is monotone, so those corners are also the
+extremes of the four rounded products, equal in value and at most
+different in the sign of a zero, which the two-ulp step maps to the same
+bound.  A fast path whose result is not finite everywhere is redone by the
+four-product path, whose clamp of inf and NaN it would otherwise skip.
+Every enclosure is therefore bit for bit the one of the plain four-product
+evaluation of the unmerged DAG (tests/test_rigor.py).
 """
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +85,10 @@ def _up(x):
 
 @dataclass(frozen=True)
 class IntervalArray:
-    """Axis-aligned enclosures [lo, hi] with a per-entry failure flag."""
+    """Axis-aligned enclosures [lo, hi] with a per-entry failure flag.
+
+    Constants and fixed values are 0-d intervals that broadcast against the
+    per-box arrays."""
     lo: np.ndarray
     hi: np.ndarray
     bad: np.ndarray
@@ -85,23 +106,66 @@ class IntervalArray:
 
     def _wrap(self, lo, hi, bad=None):
         b = self.bad if bad is None else bad
-        lo = np.where(b, -np.inf, _down(lo))
-        hi = np.where(b, np.inf, _up(hi))
+        lo, hi = _down(lo), _up(hi)
+        if b.any():
+            lo = np.where(b, -np.inf, lo)
+            hi = np.where(b, np.inf, hi)
         return IntervalArray(lo, hi, b)
 
     def __add__(self, o):
-        o = _lift(o, self)
+        o = _lift(o)
         return self._wrap(self.lo + o.lo, self.hi + o.hi, self.bad | o.bad)
 
     def __sub__(self, o):
-        o = _lift(o, self)
+        o = _lift(o)
         return self._wrap(self.lo - o.hi, self.hi - o.lo, self.bad | o.bad)
 
     def __neg__(self):
         return IntervalArray(-self.hi, -self.lo, self.bad)
 
+    def _point_value(self):
+        """The value of a finite 0-d point interval, else None."""
+        if self.lo.ndim == 0 and self.lo == self.hi and not self.bad \
+                and np.isfinite(self.lo):
+            return self.lo
+        return None
+
+    def _sign(self):
+        """+1 if every lane is >= 0, -1 if every lane is <= 0, else 0 (NaN
+        and bad lanes make it 0)."""
+        if self.lo.size:
+            if self.lo.min() >= 0.0:
+                return 1
+            if self.hi.max() <= 0.0:
+                return -1
+        return 0
+
     def __mul__(self, o):
-        o = _lift(o, self)
+        o = _lift(o)
+        bad = self.bad | o.bad
+        # fast paths take the products that can be extreme; each keeps its
+        # result only where all of it is finite, and then all four products
+        # are finite too, so the general path would not clamp
+        lo = None
+        if o is self:                                   # x * x: hl == lh
+            ll, lh, hh = self.lo * self.lo, self.lo * self.hi, self.hi * self.hi
+            lo = np.minimum(np.minimum(ll, lh), np.minimum(lh, hh))
+            hi = np.maximum(np.maximum(ll, lh), np.maximum(lh, hh))
+        else:
+            c, x = self._point_value(), o
+            if c is None:
+                c, x = o._point_value(), self
+            if c is not None:                           # finite point c
+                lo, hi = (c * x.lo, c * x.hi) if c >= 0.0 else \
+                    (c * x.hi, c * x.lo)
+            elif (sx := self._sign()) and (so := o._sign()):
+                # each operand of one sign: the extremes are fixed corners
+                lo = ((self.lo if so > 0 else self.hi)
+                      * (o.lo if sx > 0 else o.hi))
+                hi = ((self.hi if so > 0 else self.lo)
+                      * (o.hi if sx > 0 else o.lo))
+        if lo is not None and np.isfinite(lo).all() and np.isfinite(hi).all():
+            return self._wrap(lo, hi, bad)
         ll, lh = self.lo * o.lo, self.lo * o.hi
         hl, hh = self.hi * o.lo, self.hi * o.hi
         lo = np.minimum(np.minimum(ll, lh), np.minimum(hl, hh))
@@ -112,17 +176,19 @@ class IntervalArray:
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             cands = np.nan_to_num(np.stack([ll, lh, hl, hh]), nan=0.0)
             lo, hi = cands.min(axis=0), cands.max(axis=0)
-        return self._wrap(lo, hi, self.bad | o.bad)
+        return self._wrap(lo, hi, bad)
 
     def __truediv__(self, o):
-        o = _lift(o, self)
-        bad = self.bad | o.bad | ((o.lo <= 0.0) & (o.hi >= 0.0))
+        o = _lift(o)
+        # the product flags self's bad lanes, so the reciprocal needs only o's
+        bad = o.bad | ((o.lo <= 0.0) & (o.hi >= 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = IntervalArray(
-                np.where(bad, -np.inf, np.minimum(1.0 / o.lo, 1.0 / o.hi)),
-                np.where(bad, np.inf, np.maximum(1.0 / o.lo, 1.0 / o.hi)),
-                bad)
-        return self * inv
+            r_lo, r_hi = 1.0 / o.lo, 1.0 / o.hi
+        lo, hi = np.minimum(r_lo, r_hi), np.maximum(r_lo, r_hi)
+        if bad.any():
+            lo = np.where(bad, -np.inf, lo)
+            hi = np.where(bad, np.inf, hi)
+        return self * IntervalArray(lo, hi, bad)
 
     def __pow__(self, p):
         p = float(p)
@@ -150,10 +216,9 @@ class IntervalArray:
                               np.log(np.maximum(self.hi, 1e-300)), bad)
 
 
-def _lift(x, like: IntervalArray) -> IntervalArray:
-    if isinstance(x, IntervalArray):
-        return x
-    return IntervalArray.point(np.full_like(like.lo, float(x)))
+def _lift(x) -> IntervalArray:
+    """x as an interval: a float becomes a 0-d point that broadcasts."""
+    return x if isinstance(x, IntervalArray) else IntervalArray.point(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +230,7 @@ _UNARY = {"exp": np.exp, "tanh": np.tanh, "sqrt": np.sqrt, "log": np.log}
 
 class ExprNode:
     """Expression DAG over {const, var, +, -, *, /, pow, exp, tanh, sqrt,
-    log}, evaluable over floats or IntervalArray with memoized sharing."""
+    log}, evaluable over floats or IntervalArray through a Tape."""
 
     __slots__ = ("kind", "children", "value", "name")
 
@@ -229,42 +294,10 @@ class ExprNode:
         return ExprNode("log", (self,))
 
     # -- evaluation ---------------------------------------------------------
-    def evaluate(self, env, memo=None):
+    def evaluate(self, env):
         """Evaluate over whatever value type env supplies (floats, ndarrays,
-        IntervalArray, Jet2...)."""
-        if memo is None:
-            memo = {}
-        key = id(self)
-        if key in memo:
-            return memo[key]
-        k = self.kind
-        if k == "const":
-            first = next(iter(env.values()))
-            if isinstance(first, IntervalArray):
-                out = _lift(self.value, first)
-            else:
-                out = self.value
-        elif k == "var":
-            out = env[self.name]
-        else:
-            args = [c.evaluate(env, memo) for c in self.children]
-            if k == "add":
-                out = args[0] + args[1]
-            elif k == "sub":
-                out = args[0] - args[1]
-            elif k == "mul":
-                out = args[0] * args[1]
-            elif k == "div":
-                out = args[0] / args[1]
-            elif k == "pow":
-                out = args[0] ** self.value
-            elif k in _UNARY:
-                a = args[0]
-                out = getattr(a, k)() if isinstance(a, IntervalArray) else _UNARY[k](a)
-            else:
-                raise ValueError(f"unknown node kind {k!r}")
-        memo[key] = out
-        return out
+        IntervalArray)."""
+        return Tape([self]).run(env)[0]
 
     def variables(self):
         out = set()
@@ -278,6 +311,79 @@ class ExprNode:
 
 
 nexp = ExprNode.exp
+
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": operator.truediv}
+
+
+class Tape:
+    """Straight-line program of one or more expression DAGs.
+
+    The roots are merged into one DAG in which structurally equal subtrees
+    are a single slot: a node is keyed by its kind, its children's slots and
+    its name or value, constants by their float bit pattern (so 0.0 and -0.0
+    stay apart).  The slots are laid out in topological order, and run()
+    drops each intermediate value as soon as its last consumer has run, so a
+    pass holds only the values still to be read, not every node's arrays.
+    """
+
+    __slots__ = ("ops", "roots", "release")
+
+    def __init__(self, roots):
+        slot_of = {}        # id(node) -> slot
+        slot_by_key = {}    # structural key -> slot
+        self.ops = []       # (kind, argument slots, value, name)
+        for root in roots:
+            stack = [(root, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if id(node) in slot_of:
+                    continue
+                if node.children and not expanded:
+                    stack.append((node, True))
+                    stack.extend((c, False) for c in reversed(node.children))
+                    continue
+                args = tuple(slot_of[id(c)] for c in node.children)
+                value = None if node.value is None else \
+                    struct.pack("<d", node.value)
+                key = (node.kind, args, value, node.name)
+                if key not in slot_by_key:
+                    slot_by_key[key] = len(self.ops)
+                    self.ops.append((node.kind, args, node.value, node.name))
+                slot_of[id(node)] = slot_by_key[key]
+        self.roots = [slot_of[id(r)] for r in roots]
+        last_read = {}
+        for i, (_, args, _, _) in enumerate(self.ops):
+            for a in args:
+                last_read[a] = i
+        for r in self.roots:
+            last_read.pop(r, None)
+        self.release = [[] for _ in self.ops]
+        for slot, i in last_read.items():
+            self.release[i].append(slot)
+
+    def run(self, env) -> list:
+        """Values of the roots over env, in the order the roots were given."""
+        interval = isinstance(next(iter(env.values())), IntervalArray)
+        values = [None] * len(self.ops)
+        for i, (kind, args, value, name) in enumerate(self.ops):
+            if kind == "const":
+                out = IntervalArray.point(value) if interval else value
+            elif kind == "var":
+                out = env[name]
+            elif kind in _BINARY:
+                out = _BINARY[kind](values[args[0]], values[args[1]])
+            elif kind == "pow":
+                out = values[args[0]] ** value
+            elif kind in _UNARY:
+                x = values[args[0]]
+                out = getattr(x, kind)() if interval else _UNARY[kind](x)
+            else:
+                raise ValueError(f"unknown node kind {kind!r}")
+            values[i] = out
+            for slot in self.release[i]:
+                values[slot] = None
+        return [values[r] for r in self.roots]
 
 
 def _smart_add(a, b):
@@ -469,14 +575,13 @@ MAX_DEPTH = 60              # bisections of one box before it counts as stuck
 
 @dataclass(frozen=True)
 class ProofResult:
+    """Outcome of one proof.  min_undecided_width is the largest width of an
+    undecided box over its splittable dimensions, relative to the claim box
+    (0.0 when proven); frontier holds the undecided boxes."""
     status: str                       # "proven" | "undecided"
     boxes_examined: int
     min_undecided_width: float
     frontier: np.ndarray = field(repr=False)
-
-    @property
-    def proven(self) -> bool:
-        return self.status == "proven"
 
 
 def _clip(boxes: np.ndarray, constraints):
@@ -513,8 +618,15 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
     dims = len(names)
     splittable = np.array([nm not in frozen_dims for nm in names])
     active = expr.variables()
-    grads = [differentiate(expr, nm) if nm in active else ExprNode.const(0.0)
-             for nm in names]
+    grads = {k: differentiate(expr, nm) for k, nm in enumerate(names)
+             if splittable[k] and nm in active}
+    used = [k for k, g in grads.items()
+            if not (g.kind == "const" and g.value == 0.0)]
+    # one pass over the box gives the direct enclosure and the gradient
+    # enclosures of the mean-value form, one pass over the centers f(c)
+    box_tape = Tape([expr] + [grads[k] for k in used])
+    center_tape = Tape([expr])
+    fixed_env = {nm: _lift(v) for nm, v in (fixed or {}).items()}
     boxes = np.array(box, dtype=float).reshape(1, dims, 2)
     scale = np.maximum(boxes[0, :, 1] - boxes[0, :, 0], 1e-30)
     boxes, _ = _clip(boxes.copy(), constraints)
@@ -534,11 +646,8 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
             stuck.extend(b for b, _ in queue)
             break
         env = {nm: IntervalArray.from_bounds(boxes[:, k, 0], boxes[:, k, 1])
-               for k, nm in enumerate(names)}
-        if fixed:
-            env.update({nm: _lift(v, env[names[0]]) for nm, v in fixed.items()})
-        shared = {}
-        iv = expr.evaluate(env, shared)
+               for k, nm in enumerate(names)} | fixed_env
+        iv, *slopes = box_tape.run(env)
         hi = np.where(iv.bad, np.inf, iv.hi)
         # mean-value form over the splittable dims: center evaluation plus
         # gradient times half-widths; frozen dims stay as full intervals
@@ -546,20 +655,13 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
         centers = 0.5 * (boxes[:, :, 0] + boxes[:, :, 1])
         cenv = {nm: (IntervalArray.point(centers[:, k]) if splittable[k]
                      else env[nm])
-                for k, nm in enumerate(names)}
-        if fixed:
-            cenv.update({nm: _lift(v, cenv[names[0]])
-                         for nm, v in fixed.items()})
-        mv = expr.evaluate(cenv)
-        for k, g in enumerate(grads):
-            if not splittable[k] or (g.kind == "const" and g.value == 0.0):
-                continue
-            dk = g.evaluate(env, shared)
-            delta = (IntervalArray.from_bounds(boxes[:, k, 0], boxes[:, k, 1])
-                     - IntervalArray.point(centers[:, k]))
+                for k, nm in enumerate(names)} | fixed_env
+        mv, = center_tape.run(cenv)
+        for k, dk in zip(used, slopes):
+            delta = env[names[k]] - IntervalArray.point(centers[:, k])
             mv = mv + dk * delta
         hi = np.minimum(hi, np.where(mv.bad, np.inf, mv.hi))
-        live = hi > -margin
+        live = np.broadcast_to(hi > -margin, len(boxes))
         boxes, depth = boxes[live], depth[live]
         if not len(boxes):
             continue
@@ -584,8 +686,8 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
         children, feasible = _clip(children, constraints)
         queue.append((children, child_depth[feasible]))
     frontier = np.concatenate(stuck) if stuck else np.zeros((0, dims, 2))
-    width = float(((frontier[:, :, 1] - frontier[:, :, 0]) / scale).max()) \
-        if len(frontier) else 0.0
+    width = float(((frontier[:, splittable, 1] - frontier[:, splittable, 0])
+                   / scale[splittable]).max()) if len(frontier) else 0.0
     status = "proven" if len(frontier) == 0 else "undecided"
     return ProofResult(status=status, boxes_examined=examined,
                        min_undecided_width=width, frontier=frontier)

@@ -52,7 +52,7 @@ class SaddleSolution:
 
     All arrays are (N+1, N+1), indexed [i, j] = (s = i*h, t = j*h).  The
     field u is odd under (s,t) <-> (t,s) by construction; derivative fields
-    are second-order accurate except in the flagged outer band where
+    are second-order accurate except within 2h of the outer boundary, where
     one-sided stencils are used.  newton_iters counts the Newton iterations
     on this grid; coarse_iters lists (h, iterations) of each coarser level
     that produced the start field, finest first (empty for a cold start or
@@ -69,7 +69,6 @@ class SaddleSolution:
     u_tt: np.ndarray | None = field(default=None, repr=False)
     u_y: np.ndarray | None = field(default=None, repr=False)
     u_z: np.ndarray | None = field(default=None, repr=False)
-    onesided_band: np.ndarray | None = field(default=None, repr=False)
     residual_norm: float = math.nan
     newton_iters: int = 0
     coarse_iters: tuple = ()
@@ -266,8 +265,7 @@ def compute_derivatives(sol: SaddleSolution) -> SaddleSolution:
     """Fill all derivative fields of a solved solution.
 
     u_y and u_z come from rotated stencils at rotated-interior nodes and fall
-    back to chain-rule combinations on the outer edges; nodes within 2h of
-    the outer boundary are flagged in onesided_band.
+    back to chain-rule combinations on the outer edges.
     """
     grid, h = sol.grid, sol.grid.h
     U = sol.u
@@ -284,10 +282,6 @@ def compute_derivatives(sol: SaddleSolution) -> SaddleSolution:
     u_y[:-1, :-1] = (P[2:-1, 2:-1] - P[:-3, :-3]) / (2.0 * SQRT2 * h)
     u_z[:-1, :-1] = (P[2:-1, :-3] - P[:-3, 2:-1]) / (2.0 * SQRT2 * h)
 
-    band = np.zeros_like(U, dtype=bool)
-    band[-3:, :] = True
-    band[:, -3:] = True
-
     fields = dict(u_s=u_s, u_t=u_t, u_ss=u_ss, u_st=u_st, u_tt=u_tt,
-                  u_y=u_y, u_z=u_z, onesided_band=band)
+                  u_y=u_y, u_z=u_z)
     return replace(sol, **fields)

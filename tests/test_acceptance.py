@@ -103,7 +103,7 @@ def test_criterion_7_rigor_proofs():
     results = {label: prove_nonpositive(cat[key], **kwargs,
                                         max_boxes=2_000_000)
                for label, key, kwargs in claims(8)}
-    ok = all(r.proven for r in results.values())
+    ok = all(r.status == "proven" for r in results.values())
     detail = ", ".join(f"{k}: {v.status} ({v.boxes_examined} boxes)"
                        for k, v in results.items())
     _line(7, "interval-proofs", ok, detail)

@@ -12,6 +12,7 @@ from saddlecheck.candidate import (REGION_E1, REGION_E2, REGION_E3, _f_dags,
                                    lambda_coeff, phi_field, region_classify,
                                    t_ratio)
 from saddlecheck.params import CandidateParams
+from saddlecheck.rigor import Tape
 
 RNG = np.random.default_rng(20240818)
 N8 = CandidateParams(n=8)
@@ -59,8 +60,7 @@ def test_partials_two_routes_agree():
     # the symbolic DAG partials of the proofs, evaluated over floats,
     # against the forward-mode jets of the grid values
     s, t = _omega_samples(200)
-    env, memo = {"s": s, "t": t}, {}
-    sym = [e.evaluate(env, memo) for e in _f_dags(N8, "s", "t")]
+    sym = Tape(_f_dags(N8, "s", "t")).run({"s": s, "t": t})
     jet = f_partials(s, t, N8)
     for a, b in zip(sym, jet):
         assert np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30)) < 1e-10
@@ -149,9 +149,8 @@ def test_l_phi_routes_and_symmetry(sol_m4_coarse):
     lp_jet, mask = l_phi(sol, N8)
     S, T = sol.grid.meshgrid()
     s, t = S[mask], T[mask]
-    env, memo = {"s": s, "t": t}, {}
-    c = {k: e.evaluate(env, memo)
-         for k, e in candidate_expressions(N8).items()}
+    cat = candidate_expressions(N8)
+    c = dict(zip(cat, Tape(list(cat.values())).run({"s": s, "t": t})))
     lp_sym = (c["c_s"] * sol.u_s[mask] + c["c_t"] * sol.u_t[mask]
               + c["c_ss"] * sol.u_ss[mask] + c["c_st"] * sol.u_st[mask]
               + c["c_tt"] * sol.u_tt[mask] + l_phi0(s, t, sol.u[mask], N8))

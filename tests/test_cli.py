@@ -1,6 +1,7 @@
 """Command-line pipeline: config resolution, stage execution, exit codes,
 and the RESULT summary line."""
 
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import saddlecheck
+from saddlecheck import cli
 from saddlecheck.cache import CACHE_ENV_VAR
 from saddlecheck.cli import (RunConfig, build_parser, main, resolve_config,
                              run_rigor)
@@ -153,15 +155,35 @@ def test_cli_import_leaves_sympy_out():
     assert out.stdout.strip() == "[]"
 
 
+_NO_FRONTIER = hashlib.sha256(b"").hexdigest()
+
+
+# (box budget, per claim (label, status, boxes, undecided), frontier sha256)
 @pytest.mark.parametrize("m, expected", [
-    (4, [("defect<=0", 86_321), ("c_s<0", 8_371), ("c_ss<0", 1_059),
-         ("c_st<0", 3_339)]),
-    (5, [("defect<=0", 346_425)]),
+    (4, (2_000_000, [("defect<=0", "proven", 86_321, 0),
+                     ("c_s<0", "proven", 8_371, 0),
+                     ("c_ss<0", "proven", 1_059, 0),
+                     ("c_st<0", "proven", 3_339, 0)], _NO_FRONTIER)),
+    (5, (2_000_000, [("defect<=0", "proven", 346_425, 0)], _NO_FRONTIER)),
+    # the d = 5 defect claim is false near a = 0.45: a cut budget still
+    # pins every decision up to it and the frontier it leaves
+    (6, (300_000, [("defect<=0", "undecided", 365_147, 250_492)],
+         "df5b8c45bda7f0ee881eb2f2fe3da4c01d3e62dcfa42f9603667ad57c9c9f0d1")),
 ])
-def test_rigor_decisions_pinned(m, expected):
-    # every box decision of the prover shows in the box count, so a change to
-    # the interval kernels that moves one is caught here even if the claim
-    # still proves
-    proofs = run_rigor(RunConfig(m=m))
-    assert [(p["claim"], p["status"], p["boxes_examined"]) for p in proofs] \
-        == [(claim, "proven", boxes) for claim, boxes in expected]
+def test_rigor_decisions_pinned(m, expected, monkeypatch):
+    # every box decision of the prover shows in the box count and the
+    # frontier, so a change to the interval kernels that moves one is caught
+    # here even if the claim still proves
+    max_boxes, rows, frontier_sha256 = expected
+    results, prove = [], cli.prove_nonpositive
+
+    def prove_and_keep(*args, **kwargs):
+        results.append(prove(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "prove_nonpositive", prove_and_keep)
+    proofs = run_rigor(RunConfig(m=m, rigor_max_boxes=max_boxes))
+    assert [(p["claim"], p["status"], p["boxes_examined"],
+             p["undecided_boxes"]) for p in proofs] == rows
+    frontier = b"".join(r.frontier.tobytes() for r in results)
+    assert hashlib.sha256(frontier).hexdigest() == frontier_sha256

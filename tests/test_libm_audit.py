@@ -12,7 +12,8 @@ from collections import defaultdict
 import mpmath
 import numpy as np
 
-from saddlecheck.rigor import builtin_expressions, claims, differentiate
+from saddlecheck.rigor import (Tape, builtin_expressions, claims,
+                               differentiate)
 
 PADDING_ULPS = 2.0
 SAMPLES = 1500          # arguments audited per (function, exponent)
@@ -58,13 +59,12 @@ def _claim_arguments(rng):
         for _, key, kwargs in claims(n):
             env = _domain_points(rng, kwargs, POINTS)
             variables.extend(env[nm] for nm in kwargs["names"])
-            memo = {}
-            for expr in _proof_expressions(cat[key], kwargs):
-                expr.evaluate(env, memo)
-                for node in _nodes(expr):
-                    if node.kind in ("exp", "tanh", "log", "pow"):
-                        arg = memo[id(node.children[0])]
-                        args[(node.kind, node.value)].append(np.atleast_1d(arg))
+            calls = [node for expr in _proof_expressions(cat[key], kwargs)
+                     for node in _nodes(expr)
+                     if node.kind in ("exp", "tanh", "log", "pow")]
+            values = Tape([node.children[0] for node in calls]).run(env)
+            for node, arg in zip(calls, values):
+                args[(node.kind, node.value)].append(np.atleast_1d(arg))
     return ({key: np.concatenate(v) for key, v in args.items()},
             np.concatenate(variables))
 

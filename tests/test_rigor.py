@@ -7,8 +7,8 @@ import pytest
 from oracles import subsolution_defect
 from saddlecheck.candidate import coefficient_set
 from saddlecheck.params import CandidateParams
-from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, _down,
-                               _up, builtin_expressions, claims,
+from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, Tape,
+                               _down, _up, builtin_expressions, claims,
                                defect_gap_expression, differentiate, nexp,
                                prove_nonpositive)
 
@@ -139,14 +139,31 @@ def test_prover_toy_claims():
     # max of x(1-x) is 1/4: provable with slack, undecided without
     expr = x * (1.0 - x) - 0.26
     res = prove_nonpositive(expr, ["x"], [[0.0, 1.0]])
-    assert res.proven
+    assert res.status == "proven"
     assert res.min_undecided_width == 0.0
     bad = prove_nonpositive(x * (1.0 - x) - 0.24, ["x"], [[0.0, 1.0]],
                             max_boxes=20_000)
-    assert not bad.proven
+    assert bad.status == "undecided"
     # the surviving frontier hugs the true maximizer x = 1/2
     assert np.all(bad.frontier[:, 0, 0] < 0.5 + 0.1)
     assert np.all(bad.frontier[:, 0, 1] > 0.5 - 0.1)
+    # no box variable in the claim: one 0-d enclosure decides every box
+    const = prove_nonpositive(ExprNode.const(-1.0), ["x"], [[0.0, 1.0]])
+    assert (const.status, const.boxes_examined) == ("proven", 1)
+    const = prove_nonpositive(ExprNode.const(1.0), ["x"], [[0.0, 1.0]],
+                              max_boxes=100)
+    assert const.status == "undecided" and const.frontier.shape == (64, 1, 2)
+
+
+def test_prover_width_counts_splittable_dims_only():
+    # the frozen a keeps its full width in every frontier box; the reported
+    # width is that of the dims the prover can still split
+    a, x = ExprNode.var("a"), ExprNode.var("x")
+    res = prove_nonpositive(a * (x * (1.0 - x)) - 0.24, ["a", "x"],
+                            [[0.5, 1.0], [0.0, 1.0]], frozen_dims=("a",))
+    assert res.status == "undecided" and len(res.frontier)
+    assert 0.0 < res.min_undecided_width <= 1e-4
+    assert np.all(res.frontier[:, 0] == [0.5, 1.0])
 
 
 def test_prover_halfplane_constraint():
@@ -154,7 +171,7 @@ def test_prover_halfplane_constraint():
     # t - s <= 0 holds only thanks to the clip s >= t + 0.05
     res = prove_nonpositive(t - s, ["s", "t"], [[0.0, 2.0], [0.0, 2.0]],
                             constraints=(HalfPlane(0, 1, 0.05),))
-    assert res.proven
+    assert res.status == "proven"
 
 
 def test_prover_fixed_and_frozen_dims():
@@ -164,7 +181,7 @@ def test_prover_fixed_and_frozen_dims():
         gap, ["a", "u", "z"],
         [[0.01, 0.45], [0.5, 2.0], [0.5, 2.0]],
         fixed={"d": 3.0}, frozen_dims=("a",), min_width=1e-6)
-    assert res.proven
+    assert res.status == "proven"
     # frozen dimension is never split: frontier-free proof with modest effort
     assert res.boxes_examined < 50_000
 
@@ -175,7 +192,7 @@ def test_prover_deterministic():
               constraints=(HalfPlane(0, 1, 0.05),))
     r1 = prove_nonpositive(cat["c_ss"], **kw)
     r2 = prove_nonpositive(cat["c_ss"], **kw)
-    assert r1.proven and r2.proven
+    assert r1.status == r2.status == "proven"
     assert r1.boxes_examined == r2.boxes_examined
 
 
@@ -186,7 +203,7 @@ def test_prover_monotone_in_margin():
               constraints=(HalfPlane(0, 1, 0.05),))
     loose = prove_nonpositive(cat["c_ss"], margin=0.0, **kw)
     tight = prove_nonpositive(cat["c_ss"], margin=1e-5, **kw)
-    assert loose.proven and tight.proven
+    assert loose.status == tight.status == "proven"
     assert tight.boxes_examined >= loose.boxes_examined
 
 
@@ -311,3 +328,216 @@ def test_interval_multiply_matches_reference_bitwise():
     a, b = np.meshgrid(small, small)
     _assert_mul_matches_reference(_intervals(a.ravel(), -a.ravel()),
                                   _intervals(b.ravel(), b.ravel()))
+
+
+def _moderate(rng, n):
+    """Finite doubles of moderate size, both signs."""
+    return rng.uniform(-30, 30, n) * 10.0 ** rng.integers(-20, 20, n)
+
+
+def test_interval_square_matches_reference_bitwise():
+    # x * x on one object takes lo*hi once for both cross products
+    rng = np.random.default_rng(6)
+    n = 100_000
+    x = _intervals(_moderate(rng, n), _moderate(rng, n))
+    _assert_mul_matches_reference(x, x)
+    wide = _intervals(_whole_range_sample(rng, n), _whole_range_sample(rng, n),
+                      rng.uniform(size=n) < 0.05)
+    _assert_mul_matches_reference(wide, wide)
+    lo, hi = np.meshgrid(_EDGES, _EDGES)
+    edge = IntervalArray.from_bounds(lo.ravel(), hi.ravel())
+    _assert_mul_matches_reference(edge, edge)
+    nans = IntervalArray.from_bounds(_PAYLOAD_NANS, _PAYLOAD_NANS[::-1])
+    _assert_mul_matches_reference(nans, nans)
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0, 1.0, -1.0, 2.5, -3.75, 5e-324,
+                               -5e-324, 1e-310, 1e300, -1e300, _MAX, -_MAX])
+def test_interval_times_point_constant_matches_reference_bitwise(c):
+    # a 0-d point constant on either side takes two products
+    rng = np.random.default_rng(7)
+    n = 20_000
+    const = IntervalArray.point(c)
+    mod = _intervals(_moderate(rng, n), _moderate(rng, n))
+    wide = _intervals(_whole_range_sample(rng, n), _whole_range_sample(rng, n),
+                      rng.uniform(size=n) < 0.05)
+    lo, hi = np.meshgrid(_EDGES, _EDGES)
+    edge = IntervalArray.from_bounds(lo.ravel(), hi.ravel())
+    for other in (mod, wide, edge, IntervalArray.point(1.5), const):
+        _assert_mul_matches_reference(const, other)
+        _assert_mul_matches_reference(other, const)
+
+
+def _one_signed(sign, a, b):
+    """Intervals |a|, |b| sorted, times sign, with signed-zero endpoints in
+    some lanes."""
+    lo, hi = np.minimum(np.abs(a), np.abs(b)), np.maximum(np.abs(a), np.abs(b))
+    lo[::97] = 0.0
+    lo[::89] = -0.0
+    hi[::101], lo[::101] = 0.0, -0.0
+    iv = IntervalArray.from_bounds(lo, hi)
+    return iv if sign > 0 else -iv
+
+
+@pytest.mark.parametrize("sx, sy", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_interval_one_signed_product_matches_reference_bitwise(sx, sy):
+    # operands of one sign each take the two corner products
+    rng = np.random.default_rng(8)
+    n = 100_000
+    mod = [_moderate(rng, n) for _ in range(4)]
+    x, y = _one_signed(sx, *mod[:2]), _one_signed(sy, *mod[2:])
+    assert (x._sign(), y._sign()) == (sx, sy)
+    _assert_mul_matches_reference(x, y)
+    # lanes that overflow to inf, and subnormal products
+    wide = [_whole_range_sample(rng, n) for _ in range(4)]
+    _assert_mul_matches_reference(_one_signed(sx, *wide[:2]),
+                                  _one_signed(sy, *wide[2:]))
+    edges = np.abs(_EDGES[~np.isnan(_EDGES)])
+    lo, hi = np.meshgrid(edges, edges)
+    keep = lo <= hi
+    k = int(keep.sum())
+    x = _one_signed(sx, np.repeat(lo[keep], k), np.repeat(hi[keep], k))
+    y = _one_signed(sy, np.tile(lo[keep], k), np.tile(hi[keep], k))
+    _assert_mul_matches_reference(x, y)
+
+
+def _ref_div(a, b):
+    """Division as the reciprocal interval times a, by _ref_mul."""
+    bad = a.bad | b.bad | ((b.lo <= 0.0) & (b.hi >= 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = IntervalArray(
+            np.where(bad, -np.inf, np.minimum(1.0 / b.lo, 1.0 / b.hi)),
+            np.where(bad, np.inf, np.maximum(1.0 / b.lo, 1.0 / b.hi)), bad)
+    return _ref_mul(a, inv)
+
+
+def _assert_div_matches_reference(x, y):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        got = x / y
+        want = _ref_div(x, y)
+    assert np.array_equal(_bits(got.lo), _bits(want[0]))
+    assert np.array_equal(_bits(got.hi), _bits(want[1]))
+    assert np.array_equal(got.bad, want[2])
+
+
+def test_interval_division_matches_reference_bitwise():
+    rng = np.random.default_rng(9)
+    n = 100_000
+    num = _intervals(_moderate(rng, n), _moderate(rng, n))
+    # denominators of one sign: no bad lane
+    sign = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    den = _intervals(sign * np.abs(_moderate(rng, n)),
+                     sign * np.abs(_moderate(rng, n)))
+    assert not (num / den).bad.any()
+    _assert_div_matches_reference(num, den)
+    _assert_div_matches_reference(den, den)
+    wide = _whole_range_sample(rng, 2 * n).reshape(2, n)
+    _assert_div_matches_reference(_intervals(*wide), _one_signed(1, *wide))
+    for c in (3.0, -0.5, 1e-300):
+        _assert_div_matches_reference(num, IntervalArray.point(c))
+        _assert_div_matches_reference(IntervalArray.point(c), den)
+    # with bad lanes, through zero and flagged
+    bad = rng.uniform(size=n) < 0.05
+    _assert_div_matches_reference(
+        _intervals(_moderate(rng, n), _moderate(rng, n), bad),
+        _intervals(_moderate(rng, n), _moderate(rng, n)))
+
+
+# ---------------------------------------------------------------------------
+# the merged tape against the DAG as built
+# ---------------------------------------------------------------------------
+
+def test_tape_merges_equal_subtrees_but_not_signed_zeros():
+    x = ExprNode.var("x")
+    zero, neg_zero = ExprNode.const(0.0), ExprNode.const(-0.0)
+    tape = Tape([x * x, x * x + 1.0, x * x + 1.0, zero, neg_zero])
+    assert [op[0] for op in tape.ops] == ["var", "mul", "const", "add",
+                                          "const", "const"]
+    assert tape.roots == [1, 3, 3, 4, 5]
+    got = tape.run({"x": 2.0})
+    assert got[:3] == [4.0, 5.0, 5.0]
+    assert np.copysign(1.0, got[3]) == 1.0 and np.copysign(1.0, got[4]) == -1.0
+    # every intermediate is released once, after its last reader; a root,
+    # even one another root reads, never is
+    assert sorted(s for slots in tape.release for s in slots) == [0, 2]
+    assert tape.release[1] == [0] and tape.release[3] == [2]
+
+
+def _unmerged(node, env, memo):
+    """Interval value of the DAG as built: each node object once, constants
+    as full arrays, products and quotients by the reference kernels."""
+    if id(node) not in memo:
+        kind = node.kind
+        if kind == "const":
+            like = next(iter(env.values())).lo
+            out = IntervalArray.point(np.full_like(like, node.value))
+        elif kind == "var":
+            out = env[node.name]
+        else:
+            args = [_unmerged(c, env, memo) for c in node.children]
+            if kind == "mul":
+                out = IntervalArray(*_ref_mul(*args))
+            elif kind == "div":
+                out = IntervalArray(*_ref_div(*args))
+            elif kind == "add":
+                out = args[0] + args[1]
+            elif kind == "sub":
+                out = args[0] - args[1]
+            elif kind == "pow":
+                out = args[0] ** node.value
+            else:
+                out = getattr(args[0], kind)()
+        memo[id(node)] = out
+    return memo[id(node)]
+
+
+def _random_boxes(rng, kwargs, n):
+    """n boxes inside a claim's domain, of widths from 1e-7 of the domain
+    to all of it, a tenth of them points, clipped to its half-planes."""
+    lo, hi = np.array(kwargs["box"], dtype=float).T
+    span = hi - lo
+    width = span * 10.0 ** rng.uniform(-7, 0, (n, len(lo)))
+    width[rng.uniform(size=n) < 0.1] = 0.0
+    left = lo + (span - width) * rng.uniform(0, 1, (n, len(lo)))
+    boxes = np.stack([left, left + width], axis=2)
+    for c in kwargs.get("constraints", ()):
+        boxes[:, c.greater, 0] = np.maximum(boxes[:, c.greater, 0],
+                                            boxes[:, c.lesser, 0] + c.delta)
+        boxes[:, c.lesser, 1] = np.minimum(boxes[:, c.lesser, 1],
+                                           boxes[:, c.greater, 1] - c.delta)
+    return boxes[np.all(boxes[:, :, 0] <= boxes[:, :, 1], axis=1)]
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_merged_tape_matches_unmerged_dag_bitwise(n):
+    # the prover's tapes (claim and gradients over the box, claim over the
+    # centres) against the unmerged DAG, on every claim's domain
+    rng = np.random.default_rng(100 + n)
+    cat = builtin_expressions(n)
+    for label, key, kwargs in claims(n):
+        expr, names = cat[key], kwargs["names"]
+        frozen = kwargs.get("frozen_dims", ())
+        roots = [expr] + [differentiate(expr, nm) for nm in names
+                          if nm not in frozen and nm in expr.variables()]
+        boxes = _random_boxes(rng, kwargs, 10_000)
+        centres = 0.5 * (boxes[:, :, 0] + boxes[:, :, 1])
+        env = {nm: IntervalArray.from_bounds(boxes[:, k, 0], boxes[:, k, 1])
+               for k, nm in enumerate(names)}
+        cenv = {nm: env[nm] if nm in frozen
+                else IntervalArray.point(centres[:, k])
+                for k, nm in enumerate(names)}
+        for e, tree in ((env, roots), (cenv, roots[:1])):
+            fixed = {nm: IntervalArray.point(v)
+                     for nm, v in kwargs.get("fixed", {}).items()}
+            full = {nm: IntervalArray.point(np.full(len(boxes), v))
+                    for nm, v in kwargs.get("fixed", {}).items()}
+            with np.errstate(all="ignore"):
+                got = Tape(tree).run(e | fixed)
+                memo = {}
+                want = [_unmerged(r, e | full, memo) for r in tree]
+            for g, w in zip(got, want):
+                for part in ("lo", "hi", "bad"):
+                    a = np.broadcast_to(getattr(g, part), len(boxes))
+                    assert np.array_equal(a.view(np.uint8),
+                                          getattr(w, part).view(np.uint8)), \
+                        (n, label, part)
