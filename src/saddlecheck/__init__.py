@@ -9,8 +9,8 @@ claims with interval branch-and-bound.
 
 from saddlecheck.params import DimensionParams, CandidateParams
 from saddlecheck.grid import Grid, build_grid
-from saddlecheck.solver import (SaddleSolution, SolverConfig,
-                                compute_derivatives, newton_solve)
+from saddlecheck.solver import (SaddleSolution, compute_derivatives,
+                                newton_solve)
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.spectral import assemble, min_eigenvalue
 from saddlecheck.rigor import builtin_expressions, prove_nonpositive
@@ -22,7 +22,6 @@ __all__ = [
     "Grid",
     "build_grid",
     "SaddleSolution",
-    "SolverConfig",
     "newton_solve",
     "compute_derivatives",
     "run_inequality_suite",

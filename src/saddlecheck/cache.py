@@ -21,7 +21,7 @@ import numpy as np
 
 from saddlecheck.grid import build_grid
 from saddlecheck.params import DimensionParams
-from saddlecheck.solver import (SaddleSolution, SolverConfig,
+from saddlecheck.solver import (NEWTON_TOL, SaddleSolution,
                                 compute_derivatives, newton_solve)
 
 CACHE_FORMAT = 2          # 2: fields solved with solver.weighted_form
@@ -45,18 +45,18 @@ def cache_dir(override: str | os.PathLike | None = None) -> Path:
     return Path(".saddlecheck_cache")
 
 
-def solution_key(m: int, R: float, h: float, newton_tol: float) -> str:
-    return f"sol_m{m}_R{R:g}_h{h:g}_tol{newton_tol:g}"
+def solution_key(m: int, R: float, h: float) -> str:
+    return f"sol_m{m}_R{R:g}_h{h:g}_tol{NEWTON_TOL:g}"
 
 
-def _header(sol: SaddleSolution, config: SolverConfig) -> dict:
+def _header(sol: SaddleSolution) -> dict:
     return {
         "format": CACHE_FORMAT,
         "m": sol.params.m,
         "R": sol.grid.R,
         "h": sol.grid.h,
         "N": sol.grid.N,
-        "newton_tol": config.newton_tol,
+        "newton_tol": NEWTON_TOL,
         "residual_norm": sol.residual_norm,
         "newton_iters": sol.newton_iters,
     }
@@ -69,7 +69,7 @@ def _content_hash(header: dict, u: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def save_solution(sol: SaddleSolution, config: SolverConfig,
+def save_solution(sol: SaddleSolution,
                   directory: str | os.PathLike | None = None) -> Path:
     """Write the solution to the cache; returns the entry path.
 
@@ -78,10 +78,10 @@ def save_solution(sol: SaddleSolution, config: SolverConfig,
     """
     root = cache_dir(directory)
     root.mkdir(parents=True, exist_ok=True)
-    header = _header(sol, config)
+    header = _header(sol)
     header["sha256"] = _content_hash(header, sol.u)
-    path = root / (solution_key(sol.params.m, sol.grid.R, sol.grid.h,
-                                config.newton_tol) + ".npz")
+    path = root / (solution_key(sol.params.m, sol.grid.R, sol.grid.h)
+                   + ".npz")
     tmp = path.with_suffix(".npz.tmp")
     with open(tmp, "wb") as fh:
         np.savez(fh, u=sol.u, header=np.bytes_(json.dumps(header,
@@ -129,15 +129,12 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
 
 
 def load_or_solve(m: int, R: float, h: float,
-                  config: SolverConfig | None = None,
                   directory: str | os.PathLike | None = None
                   ) -> tuple[SaddleSolution, bool, str | None]:
     """Return (solution, came_from_cache, rejected_reason), re-solving on
     miss or mismatch; rejected_reason is None unless an existing entry was
     rejected."""
-    config = config or SolverConfig()
-    path = cache_dir(directory) / (solution_key(m, R, h, config.newton_tol)
-                                   + ".npz")
+    path = cache_dir(directory) / (solution_key(m, R, h) + ".npz")
     reason = None
     if path.exists():
         try:
@@ -146,6 +143,6 @@ def load_or_solve(m: int, R: float, h: float,
             reason = str(exc)
             log.warning("cache entry %s rejected, re-solving: %s", path, reason)
     grid = build_grid(R, h)
-    sol = newton_solve(DimensionParams(m=m), config, grid)
-    save_solution(sol, config, directory)
+    sol = newton_solve(DimensionParams(m=m), grid)
+    save_solution(sol, directory)
     return sol, False, reason

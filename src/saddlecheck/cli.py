@@ -1,8 +1,8 @@
 """Command-line pipeline: solve -> verify -> spectrum -> rigor -> report.
 
-Configuration comes from an INI file (section [run]) with command-line flags
-taking precedence.  Exit status is 0 iff every requested verification
-passed; the last stdout line is always machine-parseable:
+Run settings come from command-line flags only.  Exit status is 0 iff every
+requested verification passed; the last stdout line is always
+machine-parseable:
 
     RESULT <pass|fail> stages=<csv> failures=<k>
 """
@@ -10,7 +10,6 @@ passed; the last stdout line is always machine-parseable:
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -24,7 +23,7 @@ from saddlecheck.reporting import (build_report, check_report_to_dict,
                                    proof_to_dict, solver_to_dict,
                                    write_report)
 from saddlecheck.rigor import builtin_expressions, claims, prove_nonpositive
-from saddlecheck.solver import SaddleSolution, SolverConfig
+from saddlecheck.solver import NEWTON_TOL, SaddleSolution
 from saddlecheck.spectral import (assemble, min_eigenvalue,
                                   stability_certificate)
 
@@ -36,11 +35,9 @@ class RunConfig:
     m: int = 4
     R: float = 12.0
     h: float = 0.05
-    tol: float = 1e-10                 # Newton residual tolerance
     stages: tuple = ALL_STAGES
     out: str = "out"
     cache: str | None = None           # None -> env var / default directory
-    rigor_max_boxes: int = 2_000_000
 
     @property
     def n(self) -> int:
@@ -58,42 +55,10 @@ class RunConfig:
         return self
 
 
-def _config_from_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(path)
-    section = parser["run"] if parser.has_section("run") else parser.defaults()
-    out = {}
-    for key, raw in dict(section).items():
-        if key in ("m", "rigor_max_boxes"):
-            out[key] = int(raw)
-        elif key in ("r", "h", "tol"):
-            out["R" if key == "r" else key] = float(raw)
-        elif key == "stages":
-            out["stages"] = tuple(s.strip() for s in raw.split(","))
-        elif key in ("out", "cache"):
-            out[key] = raw
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return out
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the INI file, then explicit flags."""
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_config_from_file(args.config))
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-    if getattr(args, "n", None) is not None:
-        if args.n % 2:
-            raise ValueError(f"--n must be even, got {args.n}")
-        values["m"] = args.n // 2
-    if isinstance(values.get("stages"), str):
-        values["stages"] = tuple(s.strip() for s in values["stages"].split(","))
-    return RunConfig(**values)
+    """RunConfig defaults, overridden by the flags given."""
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)
+                        if getattr(args, f.name, None) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +73,9 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
     timing: dict = {}
     failures: list[str] = []
     cand = CandidateParams(n=cfg.n) if cfg.n in (8, 10, 12) else None
-    solver_cfg = SolverConfig(newton_tol=cfg.tol)
 
     t0 = time.perf_counter()
-    sol, cached, rejected = load_or_solve(cfg.m, cfg.R, cfg.h, solver_cfg,
+    sol, cached, rejected = load_or_solve(cfg.m, cfg.R, cfg.h,
                                           directory=cfg.cache)
     timing["solve"] = time.perf_counter() - t0
     stages["solve"] = solver_to_dict(sol) | {"from_cache": cached}
@@ -192,14 +156,12 @@ def _newton_summary(sol: SaddleSolution) -> str:
 def run_rigor(cfg: RunConfig) -> list[dict]:
     """Interval proofs of the claims in rigor.claims(n), in table order."""
     cat = builtin_expressions(cfg.n)
-    return [proof_to_dict(prove_nonpositive(cat[key], **kwargs,
-                                            max_boxes=cfg.rigor_max_boxes),
-                          label)
+    return [proof_to_dict(prove_nonpositive(cat[key], **kwargs), label)
             for label, key, kwargs in claims(cfg.n)]
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {"m": cfg.m, "n": cfg.n, "R": cfg.R, "h": cfg.h, "tol": cfg.tol,
+    return {"m": cfg.m, "n": cfg.n, "R": cfg.R, "h": cfg.h, "tol": NEWTON_TOL,
             "stages": list(cfg.stages), "out": cfg.out}
 
 
@@ -208,15 +170,16 @@ def _config_echo(cfg: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI file with a [run] section")
     p.add_argument("--m", type=int, help="factor dimension (n = 2m)")
-    p.add_argument("--n", type=int, help="ambient dimension (even)")
     p.add_argument("--R", type=float, help="truncation radius")
     p.add_argument("--h", type=float, help="grid spacing (R/h integer)")
-    p.add_argument("--tol", type=float, help="Newton residual tolerance")
     p.add_argument("--out", help="output directory")
     p.add_argument("--cache", help="solution cache directory "
                                    "(default: $SADDLECHECK_CACHE_DIR)")
+
+
+def _stage_list(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,15 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
         "verify": "run the inequality suite and the supersolution check",
         "spectrum": "estimate the principal eigenvalue",
         "rigor": "interval proofs of the closed-form sign claims",
-        "report": "execute requested stages and write the JSON report",
         "plot": "emit the six diagnostic SVG maps",
-        "run": "full pipeline (solve, suite, supersolution, spectrum, rigor)",
+        "run": "full pipeline (solve, suite, supersolution, spectrum, rigor) "
+               "and the JSON report",
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        if name in ("report", "run"):
-            p.add_argument("--stages",
+        if name == "run":
+            p.add_argument("--stages", type=_stage_list,
                            help="comma-separated subset of: "
                                 + ",".join(ALL_STAGES))
     return parser
@@ -262,7 +225,7 @@ def main(argv=None) -> int:
         cfg = cfg.validated()
         report, sol = run_stages(cfg)
         out = Path(cfg.out)
-        if args.command in ("report", "run"):
+        if args.command == "run":
             path = write_report(report, out / "report.json")
             print(f"report: {path}")
         if args.command == "plot":
@@ -270,7 +233,7 @@ def main(argv=None) -> int:
             export_csv(sol.u, "u", cfg.h, out / "u.csv")
             for p in paths:
                 print(f"plot: {p}")
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("RESULT fail stages= failures=1")
         return 2

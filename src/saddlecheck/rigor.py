@@ -428,8 +428,8 @@ def differentiate(expr: ExprNode, name: str, memo=None) -> ExprNode:
     """Symbolic partial derivative as a new DAG.
 
     Unary results reuse the original subtree (e.g. d/dx exp(g) multiplies by
-    the *same* exp node), so a shared evaluation memo computes the function
-    and all of its partials in one pass.
+    the *same* exp node), so a Tape over the function and its partials
+    merges that node into one slot and evaluates it once.
     """
     if memo is None:
         memo = {}
@@ -551,7 +551,7 @@ class HalfPlane:
 def claims(n: int) -> list[tuple[str, str, dict]]:
     """The interval claims proven for dimension n, in report order, as rows
     (label, key into builtin_expressions(n), keyword arguments of
-    prove_nonpositive other than max_boxes).
+    prove_nonpositive).
 
     The defect is proven in gap coordinates with d = m - 1 fixed and the
     single-occurrence a frozen; the coefficient claims (n = 8 only) on the
@@ -594,10 +594,34 @@ def _clip(boxes: np.ndarray, constraints):
     return boxes[feasible], feasible
 
 
+def _max_width(boxes: np.ndarray, splittable, scale) -> float:
+    """Largest width of the boxes over the splittable dims, relative to the
+    claim box (0.0 for no boxes)."""
+    if not len(boxes):
+        return 0.0
+    return float(((boxes[:, splittable, 1] - boxes[:, splittable, 0])
+                  / scale[splittable]).max())
+
+
+def _bisect(boxes: np.ndarray, depth: np.ndarray, widths: np.ndarray,
+            constraints):
+    """Both halves of every box, split across its scaled-widest dim and
+    clipped to the constraints, with their depths."""
+    split_dim = np.argmax(widths, axis=1)
+    rng = np.arange(len(boxes))
+    mid = 0.5 * (boxes[rng, split_dim, 0] + boxes[rng, split_dim, 1])
+    left = boxes.copy()
+    right = boxes.copy()
+    left[rng, split_dim, 1] = mid
+    right[rng, split_dim, 0] = mid
+    children, feasible = _clip(np.concatenate([left, right]), constraints)
+    return children, (np.concatenate([depth, depth]) + 1)[feasible]
+
+
 def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
                       margin: float = 0.0, fixed=None, frozen_dims=(),
                       min_width: float = 1e-4,
-                      max_boxes: int = 400_000) -> ProofResult:
+                      max_boxes: int = 2_000_000) -> ProofResult:
     """Prove expr <= -margin on the box (list of per-variable [lo, hi])
     intersected with the half-plane constraints.
 
@@ -627,24 +651,8 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
     box_tape = Tape([expr] + [grads[k] for k in used])
     center_tape = Tape([expr])
     fixed_env = {nm: _lift(v) for nm, v in (fixed or {}).items()}
-    boxes = np.array(box, dtype=float).reshape(1, dims, 2)
-    scale = np.maximum(boxes[0, :, 1] - boxes[0, :, 0], 1e-30)
-    boxes, _ = _clip(boxes.copy(), constraints)
-    queue = [(boxes, np.zeros(len(boxes), dtype=np.int32))]
-    examined = 0
-    stuck = []
-    chunk = 65536  # bounds peak memory of a vectorized enclosure pass
 
-    while queue:
-        boxes, depth = queue.pop()
-        if len(boxes) > chunk:
-            queue.append((boxes[chunk:], depth[chunk:]))
-            boxes, depth = boxes[:chunk], depth[:chunk]
-        examined += len(boxes)
-        if examined > max_boxes:
-            stuck.append(boxes)
-            stuck.extend(b for b, _ in queue)
-            break
+    def upper_bound(boxes):
         env = {nm: IntervalArray.from_bounds(boxes[:, k, 0], boxes[:, k, 1])
                for k, nm in enumerate(names)} | fixed_env
         iv, *slopes = box_tape.run(env)
@@ -660,8 +668,31 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
         for k, dk in zip(used, slopes):
             delta = env[names[k]] - IntervalArray.point(centers[:, k])
             mv = mv + dk * delta
-        hi = np.minimum(hi, np.where(mv.bad, np.inf, mv.hi))
-        live = np.broadcast_to(hi > -margin, len(boxes))
+        return np.minimum(hi, np.where(mv.bad, np.inf, mv.hi))
+
+    boxes = np.array(box, dtype=float).reshape(1, dims, 2)
+    scale = np.maximum(boxes[0, :, 1] - boxes[0, :, 0], 1e-30)
+    boxes, _ = _clip(boxes.copy(), constraints)
+    queue = [(boxes, np.zeros(len(boxes), dtype=np.int32))]
+    examined = 0
+    stuck = []
+    chunk = 65536  # bounds peak memory of a vectorized enclosure pass
+
+    while queue:
+        boxes, depth = queue.pop()
+        if len(boxes) > chunk:
+            queue.append((boxes[chunk:], depth[chunk:]))
+            boxes, depth = boxes[:chunk], depth[:chunk]
+        examined += len(boxes)
+        if examined > max_boxes:
+            # the frontier is this batch, then the queue; copying each
+            # chunk view as it leaves the queue frees its parent array
+            queue.insert(0, (boxes, depth))
+            del boxes, depth
+            while queue:
+                stuck.append(queue.pop(0)[0].copy())
+            break
+        live = np.broadcast_to(upper_bound(boxes) > -margin, len(boxes))
         boxes, depth = boxes[live], depth[live]
         if not len(boxes):
             continue
@@ -674,20 +705,11 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
             widths = widths[refinable]
         if not len(boxes):
             continue
-        split_dim = np.argmax(widths, axis=1)
-        rng = np.arange(len(boxes))
-        mid = 0.5 * (boxes[rng, split_dim, 0] + boxes[rng, split_dim, 1])
-        left = boxes.copy()
-        right = boxes.copy()
-        left[rng, split_dim, 1] = mid
-        right[rng, split_dim, 0] = mid
-        children = np.concatenate([left, right])
-        child_depth = np.concatenate([depth, depth]) + 1
-        children, feasible = _clip(children, constraints)
-        queue.append((children, child_depth[feasible]))
+        queue.append(_bisect(boxes, depth, widths, constraints))
+    # piece by piece, then the frontier: neither stacks its temporaries on
+    # the other's or on a batch evaluation's
+    width = max((_max_width(b, splittable, scale) for b in stuck), default=0.0)
     frontier = np.concatenate(stuck) if stuck else np.zeros((0, dims, 2))
-    width = float(((frontier[:, splittable, 1] - frontier[:, splittable, 0])
-                   / scale[splittable]).max()) if len(frontier) else 0.0
     status = "proven" if len(frontier) == 0 else "undecided"
     return ProofResult(status=status, boxes_examined=examined,
                        min_undecided_width=width, frontier=frontier)

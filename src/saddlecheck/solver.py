@@ -31,19 +31,11 @@ from saddlecheck.scalars import hh_supersolution
 
 MAX_NEWTON_ITERS = 40
 DAMPING_HALVINGS = 30
+NEWTON_TOL = 1e-10                     # max-norm of the discrete residual
 LINEAR_TOL = 1e-10                     # relative residual of the inner solve
 # Both sparse LUs (the Newton J here, K - sigma B in spectral) factor
 # symmetric matrices: minimum degree on A^T + A keeps their fill low.
 LU_ORDERING = "MMD_AT_PLUS_A"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    newton_tol: float = 1e-10          # max-norm of the discrete residual
-
-    def __post_init__(self) -> None:
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -147,34 +139,33 @@ def _residual(K, V, U: np.ndarray, grid: Grid):
     return KU[ii, jj] / V[ii, jj] - (u - u**3)
 
 
-def newton_solve(params: DimensionParams, config: SolverConfig,
-                 grid: Grid) -> SaddleSolution:
+def newton_solve(params: DimensionParams, grid: Grid) -> SaddleSolution:
     """Solve for the saddle solution by damped Newton iteration.
 
     The first iterate is the field solved on build_grid(R, 2h), prolonged
     bilinearly, whenever N is even and 2h <= H_MAX; the rule recurses, and
     the coarsest level starts from initial_guess.  Every level is solved to
-    config.newton_tol.  Deterministic: identical inputs produce
+    NEWTON_TOL.  Deterministic: identical inputs produce
     bitwise-identical fields.  Raises NewtonError on non-convergence or
     line-search failure at any level.
     """
-    U, norm, iters, coarse = _nested_solve(params, config, grid)
+    U, norm, iters, coarse = _nested_solve(params, grid)
     sol = SaddleSolution(params=params, grid=grid, u=U, residual_norm=norm,
                          newton_iters=iters, coarse_iters=coarse)
     return compute_derivatives(sol)
 
 
-def _nested_solve(params: DimensionParams, config: SolverConfig, grid: Grid):
+def _nested_solve(params: DimensionParams, grid: Grid):
     """(U, residual norm, iterations, coarse_iters) on grid, started from
     the prolonged 2h field when that grid exists, else from initial_guess."""
     if grid.N % 2 == 0 and 2.0 * grid.h <= H_MAX:
         coarse_grid = build_grid(grid.R, 2.0 * grid.h)
-        Uc, _, iters_c, coarse = _nested_solve(params, config, coarse_grid)
+        Uc, _, iters_c, coarse = _nested_solve(params, coarse_grid)
         U0 = impose_boundary(_prolong(Uc), grid)
         coarse = ((coarse_grid.h, iters_c),) + coarse
     else:
         U0, coarse = initial_guess(grid), ()
-    return _newton(params, config, grid, U0) + (coarse,)
+    return _newton(params, grid, U0) + (coarse,)
 
 
 def _prolong(Uc: np.ndarray) -> np.ndarray:
@@ -188,8 +179,7 @@ def _prolong(Uc: np.ndarray) -> np.ndarray:
     return U
 
 
-def _newton(params: DimensionParams, config: SolverConfig, grid: Grid,
-            U: np.ndarray):
+def _newton(params: DimensionParams, grid: Grid, U: np.ndarray):
     """Damped Newton from the full-quadrant iterate U; returns
     (U, residual norm, iterations).
 
@@ -205,7 +195,7 @@ def _newton(params: DimensionParams, config: SolverConfig, grid: Grid,
     res = _residual(K, V, U, grid)
     norm = float(np.abs(res).max())
     iters = 0
-    while norm > config.newton_tol:
+    while norm > NEWTON_TOL:
         if iters >= MAX_NEWTON_ITERS:
             raise NewtonError(
                 f"no convergence after {iters} iterations; last residual {norm:.3e}"
@@ -225,7 +215,7 @@ def _newton(params: DimensionParams, config: SolverConfig, grid: Grid,
             Utry = impose_boundary(Utry, grid)
             res_try = _residual(K, V, Utry, grid)
             norm_try = float(np.abs(res_try).max())
-            if norm_try < norm or norm <= config.newton_tol:
+            if norm_try < norm or norm <= NEWTON_TOL:
                 break
             lam *= 0.5
         else:

@@ -100,8 +100,7 @@ def test_criterion_6_ablation(solved):
 
 def test_criterion_7_rigor_proofs():
     cat = builtin_expressions(8)
-    results = {label: prove_nonpositive(cat[key], **kwargs,
-                                        max_boxes=2_000_000)
+    results = {label: prove_nonpositive(cat[key], **kwargs)
                for label, key, kwargs in claims(8)}
     ok = all(r.status == "proven" for r in results.values())
     detail = ", ".join(f"{k}: {v.status} ({v.boxes_examined} boxes)"

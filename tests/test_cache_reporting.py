@@ -17,26 +17,35 @@ from saddlecheck.reporting import (REPORT_SCHEMA, build_report,
                                    check_report_to_dict, export_csv,
                                    export_signmaps, svg_heatmap, svg_sign_map,
                                    write_report)
-from saddlecheck.solver import SolverConfig
 
 M, R, H = 4, 8.0, 0.2
 
 
 def test_cache_roundtrip_bitwise(tmp_path, solved):
     sol = solved(M, R, H)
-    cfg = SolverConfig()
-    path = save_solution(sol, cfg, tmp_path)
+    path = save_solution(sol, tmp_path)
     assert path.parent == tmp_path
-    assert path.stem == solution_key(M, R, H, cfg.newton_tol)
+    assert path.stem == solution_key(M, R, H)
     back = load_solution(path)
     assert np.array_equal(back.u, sol.u)
     assert np.array_equal(back.u_ss, sol.u_ss)   # derivatives recomputed
     assert back.params.m == M and back.grid.h == H
 
 
+def test_cache_key_and_header_are_pinned(tmp_path, solved):
+    # entries written before the tolerance became a constant must still hit
+    assert solution_key(4, 12.0, 0.05) == "sol_m4_R12_h0.05_tol1e-10"
+    path = save_solution(solved(M, R, H), tmp_path)
+    with np.load(path) as data:
+        header = json.loads(bytes(data["header"]).decode())
+    assert sorted(header) == ["N", "R", "format", "h", "m", "newton_iters",
+                              "newton_tol", "residual_norm", "sha256"]
+    assert header["newton_tol"] == 1e-10
+
+
 def test_load_or_solve_hits_and_refreshes(tmp_path, solved):
     sol = solved(M, R, H)
-    path = save_solution(sol, SolverConfig(), tmp_path)
+    path = save_solution(sol, tmp_path)
     hit, cached, _ = load_or_solve(M, R, H, directory=tmp_path)
     assert cached and np.array_equal(hit.u, sol.u)
     path.unlink()
@@ -47,7 +56,7 @@ def test_load_or_solve_hits_and_refreshes(tmp_path, solved):
 
 def test_cache_rejects_tampering(tmp_path, solved):
     sol = solved(M, R, H)
-    path = save_solution(sol, SolverConfig(), tmp_path)
+    path = save_solution(sol, tmp_path)
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
         u = data["u"].copy()
@@ -76,7 +85,7 @@ def _rewrite_header(path, edit):
 
 def _save_as_format_1(sol, directory):
     """A cache entry whose header says format 1, with a matching hash."""
-    path = save_solution(sol, SolverConfig(), directory)
+    path = save_solution(sol, directory)
     _rewrite_header(path, lambda header: header.update(format=1))
     return path
 
@@ -130,7 +139,7 @@ def _header_without_residual_norm(path):
 def test_damaged_cache_entry_is_rejected_with_its_cause(tmp_path, solved,
                                                         damage, cause):
     sol = solved(M, R, H)
-    path = save_solution(sol, SolverConfig(), tmp_path)
+    path = save_solution(sol, tmp_path)
     damage(path)
     with pytest.raises(CacheMismatch, match=cause):
         load_solution(path)

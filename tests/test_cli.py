@@ -1,5 +1,5 @@
-"""Command-line pipeline: config resolution, stage execution, exit codes,
-and the RESULT summary line."""
+"""Command-line pipeline: flags, stage execution, exit codes, and the
+RESULT summary line."""
 
 import hashlib
 import json
@@ -14,8 +14,7 @@ import pytest
 import saddlecheck
 from saddlecheck import cli
 from saddlecheck.cache import CACHE_ENV_VAR
-from saddlecheck.cli import (RunConfig, build_parser, main, resolve_config,
-                             run_rigor)
+from saddlecheck.cli import RunConfig, build_parser, main, run_rigor
 
 M_ARGS = ["--m", "4", "--R", "8", "--h", "0.2"]
 
@@ -30,25 +29,19 @@ def _last_line(capsys):
     return capsys.readouterr().out.strip().splitlines()[-1]
 
 
-def test_config_precedence(tmp_path):
-    ini = tmp_path / "run.ini"
-    ini.write_text("[run]\nm = 2\nR = 8\nh = 0.2\ntol = 1e-9\n")
-    parser = build_parser()
-    args = parser.parse_args(["run", "--config", str(ini), "--m", "4"])
-    cfg = resolve_config(args)
-    assert cfg.m == 4          # flag beats file
-    assert cfg.R == 8.0        # file beats default
-    assert cfg.tol == 1e-9
-    args = parser.parse_args(["run", "--config", str(ini)])
-    assert resolve_config(args).m == 2
-
-
-def test_n_flag_sets_m():
-    args = build_parser().parse_args(["run", "--n", "10"])
-    assert resolve_config(args).m == 5
-    args = build_parser().parse_args(["run", "--n", "9"])
-    with pytest.raises(ValueError):
-        resolve_config(args)
+@pytest.mark.parametrize("argv", [
+    ["run", "--tol", "1e-3"],
+    ["run", "--config", "x.ini"],
+    ["run", "--n", "8"],
+    ["report"],
+], ids=["tol", "config", "n", "report"])
+def test_removed_settings_are_usage_errors(argv, capsys):
+    # the Newton gate and the proof budget are fixed in code: no flag,
+    # file or second subcommand reaches them
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_verify_command_passes(capsys):
@@ -77,7 +70,7 @@ def test_spectrum_command_skips_candidate_validation(capsys):
 
 def test_report_written_and_second_run_cached(tmp_path, capsys):
     out = tmp_path / "outdir"
-    argv = ["report", "--stages", "solve,suite", "--out", str(out)] + M_ARGS
+    argv = ["run", "--stages", "solve,suite", "--out", str(out)] + M_ARGS
     assert main(argv) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["schema"] == "saddlecheck-report/1"
@@ -102,10 +95,22 @@ def test_plot_emits_maps_and_csv(tmp_path, capsys):
     assert len(svgs) == 6
 
 
-def test_exit_code_one_on_undecided_proof(tmp_path, capsys):
-    ini = tmp_path / "rig.ini"
-    ini.write_text("[run]\nm = 4\nR = 8\nh = 0.2\nrigor_max_boxes = 500\n")
-    rc = main(["rigor", "--config", str(ini)])
+def _with_budget(monkeypatch, max_boxes, results=None):
+    """Run cli's proofs with a cut box budget, keeping each ProofResult."""
+    prove = cli.prove_nonpositive
+
+    def prove_with_budget(*args, **kwargs):
+        result = prove(*args, **kwargs, max_boxes=max_boxes)
+        if results is not None:
+            results.append(result)
+        return result
+
+    monkeypatch.setattr(cli, "prove_nonpositive", prove_with_budget)
+
+
+def test_exit_code_one_on_undecided_proof(monkeypatch, capsys):
+    _with_budget(monkeypatch, 500)
+    rc = main(["rigor"] + M_ARGS)
     assert rc == 1
     line = _last_line(capsys)
     assert line.startswith("RESULT fail stages=solve,rigor failures=")
@@ -113,7 +118,7 @@ def test_exit_code_one_on_undecided_proof(tmp_path, capsys):
 
 def test_exit_code_two_on_config_error(capsys):
     # unknown stage name
-    rc = main(["report", "--stages", "solve,nonsense"] + M_ARGS)
+    rc = main(["run", "--stages", "solve,nonsense"] + M_ARGS)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     # grid spacing not dividing R
@@ -122,16 +127,11 @@ def test_exit_code_two_on_config_error(capsys):
     # candidate stage with a dimension outside the candidate table
     rc = main(["verify", "--m", "2", "--R", "8", "--h", "0.2"])
     assert rc == 2
-    # missing config file
-    rc = main(["run", "--config", "no-such-file.ini"])
-    assert rc == 2
 
 
 def test_full_run_emits_certificate(tmp_path, capsys):
     out = tmp_path / "full"
-    ini = tmp_path / "full.ini"
-    ini.write_text("[run]\nm = 4\nR = 8\nh = 0.2\n")
-    rc = main(["run", "--config", str(ini), "--out", str(out)])
+    rc = main(["run", "--out", str(out)] + M_ARGS)
     assert rc == 0
     rep = json.loads((out / "report.json").read_text())
     cert = rep["stages"]["certificate"]
@@ -175,14 +175,9 @@ def test_rigor_decisions_pinned(m, expected, monkeypatch):
     # frontier, so a change to the interval kernels that moves one is caught
     # here even if the claim still proves
     max_boxes, rows, frontier_sha256 = expected
-    results, prove = [], cli.prove_nonpositive
-
-    def prove_and_keep(*args, **kwargs):
-        results.append(prove(*args, **kwargs))
-        return results[-1]
-
-    monkeypatch.setattr(cli, "prove_nonpositive", prove_and_keep)
-    proofs = run_rigor(RunConfig(m=m, rigor_max_boxes=max_boxes))
+    results = []
+    _with_budget(monkeypatch, max_boxes, results)
+    proofs = run_rigor(RunConfig(m=m))
     assert [(p["claim"], p["status"], p["boxes_examined"],
              p["undecided_boxes"]) for p in proofs] == rows
     frontier = b"".join(r.frontier.tobytes() for r in results)

@@ -8,7 +8,7 @@ from saddlecheck.grid import (NODE_AXIS, NODE_DIAGONAL, NODE_INTERIOR,
                               NODE_OUTER, NODE_OUTSIDE, build_grid)
 from saddlecheck.params import DimensionParams, st_to_yz
 from saddlecheck.scalars import hh_supersolution
-from saddlecheck.solver import (SolverConfig, _newton, impose_boundary,
+from saddlecheck.solver import (NEWTON_TOL, _newton, impose_boundary,
                                 initial_guess, newton_solve)
 
 
@@ -62,9 +62,8 @@ def test_sine_gordon_vanishes_on_cone():
 
 def test_newton_converges_and_is_deterministic(solved):
     sol = solved(4, 12.0, 0.1)
-    assert sol.residual_norm < SolverConfig().newton_tol
-    again = newton_solve(DimensionParams(m=4), SolverConfig(),
-                         build_grid(12.0, 0.1))
+    assert sol.residual_norm < NEWTON_TOL
+    again = newton_solve(DimensionParams(m=4), build_grid(12.0, 0.1))
     assert np.array_equal(sol.u, again.u)
 
 
@@ -123,20 +122,19 @@ def test_coarse_start_finds_the_cold_start_field(m, solved):
     grid = build_grid(12.0, 0.1)
     sol = solved(m, 12.0, 0.1)
     assert [h for h, _ in sol.coarse_iters] == [0.2]
-    tol = SolverConfig().newton_tol
-    cold, cold_norm, _ = _newton(DimensionParams(m=m), SolverConfig(), grid,
+    cold, cold_norm, _ = _newton(DimensionParams(m=m), grid,
                                  initial_guess(grid))
     assert np.abs(sol.u - cold).max() <= 1e-9
-    assert sol.residual_norm <= tol and cold_norm <= tol
+    assert sol.residual_norm <= NEWTON_TOL and cold_norm <= NEWTON_TOL
 
 
 def test_odd_grid_starts_cold():
     # N = 81 has no 2h grid, so the solve is the cold start itself
     grid = build_grid(8.1, 0.1)
     assert grid.N % 2 == 1
-    sol = newton_solve(DimensionParams(m=4), SolverConfig(), grid)
-    cold, cold_norm, cold_iters = _newton(DimensionParams(m=4), SolverConfig(),
-                                          grid, initial_guess(grid))
+    sol = newton_solve(DimensionParams(m=4), grid)
+    cold, cold_norm, cold_iters = _newton(DimensionParams(m=4), grid,
+                                          initial_guess(grid))
     assert sol.coarse_iters == ()
     assert np.array_equal(sol.u, cold)
     assert (sol.residual_norm, sol.newton_iters) == (cold_norm, cold_iters)
