@@ -8,39 +8,39 @@ A product rule plus the differentiated equation collapses L(Phi) to
 with C_s = Delta_m f + ((m-1)/s^2) f, C_ss = 2 f_s, C_tt = 2 h_t,
 C_st = 2 f_t + 2 h_s, and C_t the s<->t mirror of C_s.  Stability follows
 once Phi > 0 and L Phi <= 0, so the verifier needs tight point values of the
-five C coefficients.  f is written once, in f_generic, and its partials
-come two independent ways: forward-mode second-order jets give the grid
-values, and symbolic differentiation of the same formula built as an
-expression DAG gives the interval proofs.
+five C coefficients.  f is written once, in f_generic, and its partials come
+one way: symbolic differentiation of the expression DAG that f_generic
+builds.  One rigor.Tape of the five C DAGs gives the grid values over float
+arrays, and the interval proofs bound the same DAGs over boxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from saddlecheck import jets
 from saddlecheck.grid import NODE_INTERIOR
 from saddlecheck.params import CandidateParams, SQRT2
-from saddlecheck.rigor import ExprNode, differentiate
+from saddlecheck.rigor import ExprNode, Tape, differentiate
 
 
 def f_generic(s, t, cand: CandidateParams):
     """The anisotropic decay profile f(s,t).
 
-    Works on plain arrays, on Jet2 values and on ExprNode DAGs.  The leading
-    factor interpolates between the cone direction and the s-axis; the power
-    enforces the decay rate (s+t)^-(n-3)/2 that sits strictly between the
-    indicial rates at infinity.  n = 8 carries an extra short-range term and
+    Works on plain arrays and on ExprNode DAGs (numpy's object ufuncs call
+    the nodes' sqrt/tanh/exp methods).  The leading factor interpolates
+    between the cone direction and the s-axis; the power enforces the decay
+    rate (s+t)^-(n-3)/2 that sits strictly between the indicial rates at
+    infinity.  n = 8 carries an extra short-range term and
     a sqrt(2) factor.
     """
-    radial = jets.sqrt(s * s + t * t)
+    radial = np.sqrt(s * s + t * t)
     if cand.has_exp_term:
-        core = (jets.tanh(s / t) * SQRT2 * s / radial
-                + (1.0 / 4.2) * (1.0 - jets.exp(-s / (2.0 * t))))
+        core = (np.tanh(s / t) * SQRT2 * s / radial
+                + (1.0 / 4.2) * (1.0 - np.exp(-s / (2.0 * t))))
     else:
-        core = jets.tanh(s / t) * s / radial
+        core = np.tanh(s / t) * s / radial
     return core * (s + t) ** (-cand.decay_exponent)
 
 
@@ -49,7 +49,7 @@ def phi0_generic(s, t, cand: CandidateParams):
     harmonic-like term is tuned to dominate the e^(t-s) tail that f u_s + h u_t
     alone fails to control."""
     c, p = cand.phi0_coeff, cand.phi0_exponent
-    return c * (s ** (-p) * jets.exp(-t / 3.0) + t ** (-p) * jets.exp(-s / 3.0))
+    return c * (s ** (-p) * np.exp(-t / 3.0) + t ** (-p) * np.exp(-s / 3.0))
 
 
 def _f_dags(cand: CandidateParams, first: str, second: str):
@@ -63,14 +63,6 @@ def _f_dags(cand: CandidateParams, first: str, second: str):
             differentiate(e2, second, memo_2))
 
 
-def f_partials(s, t, cand: CandidateParams):
-    """(f, f_s, f_t, f_ss, f_st, f_tt) at (s, t) by forward-mode jets."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    j = f_generic(jets.Jet2.variable_s(s, t), jets.Jet2.variable_t(s, t), cand)
-    return (j.v, j.ds, j.dt, j.dss, j.dst, j.dtt)
-
-
 @dataclass(frozen=True)
 class CoefficientSet:
     """Point values of the five coefficient fields at (s, t)."""
@@ -81,37 +73,31 @@ class CoefficientSet:
     c_tt: np.ndarray
 
 
-def _coefficients(s, t, d, fp, gp) -> CoefficientSet:
-    """The five C's from f's partials at (s, t) (fp) and at (t, s) (gp), both
-    in slot order, using h(s,t) = -f(t,s) so that every h partial is a
-    mirrored f partial.  Works on arrays and on expression DAGs alike."""
-    f, fs, ft, fss, fst, ftt = fp
-    g, gs, gt, gss, gst, gtt = gp
-    # h_s = -g_t, h_t = -g_s, h_ss = -g_tt, h_st = -g_st, h_tt = -g_ss
-    return CoefficientSet(
-        c_s=fss + ftt + d / s * fs + d / t * ft + d / s**2 * f,
-        c_t=-(gss + gtt + d / s * gt + d / t * gs + d / t**2 * g),
-        c_ss=2.0 * fs,
-        c_st=2.0 * ft - 2.0 * gt,
-        c_tt=-2.0 * gs)
+def candidate_expressions(cand: CandidateParams) -> dict:
+    """f, h and the five C's as expression DAGs in the variables s and t.
+
+    h(s,t) = -f(t,s), so every h partial is a mirrored f partial:
+    h_s = -g_t, h_t = -g_s, h_ss = -g_tt, h_st = -g_st, h_tt = -g_ss with
+    g = f(t, s) and its partials in slot order.
+    """
+    s, t, d = ExprNode.var("s"), ExprNode.var("t"), cand.m - 1
+    f, fs, ft, fss, _, ftt = _f_dags(cand, "s", "t")
+    g, gs, gt, gss, _, gtt = _f_dags(cand, "t", "s")
+    return {"f": f, "h": -g,
+            "c_s": fss + ftt + d / s * fs + d / t * ft + d / s**2 * f,
+            "c_t": -(gss + gtt + d / s * gt + d / t * gs + d / t**2 * g),
+            "c_ss": 2.0 * fs,
+            "c_st": 2.0 * ft - 2.0 * gt,
+            "c_tt": -2.0 * gs}
 
 
 def coefficient_set(s, t, cand: CandidateParams) -> CoefficientSet:
-    """All five C coefficients at (s, t) from the jet partials."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return _coefficients(s, t, cand.m - 1, f_partials(s, t, cand),
-                         f_partials(t, s, cand))
-
-
-def candidate_expressions(cand: CandidateParams) -> dict:
-    """f, h and the five C's as expression DAGs in the variables s and t,
-    for the interval proofs."""
-    fp = _f_dags(cand, "s", "t")
-    gp = _f_dags(cand, "t", "s")  # f(t, s), partials in slot order
-    cs = _coefficients(ExprNode.var("s"), ExprNode.var("t"), cand.m - 1,
-                       fp, gp)
-    return {"f": fp[0], "h": -gp[0], **vars(cs)}
+    """All five C coefficients at (s, t): one Tape of the C DAGs the proofs
+    bound, run over float arrays."""
+    cat = candidate_expressions(cand)
+    tape = Tape([cat[c.name] for c in fields(CoefficientSet)])
+    env = {"s": np.asarray(s, dtype=float), "t": np.asarray(t, dtype=float)}
+    return CoefficientSet(*tape.run(env))
 
 
 def l_phi0_summand(s, t, u_value, cand: CandidateParams):
@@ -201,26 +187,15 @@ def lambda_coeff(s, t, cand: CandidateParams):
     return (cand.n - 2) / 4.0 * (1.0 / t - 1.0 / s)
 
 
-def t_ratio(s, t, r, cand: CandidateParams):
+def t_ratio(cs: CoefficientSet, r):
     """T(r) = (1-r) C_ss / (C_s + (1-r) max(C_st - C_ss, 0) - r C_t).
 
     Returns (value, ok); ok is False where the denominator is >= 0, in which
     case the ratio is reported as nan rather than clamped.
     """
-    cs = coefficient_set(s, t, cand)
     r = np.asarray(r, dtype=float)
     denom = cs.c_s + (1.0 - r) * np.maximum(cs.c_st - cs.c_ss, 0.0) - r * cs.c_t
     ok = denom < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.where(ok, (1.0 - r) * cs.c_ss / np.where(ok, denom, 1.0), np.nan)
     return val, ok
-
-
-def ct_over_cs(s, t, cand: CandidateParams):
-    cs = coefficient_set(s, t, cand)
-    return cs.c_t / cs.c_s
-
-
-def css_over_gap(s, t, cand: CandidateParams):
-    cs = coefficient_set(s, t, cand)
-    return cs.c_ss / (cs.c_st - cs.c_tt)

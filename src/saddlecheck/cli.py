@@ -2,7 +2,7 @@
 
 Run settings come from command-line flags only.  Exit status is 0 iff every
 requested verification passed; the last stdout line is always
-machine-parseable:
+machine-parseable (usage errors included; --help prints only the help):
 
     RESULT <pass|fail> stages=<csv> failures=<k>
 """
@@ -217,7 +217,14 @@ _COMMAND_STAGES = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if not exc.code:                # --help
+            raise
+        # argparse has printed the usage error on stderr
+        print("RESULT fail stages= failures=1")
+        return 2
     try:
         cfg = resolve_config(args)
         if args.command in _COMMAND_STAGES:

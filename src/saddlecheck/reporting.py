@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from saddlecheck.candidate import (coefficient_set, css_over_gap, ct_over_cs,
-                                   l_phi, lambda_coeff, region_classify,
-                                   REGION_E1, REGION_E3, t_ratio)
+from saddlecheck.candidate import (coefficient_set, l_phi, lambda_coeff,
+                                   region_classify, REGION_E1, REGION_E3,
+                                   t_ratio)
 from saddlecheck.checks import CheckReport
 from saddlecheck.params import CandidateParams
 from saddlecheck.solver import SaddleSolution
@@ -235,13 +235,13 @@ def export_signmaps(sol: SaddleSolution, cand: CandidateParams,
     region = region_classify(S, T)
     s_safe = np.where(tri, S, 2.0)
     t_safe = np.where(tri, T, 1.0)
+    cs = coefficient_set(s_safe, t_safe, cand)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_ts = np.where(tri, ct_over_cs(s_safe, t_safe, cand), np.nan)
-        ratio_gap = np.where(tri, css_over_gap(s_safe, t_safe, cand), np.nan)
+        ratio_ts = np.where(tri, cs.c_t / cs.c_s, np.nan)
+        ratio_gap = np.where(tri, cs.c_ss / (cs.c_st - cs.c_tt), np.nan)
         lam = lambda_coeff(s_safe, t_safe, cand)
         r = np.clip(1.0 - lam, 0.0, 1.0 - 1e-9)
-        tval, tok = t_ratio(s_safe, t_safe, r, cand)
-    c_tt = coefficient_set(s_safe, t_safe, cand).c_tt
+        tval, tok = t_ratio(cs, r)
     paths = [
         svg_heatmap(ratio_ts, tri & np.isfinite(ratio_ts),
                     "C_t / C_s", outdir / "map-ct-over-cs.svg", 0.0, 2.0),
@@ -254,7 +254,7 @@ def export_signmaps(sol: SaddleSolution, cand: CandidateParams,
                      "L Phi on inner wedge", outdir / "map-lphi-e1.svg"),
         svg_sign_map(lphi, lmask & (region == REGION_E3),
                      "L Phi on small-t strip", outdir / "map-lphi-e3.svg"),
-        svg_sign_map(np.where(tri, c_tt, 0.0), tri,
+        svg_sign_map(np.where(tri, cs.c_tt, 0.0), tri,
                      "sign of C_tt", outdir / "map-ctt-sign.svg"),
     ]
     return paths

@@ -681,16 +681,13 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
     while queue:
         boxes, depth = queue.pop()
         if len(boxes) > chunk:
-            queue.append((boxes[chunk:], depth[chunk:]))
+            # a copy, not a view: a queued view would pin its whole parent
+            queue.append((boxes[chunk:].copy(), depth[chunk:].copy()))
             boxes, depth = boxes[:chunk], depth[:chunk]
         examined += len(boxes)
         if examined > max_boxes:
-            # the frontier is this batch, then the queue; copying each
-            # chunk view as it leaves the queue frees its parent array
-            queue.insert(0, (boxes, depth))
-            del boxes, depth
-            while queue:
-                stuck.append(queue.pop(0)[0].copy())
+            # the frontier is this batch, then the queue
+            stuck += [boxes.copy()] + [b for b, _ in queue]
             break
         live = np.broadcast_to(upper_bound(boxes) > -margin, len(boxes))
         boxes, depth = boxes[live], depth[live]

@@ -2,22 +2,26 @@
 
 Nothing here runs in `saddlecheck run` or `plot`.  Each function is a
 second, independent route to a quantity the program computes another way
-(the subsolution defect in 60-digit arithmetic, a dense eigensolve, a
-Rayleigh quotient), a closed form the discretization must reproduce (the
-sine-Gordon saddle, the indicial roots), or a reader for what the program
-writes.  mpmath is a test-only dependency and is imported only here.
+(the subsolution defect in 60-digit arithmetic, forward-mode jets of the
+candidate profile against the program's symbolic partials, the kernel rho by
+adaptive quadrature, a dense eigensolve, a Rayleigh quotient), a closed form
+the discretization must reproduce (the sine-Gordon saddle, the indicial
+roots), or a reader for what the program writes.  mpmath is a test-only
+dependency and is imported only here.
 """
 
 import csv
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 import scipy.linalg
 
+from saddlecheck.candidate import CoefficientSet, f_generic
 from saddlecheck.grid import build_grid
-from saddlecheck.params import SQRT2, st_to_yz
-from saddlecheck.scalars import _rho_generic
+from saddlecheck.params import CandidateParams, SQRT2, st_to_yz
+from saddlecheck.scalars import heteroclinic
 from saddlecheck.solver import weighted_form
 
 
@@ -43,6 +47,185 @@ def subsolution_defect(a, y, z, d):
 
     out = np.vectorize(point, otypes=[float])(a, y, z, d)
     return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class Jet2:
+    """Forward-mode second-order jet in two variables (s, t): a value and
+    its first and second partials.  numpy's object ufuncs call the
+    tanh/exp/sqrt methods, so np.tanh(jet) is a jet."""
+    v: np.ndarray
+    ds: np.ndarray
+    dt: np.ndarray
+    dss: np.ndarray
+    dst: np.ndarray
+    dtt: np.ndarray
+
+    @staticmethod
+    def variable_s(s, t):
+        s = np.asarray(s, dtype=float)
+        z = np.zeros_like(s)
+        return Jet2(s, np.ones_like(s), z, z, z, z)
+
+    @staticmethod
+    def variable_t(s, t):
+        t = np.asarray(t, dtype=float)
+        z = np.zeros_like(t)
+        return Jet2(t, z, np.ones_like(t), z, z, z)
+
+    @staticmethod
+    def constant(c, like):
+        z = np.zeros_like(like.v)
+        return Jet2(np.full_like(like.v, c), z, z, z, z, z)
+
+    def _lift(self, other):
+        if isinstance(other, Jet2):
+            return other
+        return Jet2.constant(float(other), self)
+
+    def _unary(self, g, g1, g2):
+        """Compose an elementwise map with value g, derivative g1, second
+        derivative g2 (all evaluated at self.v) onto this jet."""
+        return Jet2(g, g1 * self.ds, g1 * self.dt,
+                    g2 * self.ds**2 + g1 * self.dss,
+                    g2 * self.ds * self.dt + g1 * self.dst,
+                    g2 * self.dt**2 + g1 * self.dtt)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return Jet2(self.v + o.v, self.ds + o.ds, self.dt + o.dt,
+                    self.dss + o.dss, self.dst + o.dst, self.dtt + o.dtt)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet2(-self.v, -self.ds, -self.dt, -self.dss, -self.dst, -self.dtt)
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return Jet2(
+            self.v * o.v,
+            self.ds * o.v + self.v * o.ds,
+            self.dt * o.v + self.v * o.dt,
+            self.dss * o.v + 2.0 * self.ds * o.ds + self.v * o.dss,
+            self.dst * o.v + self.ds * o.dt + self.dt * o.ds + self.v * o.dst,
+            self.dtt * o.v + 2.0 * self.dt * o.dt + self.v * o.dtt,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        return self * o._unary(1.0 / o.v, -1.0 / o.v**2, 2.0 / o.v**3)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __pow__(self, p):
+        p = float(p)
+        return self._unary(self.v**p, p * self.v**(p - 1.0),
+                           p * (p - 1.0) * self.v**(p - 2.0))
+
+    def tanh(self):
+        v = np.tanh(self.v)
+        sech2 = 1.0 - v**2
+        return self._unary(v, sech2, -2.0 * v * sech2)
+
+    def exp(self):
+        v = np.exp(self.v)
+        return self._unary(v, v, v)
+
+    def sqrt(self):
+        v = np.sqrt(self.v)
+        return self._unary(v, 0.5 / v, -0.25 / v**3)
+
+
+def f_partials(s, t, cand: CandidateParams):
+    """(f, f_s, f_t, f_ss, f_st, f_tt) at (s, t) by forward-mode jets
+    through candidate.f_generic."""
+    j = f_generic(Jet2.variable_s(s, t), Jet2.variable_t(s, t), cand)
+    return (j.v, j.ds, j.dt, j.dss, j.dst, j.dtt)
+
+
+def jet_coefficients(s, t, cand: CandidateParams) -> CoefficientSet:
+    """The five C coefficients at (s, t) from the jet partials of f and of
+    h(s,t) = -f(t,s):  C_s = Delta_m f + ((m-1)/s^2) f, C_t its mirror in h,
+    C_ss = 2 f_s, C_st = 2 f_t + 2 h_s, C_tt = 2 h_t."""
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    d = cand.m - 1
+    f, fs, ft, fss, _, ftt = f_partials(s, t, cand)
+    g, gs, gt, gss, _, gtt = f_partials(t, s, cand)    # f(t, s), slot order
+    h, h_s, h_t, h_ss, h_tt = -g, -gt, -gs, -gtt, -gss
+    return CoefficientSet(
+        c_s=fss + ftt + d / s * fs + d / t * ft + d / s**2 * f,
+        c_t=h_ss + h_tt + d / s * h_s + d / t * h_t + d / t**2 * h,
+        c_ss=2.0 * fs,
+        c_st=2.0 * ft + 2.0 * h_s,
+        c_tt=2.0 * h_t)
+
+
+def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Adaptive Simpson quadrature of f on [a, b] to absolute tolerance tol."""
+
+    def _recurse(x0, x2, f0, f1, f2, whole, eps, depth):
+        x1l = 0.5 * (x0 + 0.5 * (x0 + x2))
+        x1r = 0.5 * (0.5 * (x0 + x2) + x2)
+        fl = float(f(x1l))
+        fr = float(f(x1r))
+        hq = (x2 - x0) / 12.0
+        left = hq * (f0 + 4.0 * fl + f1)
+        right = hq * (f1 + 4.0 * fr + f2)
+        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return _recurse(x0, 0.5 * (x0 + x2), f0, fl, f1, left, eps / 2.0, depth - 1) + _recurse(
+            0.5 * (x0 + x2), x2, f1, fr, f2, right, eps / 2.0, depth - 1
+        )
+
+    if b <= a:
+        return 0.0
+    m = 0.5 * (a + b)
+    f0, f1, f2 = float(f(a)), float(f(m)), float(f(b))
+    whole = (b - a) / 6.0 * (f0 + 4.0 * f1 + f2)
+    return _recurse(a, b, f0, f1, f2, whole, tol, 48)
+
+
+def _rho_generic(z, integrand):
+    """H'(z) * int_0^z integrand, by one cumulative adaptive-Simpson sweep
+    over the distinct arguments (grids repeat values)."""
+    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.any(z_arr < 0.0):
+        raise ValueError("defined for z >= 0 only")
+    uniq, inverse = np.unique(z_arr.ravel(), return_inverse=True)
+    integrals = np.empty_like(uniq)
+    acc = 0.0
+    prev = 0.0
+    for k, zk in enumerate(uniq):
+        if zk > prev:
+            acc += _adaptive_simpson(integrand, prev, float(zk))
+            prev = float(zk)
+        integrals[k] = acc
+    out = integrals[inverse].reshape(z_arr.shape)
+    out = out * np.asarray(heteroclinic(z_arr, 1))
+    return out.reshape(np.asarray(z).shape) if np.asarray(z).ndim else float(out[0])
+
+
+def _rho_integrand(sigma):
+    """Outer integrand of rho: (int_sigma^inf H'^2) / H'(sigma)^2 in the
+    cancellation-free form sqrt(2)(2+T)/(3(1+T)^2), T = tanh(sigma/sqrt(2))."""
+    t = np.tanh(np.asarray(sigma, dtype=float) / SQRT2)
+    return SQRT2 * (2.0 + t) / (3.0 * (1.0 + t) ** 2)
+
+
+def rho_quadrature(z):
+    """scalars.rho by adaptive quadrature of its outer integrand."""
+    return _rho_generic(z, _rho_integrand)
 
 
 def _rho1_integrand(sigma):

@@ -4,13 +4,11 @@ region diagnostics."""
 import numpy as np
 import pytest
 
-from oracles import indicial_roots
+from oracles import f_partials, indicial_roots, jet_coefficients
 from saddlecheck.candidate import (REGION_E1, REGION_E2, REGION_E3, _f_dags,
-                                   candidate_expressions, coefficient_set,
-                                   css_over_gap, ct_over_cs, f_generic,
-                                   f_partials, l_phi, l_phi0, l_phi0_summand,
-                                   lambda_coeff, phi_field, region_classify,
-                                   t_ratio)
+                                   coefficient_set, f_generic, l_phi, l_phi0,
+                                   l_phi0_summand, lambda_coeff, phi_field,
+                                   region_classify, t_ratio)
 from saddlecheck.params import CandidateParams
 from saddlecheck.rigor import Tape
 
@@ -57,8 +55,8 @@ def test_profile_signs():
 
 
 def test_partials_two_routes_agree():
-    # the symbolic DAG partials of the proofs, evaluated over floats,
-    # against the forward-mode jets of the grid values
+    # the symbolic DAG partials of the program, evaluated over floats,
+    # against the forward-mode jets of the oracle
     s, t = _omega_samples(200)
     sym = Tape(_f_dags(N8, "s", "t")).run({"s": s, "t": t})
     jet = f_partials(s, t, N8)
@@ -144,17 +142,17 @@ def test_phi_positive_and_symmetric(sol_m4_coarse):
 
 
 def test_l_phi_routes_and_symmetry(sol_m4_coarse):
-    # L Phi from the catalogue's C DAGs over floats against l_phi (jets)
+    # l_phi (the tape of the catalogue's C DAGs) against L Phi from the C's
+    # of the forward-mode jet oracle
     sol = sol_m4_coarse
-    lp_jet, mask = l_phi(sol, N8)
+    lp_sym, mask = l_phi(sol, N8)
     S, T = sol.grid.meshgrid()
     s, t = S[mask], T[mask]
-    cat = candidate_expressions(N8)
-    c = dict(zip(cat, Tape(list(cat.values())).run({"s": s, "t": t})))
-    lp_sym = (c["c_s"] * sol.u_s[mask] + c["c_t"] * sol.u_t[mask]
-              + c["c_ss"] * sol.u_ss[mask] + c["c_st"] * sol.u_st[mask]
-              + c["c_tt"] * sol.u_tt[mask] + l_phi0(s, t, sol.u[mask], N8))
-    assert np.max(np.abs(lp_sym - lp_jet[mask])) < 1e-10
+    c = jet_coefficients(s, t, N8)
+    lp_jet = (c.c_s * sol.u_s[mask] + c.c_t * sol.u_t[mask]
+              + c.c_ss * sol.u_ss[mask] + c.c_st * sol.u_st[mask]
+              + c.c_tt * sol.u_tt[mask] + l_phi0(s, t, sol.u[mask], N8))
+    assert np.max(np.abs(lp_sym[mask] - lp_jet)) < 1e-10
 
 
 def test_l_phi_dimension_guard(sol_m1):
@@ -175,8 +173,8 @@ def test_ct_over_cs_bound():
     # below 0.9 on the stated wedge s/10 < t < s
     s = RNG.uniform(0.5, 18.0, 4000)
     t = s * RNG.uniform(0.11, 0.98, 4000)
-    ratio = ct_over_cs(s, t, N8)
-    assert np.max(ratio) < 0.9
+    cs = coefficient_set(s, t, N8)
+    assert np.max(cs.c_t / cs.c_s) < 0.9
 
 
 def test_t_ratio_on_e1():
@@ -184,21 +182,22 @@ def test_t_ratio_on_e1():
     t = s * RNG.uniform(0.66, 0.99, 2000)
     keep = t > 0.5
     s, t = s[keep], t[keep]
+    cs = coefficient_set(s, t, N8)
     lam = lambda_coeff(s, t, N8)
     # denominator stays negative and T stays positive over the whole r range
     for r in (np.clip(1.0 - lam, 0.0, 1.0 - 1e-9), 1.0 - 1e-3):
-        val, ok = t_ratio(s, t, np.broadcast_to(r, s.shape), N8)
+        val, ok = t_ratio(cs, np.broadcast_to(r, s.shape))
         assert np.all(ok)
         assert np.all(val > 0.0)
     # at the left endpoint r = 1 - lambda the ratio is below 1 except in a
     # narrow near-diagonal band, where the overshoot is bounded (< 1.3)
-    val, _ = t_ratio(s, t, np.clip(1.0 - lam, 0.0, 1.0 - 1e-9), N8)
+    val, _ = t_ratio(cs, np.clip(1.0 - lam, 0.0, 1.0 - 1e-9))
     over = val >= 1.0
     assert np.all(t[over] / s[over] > 0.88)
     assert np.all(s[over] > 3.0)
     assert np.max(val) < 1.3
     # at r near 1 the ratio is strictly inside (0, 1) everywhere on E1
-    val, _ = t_ratio(s, t, np.full_like(s, 1.0 - 1e-3), N8)
+    val, _ = t_ratio(cs, np.full_like(s, 1.0 - 1e-3))
     assert np.all(val < 1.0)
 
 
@@ -208,7 +207,9 @@ def test_css_over_gap_below_one_on_e1():
     s = RNG.uniform(1.0, 18.0, 4000)
     t = s * RNG.uniform(0.66, 0.99, 4000)
     keep = t > 0.5
-    assert np.max(css_over_gap(s[keep], t[keep], N8)) < 1.0
+    cs = coefficient_set(s[keep], t[keep], N8)
+    assert np.max(cs.c_ss / (cs.c_st - cs.c_tt)) < 1.0
     s2 = RNG.uniform(0.5, 18.0, 4000)
     t2 = s2 * RNG.uniform(0.11, 0.98, 4000)
-    assert np.max(css_over_gap(s2, t2, N8)) < 1.1
+    cs = coefficient_set(s2, t2, N8)
+    assert np.max(cs.c_ss / (cs.c_st - cs.c_tt)) < 1.1

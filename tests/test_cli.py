@@ -44,6 +44,26 @@ def test_removed_settings_are_usage_errors(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--tol", "1e-3"],
+    ["run", "--bogus"],
+    ["nonsense"],
+], ids=["removed-flag", "unknown-flag", "unknown-subcommand"])
+def test_usage_error_ends_with_result_line(argv, capsys):
+    # the usage goes to stderr, the RESULT line still ends stdout
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
+
+
+def test_help_exits_zero_without_result_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "RESULT" not in capsys.readouterr().out
+
+
 def test_verify_command_passes(capsys):
     rc = main(["verify"] + M_ARGS)
     assert rc == 0

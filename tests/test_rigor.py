@@ -4,8 +4,7 @@ differentiation, and the branch-and-bound nonpositivity prover."""
 import numpy as np
 import pytest
 
-from oracles import subsolution_defect
-from saddlecheck.candidate import coefficient_set
+from oracles import jet_coefficients, subsolution_defect
 from saddlecheck.params import CandidateParams
 from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, Tape,
                                _down, _up, builtin_expressions, claims,
@@ -52,7 +51,7 @@ def test_catalog_size_and_point_agreement():
     for key in ("f", "h", "c_s", "c_t", "c_ss", "c_st", "c_tt",
                 "defect_gap"):
         assert key in cat
-    cs = coefficient_set(2.0, 1.0, CandidateParams(n=8))
+    cs = jet_coefficients(2.0, 1.0, CandidateParams(n=8))
     env = {"s": 2.0, "t": 1.0}
     for key, want in (("c_s", cs.c_s), ("c_t", cs.c_t), ("c_ss", cs.c_ss),
                       ("c_st", cs.c_st), ("c_tt", cs.c_tt)):
@@ -217,13 +216,13 @@ def test_interval_division_by_zero_flags_bad():
 
 @pytest.mark.parametrize("n", [8, 10, 12])
 def test_catalog_matches_jet_coefficients(n):
-    # the catalog's DAG partials (proofs) and the jets (grid values) are two
-    # independent derivative routes through the one formula f_generic
+    # the catalog's DAG partials (program) and the oracle's forward-mode jets
+    # are two independent derivative routes through the one formula f_generic
     rng = np.random.default_rng(n)
     t = rng.uniform(0.2, 20.0, 2000)
     s = t + rng.uniform(1e-3, 20.0, 2000)
     cat = builtin_expressions(n)
-    cs = coefficient_set(s, t, CandidateParams(n=n))
+    cs = jet_coefficients(s, t, CandidateParams(n=n))
     for key in ("c_s", "c_t", "c_ss", "c_st", "c_tt"):
         want = getattr(cs, key)
         got = cat[key].evaluate({"s": s, "t": t})

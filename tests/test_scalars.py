@@ -4,7 +4,7 @@ auxiliary ODE solutions, coordinate maps."""
 import numpy as np
 import pytest
 
-from oracles import rho1, subsolution_defect
+from oracles import rho1, rho_quadrature, subsolution_defect
 from saddlecheck.params import SQRT2, st_to_yz
 from saddlecheck.scalars import (double_well, g_profile, heteroclinic,
                                  hh_supersolution, rho)
@@ -85,6 +85,16 @@ def test_rho_at_zero_and_slope():
     eps = 1e-6
     slope = (rho(eps) - rho(0.0)) / eps
     assert slope == pytest.approx(2.0 / 3.0, abs=1e-5)
+
+
+def test_rho_closed_form_matches_quadrature():
+    # the closed form against adaptive Simpson quadrature of its outer
+    # integrand on [0, 30] (measured: 2.2e-16 absolute)
+    z = np.concatenate([[0.0, 1e-8], np.linspace(0.0, 30.0, 3001)[1:]])
+    assert np.max(np.abs(rho(z) - rho_quadrature(z))) < 1e-13
+    assert rho(2.5) == pytest.approx(rho_quadrature(2.5), abs=1e-13)
+    with pytest.raises(ValueError):
+        rho(-1e-3)
 
 
 @pytest.mark.parametrize("which,forcing", [
