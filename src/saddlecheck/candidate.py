@@ -136,16 +136,29 @@ def phi_field(sol, cand: CandidateParams):
     return np.where(mask, out, 0.0), mask
 
 
+def wedge_nodes(grid):
+    """(s, t, mask) on the full quadrant: mask marks the nodes 0 < t < s,
+    the outer edge included; s and t are the node coordinates there and
+    (2, 1) elsewhere, where every coefficient is finite."""
+    S, T = grid.meshgrid()
+    mask = grid.mask_triangle & (S > T) & (T > 0)
+    return np.where(mask, S, 2.0), np.where(mask, T, 1.0), mask
+
+
 def l_phi(sol, cand: CandidateParams):
     """L Phi assembled from the coefficient identity at interior nodes.
+    Returns (field, mask)."""
+    s, t, _ = wedge_nodes(sol.grid)
+    return l_phi_from(sol, cand, coefficient_set(s, t, cand))
+
+
+def l_phi_from(sol, cand: CandidateParams, cs: CoefficientSet):
+    """l_phi from the coefficient set cs, evaluated at wedge_nodes(grid).
     Returns (field, mask)."""
     _require_match(sol, cand)
     grid = sol.grid
     mask = grid.kind == NODE_INTERIOR
-    S, T = grid.meshgrid()
-    s = np.where(mask, S, 2.0)
-    t = np.where(mask, T, 1.0)
-    cs = coefficient_set(s, t, cand)
+    s, t, _ = wedge_nodes(grid)
     out = (cs.c_s * sol.u_s + cs.c_t * sol.u_t + cs.c_ss * sol.u_ss
            + cs.c_st * sol.u_st + cs.c_tt * sol.u_tt
            + l_phi0(s, t, sol.u, cand))

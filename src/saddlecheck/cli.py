@@ -143,7 +143,8 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
 
 
 def _newton_summary(sol: SaddleSolution) -> str:
-    """'2 Newton iters, started from h=0.1 (2) and h=0.2 (6)'."""
+    """'3 Newton iters, started from h=0.1 (3) and h=0.2 (11)': steps per
+    level, Newton and chord steps alike."""
     text = f"{sol.newton_iters} Newton iters"
     if sol.coarse_iters:
         *finer, coarsest = [f"h={h:g} ({iters})"
@@ -154,10 +155,16 @@ def _newton_summary(sol: SaddleSolution) -> str:
 
 
 def run_rigor(cfg: RunConfig) -> list[dict]:
-    """Interval proofs of the claims in rigor.claims(n), in table order."""
+    """Interval proofs of the claims in rigor.claims(n), in table order; a
+    defect entry also names the upper end a_max of its a-range."""
     cat = builtin_expressions(cfg.n)
-    return [proof_to_dict(prove_nonpositive(cat[key], **kwargs), label)
-            for label, key, kwargs in claims(cfg.n)]
+    proofs = []
+    for label, key, kwargs in claims(cfg.n):
+        entry = proof_to_dict(prove_nonpositive(cat[key], **kwargs), label)
+        if key == "defect_gap":
+            entry["a_max"] = kwargs["box"][kwargs["names"].index("a")][1]
+        proofs.append(entry)
+    return proofs
 
 
 def _config_echo(cfg: RunConfig) -> dict:

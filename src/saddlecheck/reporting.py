@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from saddlecheck.candidate import (coefficient_set, l_phi, lambda_coeff,
-                                   region_classify, REGION_E1, REGION_E3,
-                                   t_ratio)
+from saddlecheck.candidate import (coefficient_set, l_phi_from,
+                                   lambda_coeff, region_classify, REGION_E1,
+                                   REGION_E3, t_ratio, wedge_nodes)
 from saddlecheck.checks import CheckReport
 from saddlecheck.params import CandidateParams
 from saddlecheck.solver import SaddleSolution
@@ -228,14 +228,10 @@ def export_signmaps(sol: SaddleSolution, cand: CandidateParams,
     coefficient ratios, the directional-convexity ratio T, the operator
     value on the inner wedge and on the small-t strip, and the C_tt sign."""
     outdir = Path(outdir)
-    grid = sol.grid
-    S, T = grid.meshgrid()
-    tri = grid.mask_triangle & (S > T) & (S > 0) & (T > 0)
-    lphi, lmask = l_phi(sol, cand)
-    region = region_classify(S, T)
-    s_safe = np.where(tri, S, 2.0)
-    t_safe = np.where(tri, T, 1.0)
+    s_safe, t_safe, tri = wedge_nodes(sol.grid)
     cs = coefficient_set(s_safe, t_safe, cand)
+    lphi, lmask = l_phi_from(sol, cand, cs)
+    region = region_classify(*sol.grid.meshgrid())
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_ts = np.where(tri, cs.c_t / cs.c_s, np.nan)
         ratio_gap = np.where(tri, cs.c_ss / (cs.c_st - cs.c_tt), np.nan)

@@ -548,18 +548,24 @@ class HalfPlane:
     delta: float = 0.0
 
 
+# Upper end of the defect claim's a-range for each dimension n.  At n = 12
+# (d = 5) the defect turns positive between a = 0.43 and 0.435: it is
+# +1.6e-3 at (a, u, z) = (0.45, 0.014, 0.28).
+DEFECT_A_MAX = {8: 0.45, 10: 0.45, 12: 0.42}
+
+
 def claims(n: int) -> list[tuple[str, str, dict]]:
     """The interval claims proven for dimension n, in report order, as rows
     (label, key into builtin_expressions(n), keyword arguments of
     prove_nonpositive).
 
-    The defect is proven in gap coordinates with d = m - 1 fixed and the
-    single-occurrence a frozen; the coefficient claims (n = 8 only) on the
-    wedge s >= t + 0.05.
+    The defect is proven in gap coordinates for a in [0.01, DEFECT_A_MAX[n]],
+    with d = m - 1 fixed and the single-occurrence a frozen; the coefficient
+    claims (n = 8 only) on the wedge s >= t + 0.05.
     """
     rows = [("defect<=0", "defect_gap",
              {"names": ["a", "u", "z"],
-              "box": [[0.01, 0.45], [0.01, 11.99], [0.01, 12.0]],
+              "box": [[0.01, DEFECT_A_MAX[n]], [0.01, 11.99], [0.01, 12.0]],
               "fixed": {"d": n / 2 - 1}, "frozen_dims": ("a",),
               "min_width": 1e-6})]
     if n == 8:

@@ -9,10 +9,12 @@ closed triangle.  The s <-> t mirror splits its full-quadrant form into an
 odd sector (zero on the cone), which this Newton solve uses, and an even
 sector, which spectral uses for the stability pencil.  Newton starts from
 the field solved at 2h, prolonged bilinearly, and recurses down to the
-coarsest grid build_grid allows; each step is one sparse LU of the symmetric
-Jacobian in the minimum-degree ordering LU_ORDERING.  The solved field is
-odd-reflected onto the full quadrant and all first and second derivative
-fields are produced with second-order stencils.
+coarsest grid build_grid allows.  A Newton step factors the symmetric
+Jacobian with one sparse LU in the minimum-degree ordering LU_ORDERING; the
+steps after it reuse that LU as chord steps while the residual contracts,
+so a refined level factors once.  The solved field is odd-reflected onto
+the full quadrant and all first and second derivative fields are produced
+with second-order stencils.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ MAX_NEWTON_ITERS = 40
 DAMPING_HALVINGS = 30
 NEWTON_TOL = 1e-10                     # max-norm of the discrete residual
 LINEAR_TOL = 1e-10                     # relative residual of the inner solve
+# A chord step (a full step on the last LU) is kept only if it cuts the
+# max-norm residual at least this much; Kelley, SIAM 2003, ch. 5.
+CHORD_CONTRACTION = 0.1
 # Both sparse LUs (the Newton J here, K - sigma B in spectral) factor
 # symmetric matrices: minimum degree on A^T + A keeps their fill low.
 LU_ORDERING = "MMD_AT_PLUS_A"
@@ -45,10 +50,10 @@ class SaddleSolution:
     All arrays are (N+1, N+1), indexed [i, j] = (s = i*h, t = j*h).  The
     field u is odd under (s,t) <-> (t,s) by construction; derivative fields
     are second-order accurate except within 2h of the outer boundary, where
-    one-sided stencils are used.  newton_iters counts the Newton iterations
-    on this grid; coarse_iters lists (h, iterations) of each coarser level
-    that produced the start field, finest first (empty for a cold start or
-    a field loaded from the cache).
+    one-sided stencils are used.  newton_iters counts the steps taken on
+    this grid, Newton and chord steps alike; coarse_iters lists (h, steps)
+    of each coarser level that produced the start field, finest first
+    (empty for a cold start or a field loaded from the cache).
     """
 
     params: DimensionParams
@@ -180,11 +185,15 @@ def _prolong(Uc: np.ndarray) -> np.ndarray:
 
 
 def _newton(params: DimensionParams, grid: Grid, U: np.ndarray):
-    """Damped Newton from the full-quadrant iterate U; returns
-    (U, residual norm, iterations).
+    """Newton from the full-quadrant iterate U, with chord steps on a frozen
+    LU; returns (U, residual norm, steps).
 
-    Each step solves the symmetric system (K_uu + diag(V (3u^2 - 1))) delta
-    = -V res on the unknowns with one sparse LU in LU_ORDERING.
+    A Newton step solves the symmetric system (K_uu + diag(V (3u^2 - 1)))
+    delta = -V res on the unknowns with one sparse LU in LU_ORDERING and is
+    damped until the residual drops.  Each later iterate first tries a full
+    step on that LU (a chord step) and keeps it if the max-norm residual
+    falls by CHORD_CONTRACTION; otherwise the step is discarded, the LU is
+    released, and a Newton step from a fresh LU at the same iterate follows.
     """
     ii, jj = grid.ii, grid.jj
     K, V = weighted_form(params.m, grid)
@@ -192,37 +201,53 @@ def _newton(params: DimensionParams, grid: Grid, U: np.ndarray):
     K_uu = K[flat][:, flat]
     vol = V[ii, jj]
 
+    def trial(delta, lam):
+        Utry = U.copy()
+        Utry[ii, jj] = U[ii, jj] + lam * delta
+        Utry = impose_boundary(Utry, grid)
+        res_try = _residual(K, V, Utry, grid)
+        return Utry, res_try, float(np.abs(res_try).max())
+
     res = _residual(K, V, U, grid)
     norm = float(np.abs(res).max())
+    J = lu = None
     iters = 0
     while norm > NEWTON_TOL:
         if iters >= MAX_NEWTON_ITERS:
             raise NewtonError(
                 f"no convergence after {iters} iterations; last residual {norm:.3e}"
             )
-        u_vec = U[ii, jj]
-        J = (K_uu + sp.diags(vol * (3.0 * u_vec**2 - 1.0))).tocsc()
         rhs = -vol * res
-        delta = spla.splu(J, permc_spec=LU_ORDERING).solve(rhs)
-        lin_res = float(np.linalg.norm(J @ delta - rhs) / max(np.linalg.norm(rhs), 1e-300))
-        if lin_res > LINEAR_TOL:
-            raise NewtonError(f"inner linear solve stalled (relative residual {lin_res:.3e})")
-
-        lam = 1.0
-        for _ in range(DAMPING_HALVINGS + 1):
-            Utry = U.copy()
-            Utry[ii, jj] = u_vec + lam * delta
-            Utry = impose_boundary(Utry, grid)
-            res_try = _residual(K, V, Utry, grid)
-            norm_try = float(np.abs(res_try).max())
-            if norm_try < norm or norm <= NEWTON_TOL:
-                break
-            lam *= 0.5
-        else:
-            raise NewtonError(f"line search failed at residual {norm:.3e}")
-        U, res, norm = Utry, res_try, norm_try
+        step = None
+        if lu is not None:
+            step = trial(_solve(J, lu, rhs), 1.0)
+            if step[2] > CHORD_CONTRACTION * norm:
+                step = None
+        if step is None:
+            J = lu = None                  # one LU alive at a time
+            J = (K_uu + sp.diags(vol * (3.0 * U[ii, jj]**2 - 1.0))).tocsc()
+            lu = spla.splu(J, permc_spec=LU_ORDERING)
+            delta = _solve(J, lu, rhs)
+            lam = 1.0
+            for _ in range(DAMPING_HALVINGS + 1):
+                step = trial(delta, lam)
+                if step[2] < norm:
+                    break
+                lam *= 0.5
+            else:
+                raise NewtonError(f"line search failed at residual {norm:.3e}")
+        U, res, norm = step
         iters += 1
     return U, norm, iters
+
+
+def _solve(J, lu, rhs: np.ndarray) -> np.ndarray:
+    """lu.solve(rhs), checked against the factored J to LINEAR_TOL."""
+    delta = lu.solve(rhs)
+    lin_res = float(np.linalg.norm(J @ delta - rhs) / max(np.linalg.norm(rhs), 1e-300))
+    if lin_res > LINEAR_TOL:
+        raise NewtonError(f"inner linear solve stalled (relative residual {lin_res:.3e})")
+    return delta
 
 
 # ---------------------------------------------------------------------------

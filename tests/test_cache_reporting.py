@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import import_csv
+from saddlecheck import rigor
 from saddlecheck.cache import (CACHE_ENV_VAR, CacheMismatch, _content_hash,
                                cache_dir, load_or_solve, load_solution,
                                save_solution, solution_key)
@@ -230,3 +231,18 @@ def test_export_signmaps_files(tmp_path, solved):
     first = {p.name: p.read_bytes() for p in paths}
     again = export_signmaps(sol, CandidateParams(n=8), tmp_path)
     assert {p.name: p.read_bytes() for p in again} == first
+
+
+def test_export_signmaps_runs_the_coefficient_tape_once(tmp_path, solved,
+                                                        monkeypatch):
+    # L Phi and the coefficient maps share one evaluation of the C's
+    runs = []
+    run = rigor.Tape.run
+
+    def counting(self, env):
+        runs.append(env)
+        return run(self, env)
+
+    monkeypatch.setattr(rigor.Tape, "run", counting)
+    export_signmaps(solved(M, R, H), CandidateParams(n=8), tmp_path)
+    assert len(runs) == 1

@@ -15,6 +15,7 @@ import saddlecheck
 from saddlecheck import cli
 from saddlecheck.cache import CACHE_ENV_VAR
 from saddlecheck.cli import RunConfig, build_parser, main, run_rigor
+from saddlecheck.rigor import DEFECT_A_MAX
 
 M_ARGS = ["--m", "4", "--R", "8", "--h", "0.2"]
 
@@ -185,10 +186,9 @@ _NO_FRONTIER = hashlib.sha256(b"").hexdigest()
                      ("c_ss<0", "proven", 1_059, 0),
                      ("c_st<0", "proven", 3_339, 0)], _NO_FRONTIER)),
     (5, (2_000_000, [("defect<=0", "proven", 346_425, 0)], _NO_FRONTIER)),
-    # the d = 5 defect claim is false near a = 0.45: a cut budget still
-    # pins every decision up to it and the frontier it leaves
-    (6, (300_000, [("defect<=0", "undecided", 365_147, 250_492)],
-         "df5b8c45bda7f0ee881eb2f2fe3da4c01d3e62dcfa42f9603667ad57c9c9f0d1")),
+    # the d = 5 defect turns positive between a = 0.43 and 0.435; the
+    # claim holds on a <= 0.42
+    (6, (2_000_000, [("defect<=0", "proven", 352_973, 0)], _NO_FRONTIER)),
 ])
 def test_rigor_decisions_pinned(m, expected, monkeypatch):
     # every box decision of the prover shows in the box count and the
@@ -200,5 +200,7 @@ def test_rigor_decisions_pinned(m, expected, monkeypatch):
     proofs = run_rigor(RunConfig(m=m))
     assert [(p["claim"], p["status"], p["boxes_examined"],
              p["undecided_boxes"]) for p in proofs] == rows
+    assert [p.get("a_max") for p in proofs] == \
+        [DEFECT_A_MAX[2 * m]] + [None] * (len(rows) - 1)
     frontier = b"".join(r.frontier.tobytes() for r in results)
     assert hashlib.sha256(frontier).hexdigest() == frontier_sha256

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import residual_yz_form, sine_gordon_saddle, weighted_residual
+from saddlecheck import solver
 from saddlecheck.grid import (NODE_AXIS, NODE_DIAGONAL, NODE_INTERIOR,
                               NODE_OUTER, NODE_OUTSIDE, build_grid)
 from saddlecheck.params import DimensionParams, st_to_yz
 from saddlecheck.scalars import hh_supersolution
-from saddlecheck.solver import (NEWTON_TOL, _newton, impose_boundary,
-                                initial_guess, newton_solve)
+from saddlecheck.solver import (MAX_NEWTON_ITERS, NEWTON_TOL, _newton,
+                                impose_boundary, initial_guess, newton_solve)
 
 
 def test_build_grid_validation():
@@ -138,3 +139,38 @@ def test_odd_grid_starts_cold():
     assert sol.coarse_iters == ()
     assert np.array_equal(sol.u, cold)
     assert (sol.residual_norm, sol.newton_iters) == (cold_norm, cold_iters)
+
+
+def _count_factorizations(monkeypatch) -> list:
+    """Wrap the solver's splu; returns the list of factored matrix sizes."""
+    sizes = []
+    factor = solver.spla.splu
+
+    def counting(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counting)
+    return sizes
+
+
+def test_refined_levels_factor_once(monkeypatch):
+    # the first step of a level started from the 2h field is a Newton step;
+    # the rest are chord steps on its LU
+    sizes = _count_factorizations(monkeypatch)
+    grid = build_grid(12.0, 0.05)
+    sol = newton_solve(DimensionParams(m=4), grid)
+    assert sol.residual_norm <= NEWTON_TOL
+    assert [h for h, _ in sol.coarse_iters] == [0.1, 0.2]
+    assert sizes.count(grid.n_unknowns) == 1
+    assert sizes.count(build_grid(12.0, 0.1).n_unknowns) == 1
+
+
+def test_cold_start_falls_back_to_newton_steps(monkeypatch):
+    # from H(0.45y)H(0.45z) the frozen LU stops contracting: fresh LUs follow
+    sizes = _count_factorizations(monkeypatch)
+    grid = build_grid(12.0, 0.2)
+    _, norm, iters = _newton(DimensionParams(m=4), grid, initial_guess(grid))
+    assert norm <= NEWTON_TOL
+    assert len(sizes) > 1
+    assert iters <= MAX_NEWTON_ITERS // 2

@@ -102,6 +102,16 @@ def test_defect_frozen_oracle_and_gap_form_agreement():
     assert np.max(np.abs(v1 - v2) / np.maximum(np.abs(v1), 1e-300)) < 1e-9
 
 
+def test_n12_claim_box_excludes_the_known_counterexample():
+    # H(0.45y)H(0.45z) is not a subsolution at d = 5: its defect is positive
+    # at (a, u, z) = (0.45, 0.014, 0.28) and turns sign between a = 0.43 and
+    # 0.435, so the n = 12 claim must stop short of that
+    assert subsolution_defect(0.45, 0.28 + 0.014, 0.28, 5.0) > 0.0
+    (kwargs,) = [kw for _, key, kw in claims(12) if key == "defect_gap"]
+    assert kwargs["fixed"] == {"d": 5.0}
+    assert kwargs["box"][kwargs["names"].index("a")][1] < 0.435
+
+
 def test_differentiate_matches_finite_differences():
     gap = defect_gap_expression()
     names = ("a", "u", "z")
