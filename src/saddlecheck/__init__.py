@@ -7,6 +7,8 @@ the principal eigenvalue of the linearization, and proves the closed-form sign
 claims with interval branch-and-bound.
 """
 
+__version__ = "0.1.0"
+
 from saddlecheck.params import DimensionParams, CandidateParams
 from saddlecheck.grid import Grid, build_grid
 from saddlecheck.solver import (SaddleSolution, compute_derivatives,
@@ -33,4 +35,3 @@ __all__ = [
     "load_or_solve",
 ]
 
-__version__ = "0.1.0"

@@ -17,6 +17,7 @@ import numpy as np
 
 from saddlecheck.candidate import CandidateParams, l_phi, phi_field, region_classify
 from saddlecheck.params import st_to_yz, SQRT2
+from saddlecheck.rigor import DEFECT_A_MAX
 from saddlecheck.scalars import (double_well, g_profile, heteroclinic,
                                  hh_supersolution, rho)
 from saddlecheck.solver import SaddleSolution
@@ -283,10 +284,15 @@ def _build_suite(sol: SaddleSolution):
         "<= C (1/t-1/s)H(y)rho(z) for z>1",
         m27, phi + np.abs(b27a), std)
 
-    # 28. subsolution bound u >= H(0.45y)H(0.45z)
+    # 28. subsolution bound u >= H(0.45y)H(0.45z); where the proven a-range
+    # of the defect claim stops below 0.45 it is a grid check only
     sub = np.asarray(hh_supersolution(0.45 * y, 0.45 * z))
-    add("28-subsolution", "u - H(0.45y)H(0.45z) >= 0",
-        u - sub, np.abs(u) + sub, first)
+    desc28 = "u - H(0.45y)H(0.45z) >= 0"
+    a_max = DEFECT_A_MAX.get(2 * m, 0.45)
+    if a_max < 0.45:
+        desc28 += (f" (grid check only: a = 0.45 is above the proven "
+                   f"a-range a <= {a_max:g} at n = {2 * m})")
+    add("28-subsolution", desc28, u - sub, np.abs(u) + sub, first)
 
     # 29. lower bound on the Laplacian combination (controls |u_tt|)
     lhs29 = uss + utt + d * t5 + d * t6

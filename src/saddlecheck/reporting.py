@@ -54,6 +54,7 @@ def eig_to_dict(est: EigEstimate) -> dict:
         "lambda_min": float(est.lambda_min),
         "residual": float(est.residual),
         "iterations": int(est.iterations),
+        "shift": float(est.shift),
     }
 
 
@@ -74,6 +75,8 @@ def solver_to_dict(sol: SaddleSolution) -> dict:
         "h": sol.grid.h,
         "residual_norm": float(sol.residual_norm),
         "newton_iters": int(sol.newton_iters),
+        "coarse_iters": [[float(h), int(steps)]
+                         for h, steps in sol.coarse_iters],
     }
 
 

@@ -163,14 +163,22 @@ def newton_solve(params: DimensionParams, grid: Grid) -> SaddleSolution:
 def _nested_solve(params: DimensionParams, grid: Grid):
     """(U, residual norm, iterations, coarse_iters) on grid, started from
     the prolonged 2h field when that grid exists, else from initial_guess."""
-    if grid.N % 2 == 0 and 2.0 * grid.h <= H_MAX:
-        coarse_grid = build_grid(grid.R, 2.0 * grid.h)
+    coarse_grid = coarser_grid(grid)
+    if coarse_grid is not None:
         Uc, _, iters_c, coarse = _nested_solve(params, coarse_grid)
         U0 = impose_boundary(_prolong(Uc), grid)
         coarse = ((coarse_grid.h, iters_c),) + coarse
     else:
         U0, coarse = initial_guess(grid), ()
     return _newton(params, grid, U0) + (coarse,)
+
+
+def coarser_grid(grid: Grid) -> Grid | None:
+    """The next level of the Newton chain: build_grid(R, 2h) when N is even
+    and 2h <= H_MAX, else None."""
+    if grid.N % 2 == 0 and 2.0 * grid.h <= H_MAX:
+        return build_grid(grid.R, 2.0 * grid.h)
+    return None
 
 
 def _prolong(Uc: np.ndarray) -> np.ndarray:

@@ -162,6 +162,19 @@ def test_rejected_cache_reason_reaches_the_report(tmp_path, solved):
     assert "cache_rejected" not in report["stages"]["solve"]
 
 
+def test_coarse_levels_reach_the_report(tmp_path):
+    cfg = RunConfig(m=M, R=R, h=0.1, stages=("solve",), cache=str(tmp_path))
+    report, sol = run_stages(cfg, log=lambda line: None)
+    solve = report["stages"]["solve"]
+    assert solve["from_cache"] is False
+    [[h, steps]] = solve["coarse_iters"]
+    assert (h, steps) == sol.coarse_iters[0] and h == 0.2 and steps > 0
+    # a cache load ran no coarse level
+    report, _ = run_stages(cfg, log=lambda line: None)
+    assert report["stages"]["solve"]["from_cache"] is True
+    assert report["stages"]["solve"]["coarse_iters"] == []
+
+
 def test_cache_dir_resolution(tmp_path, monkeypatch):
     assert cache_dir(tmp_path) == tmp_path
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))

@@ -9,6 +9,7 @@ from saddlecheck.checks import (CheckReport, _deficit_rho_constant,
                                 cone_interp, run_inequality_suite, tri_mask,
                                 verify_supersolution)
 from saddlecheck.grid import build_grid
+from saddlecheck.rigor import DEFECT_A_MAX
 
 
 def test_suite_all_pass_m4(sol_m4):
@@ -35,6 +36,21 @@ def test_antisymmetric_combination_vanishes_on_diagonal(sol_m4):
     k = np.arange(sol_m4.grid.N + 1)
     diag = (T * sol_m4.u_s + S * sol_m4.u_t)[k, k]
     assert np.max(np.abs(diag)) < 1e-13
+
+
+def test_subsolution_check_names_its_basis(solved):
+    # check 28 compares u with H(0.45y)H(0.45z); at n = 12 the proven
+    # a-range of the defect claim stops below 0.45, so it is a grid check
+    descs = {}
+    for m in (4, 5, 6):
+        [rep] = [r for r in run_inequality_suite(solved(m, 12.0, 0.05))
+                 if r.id == "28-subsolution"]
+        assert rep.passed
+        descs[m] = rep.description
+    assert descs[4] == descs[5] == "u - H(0.45y)H(0.45z) >= 0"
+    assert DEFECT_A_MAX[12] < 0.45
+    assert descs[6].startswith(descs[4] + " (grid check only")
+    assert f"a <= {DEFECT_A_MAX[12]:g}" in descs[6]
 
 
 def test_energy_bound_worst_sits_on_axis_edge(sol_m4):

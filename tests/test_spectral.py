@@ -1,15 +1,21 @@
-"""Generalized eigenvalue pencil of the linearized quadratic form, and the
-stability certificate built on the verification reports."""
+"""Generalized eigenvalue pencil of the linearized quadratic form, the
+certified shift of its eigensolve, and the stability certificate built on the
+verification reports."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import saddlecheck
 from oracles import dense_min_eigenvalue, even_sector_values, rayleigh_quotient
+from saddlecheck import spectral
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
-from saddlecheck.spectral import (CertificateError, assemble, min_eigenvalue,
+from saddlecheck.spectral import (EIG_SIGMA, CertificateError, assemble,
+                                  certify_shift, min_eigenvalue,
                                   stability_certificate)
 from saddlecheck.solver import weighted_form
 
@@ -91,9 +97,64 @@ def test_eigensolver_reports_its_solve_count(sol_m4_coarse):
     assert est.iterations > 1
 
 
-def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
-    import dataclasses
+def test_stiffness_is_a_z_matrix(solved):
+    # the premise of the shift certificate: off-diagonals <= 0, on the
+    # pencil and on its coarse level
+    for m in range(1, 7):
+        asm = assemble(solved(m, 12.0, 0.1))
+        for pencil in (asm, asm.coarse):
+            K = pencil.stiffness
+            assert (K - sp.diags(K.diagonal())).max() <= 0.0, m
 
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_shift_certificate_brackets_the_eigenvalue(solved, m):
+    asm = assemble(solved(m, 8.0, 0.2))
+    lam = min_eigenvalue(asm).lambda_min
+    assert certify_shift(asm, lam - 1e-3) is not None
+    assert certify_shift(asm, lam + 1e-3) is None
+
+
+def test_rejected_near_shift_falls_back_to_eig_sigma(solved, monkeypatch):
+    asm = assemble(solved(4, 8.0, 0.1))
+    near = min_eigenvalue(asm)
+    assert near.shift > EIG_SIGMA
+    shifts = []
+
+    def reject_near(asm, sigma):
+        shifts.append(sigma)
+        return certify_shift(asm, sigma) if sigma == EIG_SIGMA else None
+
+    monkeypatch.setattr(spectral, "certify_shift", reject_near)
+    far = min_eigenvalue(asm)
+    # the coarse estimate, the rejected near shift, then the fallback
+    assert shifts == [EIG_SIGMA, near.shift, EIG_SIGMA]
+    assert far.shift == EIG_SIGMA
+    assert far.lambda_min == pytest.approx(near.lambda_min, rel=1e-12)
+    assert far.residual < 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_near_shift_agrees_with_eig_sigma_and_dense(solved, m):
+    asm = assemble(solved(m, 8.0, 0.1))
+    assert asm.n_dof == 3240 and asm.coarse is not None
+    near = min_eigenvalue(asm)
+    far = min_eigenvalue(dataclasses.replace(asm, coarse=None))
+    assert EIG_SIGMA == far.shift < near.shift < near.lambda_min
+    assert near.lambda_min == pytest.approx(far.lambda_min, rel=1e-12)
+    assert dense_min_eigenvalue(asm) == pytest.approx(near.lambda_min,
+                                                      abs=1e-9)
+
+
+def test_near_shift_cuts_the_solve_count(sol_m4):
+    # at EIG_SIGMA this pencil takes 21 solves
+    est = min_eigenvalue(assemble(sol_m4))
+    assert est.shift > EIG_SIGMA
+    assert est.iterations <= 10
+    assert est.residual < 1e-10
+
+
+def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
     cand = CandidateParams(n=8)
     sup = verify_supersolution(sol_m4_coarse, cand)
     suite = run_inequality_suite(sol_m4_coarse)
@@ -104,6 +165,10 @@ def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
     assert cert["conclusion"] == "stable"
     assert cert["report_ids"][0] == sup.id
     assert len(cert["report_sha256"]) == len(reports)
+    assert cert["package_version"] == saddlecheck.__version__
+    assert sorted(cert) == ["basis", "conclusion", "grid", "m", "n",
+                            "package_version", "report_ids",
+                            "report_sha256", "schema", "solution_sha256"]
 
     # failed prerequisite
     failed = dataclasses.replace(sup, passed=False)
