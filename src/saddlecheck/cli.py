@@ -83,6 +83,7 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
         stages["solve"]["cache_rejected"] = rejected
     log(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
         f"residual={sol.residual_norm:.3e} "
+        f"cg_iters={stages['solve']['cg_iters']} "
         f"({'cache' if cached else _newton_summary(sol)})")
 
     suite_reports = []
@@ -180,7 +181,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, help="factor dimension (n = 2m)")
     p.add_argument("--R", type=float, help="truncation radius")
     p.add_argument("--h", type=float, help="grid spacing (R/h integer)")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", help="output directory for report.json (plot: "
+                                 "the maps and u.csv); run and plot default "
+                                 "to out, the others write only when given")
     p.add_argument("--cache", help="solution cache directory "
                                    "(default: $SADDLECHECK_CACHE_DIR)")
 
@@ -239,14 +242,14 @@ def main(argv=None) -> int:
         cfg = cfg.validated()
         report, sol = run_stages(cfg)
         out = Path(cfg.out)
-        if args.command == "run":
-            path = write_report(report, out / "report.json")
-            print(f"report: {path}")
         if args.command == "plot":
             paths = export_signmaps(sol, CandidateParams(n=cfg.n), out)
             export_csv(sol.u, "u", cfg.h, out / "u.csv")
             for p in paths:
                 print(f"plot: {p}")
+        elif args.command == "run" or args.out is not None:
+            path = write_report(report, out / "report.json")
+            print(f"report: {path}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("RESULT fail stages= failures=1")

@@ -77,6 +77,8 @@ def solver_to_dict(sol: SaddleSolution) -> dict:
         "newton_iters": int(sol.newton_iters),
         "coarse_iters": [[float(h), int(steps)]
                          for h, steps in sol.coarse_iters],
+        "cg_iters": [[float(h), [int(k) for k in per_step]]
+                     for h, per_step in sol.cg_iters],
     }
 
 

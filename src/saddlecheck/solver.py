@@ -9,12 +9,15 @@ closed triangle.  The s <-> t mirror splits its full-quadrant form into an
 odd sector (zero on the cone), which this Newton solve uses, and an even
 sector, which spectral uses for the stability pencil.  Newton starts from
 the field solved at 2h, prolonged bilinearly, and recurses down to the
-coarsest grid build_grid allows.  A Newton step factors the symmetric
-Jacobian with one sparse LU in the minimum-degree ordering LU_ORDERING; the
-steps after it reuse that LU as chord steps while the residual contracts,
-so a refined level factors once.  The solved field is odd-reflected onto
-the full quadrant and all first and second derivative fields are produced
-with second-order stencils.
+coarsest grid build_grid allows.  On that coarsest level a Newton step
+factors the symmetric Jacobian with one sparse LU in the minimum-degree
+ordering LU_ORDERING, and the steps after it reuse that LU as chord steps
+while the residual contracts.  A refined level factors nothing of its own
+size: it solves each Newton system by conjugate gradients, preconditioned
+by one symmetric two-grid cycle whose coarse solve is the LU of the 2h
+Jacobian at the 2h solution.  The solved field is odd-reflected onto the
+full quadrant and all first and second derivative fields are produced with
+second-order stencils.
 """
 
 from __future__ import annotations
@@ -41,6 +44,14 @@ CHORD_CONTRACTION = 0.1
 # Both sparse LUs (the Newton J here, K - sigma B in spectral) factor
 # symmetric matrices: minimum degree on A^T + A keeps their fill low.
 LU_ORDERING = "MMD_AT_PLUS_A"
+# CG on a refined level runs to this relative residual, below LINEAR_TOL so
+# that the checked solve passes, within CG_MAXITER iterations.
+CG_TOL = 1e-12
+CG_MAXITER = 50
+# Damped-Jacobi smoothing of the two-grid cycle, JACOBI_SWEEPS before the
+# coarse correction and as many after; Briggs, Henson & McCormick, SIAM 2000.
+JACOBI_OMEGA = 2.0 / 3.0
+JACOBI_SWEEPS = 2
 
 
 @dataclass(frozen=True)
@@ -52,8 +63,10 @@ class SaddleSolution:
     are second-order accurate except within 2h of the outer boundary, where
     one-sided stencils are used.  newton_iters counts the steps taken on
     this grid, Newton and chord steps alike; coarse_iters lists (h, steps)
-    of each coarser level that produced the start field, finest first
-    (empty for a cold start or a field loaded from the cache).
+    of each coarser level that produced the start field, finest first;
+    cg_iters lists (h, CG iterations of each Newton step) of each refined
+    level, finest first.  Both are empty for a cold start or a field loaded
+    from the cache.
     """
 
     params: DimensionParams
@@ -69,6 +82,7 @@ class SaddleSolution:
     residual_norm: float = math.nan
     newton_iters: int = 0
     coarse_iters: tuple = ()
+    cg_iters: tuple = ()
 
 
 class NewtonError(RuntimeError):
@@ -154,23 +168,27 @@ def newton_solve(params: DimensionParams, grid: Grid) -> SaddleSolution:
     bitwise-identical fields.  Raises NewtonError on non-convergence or
     line-search failure at any level.
     """
-    U, norm, iters, coarse = _nested_solve(params, grid)
+    U, norm, iters, coarse, cg = _nested_solve(params, grid)
     sol = SaddleSolution(params=params, grid=grid, u=U, residual_norm=norm,
-                         newton_iters=iters, coarse_iters=coarse)
+                         newton_iters=iters, coarse_iters=coarse,
+                         cg_iters=cg)
     return compute_derivatives(sol)
 
 
 def _nested_solve(params: DimensionParams, grid: Grid):
-    """(U, residual norm, iterations, coarse_iters) on grid, started from
-    the prolonged 2h field when that grid exists, else from initial_guess."""
+    """(U, residual norm, iterations, coarse_iters, cg_iters) on grid: from
+    initial_guess with LU steps on the coarsest level, from the prolonged 2h
+    field with two-grid CG steps on every other."""
     coarse_grid = coarser_grid(grid)
-    if coarse_grid is not None:
-        Uc, _, iters_c, coarse = _nested_solve(params, coarse_grid)
-        U0 = impose_boundary(_prolong(Uc), grid)
-        coarse = ((coarse_grid.h, iters_c),) + coarse
-    else:
-        U0, coarse = initial_guess(grid), ()
-    return _newton(params, grid, U0) + (coarse,)
+    if coarse_grid is None:
+        return _newton(params, grid, initial_guess(grid)) + ((), ())
+    Uc, _, iters_c, coarse, cg = _nested_solve(params, coarse_grid)
+    # the coarse LU lives only in this frame: one LU alive at a time
+    two_grid = _TwoGrid(params, coarse_grid, Uc, grid)
+    U, norm, iters = _newton(params, grid, impose_boundary(_prolong(Uc), grid),
+                             two_grid)
+    return (U, norm, iters, ((coarse_grid.h, iters_c),) + coarse,
+            ((grid.h, tuple(two_grid.iters)),) + cg)
 
 
 def coarser_grid(grid: Grid) -> Grid | None:
@@ -181,33 +199,117 @@ def coarser_grid(grid: Grid) -> Grid | None:
     return None
 
 
+def _interpolation(n: int) -> sp.csr_matrix:
+    """The 1-D bilinear rule, (2n+1, n+1): even nodes copy the coarse node,
+    odd nodes average its two neighbours."""
+    k = np.arange(n + 1)
+    rows = np.concatenate((2 * k, 2 * k[:-1] + 1, 2 * k[:-1] + 1))
+    cols = np.concatenate((k, k[:-1], k[1:]))
+    vals = np.concatenate((np.ones(n + 1), np.full(2 * n, 0.5)))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n + 1, n + 1))
+
+
 def _prolong(Uc: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of an (n+1, n+1) field onto the grid of half
     the spacing, (2n+1, 2n+1); the coarse nodes keep their values."""
-    n = Uc.shape[0] - 1
-    U = np.empty((2 * n + 1, 2 * n + 1))
-    U[::2, ::2] = Uc
-    U[1::2, ::2] = 0.5 * (Uc[:-1] + Uc[1:])
-    U[:, 1::2] = 0.5 * (U[:, :-1:2] + U[:, 2::2])
-    return U
+    P1 = _interpolation(Uc.shape[0] - 1)
+    return P1 @ Uc @ P1.T
 
 
-def _newton(params: DimensionParams, grid: Grid, U: np.ndarray):
-    """Newton from the full-quadrant iterate U, with chord steps on a frozen
-    LU; returns (U, residual norm, steps).
+def _prolongation(coarse: Grid, grid: Grid) -> sp.csr_matrix:
+    """_prolong as a matrix from the unknowns of coarse to those of grid;
+    Dirichlet nodes (cone and outer edge) drop out."""
+    P1 = _interpolation(coarse.N)
+    return sp.kron(P1, P1, format="csr")[_flat(grid)][:, _flat(coarse)]
 
-    A Newton step solves the symmetric system (K_uu + diag(V (3u^2 - 1)))
-    delta = -V res on the unknowns with one sparse LU in LU_ORDERING and is
-    damped until the residual drops.  Each later iterate first tries a full
-    step on that LU (a chord step) and keeps it if the max-norm residual
+
+def _flat(grid: Grid) -> np.ndarray:
+    """Indices of the unknowns of grid in the raveled full quadrant."""
+    return grid.ii * (grid.N + 1) + grid.jj
+
+
+def _unknown_block(K, V, grid: Grid):
+    """K restricted to the unknowns of grid, and their cell volumes."""
+    flat = _flat(grid)
+    return K[flat][:, flat], V[grid.ii, grid.jj]
+
+
+def _jacobian(K_uu, vol: np.ndarray, u: np.ndarray):
+    """The symmetric Newton Jacobian K_uu + diag(V (3u^2 - 1)) at the
+    unknown values u, in CSR."""
+    return K_uu + sp.diags(vol * (3.0 * u**2 - 1.0))
+
+
+class _TwoGrid:
+    """CG for the Newton systems of a refined level.
+
+    The preconditioner is one symmetric two-grid cycle: JACOBI_SWEEPS
+    damped-Jacobi sweeps, the coarse correction P LU_c^-1 P^T, and
+    JACOBI_SWEEPS sweeps more.  P is _prolongation; LU_c is the LU of the
+    coarse level's Jacobian at its solved field Uc.  iters records the CG
+    iterations of each solve.
+    """
+
+    def __init__(self, params: DimensionParams, coarse: Grid,
+                 Uc: np.ndarray, grid: Grid):
+        K_uu, vol = _unknown_block(*weighted_form(params.m, coarse), coarse)
+        J_c = _jacobian(K_uu, vol, Uc[coarse.ii, coarse.jj]).tocsc()
+        self.lu = spla.splu(J_c, permc_spec=LU_ORDERING)
+        self.P = _prolongation(coarse, grid)
+        self.iters: list[int] = []
+
+    def solve(self, J, rhs: np.ndarray) -> np.ndarray:
+        """J^-1 rhs by preconditioned CG to CG_TOL; raises NewtonError when
+        CG_MAXITER iterations do not reach it."""
+        weight = JACOBI_OMEGA / J.diagonal()
+        P, lu = self.P, self.lu
+
+        def cycle(r):
+            x = weight * r                  # the first sweep, from x = 0
+            for _ in range(JACOBI_SWEEPS - 1):
+                x += weight * (r - J @ x)
+            x += P @ lu.solve(P.T @ (r - J @ x))
+            for _ in range(JACOBI_SWEEPS):
+                x += weight * (r - J @ x)
+            return x
+
+        count = 0
+
+        def counted(_):
+            nonlocal count
+            count += 1
+
+        delta, info = spla.cg(J, rhs, rtol=CG_TOL, maxiter=CG_MAXITER,
+                              M=spla.LinearOperator(J.shape, matvec=cycle,
+                                                     dtype=float),
+                              callback=counted)
+        if info:
+            raise NewtonError(f"CG stopped after {count} iterations at "
+                              f"relative residual {_relres(J, delta, rhs):.3e}"
+                              f" (target {CG_TOL:g})")
+        self.iters.append(count)
+        return delta
+
+
+def _newton(params: DimensionParams, grid: Grid, U: np.ndarray,
+            two_grid: _TwoGrid | None = None):
+    """Newton from the full-quadrant iterate U; returns (U, residual norm,
+    steps).
+
+    A Newton step solves the symmetric system J delta = -V res, with
+    J = K_uu + diag(V (3u^2 - 1)) on the unknowns, and is damped until the
+    residual drops.  Without two_grid (the coarsest level) the step factors
+    J with one sparse LU in LU_ORDERING, and each later iterate first tries
+    a full step on that LU (a chord step), kept if the max-norm residual
     falls by CHORD_CONTRACTION; otherwise the step is discarded, the LU is
     released, and a Newton step from a fresh LU at the same iterate follows.
+    With two_grid (a refined level) every step solves J by two_grid.solve,
+    CG with a two-grid preconditioner, and nothing is factored.  Every solve
+    is checked against its J to LINEAR_TOL.
     """
     ii, jj = grid.ii, grid.jj
     K, V = weighted_form(params.m, grid)
-    flat = ii * (grid.N + 1) + jj
-    K_uu = K[flat][:, flat]
-    vol = V[ii, jj]
+    K_uu, vol = _unknown_block(K, V, grid)
 
     def trial(delta, lam):
         Utry = U.copy()
@@ -228,14 +330,18 @@ def _newton(params: DimensionParams, grid: Grid, U: np.ndarray):
         rhs = -vol * res
         step = None
         if lu is not None:
-            step = trial(_solve(J, lu, rhs), 1.0)
+            step = trial(_checked(J, lu.solve(rhs), rhs), 1.0)
             if step[2] > CHORD_CONTRACTION * norm:
                 step = None
         if step is None:
             J = lu = None                  # one LU alive at a time
-            J = (K_uu + sp.diags(vol * (3.0 * U[ii, jj]**2 - 1.0))).tocsc()
-            lu = spla.splu(J, permc_spec=LU_ORDERING)
-            delta = _solve(J, lu, rhs)
+            J = _jacobian(K_uu, vol, U[ii, jj])
+            if two_grid is None:
+                J = J.tocsc()
+                lu = spla.splu(J, permc_spec=LU_ORDERING)
+                delta = _checked(J, lu.solve(rhs), rhs)
+            else:
+                delta = _checked(J, two_grid.solve(J, rhs), rhs)
             lam = 1.0
             for _ in range(DAMPING_HALVINGS + 1):
                 step = trial(delta, lam)
@@ -249,10 +355,15 @@ def _newton(params: DimensionParams, grid: Grid, U: np.ndarray):
     return U, norm, iters
 
 
-def _solve(J, lu, rhs: np.ndarray) -> np.ndarray:
-    """lu.solve(rhs), checked against the factored J to LINEAR_TOL."""
-    delta = lu.solve(rhs)
-    lin_res = float(np.linalg.norm(J @ delta - rhs) / max(np.linalg.norm(rhs), 1e-300))
+def _relres(J, delta: np.ndarray, rhs: np.ndarray) -> float:
+    """Relative residual |J delta - rhs| / |rhs| in the 2-norm."""
+    return float(np.linalg.norm(J @ delta - rhs)
+                 / max(np.linalg.norm(rhs), 1e-300))
+
+
+def _checked(J, delta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """delta, checked as a solve of J delta = rhs to LINEAR_TOL."""
+    lin_res = _relres(J, delta, rhs)
     if lin_res > LINEAR_TOL:
         raise NewtonError(f"inner linear solve stalled (relative residual {lin_res:.3e})")
     return delta

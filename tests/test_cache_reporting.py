@@ -169,10 +169,15 @@ def test_coarse_levels_reach_the_report(tmp_path):
     assert solve["from_cache"] is False
     [[h, steps]] = solve["coarse_iters"]
     assert (h, steps) == sol.coarse_iters[0] and h == 0.2 and steps > 0
-    # a cache load ran no coarse level
+    # the refined level's CG iterations, one count per Newton step
+    [[h, per_step]] = solve["cg_iters"]
+    assert h == 0.1 and len(per_step) == sol.newton_iters
+    assert per_step == list(sol.cg_iters[0][1]) and min(per_step) > 0
+    # a cache load ran no coarse level and no CG
     report, _ = run_stages(cfg, log=lambda line: None)
     assert report["stages"]["solve"]["from_cache"] is True
     assert report["stages"]["solve"]["coarse_iters"] == []
+    assert report["stages"]["solve"]["cg_iters"] == []
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

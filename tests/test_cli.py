@@ -78,6 +78,7 @@ def test_solve_log_names_the_coarse_chain(capsys):
               if l.startswith("solve:")]
     assert re.search(r"\(\d+ Newton iters, started from h=0\.2 \(\d+\)\)$",
                      line), line
+    assert re.search(r" cg_iters=\[\[0\.1, \[\d+(, \d+)*\]\]\] ", line), line
 
 
 def test_spectrum_command_skips_candidate_validation(capsys):
@@ -114,6 +115,24 @@ def test_plot_emits_maps_and_csv(tmp_path, capsys):
     assert (out / "u.csv").exists()
     svgs = sorted(p.name for p in out.glob("*.svg"))
     assert len(svgs) == 6
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "spectrum", "rigor"])
+def test_out_writes_the_report_for_every_command(command, tmp_path,
+                                                 monkeypatch, capsys):
+    _with_budget(monkeypatch, 500)      # a short rigor stage
+    main([command] + M_ARGS)
+    assert not (tmp_path / "out").exists()     # no --out, nothing written
+    capsys.readouterr()
+    out = tmp_path / "o"
+    rc = main([command, "--out", str(out)] + M_ARGS)
+    *_, report_line, result_line = capsys.readouterr().out.splitlines()
+    report = json.loads((out / "report.json").read_text())
+    assert report_line == f"report: {out / 'report.json'}"
+    assert result_line.startswith("RESULT ")
+    assert report["config"]["out"] == str(out)
+    assert set(cli._COMMAND_STAGES[command]) <= set(report["stages"])
+    assert rc == (1 if report["failures"] else 0)
 
 
 def _with_budget(monkeypatch, max_boxes, results=None):

@@ -1,7 +1,10 @@
 """Grid construction and the damped Newton solver."""
 
+import gc
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from oracles import residual_yz_form, sine_gordon_saddle, weighted_residual
 from saddlecheck import solver
@@ -9,8 +12,9 @@ from saddlecheck.grid import (NODE_AXIS, NODE_DIAGONAL, NODE_INTERIOR,
                               NODE_OUTER, NODE_OUTSIDE, build_grid)
 from saddlecheck.params import DimensionParams, st_to_yz
 from saddlecheck.scalars import hh_supersolution
-from saddlecheck.solver import (MAX_NEWTON_ITERS, NEWTON_TOL, _newton,
-                                impose_boundary, initial_guess, newton_solve)
+from saddlecheck.solver import (MAX_NEWTON_ITERS, NEWTON_TOL, NewtonError,
+                                _newton, impose_boundary, initial_guess,
+                                newton_solve, weighted_form)
 
 
 def test_build_grid_validation():
@@ -66,6 +70,12 @@ def test_newton_converges_and_is_deterministic(solved):
     assert sol.residual_norm < NEWTON_TOL
     again = newton_solve(DimensionParams(m=4), build_grid(12.0, 0.1))
     assert np.array_equal(sol.u, again.u)
+    # two refined levels of two-grid CG: the same bits and iterations
+    sol = solved(4, 12.0, 0.05)
+    again = newton_solve(DimensionParams(m=4), build_grid(12.0, 0.05))
+    assert sol.u.tobytes() == again.u.tobytes()
+    assert sol.cg_iters == again.cg_iters
+    assert [h for h, _ in sol.cg_iters] == [0.05, 0.1]
 
 
 def test_solution_shape_and_bounds(sol_m4_coarse):
@@ -141,36 +151,116 @@ def test_odd_grid_starts_cold():
     assert (sol.residual_norm, sol.newton_iters) == (cold_norm, cold_iters)
 
 
-def _count_factorizations(monkeypatch) -> list:
-    """Wrap the solver's splu; returns the list of factored matrix sizes."""
-    sizes = []
+def _factored_matrices(monkeypatch) -> list:
+    """Wrap the solver's splu; returns the list of factored matrices."""
+    factored = []
     factor = solver.spla.splu
 
-    def counting(A, *args, **kwargs):
-        sizes.append(A.shape[0])
+    def recording(A, *args, **kwargs):
+        factored.append(A.copy())
         return factor(A, *args, **kwargs)
 
-    monkeypatch.setattr(solver.spla, "splu", counting)
-    return sizes
+    monkeypatch.setattr(solver.spla, "splu", recording)
+    return factored
 
 
-def test_refined_levels_factor_once(monkeypatch):
-    # the first step of a level started from the 2h field is a Newton step;
-    # the rest are chord steps on its LU
-    sizes = _count_factorizations(monkeypatch)
-    grid = build_grid(12.0, 0.05)
+def _jacobian_at(U, m, grid):
+    """The Newton Jacobian of grid at the full-quadrant field U."""
+    K_uu, vol = solver._unknown_block(*weighted_form(m, grid), grid)
+    return solver._jacobian(K_uu, vol, U[grid.ii, grid.jj])
+
+
+def test_refined_levels_factor_only_the_coarser_jacobian(monkeypatch, solved):
+    # h = 0.1 and h = 0.05 are refined levels and solve by two-grid CG: no
+    # LU has either level's size but the one coarse LU of the h = 0.05
+    # cycle, taken of the h = 0.1 Jacobian at the solved h = 0.1 field
+    factored = _factored_matrices(monkeypatch)
+    grid, mid = build_grid(12.0, 0.05), build_grid(12.0, 0.1)
     sol = newton_solve(DimensionParams(m=4), grid)
     assert sol.residual_norm <= NEWTON_TOL
     assert [h for h, _ in sol.coarse_iters] == [0.1, 0.2]
-    assert sizes.count(grid.n_unknowns) == 1
-    assert sizes.count(build_grid(12.0, 0.1).n_unknowns) == 1
+    sizes = [A.shape[0] for A in factored]
+    assert sizes.count(grid.n_unknowns) == 0
+    assert sizes.count(mid.n_unknowns) == 1
+    [A] = [A for A in factored if A.shape[0] == mid.n_unknowns]
+    monkeypatch.undo()
+    J = _jacobian_at(solved(4, 12.0, 0.1).u, 4, mid)
+    assert abs(A - J).max() == 0.0
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_cg_step_matches_the_lu_step(m, solved):
+    # the first Newton system of the h = 0.05 level, at the prolonged
+    # h = 0.1 field, by two-grid CG and by a sparse LU of the same J.  They
+    # agree in the volume-weighted norm of the operator (1.4e-12 or better).
+    # Next to the origin and the axis the weight (s t)^(m-1) is small, the
+    # norms CG can minimize hardly see those nodes, and the plain max-norm
+    # gap reaches 6e-5 at m = 6; the Newton residual gate removes it
+    grid, coarse = build_grid(12.0, 0.05), build_grid(12.0, 0.1)
+    params = DimensionParams(m=m)
+    Uc = solved(m, 12.0, 0.1).u
+    U = impose_boundary(solver._prolong(Uc), grid)
+    K, V = weighted_form(m, grid)
+    vol = V[grid.ii, grid.jj]
+    J = _jacobian_at(U, m, grid)
+    rhs = -vol * solver._residual(K, V, U, grid)
+    cg = solver._TwoGrid(params, coarse, Uc, grid).solve(J, rhs)
+    lu = spla.splu(J.tocsc(), permc_spec=solver.LU_ORDERING).solve(rhs)
+
+    def norm(x):
+        return np.sqrt(np.sum(vol * x * x))
+
+    assert norm(cg - lu) <= 1e-9 * norm(lu)
+
+
+def test_prolongation_is_prolong_at_the_unknowns():
+    coarse, grid = build_grid(12.0, 0.1), build_grid(12.0, 0.05)
+    x = np.random.default_rng(3).standard_normal(coarse.n_unknowns)
+    X = np.zeros((coarse.N + 1,) * 2)
+    X[coarse.ii, coarse.jj] = x          # Dirichlet nodes hold 0
+    P = solver._prolongation(coarse, grid)
+    assert P.shape == (grid.n_unknowns, coarse.n_unknowns)
+    np.testing.assert_allclose(P @ x, solver._prolong(X)[grid.ii, grid.jj],
+                               rtol=0, atol=1e-15 * np.abs(x).max())
+
+
+def test_capped_cg_raises(monkeypatch):
+    monkeypatch.setattr(solver, "CG_MAXITER", 1)
+    with pytest.raises(NewtonError, match="CG stopped after 1 iterations"):
+        newton_solve(DimensionParams(m=4), build_grid(12.0, 0.1))
+
+
+def test_one_lu_alive_at_a_time(monkeypatch):
+    # each LU is freed by reference count before the next one is made and
+    # before newton_solve returns; the cycle collector is off, so an LU kept
+    # in a reference cycle would still count as alive
+    count = {"live": 0, "peak": 0}
+    factor = solver.spla.splu
+
+    class Tracked:
+        def __init__(self, lu):
+            self.solve = lu.solve
+            count["live"] += 1
+            count["peak"] = max(count["peak"], count["live"])
+
+        def __del__(self):
+            count["live"] -= 1
+
+    monkeypatch.setattr(solver.spla, "splu",
+                        lambda *a, **k: Tracked(factor(*a, **k)))
+    gc.disable()
+    try:
+        newton_solve(DimensionParams(m=4), build_grid(12.0, 0.05))
+    finally:
+        gc.enable()
+    assert count == {"live": 0, "peak": 1}
 
 
 def test_cold_start_falls_back_to_newton_steps(monkeypatch):
     # from H(0.45y)H(0.45z) the frozen LU stops contracting: fresh LUs follow
-    sizes = _count_factorizations(monkeypatch)
+    factored = _factored_matrices(monkeypatch)
     grid = build_grid(12.0, 0.2)
     _, norm, iters = _newton(DimensionParams(m=4), grid, initial_guess(grid))
     assert norm <= NEWTON_TOL
-    assert len(sizes) > 1
+    assert len(factored) > 1
     assert iters <= MAX_NEWTON_ITERS // 2
