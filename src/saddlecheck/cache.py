@@ -133,12 +133,18 @@ def load_or_solve(m: int, R: float, h: float,
                   ) -> tuple[SaddleSolution, bool, str | None]:
     """Return (solution, came_from_cache, rejected_reason), re-solving on
     miss or mismatch; rejected_reason is None unless an existing entry was
-    rejected."""
+    rejected.  An entry whose header (m, R, h) is not the requested triple
+    is rejected too."""
     path = cache_dir(directory) / (solution_key(m, R, h) + ".npz")
     reason = None
     if path.exists():
         try:
-            return load_solution(path), True, None
+            sol = load_solution(path)
+            held = (sol.params.m, sol.grid.R, sol.grid.h)
+            if held != (m, R, h):
+                raise CacheMismatch(f"{path}: entry holds (m, R, h) = "
+                                    f"{held}, requested {(m, R, h)}")
+            return sol, True, None
         except CacheMismatch as exc:
             reason = str(exc)
             log.warning("cache entry %s rejected, re-solving: %s", path, reason)

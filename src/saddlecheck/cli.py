@@ -43,15 +43,19 @@ class RunConfig:
     def n(self) -> int:
         return 2 * self.m
 
-    def validated(self) -> "RunConfig":
+    def validated(self, command: str = "run") -> "RunConfig":
+        """self, once the settings are checked for command; raises
+        ValueError before any stage runs."""
         DimensionParams(m=self.m)  # range check
         unknown = set(self.stages) - set(ALL_STAGES)
         if unknown:
             raise ValueError(f"unknown stages: {sorted(unknown)}")
-        needs_candidate = {"suite", "supersolution", "rigor"} & set(self.stages)
+        needs_candidate = ({"suite", "supersolution", "rigor"}
+                           & set(self.stages)) | ({"plot"} & {command})
         if needs_candidate and self.n not in (8, 10, 12):
-            raise ValueError(f"stages {sorted(needs_candidate)} need "
-                             f"n in {{8, 10, 12}}, got n={self.n}")
+            raise ValueError(f"the candidate (needed by "
+                             f"{', '.join(sorted(needs_candidate))}) is "
+                             f"defined for n in {{8, 10, 12}}, got n={self.n}")
         return self
 
 
@@ -144,8 +148,8 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
 
 
 def _newton_summary(sol: SaddleSolution) -> str:
-    """'3 Newton iters, started from h=0.1 (3) and h=0.2 (11)': steps per
-    level, Newton and chord steps alike."""
+    """'3 Newton iters, started from h=0.1 (3) and h=0.2 (11)': Newton
+    steps per level."""
     text = f"{sol.newton_iters} Newton iters"
     if sol.coarse_iters:
         *finer, coarsest = [f"h={h:g} ({iters})"
@@ -239,7 +243,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         if args.command in _COMMAND_STAGES:
             cfg = replace(cfg, stages=_COMMAND_STAGES[args.command])
-        cfg = cfg.validated()
+        cfg = cfg.validated(args.command)
         report, sol = run_stages(cfg)
         out = Path(cfg.out)
         if args.command == "plot":

@@ -7,17 +7,16 @@ reflection across t = 0, and Dirichlet data H(y)H(z) on the outer edge.
 The one discrete operator is weighted_form, the (s t)^(m-1) edge form on the
 closed triangle.  The s <-> t mirror splits its full-quadrant form into an
 odd sector (zero on the cone), which this Newton solve uses, and an even
-sector, which spectral uses for the stability pencil.  Newton starts from
-the field solved at 2h, prolonged bilinearly, and recurses down to the
-coarsest grid build_grid allows.  On that coarsest level a Newton step
-factors the symmetric Jacobian with one sparse LU in the minimum-degree
-ordering LU_ORDERING, and the steps after it reuse that LU as chord steps
-while the residual contracts.  A refined level factors nothing of its own
-size: it solves each Newton system by conjugate gradients, preconditioned
-by one symmetric two-grid cycle whose coarse solve is the LU of the 2h
-Jacobian at the 2h solution.  The solved field is odd-reflected onto the
-full quadrant and all first and second derivative fields are produced with
-second-order stencils.
+sector, which spectral uses for the stability pencil.  Newton runs over
+the levels of grid_chain, coarsest first, each started from the field solved
+on the level below it, prolonged bilinearly.  On the coarsest level every
+Newton step factors the symmetric Jacobian with one sparse LU in the
+minimum-degree ordering LU_ORDERING.  A refined level factors nothing of its
+own size: it solves each Newton system by conjugate gradients,
+preconditioned by one symmetric two-grid cycle whose coarse solve is the LU
+of the 2h Jacobian at the 2h solution.  The solved field is odd-reflected
+onto the full quadrant and all first and second derivative fields are
+produced with second-order stencils.
 """
 
 from __future__ import annotations
@@ -38,9 +37,6 @@ MAX_NEWTON_ITERS = 40
 DAMPING_HALVINGS = 30
 NEWTON_TOL = 1e-10                     # max-norm of the discrete residual
 LINEAR_TOL = 1e-10                     # relative residual of the inner solve
-# A chord step (a full step on the last LU) is kept only if it cuts the
-# max-norm residual at least this much; Kelley, SIAM 2003, ch. 5.
-CHORD_CONTRACTION = 0.1
 # Both sparse LUs (the Newton J here, K - sigma B in spectral) factor
 # symmetric matrices: minimum degree on A^T + A keeps their fill low.
 LU_ORDERING = "MMD_AT_PLUS_A"
@@ -61,9 +57,9 @@ class SaddleSolution:
     All arrays are (N+1, N+1), indexed [i, j] = (s = i*h, t = j*h).  The
     field u is odd under (s,t) <-> (t,s) by construction; derivative fields
     are second-order accurate except within 2h of the outer boundary, where
-    one-sided stencils are used.  newton_iters counts the steps taken on
-    this grid, Newton and chord steps alike; coarse_iters lists (h, steps)
-    of each coarser level that produced the start field, finest first;
+    one-sided stencils are used.  newton_iters counts the Newton steps taken
+    on this grid; coarse_iters lists (h, steps) of each coarser level that
+    produced the start field, finest first;
     cg_iters lists (h, CG iterations of each Newton step) of each refined
     level, finest first.  Both are empty for a cold start or a field loaded
     from the cache.
@@ -161,42 +157,44 @@ def _residual(K, V, U: np.ndarray, grid: Grid):
 def newton_solve(params: DimensionParams, grid: Grid) -> SaddleSolution:
     """Solve for the saddle solution by damped Newton iteration.
 
-    The first iterate is the field solved on build_grid(R, 2h), prolonged
-    bilinearly, whenever N is even and 2h <= H_MAX; the rule recurses, and
-    the coarsest level starts from initial_guess.  Every level is solved to
-    NEWTON_TOL.  Deterministic: identical inputs produce
-    bitwise-identical fields.  Raises NewtonError on non-convergence or
-    line-search failure at any level.
+    One loop over grid_chain(grid), coarsest level first: the coarsest level
+    starts from initial_guess and solves each Newton system by a sparse LU;
+    every other level starts from the field solved on the level below,
+    prolonged bilinearly, and solves by _TwoGrid, built from that level's
+    Jacobian at its solved field.  Every level is solved to NEWTON_TOL.
+    Deterministic: identical inputs produce bitwise-identical fields.
+    Raises NewtonError on non-convergence or line-search failure at any
+    level.
     """
-    U, norm, iters, coarse, cg = _nested_solve(params, grid)
+    chain = grid_chain(grid)
+    U, solve, coarse = initial_guess(chain[0]), _lu_solve, None
+    steps, cg = [], []
+    for level in chain:
+        if coarse is not None:
+            solve = None                   # one LU alive at a time
+            solve = _TwoGrid(jacobian(*block, U[coarse.ii, coarse.jj]),
+                             _prolongation(coarse, level))
+            U = impose_boundary(_prolong(U), level)
+        U, norm, iters, block = _newton(params, level, U, solve)
+        steps.insert(0, (level.h, iters))
+        if coarse is not None:
+            cg.insert(0, (level.h, tuple(solve.iters)))
+        coarse = level
+    solve = block = None
     sol = SaddleSolution(params=params, grid=grid, u=U, residual_norm=norm,
-                         newton_iters=iters, coarse_iters=coarse,
-                         cg_iters=cg)
+                         newton_iters=iters, coarse_iters=tuple(steps[1:]),
+                         cg_iters=tuple(cg))
     return compute_derivatives(sol)
 
 
-def _nested_solve(params: DimensionParams, grid: Grid):
-    """(U, residual norm, iterations, coarse_iters, cg_iters) on grid: from
-    initial_guess with LU steps on the coarsest level, from the prolonged 2h
-    field with two-grid CG steps on every other."""
-    coarse_grid = coarser_grid(grid)
-    if coarse_grid is None:
-        return _newton(params, grid, initial_guess(grid)) + ((), ())
-    Uc, _, iters_c, coarse, cg = _nested_solve(params, coarse_grid)
-    # the coarse LU lives only in this frame: one LU alive at a time
-    two_grid = _TwoGrid(params, coarse_grid, Uc, grid)
-    U, norm, iters = _newton(params, grid, impose_boundary(_prolong(Uc), grid),
-                             two_grid)
-    return (U, norm, iters, ((coarse_grid.h, iters_c),) + coarse,
-            ((grid.h, tuple(two_grid.iters)),) + cg)
-
-
-def coarser_grid(grid: Grid) -> Grid | None:
-    """The next level of the Newton chain: build_grid(R, 2h) when N is even
-    and 2h <= H_MAX, else None."""
-    if grid.N % 2 == 0 and 2.0 * grid.h <= H_MAX:
-        return build_grid(grid.R, 2.0 * grid.h)
-    return None
+def grid_chain(grid: Grid) -> list[Grid]:
+    """The levels of the Newton chain, coarsest first and grid last: the
+    level below g is build_grid(R, 2h) while g.N is even and 2h <= H_MAX.
+    An odd R/h gives the chain [grid], a cold start."""
+    chain = [grid]
+    while chain[0].N % 2 == 0 and 2.0 * chain[0].h <= H_MAX:
+        chain.insert(0, build_grid(grid.R, 2.0 * chain[0].h))
+    return chain
 
 
 def _interpolation(n: int) -> sp.csr_matrix:
@@ -228,37 +226,35 @@ def _flat(grid: Grid) -> np.ndarray:
     return grid.ii * (grid.N + 1) + grid.jj
 
 
-def _unknown_block(K, V, grid: Grid):
-    """K restricted to the unknowns of grid, and their cell volumes."""
-    flat = _flat(grid)
-    return K[flat][:, flat], V[grid.ii, grid.jj]
+def node_block(K, V, ii, jj):
+    """K restricted to the nodes (ii, jj), and their cell volumes: the
+    Newton unknowns here, the even-sector dofs in spectral."""
+    flat = ii * V.shape[1] + jj
+    return K[flat][:, flat], V[ii, jj]
 
 
-def _jacobian(K_uu, vol: np.ndarray, u: np.ndarray):
-    """The symmetric Newton Jacobian K_uu + diag(V (3u^2 - 1)) at the
-    unknown values u, in CSR."""
-    return K_uu + sp.diags(vol * (3.0 * u**2 - 1.0))
+def jacobian(K_b, vol: np.ndarray, u: np.ndarray):
+    """The symmetric Jacobian K_b + diag(V (3u^2 - 1)) of the block
+    (K_b, vol) from node_block at the node values u, in CSR."""
+    return K_b + sp.diags(vol * (3.0 * u**2 - 1.0))
 
 
 class _TwoGrid:
-    """CG for the Newton systems of a refined level.
+    """solve(J, rhs) for the Newton systems of a refined level: CG.
 
     The preconditioner is one symmetric two-grid cycle: JACOBI_SWEEPS
     damped-Jacobi sweeps, the coarse correction P LU_c^-1 P^T, and
-    JACOBI_SWEEPS sweeps more.  P is _prolongation; LU_c is the LU of the
-    coarse level's Jacobian at its solved field Uc.  iters records the CG
+    JACOBI_SWEEPS sweeps more.  P is _prolongation; LU_c is the LU of J_c,
+    the coarse level's Jacobian at its solved field.  iters records the CG
     iterations of each solve.
     """
 
-    def __init__(self, params: DimensionParams, coarse: Grid,
-                 Uc: np.ndarray, grid: Grid):
-        K_uu, vol = _unknown_block(*weighted_form(params.m, coarse), coarse)
-        J_c = _jacobian(K_uu, vol, Uc[coarse.ii, coarse.jj]).tocsc()
-        self.lu = spla.splu(J_c, permc_spec=LU_ORDERING)
-        self.P = _prolongation(coarse, grid)
+    def __init__(self, J_c, P):
+        self.lu = spla.splu(J_c.tocsc(), permc_spec=LU_ORDERING)
+        self.P = P
         self.iters: list[int] = []
 
-    def solve(self, J, rhs: np.ndarray) -> np.ndarray:
+    def __call__(self, J, rhs: np.ndarray) -> np.ndarray:
         """J^-1 rhs by preconditioned CG to CG_TOL; raises NewtonError when
         CG_MAXITER iterations do not reach it."""
         weight = JACOBI_OMEGA / J.diagonal()
@@ -291,36 +287,25 @@ class _TwoGrid:
         return delta
 
 
-def _newton(params: DimensionParams, grid: Grid, U: np.ndarray,
-            two_grid: _TwoGrid | None = None):
-    """Newton from the full-quadrant iterate U; returns (U, residual norm,
-    steps).
+def _lu_solve(J, rhs: np.ndarray) -> np.ndarray:
+    """J^-1 rhs by one sparse LU of J in LU_ORDERING, released on return."""
+    return spla.splu(J.tocsc(), permc_spec=LU_ORDERING).solve(rhs)
 
-    A Newton step solves the symmetric system J delta = -V res, with
-    J = K_uu + diag(V (3u^2 - 1)) on the unknowns, and is damped until the
-    residual drops.  Without two_grid (the coarsest level) the step factors
-    J with one sparse LU in LU_ORDERING, and each later iterate first tries
-    a full step on that LU (a chord step), kept if the max-norm residual
-    falls by CHORD_CONTRACTION; otherwise the step is discarded, the LU is
-    released, and a Newton step from a fresh LU at the same iterate follows.
-    With two_grid (a refined level) every step solves J by two_grid.solve,
-    CG with a two-grid preconditioner, and nothing is factored.  Every solve
-    is checked against its J to LINEAR_TOL.
+
+def _newton(params: DimensionParams, grid: Grid, U: np.ndarray, solve):
+    """Newton on grid from the full-quadrant iterate U; returns (U, residual
+    norm, steps, the node_block of the unknowns).
+
+    A Newton step solves the symmetric system J delta = -V res, with J the
+    jacobian at the unknowns, by solve(J, rhs): _lu_solve or a _TwoGrid.
+    The solve is checked against J to LINEAR_TOL, and the step is damped
+    until the residual drops.
     """
     ii, jj = grid.ii, grid.jj
     K, V = weighted_form(params.m, grid)
-    K_uu, vol = _unknown_block(K, V, grid)
-
-    def trial(delta, lam):
-        Utry = U.copy()
-        Utry[ii, jj] = U[ii, jj] + lam * delta
-        Utry = impose_boundary(Utry, grid)
-        res_try = _residual(K, V, Utry, grid)
-        return Utry, res_try, float(np.abs(res_try).max())
-
+    K_uu, vol = node_block(K, V, ii, jj)
     res = _residual(K, V, U, grid)
     norm = float(np.abs(res).max())
-    J = lu = None
     iters = 0
     while norm > NEWTON_TOL:
         if iters >= MAX_NEWTON_ITERS:
@@ -328,31 +313,22 @@ def _newton(params: DimensionParams, grid: Grid, U: np.ndarray,
                 f"no convergence after {iters} iterations; last residual {norm:.3e}"
             )
         rhs = -vol * res
-        step = None
-        if lu is not None:
-            step = trial(_checked(J, lu.solve(rhs), rhs), 1.0)
-            if step[2] > CHORD_CONTRACTION * norm:
-                step = None
-        if step is None:
-            J = lu = None                  # one LU alive at a time
-            J = _jacobian(K_uu, vol, U[ii, jj])
-            if two_grid is None:
-                J = J.tocsc()
-                lu = spla.splu(J, permc_spec=LU_ORDERING)
-                delta = _checked(J, lu.solve(rhs), rhs)
-            else:
-                delta = _checked(J, two_grid.solve(J, rhs), rhs)
-            lam = 1.0
-            for _ in range(DAMPING_HALVINGS + 1):
-                step = trial(delta, lam)
-                if step[2] < norm:
-                    break
-                lam *= 0.5
-            else:
-                raise NewtonError(f"line search failed at residual {norm:.3e}")
-        U, res, norm = step
+        delta = _checked(solve, jacobian(K_uu, vol, U[ii, jj]), rhs)
+        lam = 1.0
+        for _ in range(DAMPING_HALVINGS + 1):
+            Utry = U.copy()
+            Utry[ii, jj] = U[ii, jj] + lam * delta
+            Utry = impose_boundary(Utry, grid)
+            res_try = _residual(K, V, Utry, grid)
+            norm_try = float(np.abs(res_try).max())
+            if norm_try < norm:
+                break
+            lam *= 0.5
+        else:
+            raise NewtonError(f"line search failed at residual {norm:.3e}")
+        U, res, norm = Utry, res_try, norm_try
         iters += 1
-    return U, norm, iters
+    return U, norm, iters, (K_uu, vol)
 
 
 def _relres(J, delta: np.ndarray, rhs: np.ndarray) -> float:
@@ -361,8 +337,9 @@ def _relres(J, delta: np.ndarray, rhs: np.ndarray) -> float:
                  / max(np.linalg.norm(rhs), 1e-300))
 
 
-def _checked(J, delta: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """delta, checked as a solve of J delta = rhs to LINEAR_TOL."""
+def _checked(solve, J, rhs: np.ndarray) -> np.ndarray:
+    """solve(J, rhs), checked as a solve of J delta = rhs to LINEAR_TOL."""
+    delta = solve(J, rhs)
     lin_res = _relres(J, delta, rhs)
     if lin_res > LINEAR_TOL:
         raise NewtonError(f"inner linear solve stalled (relative residual {lin_res:.3e})")

@@ -15,9 +15,9 @@ the outer edge.
 The eigensolve is shift-invert Lanczos on one LU of K - sigma B, in the
 Newton solve's symmetric minimum-degree ordering.  The shift sits just
 below the eigenvalue: SHIFT_GAP under the eigenvalue of the same pencil on
-the coarsest grid of the Newton chain.  K - sigma B is a symmetric Z-matrix
-(the edge Laplacian's off-diagonals are -w <= 0; the potential and sigma
-touch only the diagonal), so one solve x = (K - sigma B)^-1 1 with x > 0
+the coarsest level of solver.grid_chain.  K - sigma B is a symmetric
+Z-matrix (the edge Laplacian's off-diagonals are -w <= 0; the potential and
+sigma touch only the diagonal), so one solve x = (K - sigma B)^-1 1 with x > 0
 and (K - sigma B) x > 0 proves it a nonsingular M-matrix, hence positive
 definite: every eigenvalue lies above sigma, and the one Lanczos finds
 nearest sigma is the smallest (Berman & Plemmons, Nonnegative Matrices in
@@ -40,8 +40,8 @@ import scipy.sparse.linalg as spla
 
 from saddlecheck import __version__
 from saddlecheck.grid import Grid
-from saddlecheck.solver import (LU_ORDERING, SaddleSolution, coarser_grid,
-                                weighted_form)
+from saddlecheck.solver import (LU_ORDERING, SaddleSolution, grid_chain,
+                                jacobian, node_block, weighted_form)
 
 EIG_SIGMA = -1.05        # shift below the spectrum
 EIG_TOL = 1e-10          # eigsh convergence tolerance
@@ -72,13 +72,10 @@ class EigEstimate:
 
 
 def assemble(sol: SaddleSolution) -> QuadraticFormAssembly:
-    """Build the even-sector pencil (K + diag(V(3u^2-1)), diag(V)) from a
-    solved field; the dofs are the triangle nodes with s < R.  The coarse
-    pencil takes the field injected onto the coarsest grid of the chain
-    solver.coarser_grid builds."""
-    grid = coarse = sol.grid
-    while (g := coarser_grid(coarse)) is not None:
-        coarse = g
+    """Build the even-sector pencil (jacobian, diag(V)) from a solved field;
+    the dofs are the triangle nodes with s < R.  The coarse pencil takes the
+    field injected onto grid_chain(grid)[0], the coarsest Newton level."""
+    grid, coarse = sol.grid, grid_chain(sol.grid)[0]
     k = grid.N // coarse.N
     low = (_pencil(sol.params.m, coarse, sol.u[::k, ::k]) if k > 1
            else None)
@@ -88,13 +85,9 @@ def assemble(sol: SaddleSolution) -> QuadraticFormAssembly:
 def _pencil(m: int, grid: Grid, u: np.ndarray,
             coarse: QuadraticFormAssembly | None = None
             ) -> QuadraticFormAssembly:
-    N = grid.N
-    K, V = weighted_form(m, grid)
-    i, j = np.nonzero(grid.mask_triangle[:N])
-    flat = i * (N + 1) + j
-    vol = V[i, j]
-    stiffness = K[flat][:, flat] + sp.diags((3.0 * u[i, j]**2 - 1.0) * vol)
-    return QuadraticFormAssembly(stiffness=stiffness.tocsr(),
+    i, j = np.nonzero(grid.mask_triangle[:grid.N])
+    K_b, vol = node_block(*weighted_form(m, grid), i, j)
+    return QuadraticFormAssembly(stiffness=jacobian(K_b, vol, u[i, j]),
                                  mass=sp.diags(vol), coarse=coarse)
 
 

@@ -162,6 +162,20 @@ def test_rejected_cache_reason_reaches_the_report(tmp_path, solved):
     assert "cache_rejected" not in report["stages"]["solve"]
 
 
+def test_entry_under_another_key_is_rejected(tmp_path, solved):
+    # an m = 4 entry copied to the m = 5 key has a valid hash and header,
+    # but not the requested dimension: it must not pass as the m = 5 field
+    path = save_solution(solved(M, R, H), tmp_path)
+    path.rename(tmp_path / (solution_key(M + 1, R, H) + ".npz"))
+    cfg = RunConfig(m=M + 1, R=R, h=H, stages=("solve",), cache=str(tmp_path))
+    report, sol = run_stages(cfg, log=lambda line: None)
+    solve = report["stages"]["solve"]
+    assert sol.params.m == solve["m"] == M + 1
+    assert solve["from_cache"] is False
+    assert "(4, 8.0, 0.2)" in solve["cache_rejected"]
+    assert "(5, 8.0, 0.2)" in solve["cache_rejected"]
+
+
 def test_coarse_levels_reach_the_report(tmp_path):
     cfg = RunConfig(m=M, R=R, h=0.1, stages=("solve",), cache=str(tmp_path))
     report, sol = run_stages(cfg, log=lambda line: None)

@@ -169,6 +169,17 @@ def test_exit_code_two_on_config_error(capsys):
     assert rc == 2
 
 
+def test_plot_rejects_dimension_before_solving(tmp_path, capsys):
+    # the maps need the candidate, defined for n in {8, 10, 12}: n = 2 is a
+    # configuration error found before any Newton solve or cache write
+    rc = main(["plot", "--m", "1", "--R", "8", "--h", "0.2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _last_line(capsys) == "RESULT fail stages= failures=1"
+    cache = tmp_path / "cache"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_full_run_emits_certificate(tmp_path, capsys):
     out = tmp_path / "full"
     rc = main(["run", "--out", str(out)] + M_ARGS)

@@ -12,9 +12,9 @@ from saddlecheck.grid import (NODE_AXIS, NODE_DIAGONAL, NODE_INTERIOR,
                               NODE_OUTER, NODE_OUTSIDE, build_grid)
 from saddlecheck.params import DimensionParams, st_to_yz
 from saddlecheck.scalars import hh_supersolution
-from saddlecheck.solver import (MAX_NEWTON_ITERS, NEWTON_TOL, NewtonError,
-                                _newton, impose_boundary, initial_guess,
-                                newton_solve, weighted_form)
+from saddlecheck.solver import (NEWTON_TOL, NewtonError, _lu_solve, _newton,
+                                impose_boundary, initial_guess, newton_solve,
+                                weighted_form)
 
 
 def test_build_grid_validation():
@@ -133,8 +133,8 @@ def test_coarse_start_finds_the_cold_start_field(m, solved):
     grid = build_grid(12.0, 0.1)
     sol = solved(m, 12.0, 0.1)
     assert [h for h, _ in sol.coarse_iters] == [0.2]
-    cold, cold_norm, _ = _newton(DimensionParams(m=m), grid,
-                                 initial_guess(grid))
+    cold, cold_norm, _, _ = _newton(DimensionParams(m=m), grid,
+                                    initial_guess(grid), _lu_solve)
     assert np.abs(sol.u - cold).max() <= 1e-9
     assert sol.residual_norm <= NEWTON_TOL and cold_norm <= NEWTON_TOL
 
@@ -144,8 +144,8 @@ def test_odd_grid_starts_cold():
     grid = build_grid(8.1, 0.1)
     assert grid.N % 2 == 1
     sol = newton_solve(DimensionParams(m=4), grid)
-    cold, cold_norm, cold_iters = _newton(DimensionParams(m=4), grid,
-                                          initial_guess(grid))
+    cold, cold_norm, cold_iters, _ = _newton(DimensionParams(m=4), grid,
+                                             initial_guess(grid), _lu_solve)
     assert sol.coarse_iters == ()
     assert np.array_equal(sol.u, cold)
     assert (sol.residual_norm, sol.newton_iters) == (cold_norm, cold_iters)
@@ -166,8 +166,8 @@ def _factored_matrices(monkeypatch) -> list:
 
 def _jacobian_at(U, m, grid):
     """The Newton Jacobian of grid at the full-quadrant field U."""
-    K_uu, vol = solver._unknown_block(*weighted_form(m, grid), grid)
-    return solver._jacobian(K_uu, vol, U[grid.ii, grid.jj])
+    block = solver.node_block(*weighted_form(m, grid), grid.ii, grid.jj)
+    return solver.jacobian(*block, U[grid.ii, grid.jj])
 
 
 def test_refined_levels_factor_only_the_coarser_jacobian(monkeypatch, solved):
@@ -197,14 +197,14 @@ def test_cg_step_matches_the_lu_step(m, solved):
     # norms CG can minimize hardly see those nodes, and the plain max-norm
     # gap reaches 6e-5 at m = 6; the Newton residual gate removes it
     grid, coarse = build_grid(12.0, 0.05), build_grid(12.0, 0.1)
-    params = DimensionParams(m=m)
     Uc = solved(m, 12.0, 0.1).u
     U = impose_boundary(solver._prolong(Uc), grid)
     K, V = weighted_form(m, grid)
     vol = V[grid.ii, grid.jj]
     J = _jacobian_at(U, m, grid)
     rhs = -vol * solver._residual(K, V, U, grid)
-    cg = solver._TwoGrid(params, coarse, Uc, grid).solve(J, rhs)
+    cg = solver._TwoGrid(_jacobian_at(Uc, m, coarse),
+                         solver._prolongation(coarse, grid))(J, rhs)
     lu = spla.splu(J.tocsc(), permc_spec=solver.LU_ORDERING).solve(rhs)
 
     def norm(x):
@@ -256,11 +256,21 @@ def test_one_lu_alive_at_a_time(monkeypatch):
     assert count == {"live": 0, "peak": 1}
 
 
-def test_cold_start_falls_back_to_newton_steps(monkeypatch):
-    # from H(0.45y)H(0.45z) the frozen LU stops contracting: fresh LUs follow
+def test_lu_level_factors_once_per_newton_step(monkeypatch):
+    # R12 h.2 is the coarsest level, a cold start: each Newton step factors
+    # the Jacobian at its own iterate, and no LU serves two steps
     factored = _factored_matrices(monkeypatch)
-    grid = build_grid(12.0, 0.2)
-    _, norm, iters = _newton(DimensionParams(m=4), grid, initial_guess(grid))
-    assert norm <= NEWTON_TOL
-    assert len(factored) > 1
-    assert iters <= MAX_NEWTON_ITERS // 2
+    sol = newton_solve(DimensionParams(m=4), build_grid(12.0, 0.2))
+    assert sol.residual_norm <= NEWTON_TOL and sol.coarse_iters == ()
+    assert len(factored) == sol.newton_iters > 0
+
+
+def test_one_operator_per_level(monkeypatch):
+    # the chain h = 0.2, 0.1, 0.05 builds weighted_form once per level; the
+    # two-grid cycles reuse the coarser level's operator
+    calls = []
+    form = solver.weighted_form
+    monkeypatch.setattr(solver, "weighted_form",
+                        lambda m, grid: calls.append(grid.h) or form(m, grid))
+    newton_solve(DimensionParams(m=4), build_grid(12.0, 0.05))
+    assert calls == [0.2, 0.1, 0.05]
