@@ -92,8 +92,8 @@ def save_solution(sol: SaddleSolution,
 
 def load_solution(path: str | os.PathLike) -> SaddleSolution:
     """Load and revalidate a cache entry; raises CacheMismatch, naming the
-    cause, on an unreadable file or any format, header or hash
-    discrepancy."""
+    cause, on an unreadable file, any format, header or hash discrepancy,
+    or a residual_norm not within NEWTON_TOL."""
     try:
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
@@ -114,6 +114,10 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
                      - header.keys())
     if missing:
         raise CacheMismatch(f"{path}: header lacks {', '.join(missing)}")
+    residual = header["residual_norm"]
+    if not (isinstance(residual, float) and residual <= NEWTON_TOL):
+        raise CacheMismatch(f"{path}: residual_norm {residual!r} is not "
+                            f"<= {NEWTON_TOL:g}")
     try:
         grid = build_grid(header["R"], header["h"])
         params = DimensionParams(m=header["m"])

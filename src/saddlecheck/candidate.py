@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from saddlecheck.grid import NODE_INTERIOR
 from saddlecheck.params import CandidateParams, SQRT2
 from saddlecheck.rigor import ExprNode, Tape, differentiate
 
@@ -124,13 +123,11 @@ def l_phi0(s, t, u_value, cand: CandidateParams):
 
 def phi_field(sol, cand: CandidateParams):
     """Phi = f u_s + h u_t + Phi_0 on the triangle.  Returns (field, mask);
-    the field is only meaningful where the mask (interior nodes) is set."""
+    the field is only meaningful where the mask (the interior nodes
+    0 < t < s < R) is set."""
     _require_match(sol, cand)
-    grid = sol.grid
-    mask = grid.kind == NODE_INTERIOR
-    S, T = grid.meshgrid()
-    s = np.where(mask, S, 1.0)
-    t = np.where(mask, T, 1.0)
+    s, t, mask = wedge_nodes(sol.grid)
+    mask[-1] = False                    # the outer edge carries data
     out = (f_generic(s, t, cand) * sol.u_s - f_generic(t, s, cand) * sol.u_t
            + np.asarray(phi0_generic(s, t, cand)))
     return np.where(mask, out, 0.0), mask
@@ -156,9 +153,8 @@ def l_phi_from(sol, cand: CandidateParams, cs: CoefficientSet):
     """l_phi from the coefficient set cs, evaluated at wedge_nodes(grid).
     Returns (field, mask)."""
     _require_match(sol, cand)
-    grid = sol.grid
-    mask = grid.kind == NODE_INTERIOR
-    s, t, _ = wedge_nodes(grid)
+    s, t, mask = wedge_nodes(sol.grid)
+    mask[-1] = False                    # the outer edge carries data
     out = (cs.c_s * sol.u_s + cs.c_t * sol.u_t + cs.c_ss * sol.u_ss
            + cs.c_st * sol.u_st + cs.c_tt * sol.u_tt
            + l_phi0(s, t, sol.u, cand))

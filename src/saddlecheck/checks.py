@@ -93,7 +93,8 @@ def _sqrt_pos(x):
 
 
 def _build_suite(sol: SaddleSolution):
-    """Return list of (id, description, margin, scale, mask, kappa_mult).
+    """Yield (id, description, margin, scale, mask, kappa_mult), one check at
+    a time.
 
     margin >= 0 is the satisfied direction for every entry; scale is the sum
     of term magnitudes used by the tolerance model.
@@ -117,77 +118,75 @@ def _build_suite(sol: SaddleSolution):
     inv_ts = np.zeros_like(u)
     inv_ts[msk] = 1.0 / T[msk] - 1.0 / S[msk]
 
-    suite = []
-
-    def add(cid, desc, margin, scale, mask, kappa_mult=1.0):
-        suite.append((cid, desc, margin, scale, mask, kappa_mult))
-
     # 1. energy-gradient (Modica-type) bound
     grad2 = 0.5 * (us**2 + ut**2)
-    add("01-modica", "F(u) - |grad u|^2/2 >= 0",
-        double_well(u) - grad2, double_well(u) + grad2, first)
+    yield ("01-modica", "F(u) - |grad u|^2/2 >= 0",
+           double_well(u) - grad2, double_well(u) + grad2, first, 1.0)
 
     # 2. t u_s + s u_t <= 0 (equality on the diagonal)
-    add("02-tus-sut", "-(t u_s + s u_t) >= 0",
-        -(T * us + S * ut), np.abs(T * us) + np.abs(S * ut), with_diag)
+    yield ("02-tus-sut", "-(t u_s + s u_t) >= 0",
+           -(T * us + S * ut), np.abs(T * us) + np.abs(S * ut), with_diag, 1.0)
 
     # 3. 0 <= u_s + u_t <= (2z/(y+z)) u_s.  The factor comes from
     # |u_t| >= (t/s) u_s (a consequence of check 2): u_s + u_t <=
     # ((s-t)/s) u_s = (2z/(y+z)) u_s, with equality in the axis limit.
     m3a = us + ut
     m3b = 2.0 * z / (y + z + 1e-300) * us - (us + ut)
-    add("03-usut-decay", "u_s+u_t in [0, (2z/(y+z)) u_s]",
-        np.minimum(m3a, m3b), np.abs(us) + np.abs(ut), first)
+    yield ("03-usut-decay", "u_s+u_t in [0, (2z/(y+z)) u_s]",
+           np.minimum(m3a, m3b), np.abs(us) + np.abs(ut), first, 1.0)
 
     # 4. explicit exponential decay of u_s
     bound4 = 2.0 * (np.exp(0.85 * T) + 4.9 / _sqrt_pos(T + (T <= 0))) * np.exp(-0.85 * S)
-    add("04-us-decay", "2(e^{0.85t}+4.9/sqrt t)e^{-0.85s} - u_s >= 0",
-        bound4 - us, bound4 + np.abs(us), tri_mask(g, cone=1))
+    yield ("04-us-decay", "2(e^{0.85t}+4.9/sqrt t)e^{-0.85s} - u_s >= 0",
+           bound4 - us, bound4 + np.abs(us), tri_mask(g, cone=1), 1.0)
 
     # 5. u_s/s - u_ss >= 0
     t5 = np.where(msk, us / np.where(msk, S, 1.0), 0.0)
-    add("05-uss", "u_s/s - u_ss >= 0", t5 - uss, np.abs(t5) + np.abs(uss), std)
+    yield ("05-uss", "u_s/s - u_ss >= 0",
+           t5 - uss, np.abs(t5) + np.abs(uss), std, 1.0)
 
     # 6. u_s/s + u_t/t - u_ss - u_tt >= 0
     t6 = np.where(msk, ut / np.where(msk, T, 1.0), 0.0)
-    add("06-laplace-split", "u_s/s + u_t/t - u_ss - u_tt >= 0",
-        t5 + t6 - uss - utt,
-        np.abs(t5) + np.abs(t6) + np.abs(uss) + np.abs(utt), std)
+    yield ("06-laplace-split", "u_s/s + u_t/t - u_ss - u_tt >= 0",
+           t5 + t6 - uss - utt,
+           np.abs(t5) + np.abs(t6) + np.abs(uss) + np.abs(utt), std, 1.0)
 
     # 7. u_s+u_t <= (1/t^2 - 1/s^2)(2(u_s-u_t) + sqrt(u_s-u_t))
     rhs7 = inv_t2s2 * (2.0 * (us - ut) + _sqrt_pos(us - ut))
-    add("07-usut-bound", "(1/t^2-1/s^2)(2(u_s-u_t)+sqrt(u_s-u_t)) - (u_s+u_t) >= 0",
-        rhs7 - (us + ut), np.abs(rhs7) + np.abs(us + ut), std)
+    yield ("07-usut-bound", "(1/t^2-1/s^2)(2(u_s-u_t)+sqrt(u_s-u_t)) - (u_s+u_t) >= 0",
+           rhs7 - (us + ut), np.abs(rhs7) + np.abs(us + ut), std, 1.0)
 
     # 8. u - u^3 + u_ss >= 0
-    add("08-u-u3-uss", "u - u^3 + u_ss >= 0",
-        u - u**3 + uss, np.abs(u - u**3) + np.abs(uss), std)
+    yield ("08-u-u3-uss", "u - u^3 + u_ss >= 0",
+           u - u**3 + uss, np.abs(u - u**3) + np.abs(uss), std, 1.0)
 
     # 9. sqrt2 u_s u + u_ss >= 0
-    add("09-uus", "sqrt2 u_s u + u_ss >= 0",
-        SQRT2 * us * u + uss, SQRT2 * np.abs(us * u) + np.abs(uss), std)
+    yield ("09-uus", "sqrt2 u_s u + u_ss >= 0",
+           SQRT2 * us * u + uss, SQRT2 * np.abs(us * u) + np.abs(uss), std, 1.0)
 
     # 10. sqrt2 u_t u + u_st <= 0
-    add("10-utust", "-(sqrt2 u_t u + u_st) >= 0",
-        -(SQRT2 * ut * u + ust), SQRT2 * np.abs(ut * u) + np.abs(ust), std)
+    yield ("10-utust", "-(sqrt2 u_t u + u_st) >= 0",
+           -(SQRT2 * ut * u + ust), SQRT2 * np.abs(ut * u) + np.abs(ust),
+           std, 1.0)
 
     # 11. 2(u_s+u_t) + u_st + u_ss >= 0
-    add("11-2us-ust-uss", "2(u_s+u_t) + u_st + u_ss >= 0",
-        2.0 * (us + ut) + ust + uss,
-        2.0 * np.abs(us + ut) + np.abs(ust) + np.abs(uss), std)
+    yield ("11-2us-ust-uss", "2(u_s+u_t) + u_st + u_ss >= 0",
+           2.0 * (us + ut) + ust + uss,
+           2.0 * np.abs(us + ut) + np.abs(ust) + np.abs(uss), std, 1.0)
 
     # 12. 2(u_s+u_t) - u_st - u_tt >= 0
-    add("12-2us-ust-utt", "2(u_s+u_t) - u_st - u_tt >= 0",
-        2.0 * (us + ut) - ust - utt,
-        2.0 * np.abs(us + ut) + np.abs(ust) + np.abs(utt), std)
+    yield ("12-2us-ust-utt", "2(u_s+u_t) - u_st - u_tt >= 0",
+           2.0 * (us + ut) - ust - utt,
+           2.0 * np.abs(us + ut) + np.abs(ust) + np.abs(utt), std, 1.0)
 
     # 13. u/y + u/z - u_y - u_z >= 0, and u >= y u_y
     zsafe = np.where(z > 0, z, 1.0)
     m13a = np.where(z > 0, u / np.where(y > 0, y, 1.0) + u / zsafe - uy - uz, 0.0)
     m13b = u - y * uy
-    add("13-radial", "u/y + u/z - u_y - u_z >= 0 and u - y u_y >= 0",
-        np.minimum(m13a, m13b),
-        np.abs(u / zsafe) + np.abs(uy) + np.abs(uz) + np.abs(y * uy), std)
+    yield ("13-radial", "u/y + u/z - u_y - u_z >= 0 and u - y u_y >= 0",
+           np.minimum(m13a, m13b),
+           np.abs(u / zsafe) + np.abs(uy) + np.abs(uz) + np.abs(y * uy),
+           std, 1.0)
 
     # 14. u_z - y u_yz >= 0 on the cone (z = 0); diagonal trace with a
     # looser tolerance since the cross term needs a one-sided read.
@@ -201,73 +200,74 @@ def _build_suite(sol: SaddleSolution):
     np.fill_diagonal(s14, np.abs(uz_diag) + np.abs(SQRT2 * k * g.h * uyz_diag))
     mask14 = np.zeros_like(u, dtype=bool)
     np.fill_diagonal(mask14, (k >= 2) & (k <= g.N - 3))
-    add("14-cone-uz", "u_z - y u_yz >= 0 on the cone",
-        m14, s14, mask14, kappa_mult=4.0)
+    yield ("14-cone-uz", "u_z - y u_yz >= 0 on the cone",
+           m14, s14, mask14, 4.0)
 
     # 15. -u_t/t + u_st + u_tt >= 0
-    add("15-ut-over-t", "-u_t/t + u_st + u_tt >= 0",
-        -t6 + ust + utt, np.abs(t6) + np.abs(ust) + np.abs(utt), std)
+    yield ("15-ut-over-t", "-u_t/t + u_st + u_tt >= 0",
+           -t6 + ust + utt, np.abs(t6) + np.abs(ust) + np.abs(utt), std, 1.0)
 
     # 16. (m-1)(1/t - 1/s) u_s + u_ss + 2 u_st >= 0
-    add("16-uss-2ust", "(m-1)(1/t-1/s) u_s + u_ss + 2u_st >= 0",
-        d * inv_ts * us + uss + 2.0 * ust,
-        d * np.abs(inv_ts * us) + np.abs(uss) + 2.0 * np.abs(ust), std)
+    yield ("16-uss-2ust", "(m-1)(1/t-1/s) u_s + u_ss + 2u_st >= 0",
+           d * inv_ts * us + uss + 2.0 * ust,
+           d * np.abs(inv_ts * us) + np.abs(uss) + 2.0 * np.abs(ust), std, 1.0)
 
     # 17. (m-1)(1/t - 1/s)(u_s - u_t) + 2u_st + u_ss + u_tt >= 0
-    add("17-ust-uss", "(m-1)(1/t-1/s)(u_s-u_t) + 2u_st + u_ss + u_tt >= 0",
-        d * inv_ts * (us - ut) + 2.0 * ust + uss + utt,
-        d * np.abs(inv_ts * (us - ut)) + 2.0 * np.abs(ust)
-        + np.abs(uss) + np.abs(utt), std)
+    yield ("17-ust-uss", "(m-1)(1/t-1/s)(u_s-u_t) + 2u_st + u_ss + u_tt >= 0",
+           d * inv_ts * (us - ut) + 2.0 * ust + uss + utt,
+           d * np.abs(inv_ts * (us - ut)) + 2.0 * np.abs(ust)
+           + np.abs(uss) + np.abs(utt), std, 1.0)
 
     # 18. u_st + u_ss + (1/t^2-1/s^2)(2(u_s-u_t)+sqrt(u_s-u_t)) >= 0
-    add("18-a1", "u_st + u_ss + (1/t^2-1/s^2)(2(u_s-u_t)+sqrt(u_s-u_t)) >= 0",
-        ust + uss + rhs7, np.abs(ust) + np.abs(uss) + np.abs(rhs7), std)
+    yield ("18-a1", "u_st + u_ss + (1/t^2-1/s^2)(2(u_s-u_t)+sqrt(u_s-u_t)) >= 0",
+           ust + uss + rhs7, np.abs(ust) + np.abs(uss) + np.abs(rhs7), std, 1.0)
 
     # 19. u_s u + u_ss >= 0
-    add("19-usu-uss", "u_s u + u_ss >= 0",
-        us * u + uss, np.abs(us * u) + np.abs(uss), std)
+    yield ("19-usu-uss", "u_s u + u_ss >= 0",
+           us * u + uss, np.abs(us * u) + np.abs(uss), std, 1.0)
 
     # 20. -u_t u - u_st >= 0
-    add("20-utu-ust", "-u_t u - u_st >= 0",
-        -ut * u - ust, np.abs(ut * u) + np.abs(ust), std)
+    yield ("20-utu-ust", "-u_t u - u_st >= 0",
+           -ut * u - ust, np.abs(ut * u) + np.abs(ust), std, 1.0)
 
     # 21. ((n-2)/4)(1/t - 1/s) u_s + u_ss + u_st >= 0
-    add("21-half-uss-ust", "((n-2)/4)(1/t-1/s) u_s + u_ss + u_st >= 0",
-        c2 * inv_ts * us + uss + ust,
-        c2 * np.abs(inv_ts * us) + np.abs(uss) + np.abs(ust), std)
+    yield ("21-half-uss-ust", "((n-2)/4)(1/t-1/s) u_s + u_ss + u_st >= 0",
+           c2 * inv_ts * us + uss + ust,
+           c2 * np.abs(inv_ts * us) + np.abs(uss) + np.abs(ust), std, 1.0)
 
     # 22. ((n-2)/4)(1/s - 1/t) u_t - u_st - u_tt >= 0
-    add("22-half-ust-utt", "((n-2)/4)(1/s-1/t) u_t - u_st - u_tt >= 0",
-        -c2 * inv_ts * ut - ust - utt,
-        c2 * np.abs(inv_ts * ut) + np.abs(ust) + np.abs(utt), std)
+    yield ("22-half-ust-utt", "((n-2)/4)(1/s-1/t) u_t - u_st - u_tt >= 0",
+           -c2 * inv_ts * ut - ust - utt,
+           c2 * np.abs(inv_ts * ut) + np.abs(ust) + np.abs(utt), std, 1.0)
 
     # 23. u_s + u_t - u_st - u_tt >= 0
-    add("23-st-tt", "u_s + u_t - u_st - u_tt >= 0",
-        us + ut - ust - utt,
-        np.abs(us + ut) + np.abs(ust) + np.abs(utt), std)
+    yield ("23-st-tt", "u_s + u_t - u_st - u_tt >= 0",
+           us + ut - ust - utt,
+           np.abs(us + ut) + np.abs(ust) + np.abs(utt), std, 1.0)
 
     # 24. u_s + u_t + u_st + u_ss >= 0
-    add("24-us-ut-ust", "u_s + u_t + u_st + u_ss >= 0",
-        us + ut + ust + uss,
-        np.abs(us + ut) + np.abs(ust) + np.abs(uss), std)
+    yield ("24-us-ut-ust", "u_s + u_t + u_st + u_ss >= 0",
+           us + ut + ust + uss,
+           np.abs(us + ut) + np.abs(ust) + np.abs(uss), std, 1.0)
 
     # 25. bootstrapped bound and its corollary
     rhs25 = inv_t2s2 * (us - ut + 0.5 * _sqrt_pos(us - ut))
     m25a = rhs25 - (us + ut)
     m25b = rhs25 + ust + uss
-    add("25-bootstrap", "u_s+u_t <= (1/t^2-1/s^2)(u_s-u_t+sqrt(u_s-u_t)/2); "
-        "same bound + u_st + u_ss >= 0",
-        np.minimum(m25a, m25b),
-        np.abs(rhs25) + np.abs(us + ut) + np.abs(ust) + np.abs(uss), std)
+    yield ("25-bootstrap", "u_s+u_t <= (1/t^2-1/s^2)(u_s-u_t+sqrt(u_s-u_t)/2); "
+           "same bound + u_st + u_ss >= 0",
+           np.minimum(m25a, m25b),
+           np.abs(rhs25) + np.abs(us + ut) + np.abs(ust) + np.abs(uss),
+           std, 1.0)
 
     # 26. dE/dz >= 0 for E = u^2 + 2u_s, and the cone-anchored lower bound
     m26a = us * u - ut * u + uss - ust
     us_cone = cone_interp(sol, us)
     m26b = 2.0 * us + u**2 - 2.0 * us_cone
-    add("26-E-monotone", "d(u^2+2u_s)/dz >= 0 and 2u_s + u^2 - 2u_s(y,0) >= 0",
-        np.minimum(m26a, m26b),
-        np.abs(us * u) + np.abs(ut * u) + np.abs(uss) + np.abs(ust)
-        + 2.0 * np.abs(us) + 2.0 * np.abs(us_cone) + u**2, std)
+    yield ("26-E-monotone", "d(u^2+2u_s)/dz >= 0 and 2u_s + u^2 - 2u_s(y,0) >= 0",
+           np.minimum(m26a, m26b),
+           np.abs(us * u) + np.abs(ut * u) + np.abs(uss) + np.abs(ust)
+           + 2.0 * np.abs(us) + 2.0 * np.abs(us_cone) + u**2, std, 1.0)
 
     # 27. deficit phi = H(y)H(z) - u: nonnegative and two upper bounds
     phi = hh_supersolution(y, z) - u
@@ -280,9 +280,9 @@ def _build_suite(sol: SaddleSolution):
     rho_z[zgt1] = rho(z[zgt1])
     b27b = _deficit_rho_constant() * inv_ts * Hy * rho_z
     m27 = np.where(zgt1, np.minimum(m27, b27b - phi), m27)
-    add("27-deficit", "0 <= H(y)H(z)-u <= 4H(y)(H+zH')/(y^2-z^2); "
-        "<= C (1/t-1/s)H(y)rho(z) for z>1",
-        m27, phi + np.abs(b27a), std)
+    yield ("27-deficit", "0 <= H(y)H(z)-u <= 4H(y)(H+zH')/(y^2-z^2); "
+           "<= C (1/t-1/s)H(y)rho(z) for z>1",
+           m27, phi + np.abs(b27a), std, 1.0)
 
     # 28. subsolution bound u >= H(0.45y)H(0.45z); where the proven a-range
     # of the defect claim stops below 0.45 it is a grid check only
@@ -292,15 +292,13 @@ def _build_suite(sol: SaddleSolution):
     if a_max < 0.45:
         desc28 += (f" (grid check only: a = 0.45 is above the proven "
                    f"a-range a <= {a_max:g} at n = {2 * m})")
-    add("28-subsolution", desc28, u - sub, np.abs(u) + sub, first)
+    yield ("28-subsolution", desc28, u - sub, np.abs(u) + sub, first, 1.0)
 
     # 29. lower bound on the Laplacian combination (controls |u_tt|)
     lhs29 = uss + utt + d * t5 + d * t6
     rhs29 = -u * (2.0 * us + 1.0 - 2.0 * us_cone)
-    add("29-utt-bound", "u_ss+u_tt+(m-1)(u_s/s+u_t/t) + u(2u_s+1-2u_s(y,0)) >= 0",
-        lhs29 - rhs29, np.abs(lhs29) + np.abs(rhs29), std)
-
-    return suite
+    yield ("29-utt-bound", "u_ss+u_tt+(m-1)(u_s/s+u_t/t) + u(2u_s+1-2u_s(y,0)) >= 0",
+           lhs29 - rhs29, np.abs(lhs29) + np.abs(rhs29), std, 1.0)
 
 
 def run_inequality_suite(sol: SaddleSolution):

@@ -2,7 +2,8 @@
 
 Run settings come from command-line flags only.  Exit status is 0 iff every
 requested verification passed; the last stdout line is always
-machine-parseable (usage errors included; --help prints only the help):
+machine-parseable (usage errors and a failed Newton solve included; --help
+prints only the help):
 
     RESULT <pass|fail> stages=<csv> failures=<k>
 """
@@ -23,7 +24,7 @@ from saddlecheck.reporting import (build_report, check_report_to_dict,
                                    proof_to_dict, solver_to_dict,
                                    write_report)
 from saddlecheck.rigor import builtin_expressions, claims, prove_nonpositive
-from saddlecheck.solver import NEWTON_TOL, SaddleSolution
+from saddlecheck.solver import NEWTON_TOL, NewtonError, SaddleSolution
 from saddlecheck.spectral import (assemble, min_eigenvalue,
                                   stability_certificate)
 
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
         elif args.command == "run" or args.out is not None:
             path = write_report(report, out / "report.json")
             print(f"report: {path}")
-    except ValueError as exc:
+    except (ValueError, NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("RESULT fail stages= failures=1")
         return 2

@@ -1,9 +1,9 @@
 """Uniform grid on the truncated triangle {0 <= t <= s <= R}.
 
-Node classification: the diagonal s = t carries homogeneous Dirichlet data
-(the solution vanishes on the cone), the outer edge s = R carries Dirichlet
-data supplied by the solver, the axis t = 0 is an unknown line handled with
-even-reflection ghosts, and everything else is a plain interior unknown.
+The diagonal s = t carries homogeneous Dirichlet data (the solution vanishes
+on the cone) and the outer edge s = R carries Dirichlet data supplied by the
+solver.  The unknowns are the other nodes, j < i < N: the axis t = 0, handled
+with even-reflection ghosts, and the plain interior.
 """
 
 from __future__ import annotations
@@ -11,12 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-NODE_OUTSIDE = -1
-NODE_INTERIOR = 0
-NODE_AXIS = 1
-NODE_DIAGONAL = 2
-NODE_OUTER = 3
 
 H_MAX = 0.2            # coarsest spacing build_grid accepts
 
@@ -26,7 +20,6 @@ class Grid:
     R: float
     h: float
     N: int
-    kind: np.ndarray = field(repr=False)       # (N+1, N+1) int8, [i, j] = (s, t)
     ii: np.ndarray = field(repr=False)         # s-indices of unknowns
     jj: np.ndarray = field(repr=False)         # t-indices of unknowns
 
@@ -62,14 +55,6 @@ def build_grid(R: float, h: float) -> Grid:
     if abs(ratio - N) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"R/h must be an integer, got R={R}, h={h} (R/h={ratio})")
 
-    kind = np.full((N + 1, N + 1), NODE_OUTSIDE, dtype=np.int8)
     idx = np.arange(N + 1)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    tri = jj <= ii
-    kind[tri] = NODE_INTERIOR
-    kind[(jj == 0) & tri] = NODE_AXIS
-    kind[(ii == jj)] = NODE_DIAGONAL
-    kind[(ii == N) & tri & (jj < N)] = NODE_OUTER
-
-    ui, uj = np.nonzero((kind == NODE_INTERIOR) | (kind == NODE_AXIS))
-    return Grid(R=float(R), h=float(h), N=N, kind=kind, ii=ui, jj=uj)
+    ii, jj = np.nonzero((idx[None, :] < idx[:, None]) & (idx[:, None] < N))
+    return Grid(R=float(R), h=float(h), N=N, ii=ii, jj=jj)

@@ -7,7 +7,7 @@ Intervals are vectorized (arrays of boxes evaluated at once) with outward
 rounding by two ulps around every primitive operation: one integer step on
 the float64 bit pattern, with nextafter for the lanes where that step would
 cross zero or pass +-inf, and for NaN.  Two ulps cover the correctly rounded
-+ - * / sqrt and the libm exp, tanh, log and pow, whose measured error stays
++ - * / sqrt and the libm exp, tanh and pow, whose measured error stays
 below it (tests/test_libm_audit.py).  Partial operations
 (division through zero, roots/powers of nonpositive bases) mark a box "bad"
 instead of failing; bad boxes are simply split further.  A claim is proven
@@ -209,12 +209,6 @@ class IntervalArray:
             return self._wrap(np.sqrt(np.maximum(self.lo, 0.0)),
                               np.sqrt(np.maximum(self.hi, 0.0)), bad)
 
-    def log(self):
-        bad = self.bad | (self.lo <= 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return self._wrap(np.log(np.maximum(self.lo, 1e-300)),
-                              np.log(np.maximum(self.hi, 1e-300)), bad)
-
 
 def _lift(x) -> IntervalArray:
     """x as an interval: a float becomes a 0-d point that broadcasts."""
@@ -225,12 +219,12 @@ def _lift(x) -> IntervalArray:
 # expression trees
 # ---------------------------------------------------------------------------
 
-_UNARY = {"exp": np.exp, "tanh": np.tanh, "sqrt": np.sqrt, "log": np.log}
+_UNARY = {"exp": np.exp, "tanh": np.tanh, "sqrt": np.sqrt}
 
 
 class ExprNode:
-    """Expression DAG over {const, var, +, -, *, /, pow, exp, tanh, sqrt,
-    log}, evaluable over floats or IntervalArray through a Tape."""
+    """Expression DAG over {const, var, +, -, *, /, pow, exp, tanh, sqrt},
+    evaluable over floats or IntervalArray through a Tape."""
 
     __slots__ = ("kind", "children", "value", "name")
 
@@ -289,9 +283,6 @@ class ExprNode:
 
     def sqrt(self):
         return ExprNode("sqrt", (self,))
-
-    def log(self):
-        return ExprNode("log", (self,))
 
     # -- evaluation ---------------------------------------------------------
     def evaluate(self, env):
@@ -466,8 +457,6 @@ def differentiate(expr: ExprNode, name: str, memo=None) -> ExprNode:
                                         _smart_mul(expr, expr)), d[0])
         elif k == "sqrt":
             out = _smart_div(d[0], _smart_mul(ExprNode.const(2.0), expr))
-        elif k == "log":
-            out = _smart_div(d[0], a)
         else:
             raise ValueError(f"unknown node kind {k!r}")
     memo[key] = out

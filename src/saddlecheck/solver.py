@@ -163,8 +163,8 @@ def newton_solve(params: DimensionParams, grid: Grid) -> SaddleSolution:
     prolonged bilinearly, and solves by _TwoGrid, built from that level's
     Jacobian at its solved field.  Every level is solved to NEWTON_TOL.
     Deterministic: identical inputs produce bitwise-identical fields.
-    Raises NewtonError on non-convergence or line-search failure at any
-    level.
+    Raises NewtonError on non-convergence, a non-finite residual or
+    line-search failure at any level.
     """
     chain = grid_chain(grid)
     U, solve, coarse = initial_guess(chain[0]), _lu_solve, None
@@ -307,7 +307,9 @@ def _newton(params: DimensionParams, grid: Grid, U: np.ndarray, solve):
     res = _residual(K, V, U, grid)
     norm = float(np.abs(res).max())
     iters = 0
-    while norm > NEWTON_TOL:
+    while not norm <= NEWTON_TOL:           # a NaN residual enters too
+        if not math.isfinite(norm):
+            raise NewtonError(f"residual {norm} after {iters} iterations")
         if iters >= MAX_NEWTON_ITERS:
             raise NewtonError(
                 f"no convergence after {iters} iterations; last residual {norm:.3e}"
@@ -341,7 +343,7 @@ def _checked(solve, J, rhs: np.ndarray) -> np.ndarray:
     """solve(J, rhs), checked as a solve of J delta = rhs to LINEAR_TOL."""
     delta = solve(J, rhs)
     lin_res = _relres(J, delta, rhs)
-    if lin_res > LINEAR_TOL:
+    if not lin_res <= LINEAR_TOL:
         raise NewtonError(f"inner linear solve stalled (relative residual {lin_res:.3e})")
     return delta
 

@@ -131,12 +131,20 @@ def _header_without_residual_norm(path):
     _rewrite_header(path, lambda header: header.pop("residual_norm"))
 
 
+def _header_with_nan_residual_norm(path):
+    # a NaN residual is not within NEWTON_TOL, whatever its hash
+    _rewrite_header(path, lambda header: header.update(
+        residual_norm=float("nan")))
+
+
 @pytest.mark.parametrize("damage, cause", [
     (_empty, "EOFError"),
     (_truncated, "BadZipFile"),
     (_plain_array, "TypeError"),
     (_header_without_residual_norm, "lacks residual_norm"),
-], ids=["empty", "truncated", "plain-array", "no-residual-norm"])
+    (_header_with_nan_residual_norm, "residual_norm nan is not <= 1e-10"),
+], ids=["empty", "truncated", "plain-array", "no-residual-norm",
+        "nan-residual-norm"])
 def test_damaged_cache_entry_is_rejected_with_its_cause(tmp_path, solved,
                                                         damage, cause):
     sol = solved(M, R, H)

@@ -169,6 +169,19 @@ def test_exit_code_two_on_config_error(capsys):
     assert rc == 2
 
 
+def test_nan_residual_fails_the_solve(tmp_path, capsys):
+    # at m = 400 the weights (x + h/2)^m of weighted_form overflow, so the
+    # residual is NaN from the start: an error, not a converged field
+    with pytest.warns(RuntimeWarning):
+        rc = main(["solve", "--m", "400", "--R", "8", "--h", "0.2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: residual nan after 0 iterations" in captured.err
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
+    cache = tmp_path / "cache"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_plot_rejects_dimension_before_solving(tmp_path, capsys):
     # the maps need the candidate, defined for n in {8, 10, 12}: n = 2 is a
     # configuration error found before any Newton solve or cache write

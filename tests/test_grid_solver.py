@@ -4,12 +4,12 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from oracles import residual_yz_form, sine_gordon_saddle, weighted_residual
 from saddlecheck import solver
-from saddlecheck.grid import (NODE_AXIS, NODE_DIAGONAL, NODE_INTERIOR,
-                              NODE_OUTER, NODE_OUTSIDE, build_grid)
+from saddlecheck.grid import build_grid
 from saddlecheck.params import DimensionParams, st_to_yz
 from saddlecheck.scalars import hh_supersolution
 from saddlecheck.solver import (NEWTON_TOL, NewtonError, _lu_solve, _newton,
@@ -29,16 +29,20 @@ def test_build_grid_validation():
 def test_node_classification():
     g = build_grid(12.0, 0.1)
     assert g.N == 120
-    kind = g.kind
-    assert np.all(kind[np.tril_indices(g.N + 1)] != NODE_OUTSIDE)
+    unknown = np.zeros((g.N + 1, g.N + 1), dtype=bool)
+    unknown[g.ii, g.jj] = True
+    assert not np.any(unknown & ~g.mask_triangle)
     # diagonal and outer edge are fixed; axis and interior are unknowns
-    assert np.all(kind.diagonal() == NODE_DIAGONAL)
-    assert np.all(kind[g.N, :g.N] == NODE_OUTER)
-    assert kind[5, 0] == NODE_AXIS and kind[5, 3] == NODE_INTERIOR
-    assert g.n_unknowns == g.ii.size
-    # the unknowns are the axis and interior nodes, numbered row by row
-    unknown = (kind == NODE_INTERIOR) | (kind == NODE_AXIS)
-    assert np.array_equal(g.ii * (g.N + 1) + g.jj, np.flatnonzero(unknown))
+    assert not np.any(unknown.diagonal())
+    assert not np.any(unknown[g.N])
+    assert unknown[5, 0] and unknown[5, 3]
+    assert np.array_equal(unknown[:g.N, 0], np.arange(g.N) > 0)
+    assert g.n_unknowns == g.ii.size == g.N * (g.N - 1) // 2
+    # the triangle less its diagonal and outer edge, numbered row by row
+    rest = g.mask_triangle.copy()
+    np.fill_diagonal(rest, False)
+    rest[g.N] = False
+    assert np.array_equal(g.ii * (g.N + 1) + g.jj, np.flatnonzero(rest))
 
 
 @pytest.mark.parametrize("m", [3, 4, 6])
@@ -228,6 +232,14 @@ def test_capped_cg_raises(monkeypatch):
     monkeypatch.setattr(solver, "CG_MAXITER", 1)
     with pytest.raises(NewtonError, match="CG stopped after 1 iterations"):
         newton_solve(DimensionParams(m=4), build_grid(12.0, 0.1))
+
+
+def test_nan_linear_solve_raises():
+    # a NaN relative residual is not within LINEAR_TOL
+    J = sp.identity(3, format="csr")
+    with pytest.raises(NewtonError, match="relative residual nan"):
+        solver._checked(lambda J, rhs: np.full_like(rhs, np.nan), J,
+                        np.ones(3))
 
 
 def test_one_lu_alive_at_a_time(monkeypatch):

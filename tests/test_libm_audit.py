@@ -1,7 +1,7 @@
 """Audit of the rounding assumption behind the interval prover.
 
 Interval bounds are padded outward by two ulps.  That is sound for the
-correctly rounded +, -, *, / and sqrt, but exp, tanh, log and pow come from
+correctly rounded +, -, *, / and sqrt, but exp, tanh and pow come from
 the platform's libm (possibly SIMD paths), which promises no error bound.
 This measures their error against 200-bit mpmath on the arguments the
 claims actually produce and fails unless it stays below the padding.
@@ -50,23 +50,21 @@ def _nodes(expr):
 
 
 def _claim_arguments(rng):
-    """Argument values of every exp/tanh/log/pow node the proofs of
+    """Argument values of every exp/tanh/pow node the proofs of
     rigor.claims(n), n = 8, 10, 12, evaluate, at points of each claim's
-    domain, and the values the claims' variables take there."""
-    args, variables = defaultdict(list), []
+    domain."""
+    args = defaultdict(list)
     for n in (8, 10, 12):
         cat = builtin_expressions(n)
         for _, key, kwargs in claims(n):
             env = _domain_points(rng, kwargs, POINTS)
-            variables.extend(env[nm] for nm in kwargs["names"])
             calls = [node for expr in _proof_expressions(cat[key], kwargs)
                      for node in _nodes(expr)
-                     if node.kind in ("exp", "tanh", "log", "pow")]
+                     if node.kind in ("exp", "tanh", "pow")]
             values = Tape([node.children[0] for node in calls]).run(env)
             for node, arg in zip(calls, values):
                 args[(node.kind, node.value)].append(np.atleast_1d(arg))
-    return ({key: np.concatenate(v) for key, v in args.items()},
-            np.concatenate(variables))
+    return {key: np.concatenate(v) for key, v in args.items()}
 
 
 def _ulp(exact):
@@ -89,20 +87,15 @@ def _max_ulp_error(np_fn, mp_fn, x):
 
 def test_libm_error_below_rounding_padding():
     rng = np.random.default_rng(2024)
-    args, variables = _claim_arguments(rng)
-    # the claims have no log node; IntervalArray.log is audited over the
-    # values the claims' exponentials and variables take
-    args[("log", None)] = np.concatenate([np.exp(args[("exp", None)]),
-                                          variables])
-    funcs = {"exp": (np.exp, mpmath.exp), "tanh": (np.tanh, mpmath.tanh),
-             "log": (np.log, mpmath.log)}
+    args = _claim_arguments(rng)
+    funcs = {"exp": (np.exp, mpmath.exp), "tanh": (np.tanh, mpmath.tanh)}
     exponents = {node.value for n in (8, 10, 12)
                  for _, key, kwargs in claims(n)
                  for expr in _proof_expressions(builtin_expressions(n)[key],
                                                 kwargs)
                  for node in _nodes(expr) if node.kind == "pow"}
     assert set(args) >= {("pow", p) for p in exponents}
-    assert {kind for kind, _ in args} == {"exp", "tanh", "log", "pow"}
+    assert {kind for kind, _ in args} == {"exp", "tanh", "pow"}
     report = {}
     for (kind, p), x in sorted(args.items(), key=str):
         x = rng.choice(x[np.isfinite(x)], SAMPLES)
