@@ -345,6 +345,7 @@ def verify_supersolution(sol: SaddleSolution, cand: CandidateParams,
         id=f"supersolution-n{cand.n}",
         description="L Phi <= 0 and Phi > 0 at interior nodes",
         passed=passed, worst_margin=-worst, worst_point=(float(i * h), float(j * h)),
-        nodes_checked=int(mask.sum()), nodes_excluded=0,
+        nodes_checked=int(mask.sum()),
+        nodes_excluded=int(sol.grid.mask_triangle.sum()) - int(mask.sum()),
         tolerance_used=tol, extras=extras)
 

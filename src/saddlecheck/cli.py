@@ -1,4 +1,5 @@
-"""Command-line pipeline: solve -> verify -> spectrum -> rigor -> report.
+"""Command-line pipeline: the stages solve, suite, supersolution, spectrum
+and rigor, then the report.
 
 Run settings come from command-line flags only.  Exit status is 0 iff every
 requested verification passed; the last stdout line is always
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from saddlecheck.cache import load_or_solve
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
-from saddlecheck.params import CandidateParams, DimensionParams
+from saddlecheck.params import CANDIDATE_DIMENSIONS, CandidateParams
 from saddlecheck.reporting import (build_report, check_report_to_dict,
                                    eig_to_dict, export_csv, export_signmaps,
                                    proof_to_dict, solver_to_dict,
@@ -29,6 +30,13 @@ from saddlecheck.spectral import (assemble, min_eigenvalue,
                                   stability_certificate)
 
 ALL_STAGES = ("solve", "suite", "supersolution", "spectrum", "rigor")
+
+# The largest m the Newton chain solves.  m <= 8 solves at R12 h.05, R16 h.1
+# and R20 h.025; m = 9 fails with "line search failed" on all three (at R12
+# h.05 on the h = 0.05 level), and m = 10-18 already fail at R12 h.1.  The
+# one-level grid R8 h.2 solves up to m = 98: the (s t)^(m-1) weights are what
+# give out, so the bound is fixed here, not a setting.
+MAX_M = 8
 
 
 @dataclass(frozen=True)
@@ -47,16 +55,19 @@ class RunConfig:
     def validated(self, command: str = "run") -> "RunConfig":
         """self, once the settings are checked for command; raises
         ValueError before any stage runs."""
-        DimensionParams(m=self.m)  # range check
+        if not 1 <= self.m <= MAX_M:
+            raise ValueError(f"the Newton chain solves m in 1..{MAX_M}, "
+                             f"got m={self.m}")
         unknown = set(self.stages) - set(ALL_STAGES)
         if unknown:
             raise ValueError(f"unknown stages: {sorted(unknown)}")
         needs_candidate = ({"suite", "supersolution", "rigor"}
                            & set(self.stages)) | ({"plot"} & {command})
-        if needs_candidate and self.n not in (8, 10, 12):
+        if needs_candidate and self.n not in CANDIDATE_DIMENSIONS:
             raise ValueError(f"the candidate (needed by "
                              f"{', '.join(sorted(needs_candidate))}) is "
-                             f"defined for n in {{8, 10, 12}}, got n={self.n}")
+                             f"defined for n in {CANDIDATE_DIMENSIONS}, "
+                             f"got n={self.n}")
         return self
 
 
@@ -70,14 +81,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # stages
 # ---------------------------------------------------------------------------
 
-def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
+def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     """Execute the requested stages in dependency order; returns the report
     dictionary (also carries 'failures', a list of failed item names) and the
     solution the stages ran on."""
     stages: dict = {}
     timing: dict = {}
     failures: list[str] = []
-    cand = CandidateParams(n=cfg.n) if cfg.n in (8, 10, 12) else None
+    cand = CandidateParams(n=cfg.n) if cfg.n in CANDIDATE_DIMENSIONS else None
 
     t0 = time.perf_counter()
     sol, cached, rejected = load_or_solve(cfg.m, cfg.R, cfg.h,
@@ -86,10 +97,10 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
     stages["solve"] = solver_to_dict(sol) | {"from_cache": cached}
     if rejected is not None:
         stages["solve"]["cache_rejected"] = rejected
-    log(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
-        f"residual={sol.residual_norm:.3e} "
-        f"cg_iters={stages['solve']['cg_iters']} "
-        f"({'cache' if cached else _newton_summary(sol)})")
+    print(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
+          f"residual={sol.residual_norm:.3e} "
+          f"cg_iters={stages['solve']['cg_iters']} "
+          f"({'cache' if cached else _newton_summary(sol)})")
 
     suite_reports = []
     if "suite" in cfg.stages:
@@ -99,7 +110,7 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
         stages["suite"] = {"checks": [check_report_to_dict(r)
                                       for r in suite_reports]}
         for rep in suite_reports:
-            log("  " + rep.summary())
+            print("  " + rep.summary())
             if not rep.passed:
                 failures.append(f"suite:{rep.id}")
 
@@ -110,7 +121,7 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
         timing["supersolution"] = time.perf_counter() - t0
         stages["supersolution"] = {"checks":
                                    [check_report_to_dict(super_report)]}
-        log("  " + super_report.summary())
+        print("  " + super_report.summary())
         if not super_report.passed:
             failures.append("supersolution")
 
@@ -123,8 +134,8 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
                       else est.lambda_min < -0.001)
         stages["spectrum"] = eig_to_dict(est) | {
             "expect_stable": expect_stable, "sign_consistent": consistent}
-        log(f"spectrum: lambda_min={est.lambda_min:+.6f} "
-            f"({'consistent' if consistent else 'INCONSISTENT'})")
+        print(f"spectrum: lambda_min={est.lambda_min:+.6f} "
+              f"({'consistent' if consistent else 'INCONSISTENT'})")
         if not consistent:
             failures.append("spectrum")
 
@@ -134,8 +145,8 @@ def run_stages(cfg: RunConfig, log=print) -> tuple[dict, SaddleSolution]:
         timing["rigor"] = time.perf_counter() - t0
         stages["rigor"] = {"proofs": proofs}
         for p in proofs:
-            log(f"rigor: {p['claim']}: {p['status']} "
-                f"({p['boxes_examined']} boxes)")
+            print(f"rigor: {p['claim']}: {p['status']} "
+                  f"({p['boxes_examined']} boxes)")
             if p["status"] != "proven":
                 failures.append(f"rigor:{p['claim']}")
 
@@ -187,8 +198,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--R", type=float, help="truncation radius")
     p.add_argument("--h", type=float, help="grid spacing (R/h integer)")
     p.add_argument("--out", help="output directory for report.json (plot: "
-                                 "the maps and u.csv); run and plot default "
-                                 "to out, the others write only when given")
+                                 "also the maps and u.csv); default out")
     p.add_argument("--cache", help="solution cache directory "
                                    "(default: $SADDLECHECK_CACHE_DIR)")
 
@@ -205,12 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
         "solve": "solve the reduced PDE and cache the field",
-        "verify": "run the inequality suite and the supersolution check",
-        "spectrum": "estimate the principal eigenvalue",
-        "rigor": "interval proofs of the closed-form sign claims",
-        "plot": "emit the six diagnostic SVG maps",
-        "run": "full pipeline (solve, suite, supersolution, spectrum, rigor) "
-               "and the JSON report",
+        "plot": "emit the six diagnostic SVG maps and u.csv",
+        "run": "full pipeline (solve, suite, supersolution, spectrum, rigor), "
+               "or the --stages given",
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
@@ -220,15 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated subset of: "
                                 + ",".join(ALL_STAGES))
     return parser
-
-
-_COMMAND_STAGES = {
-    "solve": ("solve",),
-    "verify": ("solve", "suite", "supersolution"),
-    "spectrum": ("solve", "spectrum"),
-    "rigor": ("solve", "rigor"),
-    "plot": ("solve",),
-}
 
 
 def main(argv=None) -> int:
@@ -242,8 +240,8 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = resolve_config(args)
-        if args.command in _COMMAND_STAGES:
-            cfg = replace(cfg, stages=_COMMAND_STAGES[args.command])
+        if args.command != "run":
+            cfg = replace(cfg, stages=("solve",))
         cfg = cfg.validated(args.command)
         report, sol = run_stages(cfg)
         out = Path(cfg.out)
@@ -252,9 +250,7 @@ def main(argv=None) -> int:
             export_csv(sol.u, "u", cfg.h, out / "u.csv")
             for p in paths:
                 print(f"plot: {p}")
-        elif args.command == "run" or args.out is not None:
-            path = write_report(report, out / "report.json")
-            print(f"report: {path}")
+        print(f"report: {write_report(report, out / 'report.json')}")
     except (ValueError, NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("RESULT fail stages= failures=1")

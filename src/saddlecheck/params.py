@@ -17,7 +17,7 @@ CANDIDATE_DIMENSIONS = (8, 10, 12)
 
 @dataclass(frozen=True)
 class DimensionParams:
-    """Factor dimension m; ambient dimension n = 2m; drift coefficient m - 1."""
+    """Factor dimension m; ambient dimension n = 2m."""
 
     m: int
 
@@ -28,10 +28,6 @@ class DimensionParams:
     @property
     def n(self) -> int:
         return 2 * self.m
-
-    @property
-    def drift(self) -> float:
-        return float(self.m - 1)
 
 
 @dataclass(frozen=True)

@@ -284,12 +284,6 @@ class ExprNode:
     def sqrt(self):
         return ExprNode("sqrt", (self,))
 
-    # -- evaluation ---------------------------------------------------------
-    def evaluate(self, env):
-        """Evaluate over whatever value type env supplies (floats, ndarrays,
-        IntervalArray)."""
-        return Tape([self]).run(env)[0]
-
     def variables(self):
         out = set()
         stack = [self]

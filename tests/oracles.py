@@ -21,8 +21,15 @@ import scipy.linalg
 from saddlecheck.candidate import CoefficientSet, f_generic
 from saddlecheck.grid import build_grid
 from saddlecheck.params import CandidateParams, SQRT2, st_to_yz
+from saddlecheck.rigor import Tape
 from saddlecheck.scalars import heteroclinic
 from saddlecheck.solver import weighted_form
+
+
+def evaluate(expr, env):
+    """The value of one expression DAG over whatever value type env supplies
+    (floats, ndarrays, IntervalArray), by a tape of that one root."""
+    return Tape([expr]).run(env)[0]
 
 
 def subsolution_defect(a, y, z, d):
@@ -309,7 +316,7 @@ def residual_yz_form(sol, guard: float | None = None):
     uyd = np.where(mask, sol.u_y, 0.0)
     uzd = np.where(mask, sol.u_z, 0.0)
     res = (-u_yy - u_zz
-           - 2.0 * sol.params.drift / denom * (y * uyd - z * uzd)
+           - 2.0 * (sol.params.m - 1) / denom * (y * uyd - z * uzd)
            - U + U**3)
     return np.where(mask, res, 0.0), mask
 

@@ -7,7 +7,7 @@ output) and then asserts, so the gate doubles as a human-readable scorecard.
 import numpy as np
 import pytest
 
-from oracles import dense_min_eigenvalue, rho1, validate_exact
+from oracles import dense_min_eigenvalue, evaluate, rho1, validate_exact
 from saddlecheck.candidate import (CandidateParams, coefficient_set, l_phi,
                                    l_phi0)
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
@@ -166,11 +166,11 @@ def test_criterion_9_property_suites():
            "u": IntervalArray.from_bounds(u_lo, u_lo + wu),
            "z": IntervalArray.from_bounds(z_lo, z_lo + wz),
            "d": IntervalArray.point(np.full(n_boxes, 3.0))}
-    iv = cat["defect_gap"].evaluate(env)
+    iv = evaluate(cat["defect_gap"], env)
     pts = {nm: lo[:, None] + w[:, None] * rng.uniform(0, 1, (n_boxes, n_samples))
            for nm, lo, w in (("a", a_lo, wa), ("u", u_lo, wu), ("z", z_lo, wz))}
     pts["d"] = np.full((n_boxes, n_samples), 3.0)
-    vals = cat["defect_gap"].evaluate(pts)
+    vals = evaluate(cat["defect_gap"], pts)
     violations = int(np.sum(~iv.bad[:, None]
                             & ((vals < iv.lo[:, None]) | (vals > iv.hi[:, None]))))
 

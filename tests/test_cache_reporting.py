@@ -160,12 +160,12 @@ def test_damaged_cache_entry_is_rejected_with_its_cause(tmp_path, solved,
 def test_rejected_cache_reason_reaches_the_report(tmp_path, solved):
     _save_as_format_1(solved(M, R, H), tmp_path)
     cfg = RunConfig(m=M, R=R, h=H, stages=("solve",), cache=str(tmp_path))
-    report, _ = run_stages(cfg, log=lambda line: None)
+    report, _ = run_stages(cfg)
     solve = report["stages"]["solve"]
     assert solve["from_cache"] is False
     assert "format 1, expected 2" in solve["cache_rejected"]
     # the re-solve replaced the entry: a hit carries no rejection key
-    report, _ = run_stages(cfg, log=lambda line: None)
+    report, _ = run_stages(cfg)
     assert report["stages"]["solve"]["from_cache"] is True
     assert "cache_rejected" not in report["stages"]["solve"]
 
@@ -176,7 +176,7 @@ def test_entry_under_another_key_is_rejected(tmp_path, solved):
     path = save_solution(solved(M, R, H), tmp_path)
     path.rename(tmp_path / (solution_key(M + 1, R, H) + ".npz"))
     cfg = RunConfig(m=M + 1, R=R, h=H, stages=("solve",), cache=str(tmp_path))
-    report, sol = run_stages(cfg, log=lambda line: None)
+    report, sol = run_stages(cfg)
     solve = report["stages"]["solve"]
     assert sol.params.m == solve["m"] == M + 1
     assert solve["from_cache"] is False
@@ -186,7 +186,7 @@ def test_entry_under_another_key_is_rejected(tmp_path, solved):
 
 def test_coarse_levels_reach_the_report(tmp_path):
     cfg = RunConfig(m=M, R=R, h=0.1, stages=("solve",), cache=str(tmp_path))
-    report, sol = run_stages(cfg, log=lambda line: None)
+    report, sol = run_stages(cfg)
     solve = report["stages"]["solve"]
     assert solve["from_cache"] is False
     [[h, steps]] = solve["coarse_iters"]
@@ -196,7 +196,7 @@ def test_coarse_levels_reach_the_report(tmp_path):
     assert h == 0.1 and len(per_step) == sol.newton_iters
     assert per_step == list(sol.cg_iters[0][1]) and min(per_step) > 0
     # a cache load ran no coarse level and no CG
-    report, _ = run_stages(cfg, log=lambda line: None)
+    report, _ = run_stages(cfg)
     assert report["stages"]["solve"]["from_cache"] is True
     assert report["stages"]["solve"]["coarse_iters"] == []
     assert report["stages"]["solve"]["cg_iters"] == []

@@ -14,8 +14,12 @@ import pytest
 import saddlecheck
 from saddlecheck import cli
 from saddlecheck.cache import CACHE_ENV_VAR
-from saddlecheck.cli import RunConfig, build_parser, main, run_rigor
+from saddlecheck.cli import (RunConfig, build_parser, main, run_rigor,
+                             run_stages)
+from saddlecheck.grid import build_grid
+from saddlecheck.params import DimensionParams
 from saddlecheck.rigor import DEFECT_A_MAX
+from saddlecheck.solver import NewtonError, newton_solve
 
 M_ARGS = ["--m", "4", "--R", "8", "--h", "0.2"]
 
@@ -35,10 +39,14 @@ def _last_line(capsys):
     ["run", "--config", "x.ini"],
     ["run", "--n", "8"],
     ["report"],
-], ids=["tol", "config", "n", "report"])
+    ["verify"] + M_ARGS,
+    ["spectrum"] + M_ARGS,
+    ["rigor"] + M_ARGS,
+], ids=["tol", "config", "n", "report", "verify", "spectrum", "rigor"])
 def test_removed_settings_are_usage_errors(argv, capsys):
     # the Newton gate and the proof budget are fixed in code: no flag,
-    # file or second subcommand reaches them
+    # file or second subcommand reaches them; a stage subset is
+    # `run --stages`, not a subcommand of its own
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
@@ -49,7 +57,11 @@ def test_removed_settings_are_usage_errors(argv, capsys):
     ["run", "--tol", "1e-3"],
     ["run", "--bogus"],
     ["nonsense"],
-], ids=["removed-flag", "unknown-flag", "unknown-subcommand"])
+    ["verify"] + M_ARGS,
+    ["spectrum"] + M_ARGS,
+    ["rigor"] + M_ARGS,
+], ids=["removed-flag", "unknown-flag", "unknown-subcommand", "verify",
+        "spectrum", "rigor"])
 def test_usage_error_ends_with_result_line(argv, capsys):
     # the usage goes to stderr, the RESULT line still ends stdout
     assert main(argv) == 2
@@ -65,8 +77,8 @@ def test_help_exits_zero_without_result_line(capsys):
     assert "RESULT" not in capsys.readouterr().out
 
 
-def test_verify_command_passes(capsys):
-    rc = main(["verify"] + M_ARGS)
+def test_suite_and_supersolution_stages_pass(capsys):
+    rc = main(["run", "--stages", "solve,suite,supersolution"] + M_ARGS)
     assert rc == 0
     line = _last_line(capsys)
     assert line == "RESULT pass stages=solve,suite,supersolution failures=0"
@@ -81,9 +93,10 @@ def test_solve_log_names_the_coarse_chain(capsys):
     assert re.search(r" cg_iters=\[\[0\.1, \[\d+(, \d+)*\]\]\] ", line), line
 
 
-def test_spectrum_command_skips_candidate_validation(capsys):
+def test_spectrum_stage_skips_candidate_validation(capsys):
     # m = 2 has no supersolution candidate, but the spectrum stage must run
-    rc = main(["spectrum", "--m", "2", "--R", "8", "--h", "0.2"])
+    rc = main(["run", "--stages", "solve,spectrum",
+               "--m", "2", "--R", "8", "--h", "0.2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "lambda_min=-0." in out
@@ -113,26 +126,35 @@ def test_plot_emits_maps_and_csv(tmp_path, capsys):
     out = tmp_path / "plots"
     assert main(["plot", "--out", str(out)] + M_ARGS) == 0
     assert (out / "u.csv").exists()
+    assert (out / "report.json").exists()
     svgs = sorted(p.name for p in out.glob("*.svg"))
     assert len(svgs) == 6
 
 
-@pytest.mark.parametrize("command", ["solve", "verify", "spectrum", "rigor"])
-def test_out_writes_the_report_for_every_command(command, tmp_path,
+# each id names the stage list of the subcommand `run --stages` replaces
+@pytest.mark.parametrize("argv, stages", [
+    (["solve"], ["solve"]),
+    (["run", "--stages", "solve,suite,supersolution"],
+     ["solve", "suite", "supersolution"]),
+    (["run", "--stages", "solve,spectrum"], ["solve", "spectrum"]),
+    (["run", "--stages", "solve,rigor"], ["solve", "rigor"]),
+], ids=["solve", "verify", "spectrum", "rigor"])
+def test_out_writes_the_report_for_every_command(argv, stages, tmp_path,
                                                  monkeypatch, capsys):
     _with_budget(monkeypatch, 500)      # a short rigor stage
-    main([command] + M_ARGS)
-    assert not (tmp_path / "out").exists()     # no --out, nothing written
-    capsys.readouterr()
-    out = tmp_path / "o"
-    rc = main([command, "--out", str(out)] + M_ARGS)
-    *_, report_line, result_line = capsys.readouterr().out.splitlines()
-    report = json.loads((out / "report.json").read_text())
-    assert report_line == f"report: {out / 'report.json'}"
-    assert result_line.startswith("RESULT ")
-    assert report["config"]["out"] == str(out)
-    assert set(cli._COMMAND_STAGES[command]) <= set(report["stages"])
-    assert rc == (1 if report["failures"] else 0)
+    for out in ("out", str(tmp_path / "o")):      # the default, then --out
+        flag = [] if out == "out" else ["--out", out]
+        rc = main(argv + flag + M_ARGS)
+        *_, report_line, result_line = capsys.readouterr().out.splitlines()
+        report_path = Path(out) / "report.json"
+        report = json.loads(report_path.read_text())
+        assert report_line == f"report: {report_path}"
+        assert report["config"]["out"] == out
+        assert result_line.startswith(f"RESULT {'fail' if rc else 'pass'} "
+                                      f"stages={','.join(stages)} ")
+        assert report["config"]["stages"] == stages
+        assert set(stages) <= set(report["stages"])
+        assert rc == (1 if report["failures"] else 0)
 
 
 def _with_budget(monkeypatch, max_boxes, results=None):
@@ -150,7 +172,7 @@ def _with_budget(monkeypatch, max_boxes, results=None):
 
 def test_exit_code_one_on_undecided_proof(monkeypatch, capsys):
     _with_budget(monkeypatch, 500)
-    rc = main(["rigor"] + M_ARGS)
+    rc = main(["run", "--stages", "solve,rigor"] + M_ARGS)
     assert rc == 1
     line = _last_line(capsys)
     assert line.startswith("RESULT fail stages=solve,rigor failures=")
@@ -165,21 +187,48 @@ def test_exit_code_two_on_config_error(capsys):
     rc = main(["solve", "--m", "4", "--R", "8", "--h", "0.3"])
     assert rc == 2
     # candidate stage with a dimension outside the candidate table
-    rc = main(["verify", "--m", "2", "--R", "8", "--h", "0.2"])
+    rc = main(["run", "--stages", "solve,suite,supersolution",
+               "--m", "2", "--R", "8", "--h", "0.2"])
     assert rc == 2
 
 
-def test_nan_residual_fails_the_solve(tmp_path, capsys):
+def test_nan_residual_fails_the_solve():
     # at m = 400 the weights (x + h/2)^m of weighted_form overflow, so the
-    # residual is NaN from the start: an error, not a converged field
-    with pytest.warns(RuntimeWarning):
-        rc = main(["solve", "--m", "400", "--R", "8", "--h", "0.2"])
+    # residual is NaN from the start: an error, not a converged field.  The
+    # command line stops such an m before Newton; the library does not
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NewtonError, match="residual nan after 0 iterations"):
+        newton_solve(DimensionParams(400), build_grid(8, 0.2))
+
+
+def test_unsolvable_m_is_rejected_before_any_stage(tmp_path, monkeypatch,
+                                                   capsys):
+    # m = 9 fails inside the Newton chain at R12 h.05: a configuration
+    # error, found before the cache is touched
+    calls = []
+    monkeypatch.setattr(cli, "load_or_solve",
+                        lambda *a, **k: calls.append(a))
+    rc = main(["solve", "--m", "9", "--R", "12", "--h", "0.05"])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "error: residual nan after 0 iterations" in captured.err
+    assert f"m in 1..{cli.MAX_M}, got m=9" in captured.err
     assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
-    cache = tmp_path / "cache"
-    assert not cache.exists() or not any(cache.iterdir())
+    assert calls == []
+    assert not (tmp_path / "cache").exists()
+
+
+def test_every_check_accounts_for_every_triangle_node(capsys):
+    # checked plus excluded nodes cover the triangle in every check report,
+    # the supersolution's (which skips the cone, the axis and the outer
+    # edge) included
+    report, sol = run_stages(RunConfig(
+        m=4, R=8.0, h=0.2, stages=("solve", "suite", "supersolution")))
+    triangle = int(sol.grid.mask_triangle.sum())
+    checks = [c for stage in ("suite", "supersolution")
+              for c in report["stages"][stage]["checks"]]
+    assert len(checks) == 30
+    assert {c["nodes_checked"] + c["nodes_excluded"] for c in checks} \
+        == {triangle}
 
 
 def test_plot_rejects_dimension_before_solving(tmp_path, capsys):

@@ -4,7 +4,7 @@ differentiation, and the branch-and-bound nonpositivity prover."""
 import numpy as np
 import pytest
 
-from oracles import jet_coefficients, subsolution_defect
+from oracles import evaluate, jet_coefficients, subsolution_defect
 from saddlecheck.params import CandidateParams
 from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, Tape,
                                _down, _up, builtin_expressions, claims,
@@ -36,10 +36,10 @@ def test_interval_arithmetic_soundness_bulk():
         s_w = RNG.uniform(1e-4, 0.3, n_boxes)
         env = {"s": IntervalArray.from_bounds(s_lo, s_lo + s_w),
                "t": IntervalArray.from_bounds(t_lo, t_lo + t_w)}
-        iv = expr.evaluate(env)
+        iv = evaluate(expr, env)
         fs = s_lo[:, None] + s_w[:, None] * RNG.uniform(0, 1, (n_boxes, n_samples))
         ft = t_lo[:, None] + t_w[:, None] * RNG.uniform(0, 1, (n_boxes, n_samples))
-        vals = expr.evaluate({"s": fs, "t": ft})
+        vals = evaluate(expr, {"s": fs, "t": ft})
         ok = (vals >= iv.lo[:, None]) & (vals <= iv.hi[:, None])
         assert np.all(ok | iv.bad[:, None]), name
         assert not iv.bad.any(), name
@@ -55,7 +55,7 @@ def test_catalog_size_and_point_agreement():
     env = {"s": 2.0, "t": 1.0}
     for key, want in (("c_s", cs.c_s), ("c_t", cs.c_t), ("c_ss", cs.c_ss),
                       ("c_st", cs.c_st), ("c_tt", cs.c_tt)):
-        assert cat[key].evaluate(env) == pytest.approx(want, rel=1e-12)
+        assert evaluate(cat[key], env) == pytest.approx(want, rel=1e-12)
 
 
 def _claims_name_their_catalog(n, cat):
@@ -81,7 +81,7 @@ def test_cross_coefficient_vanishes_on_diagonal_interval():
     cat = builtin_expressions(8)
     for tt in (0.7, 1.3, 4.0):
         pt = IntervalArray.point(np.array([tt]))
-        iv = cat["c_st"].evaluate({"s": pt, "t": pt})
+        iv = evaluate(cat["c_st"], {"s": pt, "t": pt})
         assert iv.lo[0] <= 0.0 <= iv.hi[0]
         assert iv.hi[0] - iv.lo[0] <= 1e-10
 
@@ -91,14 +91,14 @@ def test_defect_frozen_oracle_and_gap_form_agreement():
     gap = defect_gap_expression()
     got = subsolution_defect(0.3, 3.0, 0.5, 3.0)
     assert got == pytest.approx(DEFECT_ORACLE, rel=1e-14)
-    got_gap = gap.evaluate({"a": 0.3, "u": 2.5, "z": 0.5, "d": 3.0})
+    got_gap = evaluate(gap, {"a": 0.3, "u": 2.5, "z": 0.5, "d": 3.0})
     assert got_gap == pytest.approx(DEFECT_ORACLE, rel=1e-12)
     # dense random agreement between the two parametrizations
     a = RNG.uniform(0.01, 0.45, 3000)
     z = RNG.uniform(0.01, 12.0, 3000)
     u = RNG.uniform(0.01, 12.0, 3000)
     v1 = subsolution_defect(a, z + u, z, 3.0)
-    v2 = gap.evaluate({"a": a, "u": u, "z": z, "d": 3.0})
+    v2 = evaluate(gap, {"a": a, "u": u, "z": z, "d": 3.0})
     assert np.max(np.abs(v1 - v2) / np.maximum(np.abs(v1), 1e-300)) < 1e-9
 
 
@@ -123,8 +123,8 @@ def test_differentiate_matches_finite_differences():
         lo = dict(base)
         hi[nm] += eps
         lo[nm] -= eps
-        fd = (gap.evaluate(hi) - gap.evaluate(lo)) / (2 * eps)
-        assert g.evaluate(base) == pytest.approx(fd, rel=1e-6), nm
+        fd = (evaluate(gap, hi) - evaluate(gap, lo)) / (2 * eps)
+        assert evaluate(g, base) == pytest.approx(fd, rel=1e-6), nm
 
 
 def test_differentiate_shares_subtrees():
@@ -235,7 +235,7 @@ def test_catalog_matches_jet_coefficients(n):
     cs = jet_coefficients(s, t, CandidateParams(n=n))
     for key in ("c_s", "c_t", "c_ss", "c_st", "c_tt"):
         want = getattr(cs, key)
-        got = cat[key].evaluate({"s": s, "t": t})
+        got = evaluate(cat[key], {"s": s, "t": t})
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9, key
 
 
