@@ -97,7 +97,9 @@ def _build_suite(sol: SaddleSolution):
     a time.
 
     margin >= 0 is the satisfied direction for every entry; scale is the sum
-    of term magnitudes used by the tolerance model.
+    of term magnitudes used by the tolerance model.  A check's one-shot
+    temporaries are released after its yield, so the generator holds only
+    the fields later checks read.
     """
     g = sol.grid
     m = sol.params.m
@@ -122,6 +124,7 @@ def _build_suite(sol: SaddleSolution):
     grad2 = 0.5 * (us**2 + ut**2)
     yield ("01-modica", "F(u) - |grad u|^2/2 >= 0",
            double_well(u) - grad2, double_well(u) + grad2, first, 1.0)
+    del grad2
 
     # 2. t u_s + s u_t <= 0 (equality on the diagonal)
     yield ("02-tus-sut", "-(t u_s + s u_t) >= 0",
@@ -134,11 +137,13 @@ def _build_suite(sol: SaddleSolution):
     m3b = 2.0 * z / (y + z + 1e-300) * us - (us + ut)
     yield ("03-usut-decay", "u_s+u_t in [0, (2z/(y+z)) u_s]",
            np.minimum(m3a, m3b), np.abs(us) + np.abs(ut), first, 1.0)
+    del m3a, m3b
 
     # 4. explicit exponential decay of u_s
     bound4 = 2.0 * (np.exp(0.85 * T) + 4.9 / _sqrt_pos(T + (T <= 0))) * np.exp(-0.85 * S)
     yield ("04-us-decay", "2(e^{0.85t}+4.9/sqrt t)e^{-0.85s} - u_s >= 0",
            bound4 - us, bound4 + np.abs(us), tri_mask(g, cone=1), 1.0)
+    del bound4
 
     # 5. u_s/s - u_ss >= 0
     t5 = np.where(msk, us / np.where(msk, S, 1.0), 0.0)
@@ -187,6 +192,7 @@ def _build_suite(sol: SaddleSolution):
            np.minimum(m13a, m13b),
            np.abs(u / zsafe) + np.abs(uy) + np.abs(uz) + np.abs(y * uy),
            std, 1.0)
+    del zsafe, m13a, m13b
 
     # 14. u_z - y u_yz >= 0 on the cone (z = 0); diagonal trace with a
     # looser tolerance since the cross term needs a one-sided read.
@@ -202,6 +208,7 @@ def _build_suite(sol: SaddleSolution):
     np.fill_diagonal(mask14, (k >= 2) & (k <= g.N - 3))
     yield ("14-cone-uz", "u_z - y u_yz >= 0 on the cone",
            m14, s14, mask14, 4.0)
+    del m14, s14, mask14
 
     # 15. -u_t/t + u_st + u_tt >= 0
     yield ("15-ut-over-t", "-u_t/t + u_st + u_tt >= 0",
@@ -259,6 +266,7 @@ def _build_suite(sol: SaddleSolution):
            np.minimum(m25a, m25b),
            np.abs(rhs25) + np.abs(us + ut) + np.abs(ust) + np.abs(uss),
            std, 1.0)
+    del rhs25, m25a, m25b
 
     # 26. dE/dz >= 0 for E = u^2 + 2u_s, and the cone-anchored lower bound
     m26a = us * u - ut * u + uss - ust
@@ -268,6 +276,7 @@ def _build_suite(sol: SaddleSolution):
            np.minimum(m26a, m26b),
            np.abs(us * u) + np.abs(ut * u) + np.abs(uss) + np.abs(ust)
            + 2.0 * np.abs(us) + 2.0 * np.abs(us_cone) + u**2, std, 1.0)
+    del m26a, m26b
 
     # 27. deficit phi = H(y)H(z) - u: nonnegative and two upper bounds
     phi = hh_supersolution(y, z) - u
@@ -283,6 +292,7 @@ def _build_suite(sol: SaddleSolution):
     yield ("27-deficit", "0 <= H(y)H(z)-u <= 4H(y)(H+zH')/(y^2-z^2); "
            "<= C (1/t-1/s)H(y)rho(z) for z>1",
            m27, phi + np.abs(b27a), std, 1.0)
+    del phi, denom, Hy, b27a, m27, zgt1, rho_z, b27b
 
     # 28. subsolution bound u >= H(0.45y)H(0.45z); where the proven a-range
     # of the defect claim stops below 0.45 it is a grid check only
@@ -293,6 +303,7 @@ def _build_suite(sol: SaddleSolution):
         desc28 += (f" (grid check only: a = 0.45 is above the proven "
                    f"a-range a <= {a_max:g} at n = {2 * m})")
     yield ("28-subsolution", desc28, u - sub, np.abs(u) + sub, first, 1.0)
+    del sub
 
     # 29. lower bound on the Laplacian combination (controls |u_tt|)
     lhs29 = uss + utt + d * t5 + d * t6

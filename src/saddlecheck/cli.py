@@ -139,14 +139,18 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
         if not consistent:
             failures.append("spectrum")
 
+    trace: dict = {}
     if "rigor" in cfg.stages:
         t0 = time.perf_counter()
-        proofs = run_rigor(cfg)
+        trace["rigor"] = []
+        proofs = run_rigor(cfg, timing, trace["rigor"])
         timing["rigor"] = time.perf_counter() - t0
         stages["rigor"] = {"proofs": proofs}
         for p in proofs:
+            secs = timing[f"rigor:{p['claim']}"]
             print(f"rigor: {p['claim']}: {p['status']} "
-                  f"({p['boxes_examined']} boxes)")
+                  f"({p['boxes_examined']} boxes, {secs:.2f} s, "
+                  f"{p['boxes_examined'] / secs:.0f} boxes/s)")
             if p["status"] != "proven":
                 failures.append(f"rigor:{p['claim']}")
 
@@ -154,7 +158,7 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
         stages["certificate"] = stability_certificate(
             sol, cand, suite_reports + [super_report])
 
-    report = build_report(_config_echo(cfg), stages, timing)
+    report = build_report(_config_echo(cfg), stages, timing, trace)
     report["failures"] = failures
     return report, sol
 
@@ -171,13 +175,23 @@ def _newton_summary(sol: SaddleSolution) -> str:
     return text
 
 
-def run_rigor(cfg: RunConfig) -> list[dict]:
+def run_rigor(cfg: RunConfig, timing: dict | None = None,
+              trace: list | None = None) -> list[dict]:
     """Interval proofs of the claims in rigor.claims(n), in table order; a
-    defect entry also names the upper end a_max of its a-range."""
+    defect entry also names the upper end a_max of its a-range.  Each
+    proof's wall seconds go into timing as rigor:<claim>, and its batch
+    count and deepest bisection into trace, when those are given."""
     cat = builtin_expressions(cfg.n)
     proofs = []
     for label, key, kwargs in claims(cfg.n):
-        entry = proof_to_dict(prove_nonpositive(cat[key], **kwargs), label)
+        t0 = time.perf_counter()
+        res = prove_nonpositive(cat[key], **kwargs)
+        if timing is not None:
+            timing[f"rigor:{label}"] = time.perf_counter() - t0
+        if trace is not None:
+            trace.append({"claim": label, "batches": res.batches,
+                          "max_depth": res.max_depth})
+        entry = proof_to_dict(res, label)
         if key == "defect_gap":
             entry["a_max"] = kwargs["box"][kwargs["names"].index("a")][1]
         proofs.append(entry)

@@ -3,8 +3,10 @@
 Three output formats, all deterministic:
 
 * JSON report (schema ``saddlecheck-report/1``): config echo, per-stage
-  payloads, and wall-clock timings kept under a separate "timing" key so
-  reports from identical runs are byte-identical outside that key.
+  payloads, wall-clock timings kept under a separate "timing" key so
+  reports from identical runs are byte-identical outside that key, and,
+  when the rigor stage runs, each proof's batches and deepest bisection
+  under "trace".
 * CSV field dumps: row-major, ``%.17g`` formatting (lossless float64
   round-trip), self-describing header line.
 * SVG maps: quantized, run-length-encoded heatmaps and three-color sign
@@ -82,19 +84,25 @@ def solver_to_dict(sol: SaddleSolution) -> dict:
     }
 
 
-def build_report(config: dict, stages: dict, timing: dict) -> dict:
+def build_report(config: dict, stages: dict, timing: dict,
+                 trace: dict | None = None) -> dict:
     """Assemble the self-contained run report.
 
     ``stages`` values must already be JSON-serializable dictionaries (use the
-    *_to_dict helpers); ``timing`` maps stage name to wall seconds and is the
-    only part allowed to differ between reruns of an identical config.
+    *_to_dict helpers); ``timing`` maps stage name (and rigor:<claim>) to
+    wall seconds and is the only part allowed to differ between reruns of an
+    identical config.  ``trace`` holds work counts that do not judge
+    anything; it is left out when empty.
     """
-    return {
+    report = {
         "schema": REPORT_SCHEMA,
         "config": dict(sorted(config.items())),
         "stages": stages,
         "timing": timing,
     }
+    if trace:
+        report["trace"] = trace
+    return report
 
 
 def write_report(report: dict, path: str | Path) -> Path:

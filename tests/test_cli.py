@@ -296,3 +296,25 @@ def test_rigor_decisions_pinned(m, expected, monkeypatch):
         [DEFECT_A_MAX[2 * m]] + [None] * (len(rows) - 1)
     frontier = b"".join(r.frontier.tobytes() for r in results)
     assert hashlib.sha256(frontier).hexdigest() == frontier_sha256
+
+
+def test_report_times_and_traces_each_proof(capsys):
+    # each proof's wall seconds go under timing and its batches and deepest
+    # bisection under trace.rigor, and the log line gives seconds and
+    # boxes/s; a run without the rigor stage has no trace
+    assert main(["run", "--stages", "solve,rigor"] + M_ARGS) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rep = json.loads(Path("out/report.json").read_text())
+    assert [(t["claim"], t["batches"], t["max_depth"])
+            for t in rep["trace"]["rigor"]] == [
+        ("defect<=0", 37, 36), ("c_s<0", 18, 17), ("c_ss<0", 14, 13),
+        ("c_st<0", 18, 17)]
+    for p in rep["stages"]["rigor"]["proofs"]:
+        assert 0.0 < rep["timing"][f"rigor:{p['claim']}"] \
+            <= rep["timing"]["rigor"]
+        assert sum(re.fullmatch(
+            rf"rigor: {re.escape(p['claim'])}: proven "
+            rf"\({p['boxes_examined']} boxes, \d+\.\d\d s, \d+ boxes/s\)",
+            line) is not None for line in lines) == 1
+    assert main(["run", "--stages", "solve,suite"] + M_ARGS) == 0
+    assert "trace" not in json.loads(Path("out/report.json").read_text())

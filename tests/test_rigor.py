@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import evaluate, jet_coefficients, subsolution_defect
+from saddlecheck import rigor
 from saddlecheck.params import CandidateParams
 from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, Tape,
                                _down, _up, builtin_expressions, claims,
@@ -550,3 +551,184 @@ def test_merged_tape_matches_unmerged_dag_bitwise(n):
                     assert np.array_equal(a.view(np.uint8),
                                           getattr(w, part).view(np.uint8)), \
                         (n, label, part)
+
+
+# ---------------------------------------------------------------------------
+# range-checked one-step rounding and the bounds an interval carries
+# ---------------------------------------------------------------------------
+
+def _count_kernel_calls(monkeypatch):
+    """Calls of the lane-by-lane kernel, which _wrap skips on the fast range."""
+    calls = []
+    kernel = rigor._two_ulps
+
+    def counted(x, direction):
+        calls.append(direction)
+        return kernel(x, direction)
+
+    monkeypatch.setattr(rigor, "_two_ulps", counted)
+    return calls
+
+
+def _assert_wrap_matches_kernels(x, bad=None):
+    """_wrap of the point interval x, read from its arrays and from given
+    exact bounds, is _down/_up bit for bit, with bad lanes [-inf, inf]."""
+    bad = np.zeros(x.shape, dtype=bool) if bad is None else bad
+    iv = IntervalArray(x, x, bad)
+    exact = rigor._extremes(x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_lo = np.where(bad, -np.inf, _ref_down(x))
+        want_hi = np.where(bad, np.inf, _ref_up(x))
+        runs = [iv._wrap(x.copy(), x.copy())]
+        if exact is not None and not bad.any():
+            runs.append(iv._wrap(x.copy(), x.copy(), bad, True, exact, exact))
+    for got in runs:
+        assert np.array_equal(_bits(got.lo), _bits(want_lo))
+        assert np.array_equal(_bits(got.hi), _bits(want_hi))
+        assert got.bad is bad
+    return runs
+
+
+# the fast range is (1e-300, 1e300): the last float outside, its ends, and
+# the first float inside at each end
+_RANGE_EDGES = [(np.nextafter(1e-300, 0), False), (1e-300, False),
+                (np.nextafter(1e-300, 1), True), (np.nextafter(1e300, 0), True),
+                (1e300, False), (np.nextafter(1e300, np.inf), False)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_wrap_one_step_matches_kernels_at_the_range_edges(sign, monkeypatch):
+    # one-signed arrays whose min or max sits just inside or just outside
+    # the fast range take the one step exactly when all of them is inside
+    calls = _count_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(12)
+    base = sign * 10.0 ** rng.uniform(-299, 299, 4096)
+    for edge, inside in _RANGE_EDGES:
+        x = base.copy()
+        x[::97] = sign * edge
+        calls.clear()
+        for got in _assert_wrap_matches_kernels(x):
+            assert got.lo_b is not None and got.hi_b is not None
+        assert not calls if inside else len(calls) == 4, (edge, sign)
+
+
+def test_wrap_matches_kernels_with_edge_values_mixed_in(monkeypatch):
+    # one value of _EDGES (+-0, subnormals, +-max, +-inf, NaN) or a payload
+    # NaN among one-signed moderate values, with and without bad lanes
+    calls = _count_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(13)
+    for sign in (1, -1):
+        base = sign * np.abs(_moderate(rng, 1000))
+        for v in np.concatenate([_EDGES, _PAYLOAD_NANS]):
+            x = base.copy()
+            x[rng.integers(0, len(x), 3)] = v
+            calls.clear()
+            _assert_wrap_matches_kernels(x)
+            inside = 1e-300 < sign * float(v) < 1e300
+            assert not calls if inside else calls, (v, sign)
+            _assert_wrap_matches_kernels(x, rng.uniform(size=len(x)) < 0.1)
+
+
+def test_wrap_matches_kernels_on_0d_and_empty_arrays():
+    for v in np.concatenate([_EDGES, _PAYLOAD_NANS, [3.5, -1e-200, 1e299]]):
+        [got] = _assert_wrap_matches_kernels(np.asarray(v))[:1]
+        assert got.lo.shape == ()
+        _assert_wrap_matches_kernels(np.asarray(v), np.asarray(True))
+    [got] = _assert_wrap_matches_kernels(np.zeros(0))
+    assert got.lo.shape == (0,) and got.lo_b is None and got._sign() == 0
+    empty = IntervalArray.from_bounds(np.zeros(0), np.zeros(0))
+    assert (empty * empty).lo.shape == (0,)
+    assert (empty / IntervalArray.point(2.0)).lo.shape == (0,)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_signed_reciprocal_division_matches_reference_bitwise(sign):
+    # a denominator whose endpoints are all of one strict sign takes the
+    # reciprocal [1/hi, 1/lo] without the zero test or the min/max
+    rng = np.random.default_rng(14 + sign)
+    n = 50_000
+    mod = np.abs(_moderate(rng, 2 * n)).reshape(2, n) + 1e-300
+    wide = np.abs(_whole_range_sample(rng, 2 * n)).reshape(2, n)
+    wide[wide == 0.0] = 5e-324
+    edge = np.abs(_EDGES[np.isfinite(_EDGES) & (_EDGES != 0.0)])
+    lo, hi = np.meshgrid(edge, edge)
+    keep = lo <= hi
+    nums = [_intervals(_moderate(rng, n), _moderate(rng, n)),
+            _intervals(_whole_range_sample(rng, n), _whole_range_sample(rng, n),
+                       rng.uniform(size=n) < 0.05)]
+    for pair in (mod, wide, (lo[keep], hi[keep])):
+        den = _intervals(*pair)
+        den = den if sign > 0 else -den
+        den = IntervalArray.from_bounds(den.lo, den.hi)
+        lb, ub = den._hull()
+        assert lb > 0.0 if sign > 0 else ub < 0.0
+        k = len(den.lo)
+        for num in nums + [IntervalArray.point(-2.5)]:
+            if num.lo.ndim:
+                num = IntervalArray(np.resize(num.lo, k), np.resize(num.hi, k),
+                                    np.resize(num.bad, k))
+            _assert_div_matches_reference(num, den)
+
+
+def _array_sign(iv):
+    """The sign of an interval read from its arrays alone."""
+    if iv.lo.size:
+        if iv.lo.min() >= 0.0:
+            return 1
+        if iv.hi.max() <= 0.0:
+            return -1
+    return 0
+
+
+def _assert_bounds_hold(iv):
+    """The bounds an interval carries enclose its lanes, and the sign they
+    give is the one its arrays give."""
+    if iv.lo_b is not None:
+        assert iv.lo_b[0] <= iv.lo.min() and iv.lo.max() <= iv.lo_b[1]
+        assert iv.hi_b[0] <= iv.hi.min() and iv.hi.max() <= iv.hi_b[1]
+        assert not iv.bad.any()
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_recorded_bounds_and_signs_hold_on_every_claim_tape(n, monkeypatch):
+    # a stale bound or sign could pick the wrong corner product, so every
+    # sign a product asks for and every bound a result carries is checked
+    # against the arrays, over every claim's tapes
+    sign, wrap = IntervalArray._sign, IntervalArray._wrap
+    asked = []
+
+    def checked_sign(self):
+        _assert_bounds_hold(self)
+        got = sign(self)
+        assert got == _array_sign(self)
+        asked.append(self.lo_b is not None)
+        return got
+
+    def checked_wrap(self, *args):
+        out = wrap(self, *args)
+        _assert_bounds_hold(out)
+        assert sign(out) == _array_sign(out)
+        return out
+
+    monkeypatch.setattr(IntervalArray, "_sign", checked_sign)
+    monkeypatch.setattr(IntervalArray, "_wrap", checked_wrap)
+    rng = np.random.default_rng(200 + n)
+    cat = builtin_expressions(n)
+    for label, key, kwargs in claims(n):
+        expr, names = cat[key], kwargs["names"]
+        frozen = kwargs.get("frozen_dims", ())
+        roots = [expr] + [differentiate(expr, nm) for nm in names
+                          if nm not in frozen and nm in expr.variables()]
+        boxes = _random_boxes(rng, kwargs, 5_000)
+        centres = 0.5 * (boxes[:, :, 0] + boxes[:, :, 1])
+        env = {nm: IntervalArray.from_bounds(boxes[:, k, 0], boxes[:, k, 1])
+               for k, nm in enumerate(names)}
+        cenv = {nm: env[nm] if nm in frozen
+                else IntervalArray.point(centres[:, k])
+                for k, nm in enumerate(names)}
+        fixed = {nm: IntervalArray.point(v)
+                 for nm, v in kwargs.get("fixed", {}).items()}
+        with np.errstate(all="ignore"):
+            Tape(roots).run(env | fixed)
+            Tape(roots[:1]).run(cenv | fixed)
+    assert any(asked)
