@@ -139,15 +139,19 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
         if not consistent:
             failures.append("spectrum")
 
-    trace: dict = {}
+    trace = {}
     if "rigor" in cfg.stages:
         t0 = time.perf_counter()
-        trace["rigor"] = []
-        proofs = run_rigor(cfg, timing, trace["rigor"])
+        proofs = run_rigor(cfg)
         timing["rigor"] = time.perf_counter() - t0
         stages["rigor"] = {"proofs": proofs}
+        trace["rigor"] = []
         for p in proofs:
-            secs = timing[f"rigor:{p['claim']}"]
+            # the seconds and work counts leave the judged payload
+            secs = timing[f"rigor:{p['claim']}"] = p.pop("seconds")
+            trace["rigor"].append({"claim": p["claim"],
+                                   "batches": p.pop("batches"),
+                                   "max_depth": p.pop("max_depth")})
             print(f"rigor: {p['claim']}: {p['status']} "
                   f"({p['boxes_examined']} boxes, {secs:.2f} s, "
                   f"{p['boxes_examined'] / secs:.0f} boxes/s)")
@@ -175,23 +179,19 @@ def _newton_summary(sol: SaddleSolution) -> str:
     return text
 
 
-def run_rigor(cfg: RunConfig, timing: dict | None = None,
-              trace: list | None = None) -> list[dict]:
+def run_rigor(cfg: RunConfig) -> list[dict]:
     """Interval proofs of the claims in rigor.claims(n), in table order; a
-    defect entry also names the upper end a_max of its a-range.  Each
-    proof's wall seconds go into timing as rigor:<claim>, and its batch
-    count and deepest bisection into trace, when those are given."""
+    defect entry also names the upper end a_max of its a-range.  Each entry
+    also holds the proof's wall seconds, batch count and deepest bisection
+    (seconds, batches, max_depth)."""
     cat = builtin_expressions(cfg.n)
     proofs = []
     for label, key, kwargs in claims(cfg.n):
         t0 = time.perf_counter()
         res = prove_nonpositive(cat[key], **kwargs)
-        if timing is not None:
-            timing[f"rigor:{label}"] = time.perf_counter() - t0
-        if trace is not None:
-            trace.append({"claim": label, "batches": res.batches,
-                          "max_depth": res.max_depth})
         entry = proof_to_dict(res, label)
+        entry.update(seconds=time.perf_counter() - t0, batches=res.batches,
+                     max_depth=res.max_depth)
         if key == "defect_gap":
             entry["a_max"] = kwargs["box"][kwargs["names"].index("a")][1]
         proofs.append(entry)

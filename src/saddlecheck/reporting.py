@@ -85,7 +85,7 @@ def solver_to_dict(sol: SaddleSolution) -> dict:
 
 
 def build_report(config: dict, stages: dict, timing: dict,
-                 trace: dict | None = None) -> dict:
+                 trace: dict) -> dict:
     """Assemble the self-contained run report.
 
     ``stages`` values must already be JSON-serializable dictionaries (use the

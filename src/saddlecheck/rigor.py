@@ -24,34 +24,30 @@ only the two corner products that are extreme in exact arithmetic, and any
 other x * x reuses lo*hi for hi*lo.  Rounding to nearest is monotone, so
 those corners are also the extremes of the four rounded products, equal in
 value and at most different in the sign of a zero, which the two-ulp step
-maps to the same bound.  A fast path whose result is not finite everywhere is redone by the
-four-product path, whose clamp of inf and NaN it would otherwise skip.
+maps to the same bound.  A fast path whose result is not finite everywhere
+is redone by the four-product path, whose clamp of inf and NaN it would
+otherwise skip.
 Every enclosure is therefore bit for bit the one of the plain four-product
 evaluation of the unmerged DAG (tests/test_rigor.py).
 
 Every interval the prover builds has lo <= hi in every lane, and most of its
-endpoint arrays are of one sign and far from zero and from +-inf.  So an
-interval carries, where known, finite bounds (min, max) on its lo and on its
-hi array, and an operation derives its result's bounds from its operands'
-by the same operation on the scalar bounds: rounded + - * / are monotone in
-each argument, so the extremes sit at the corners.  Where that says
-nothing, the result's min and max are read once.  An endpoint array whose
-bounds lie inside (1e-300, 1e300) or (-1e300, -1e-300) holds only normal
-numbers of one sign, for which the integer step +-2 on the bit pattern is
-exactly two ulps and lands on no NaN pattern; it is rounded by that one
-step, in place, and every other array by the lane-by-lane kernel.  The
-bounds also give the operand signs that pick the corner products (equal to
-the signs read from the arrays), the finiteness a fast path needs, and
-whether an operand can have a bad lane.  A divisor whose endpoints are all
-of one strict sign has the reciprocal [1/hi, 1/lo] lane by lane, which is
-what the min and max of the two reciprocals give when lo <= hi.  The
-bounds thus decide which passes over memory run, never a bit of an
+endpoint arrays are of one sign and far from zero and from +-inf.  _wrap
+reads the min and max of each endpoint array once (a product hands over the
+ones it read to test its result for finiteness).  An array whose extremes
+lie inside (1e-300, 1e300) or (-1e300, -1e-300) holds only normal numbers
+of one sign, for which the integer step +-2 on the bit pattern is exactly
+two ulps and lands on no NaN pattern; it is rounded by that one step, in
+place, and every other array by the lane-by-lane kernel.  The same
+extremes give the interval's sign when no lane is bad, and _wrap records
+it: a later product takes it in place of reading the arrays again, and a
+divisor of one strict sign has the reciprocal [1/hi, 1/lo] lane by lane,
+which is what the min and max of the two reciprocals give when lo <= hi.
+The extremes thus decide which passes over memory run, never a bit of an
 enclosure.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -103,91 +99,42 @@ def _up(x):
     return _two_ulps(x, +1)
 
 
-# Bounds inside (1e-300, 1e300) or (-1e300, -1e-300) keep every lane far from
-# zero, the subnormals and +-inf, so one integer step rounds all of them.
+# An array whose lanes all lie inside (1e-300, 1e300), or all inside
+# (-1e300, -1e-300), holds only normal numbers of one sign, far from zero and
+# from +-inf, so one integer step rounds every lane.
 _FAST_MIN, _FAST_MAX = 1e-300, 1e300
 
 
-# Bounds are pairs (lb, ub) of finite floats or None (unknown).  The scalar
-# operations below give bounds on the rounded lane results of the same
-# operation; each is monotone in each argument, so corners suffice.
-def _finite(lb, ub):
-    return (lb, ub) if -math.inf < lb and ub < math.inf else None
-
-
 def _extremes(x):
-    """(min, max) of x as floats when x is nonempty and finite, else None."""
-    return _finite(float(x.min()), float(x.max())) if x.size else None
+    """(min, max) of x, or None when x is empty."""
+    return (x.min(), x.max()) if x.size else None
 
 
-def _one_sign(bounds):
-    """+1 or -1 when bounds lie inside (1e-300, 1e300) or (-1e300, -1e-300),
-    where one integer step of 2 on the bit pattern is two exact ulps; else 0."""
-    if bounds is not None:
-        lb, ub = bounds
-        if _FAST_MIN < lb and ub < _FAST_MAX:
-            return 1
-        if -_FAST_MAX < lb and ub < -_FAST_MIN:
-            return -1
-    return 0
+def _finite(ext):
+    """True when an array with these extremes is finite in every lane (a NaN
+    lane makes the min NaN, which fails both comparisons)."""
+    return ext is None or (-np.inf < ext[0] and ext[1] < np.inf)
 
 
-def _round(x, direction, bounds):
-    """x, an array the caller owns, moved two ulps toward direction, and
-    bounds on the result.  bounds, if not None, bound every lane of x; when
-    they leave the fast range the exact extremes are read once."""
-    sign = _one_sign(bounds)
-    if not sign:
-        bounds = _extremes(x)
-        sign = _one_sign(bounds)
-    if sign:
-        bits = x.view(np.int64)
-        bits += 2 * sign * direction
-    else:
-        x = _two_ulps(x, direction)
-    if bounds is not None:
-        lb, ub = bounds
-        to = direction * math.inf
-        bounds = _finite(math.nextafter(math.nextafter(lb, to), to),
-                         math.nextafter(math.nextafter(ub, to), to))
-    return x, bounds
+def _round(x, direction, ext):
+    """x, an array the caller owns, moved two ulps toward direction, and +1
+    or -1 when every lane was in the one-step range of that sign, else 0.
+    ext are the extremes of x, read here when None."""
+    ext = _extremes(x) if ext is None else ext
+    if ext is not None:
+        lb, ub = ext
+        sign = 1 if _FAST_MIN < lb and ub < _FAST_MAX else \
+            -1 if -_FAST_MAX < lb and ub < -_FAST_MIN else 0
+        if sign:
+            bits = x.view(np.int64)
+            bits += 2 * sign * direction
+            return x, sign
+    return _two_ulps(x, direction), 0
 
 
-def _known(lo_b, hi_b):
-    """Bounds are kept in pairs: one unknown endpoint drops both."""
-    return (lo_b, hi_b) if lo_b is not None and hi_b is not None \
-        else (None, None)
-
-
-def _add(x, y):
-    return None if x is None or y is None else _finite(x[0] + y[0],
-                                                       x[1] + y[1])
-
-
-def _neg(x):
-    return None if x is None else (-x[1], -x[0])
-
-
-def _times(x, y):
-    if x is None or y is None:
-        return None
-    (x0, x1), (y0, y1) = x, y
-    p = (x0 * y0, x0 * y1, x1 * y0, x1 * y1)
-    return _finite(min(p), max(p))
-
-
-def _recip(x):
-    """For x clear of zero."""
-    return _finite(1.0 / x[1], 1.0 / x[0])
-
-
-def _finite_bounds(lo, hi, bounds):
-    """Bounds on lo and on hi when every lane of both is finite, else
-    (None, None).  bounds, if not None, bound both; otherwise the extremes
-    are read."""
-    if bounds is not None:
-        return bounds, bounds
-    return _known(_extremes(lo), _extremes(hi))
+# the sign of an interval whose lo and hi arrays each lie in the one-step
+# range of the given signs
+_SIGNS = {(1, 1): 1, (-1, -1): -1, (-1, 1): 0}
 
 
 @dataclass(frozen=True)
@@ -195,81 +142,56 @@ class IntervalArray:
     """Axis-aligned enclosures [lo, hi] with a per-entry failure flag.
 
     Constants and fixed values are 0-d intervals that broadcast against the
-    per-box arrays.  lo_b and hi_b, when not None, are finite bounds
-    (min, max) on every lane of lo and of hi, so no lane is bad, NaN or
-    infinite; they decide rounding, sign and finiteness without a pass over
-    the arrays."""
+    per-box arrays.  sign, recorded by _wrap when known, is what _sign()
+    would read from the arrays, and more: no lane is bad, and every endpoint
+    is finite and nonzero, of one sign (+1, -1) or with every lo < 0 < hi
+    (0)."""
     lo: np.ndarray
     hi: np.ndarray
     bad: np.ndarray
-    lo_b: tuple | None = None
-    hi_b: tuple | None = None
+    sign: int | None = None
 
     @staticmethod
     def from_bounds(lo, hi):
+        """The intervals [lo, hi], lane by lane.  The products and quotients
+        are the four-product evaluation bit for bit only where lo <= hi, as
+        in every box the prover builds: a lane with lo > hi can come out of
+        the two-product paths and the signed reciprocal with its ends
+        swapped."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        return IntervalArray(lo, hi, np.zeros(lo.shape, dtype=bool),
-                             *_known(_extremes(lo), _extremes(hi)))
+        return IntervalArray(lo, hi, np.zeros(lo.shape, dtype=bool))
 
     @staticmethod
     def point(x):
         x = np.asarray(x, dtype=float)
-        b = _extremes(x)
-        return IntervalArray(x.copy(), x.copy(), np.zeros(x.shape, dtype=bool),
-                             b, b)
+        return IntervalArray(x.copy(), x.copy(), np.zeros(x.shape, dtype=bool))
 
-    @property
-    def _clean(self):
-        """True when no lane is bad (known from the bounds)."""
-        return self.lo_b is not None and self.hi_b is not None
-
-    def _hull(self):
-        """Bounds on every endpoint, or None."""
-        if not self._clean:
-            return None
-        return (min(self.lo_b[0], self.hi_b[0]),
-                max(self.lo_b[1], self.hi_b[1]))
-
-    def _wrap(self, lo, hi, bad=None, clean=False, lo_b=None, hi_b=None):
+    def _wrap(self, lo, hi, bad=None, lo_ext=None, hi_ext=None):
         """The rounded-out interval of lo, hi (arrays the caller owns, rounded
         in place where one step does it) with bad lanes set to [-inf, inf].
-        bad defaults to self's; clean says it has no bad lane, and lo_b, hi_b
-        bound lo and hi, when known."""
-        if bad is None:
-            bad, clean = self.bad, self._clean
-        lo, lo_b = _round(np.asarray(lo), -1, lo_b)
-        hi, hi_b = _round(np.asarray(hi), +1, hi_b)
-        if not clean and bad.any():
-            lo = np.where(bad, -np.inf, lo)
-            hi = np.where(bad, np.inf, hi)
-            lo_b = hi_b = None
-        return IntervalArray(lo, hi, bad, *_known(lo_b, hi_b))
-
-    def _bad_with(self, o):
-        """self.bad | o.bad, and whether it is known to have no bad lane.  A
-        clean operand adds nothing, so the pass is skipped where the other
-        operand's array already has the result's shape."""
-        if self._clean and (self.bad.ndim == 0 or self.bad.shape == o.bad.shape):
-            return o.bad, o._clean
-        if o._clean and o.bad.ndim == 0:
-            return self.bad, self._clean
-        return self.bad | o.bad, False
+        bad defaults to self's; lo_ext, hi_ext are the extremes of lo and hi
+        when the caller has read them."""
+        b = self.bad if bad is None else bad
+        lo, s_lo = _round(np.asarray(lo), -1, lo_ext)
+        hi, s_hi = _round(np.asarray(hi), +1, hi_ext)
+        if b.any():
+            lo = np.where(b, -np.inf, lo)
+            hi = np.where(b, np.inf, hi)
+            return IntervalArray(lo, hi, b)
+        return IntervalArray(lo, hi, b, _SIGNS.get((s_lo, s_hi)))
 
     def __add__(self, o):
         o = _lift(o)
-        return self._wrap(self.lo + o.lo, self.hi + o.hi, *self._bad_with(o),
-                          _add(self.lo_b, o.lo_b), _add(self.hi_b, o.hi_b))
+        return self._wrap(self.lo + o.lo, self.hi + o.hi, self.bad | o.bad)
 
     def __sub__(self, o):
         o = _lift(o)
-        return self._wrap(self.lo - o.hi, self.hi - o.lo, *self._bad_with(o),
-                          _add(self.lo_b, _neg(o.hi_b)),
-                          _add(self.hi_b, _neg(o.lo_b)))
+        return self._wrap(self.lo - o.hi, self.hi - o.lo, self.bad | o.bad)
 
     def __neg__(self):
         return IntervalArray(-self.hi, -self.lo, self.bad,
-                             _neg(self.hi_b), _neg(self.lo_b))
+                             None if self.sign is None else -self.sign)
 
     def _point_value(self):
         """The value of a finite 0-d point interval, else None."""
@@ -280,15 +202,9 @@ class IntervalArray:
 
     def _sign(self):
         """+1 if every lane is >= 0, -1 if every lane is <= 0, else 0 (NaN
-        and bad lanes make it 0).  Read from the bounds when they decide."""
-        if self._clean:
-            if self.lo_b[0] >= 0.0:
-                return 1
-            if self.lo_b[1] < 0.0:
-                if self.hi_b[1] <= 0.0:
-                    return -1
-                if self.hi_b[0] > 0.0:
-                    return 0
+        and bad lanes make it 0).  The recorded sign when there is one."""
+        if self.sign is not None:
+            return self.sign
         if self.lo.size:
             if self.lo.min() >= 0.0:
                 return 1
@@ -298,10 +214,7 @@ class IntervalArray:
 
     def __mul__(self, o):
         o = _lift(o)
-        bad, clean = self._bad_with(o)
-        # every endpoint product lies within the corner products of the two
-        # hulls, so lo and hi of every path below are bounded by them
-        prod_b = _times(self._hull(), o._hull())
+        bad = self.bad | o.bad
         # fast paths take the products that can be extreme; each keeps its
         # result only where all of it is finite, and then all four products
         # are finite too, so the general path would not clamp
@@ -324,9 +237,9 @@ class IntervalArray:
         else:
             lo = None
         if lo is not None:
-            lo_b, hi_b = _finite_bounds(lo, hi, prod_b)
-            if lo_b is not None:
-                return self._wrap(lo, hi, bad, clean, lo_b, hi_b)
+            lo_ext, hi_ext = _extremes(lo), _extremes(hi)
+            if _finite(lo_ext) and _finite(hi_ext):
+                return self._wrap(lo, hi, bad, lo_ext, hi_ext)
         ll, lh = self.lo * o.lo, self.lo * o.hi
         hl, hh = self.hi * o.lo, self.hi * o.hi
         lo = np.minimum(np.minimum(ll, lh), np.minimum(hl, hh))
@@ -334,21 +247,19 @@ class IntervalArray:
         # min/max propagate NaN and keep +-inf, so both are finite exactly
         # when all four products are; otherwise clamp as nan_to_num does
         # (0 * inf only comes from bad lanes, which _wrap overwrites)
-        lo_b, hi_b = _finite_bounds(lo, hi, prod_b)
-        if lo_b is None:
+        lo_ext, hi_ext = _extremes(lo), _extremes(hi)
+        if not (_finite(lo_ext) and _finite(hi_ext)):
             cands = np.nan_to_num(np.stack([ll, lh, hl, hh]), nan=0.0)
             lo, hi = cands.min(axis=0), cands.max(axis=0)
-        return self._wrap(lo, hi, bad, clean, lo_b, hi_b)
+            lo_ext = hi_ext = None
+        return self._wrap(lo, hi, bad, lo_ext, hi_ext)
 
     def __truediv__(self, o):
         o = _lift(o)
-        hull = o._hull()
-        if hull is not None and (hull[0] > 0.0 or hull[1] < 0.0):
-            # no endpoint reaches zero and 1/x falls on each side of it, so
-            # the reciprocal of [lo, hi] is [1/hi, 1/lo] lane by lane
-            return self * IntervalArray(
-                1.0 / o.hi, 1.0 / o.lo, o.bad,
-                *_known(_recip(o.hi_b), _recip(o.lo_b)))
+        if o.sign:
+            # no bad lane, every endpoint finite, nonzero and of one sign,
+            # and lo <= hi, so the reciprocal is [1/hi, 1/lo] lane by lane
+            return self * IntervalArray(1.0 / o.hi, 1.0 / o.lo, o.bad, o.sign)
         # the product flags self's bad lanes, so the reciprocal needs only o's
         bad = o.bad | ((o.lo <= 0.0) & (o.hi >= 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -230,8 +230,8 @@ def test_report_roundtrip_and_determinism(tmp_path, solved):
     sol = solved(M, R, H)
     checks = [check_report_to_dict(r) for r in run_inequality_suite(sol)]
     cfg = {"m": M, "R": R, "h": H}
-    r1 = build_report(cfg, {"suite": {"checks": checks}}, {"suite": 0.12})
-    r2 = build_report(cfg, {"suite": {"checks": checks}}, {"suite": 99.0})
+    r1 = build_report(cfg, {"suite": {"checks": checks}}, {"suite": 0.12}, {})
+    r2 = build_report(cfg, {"suite": {"checks": checks}}, {"suite": 99.0}, {})
     assert r1["schema"] == REPORT_SCHEMA
     # determinism modulo timing: everything except the timing key agrees
     s1 = {k: v for k, v in r1.items() if k != "timing"}

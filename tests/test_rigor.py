@@ -554,7 +554,7 @@ def test_merged_tape_matches_unmerged_dag_bitwise(n):
 
 
 # ---------------------------------------------------------------------------
-# range-checked one-step rounding and the bounds an interval carries
+# range-checked one-step rounding and the sign an interval records
 # ---------------------------------------------------------------------------
 
 def _count_kernel_calls(monkeypatch):
@@ -571,21 +571,23 @@ def _count_kernel_calls(monkeypatch):
 
 
 def _assert_wrap_matches_kernels(x, bad=None):
-    """_wrap of the point interval x, read from its arrays and from given
-    exact bounds, is _down/_up bit for bit, with bad lanes [-inf, inf]."""
+    """_wrap of the point interval x, with its extremes read by _wrap and
+    handed over by the caller, is _down/_up bit for bit, with bad lanes
+    [-inf, inf]."""
     bad = np.zeros(x.shape, dtype=bool) if bad is None else bad
     iv = IntervalArray(x, x, bad)
-    exact = rigor._extremes(x)
+    ext = rigor._extremes(x)
     with np.errstate(invalid="ignore", over="ignore"):
         want_lo = np.where(bad, -np.inf, _ref_down(x))
         want_hi = np.where(bad, np.inf, _ref_up(x))
         runs = [iv._wrap(x.copy(), x.copy())]
-        if exact is not None and not bad.any():
-            runs.append(iv._wrap(x.copy(), x.copy(), bad, True, exact, exact))
+        if ext is not None:
+            runs.append(iv._wrap(x.copy(), x.copy(), bad, ext, ext))
     for got in runs:
         assert np.array_equal(_bits(got.lo), _bits(want_lo))
         assert np.array_equal(_bits(got.hi), _bits(want_hi))
         assert got.bad is bad
+        _assert_recorded_sign_holds(got)
     return runs
 
 
@@ -599,7 +601,8 @@ _RANGE_EDGES = [(np.nextafter(1e-300, 0), False), (1e-300, False),
 @pytest.mark.parametrize("sign", [1, -1])
 def test_wrap_one_step_matches_kernels_at_the_range_edges(sign, monkeypatch):
     # one-signed arrays whose min or max sits just inside or just outside
-    # the fast range take the one step exactly when all of them is inside
+    # the fast range take the one step, and record their sign, exactly when
+    # all of them is inside
     calls = _count_kernel_calls(monkeypatch)
     rng = np.random.default_rng(12)
     base = sign * 10.0 ** rng.uniform(-299, 299, 4096)
@@ -608,7 +611,7 @@ def test_wrap_one_step_matches_kernels_at_the_range_edges(sign, monkeypatch):
         x[::97] = sign * edge
         calls.clear()
         for got in _assert_wrap_matches_kernels(x):
-            assert got.lo_b is not None and got.hi_b is not None
+            assert got.sign == (sign if inside else None), (edge, sign)
         assert not calls if inside else len(calls) == 4, (edge, sign)
 
 
@@ -626,7 +629,9 @@ def test_wrap_matches_kernels_with_edge_values_mixed_in(monkeypatch):
             _assert_wrap_matches_kernels(x)
             inside = 1e-300 < sign * float(v) < 1e300
             assert not calls if inside else calls, (v, sign)
-            _assert_wrap_matches_kernels(x, rng.uniform(size=len(x)) < 0.1)
+            for got in _assert_wrap_matches_kernels(
+                    x, rng.uniform(size=len(x)) < 0.1):
+                assert got.sign is None
 
 
 def test_wrap_matches_kernels_on_0d_and_empty_arrays():
@@ -635,7 +640,7 @@ def test_wrap_matches_kernels_on_0d_and_empty_arrays():
         assert got.lo.shape == ()
         _assert_wrap_matches_kernels(np.asarray(v), np.asarray(True))
     [got] = _assert_wrap_matches_kernels(np.zeros(0))
-    assert got.lo.shape == (0,) and got.lo_b is None and got._sign() == 0
+    assert got.lo.shape == (0,) and got.sign is None and got._sign() == 0
     empty = IntervalArray.from_bounds(np.zeros(0), np.zeros(0))
     assert (empty * empty).lo.shape == (0,)
     assert (empty / IntervalArray.point(2.0)).lo.shape == (0,)
@@ -643,25 +648,30 @@ def test_wrap_matches_kernels_on_0d_and_empty_arrays():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_signed_reciprocal_division_matches_reference_bitwise(sign):
-    # a denominator whose endpoints are all of one strict sign takes the
-    # reciprocal [1/hi, 1/lo] without the zero test or the min/max
+    # a denominator that recorded a strict sign takes the reciprocal
+    # [1/hi, 1/lo] without the zero test or the min/max; one that reaches
+    # outside the fast range records none and takes the general path, also
+    # when only its hi array does (+inf and NaN lanes)
     rng = np.random.default_rng(14 + sign)
     n = 50_000
     mod = np.abs(_moderate(rng, 2 * n)).reshape(2, n) + 1e-300
     wide = np.abs(_whole_range_sample(rng, 2 * n)).reshape(2, n)
     wide[wide == 0.0] = 5e-324
+    inner = np.array([e for e, inside in _RANGE_EDGES if inside] + [1.0])
     edge = np.abs(_EDGES[np.isfinite(_EDGES) & (_EDGES != 0.0)])
-    lo, hi = np.meshgrid(edge, edge)
-    keep = lo <= hi
+    open_hi = np.sort(mod, axis=0)
+    open_hi[1, ::7], open_hi[1, ::11] = np.inf, np.nan
     nums = [_intervals(_moderate(rng, n), _moderate(rng, n)),
             _intervals(_whole_range_sample(rng, n), _whole_range_sample(rng, n),
                        rng.uniform(size=n) < 0.05)]
-    for pair in (mod, wide, (lo[keep], hi[keep])):
-        den = _intervals(*pair)
+    for values, recorded in ((mod, True), (inner, True), (wide, False),
+                             (edge, False), (open_hi, False)):
+        if values.ndim == 1:
+            lo, hi = np.meshgrid(values, values)
+            values = np.array([lo[lo <= hi], hi[lo <= hi]])
+        den = IntervalArray.from_bounds(*np.sort(values, axis=0)) + 0.0
         den = den if sign > 0 else -den
-        den = IntervalArray.from_bounds(den.lo, den.hi)
-        lb, ub = den._hull()
-        assert lb > 0.0 if sign > 0 else ub < 0.0
+        assert den.sign == (sign if recorded else None)
         k = len(den.lo)
         for num in nums + [IntervalArray.point(-2.5)]:
             if num.lo.ndim:
@@ -680,34 +690,37 @@ def _array_sign(iv):
     return 0
 
 
-def _assert_bounds_hold(iv):
-    """The bounds an interval carries enclose its lanes, and the sign they
-    give is the one its arrays give."""
-    if iv.lo_b is not None:
-        assert iv.lo_b[0] <= iv.lo.min() and iv.lo.max() <= iv.lo_b[1]
-        assert iv.hi_b[0] <= iv.hi.min() and iv.hi.max() <= iv.hi_b[1]
+def _assert_recorded_sign_holds(iv):
+    """A recorded sign is the one the arrays give, with no bad lane and
+    every endpoint finite and nonzero, of that sign or with lo < 0 < hi."""
+    if iv.sign is not None:
+        assert iv.sign == _array_sign(iv)
         assert not iv.bad.any()
+        assert np.isfinite(iv.lo).all() and np.isfinite(iv.hi).all()
+        if iv.sign:
+            assert (iv.sign * iv.lo > 0).all() and (iv.sign * iv.hi > 0).all()
+        else:
+            assert (iv.lo < 0).all() and (iv.hi > 0).all()
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
-def test_recorded_bounds_and_signs_hold_on_every_claim_tape(n, monkeypatch):
-    # a stale bound or sign could pick the wrong corner product, so every
-    # sign a product asks for and every bound a result carries is checked
-    # against the arrays, over every claim's tapes
+def test_recorded_signs_hold_on_every_claim_tape(n, monkeypatch):
+    # a stale sign could pick the wrong corner product or reciprocal, so
+    # every sign a product asks for and every sign a result records is
+    # checked against the arrays, over every claim's tapes
     sign, wrap = IntervalArray._sign, IntervalArray._wrap
     asked = []
 
     def checked_sign(self):
-        _assert_bounds_hold(self)
+        _assert_recorded_sign_holds(self)
         got = sign(self)
         assert got == _array_sign(self)
-        asked.append(self.lo_b is not None)
+        asked.append(self.sign is not None)
         return got
 
     def checked_wrap(self, *args):
         out = wrap(self, *args)
-        _assert_bounds_hold(out)
-        assert sign(out) == _array_sign(out)
+        _assert_recorded_sign_holds(out)
         return out
 
     monkeypatch.setattr(IntervalArray, "_sign", checked_sign)
