@@ -10,8 +10,9 @@ C_st = 2 f_t + 2 h_s, and C_t the s<->t mirror of C_s.  Stability follows
 once Phi > 0 and L Phi <= 0, so the verifier needs tight point values of the
 five C coefficients.  f is written once, in f_generic, and its partials come
 one way: symbolic differentiation of the expression DAG that f_generic
-builds.  One rigor.Tape of the five C DAGs gives the grid values over float
-arrays, and the interval proofs bound the same DAGs over boxes.
+builds.  wedge_fields runs one rigor.Tape of f, h and the five C DAGs over
+the wedge nodes 0 < t < s alone, as 1-D arrays, and gives Phi and L Phi
+there; the interval proofs bound the same DAGs over boxes.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ def _f_dags(cand: CandidateParams, first: str, second: str):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Point values of the five coefficient fields at (s, t)."""
+    """Point values of f, h and the five coefficient fields at (s, t)."""
+    f: np.ndarray
+    h: np.ndarray
     c_s: np.ndarray
     c_t: np.ndarray
     c_ss: np.ndarray
@@ -91,8 +94,8 @@ def candidate_expressions(cand: CandidateParams) -> dict:
 
 
 def coefficient_set(s, t, cand: CandidateParams) -> CoefficientSet:
-    """All five C coefficients at (s, t): one Tape of the C DAGs the proofs
-    bound, run over float arrays."""
+    """f, h and all five C coefficients at (s, t): one Tape of the DAGs the
+    proofs bound, run over float arrays."""
     cat = candidate_expressions(cand)
     tape = Tape([cat[c.name] for c in fields(CoefficientSet)])
     env = {"s": np.asarray(s, dtype=float), "t": np.asarray(t, dtype=float)}
@@ -121,50 +124,28 @@ def l_phi0(s, t, u_value, cand: CandidateParams):
             + l_phi0_summand(t, s, u_value, cand))
 
 
-def phi_field(sol, cand: CandidateParams):
-    """Phi = f u_s + h u_t + Phi_0 on the triangle.  Returns (field, mask);
-    the field is only meaningful where the mask (the interior nodes
-    0 < t < s < R) is set."""
-    _require_match(sol, cand)
-    s, t, mask = wedge_nodes(sol.grid)
-    mask[-1] = False                    # the outer edge carries data
-    out = (f_generic(s, t, cand) * sol.u_s - f_generic(t, s, cand) * sol.u_t
-           + np.asarray(phi0_generic(s, t, cand)))
-    return np.where(mask, out, 0.0), mask
+def wedge_fields(sol, cand: CandidateParams):
+    """f, h, the five C's, Phi and L Phi at the N(N-1)/2 wedge nodes
+    0 < t < s <= R, outer edge included, from one run of the
+    coefficient_set tape.
 
-
-def wedge_nodes(grid):
-    """(s, t, mask) on the full quadrant: mask marks the nodes 0 < t < s,
-    the outer edge included; s and t are the node coordinates there and
-    (2, 1) elsewhere, where every coefficient is finite."""
-    S, T = grid.meshgrid()
-    mask = grid.mask_triangle & (S > T) & (T > 0)
-    return np.where(mask, S, 2.0), np.where(mask, T, 1.0), mask
-
-
-def l_phi(sol, cand: CandidateParams):
-    """L Phi assembled from the coefficient identity at interior nodes.
-    Returns (field, mask)."""
-    s, t, _ = wedge_nodes(sol.grid)
-    return l_phi_from(sol, cand, coefficient_set(s, t, cand))
-
-
-def l_phi_from(sol, cand: CandidateParams, cs: CoefficientSet):
-    """l_phi from the coefficient set cs, evaluated at wedge_nodes(grid).
-    Returns (field, mask)."""
-    _require_match(sol, cand)
-    s, t, mask = wedge_nodes(sol.grid)
-    mask[-1] = False                    # the outer edge carries data
-    out = (cs.c_s * sol.u_s + cs.c_t * sol.u_t + cs.c_ss * sol.u_ss
-           + cs.c_st * sol.u_st + cs.c_tt * sol.u_tt
-           + l_phi0(s, t, sol.u, cand))
-    return np.where(mask, out, 0.0), mask
-
-
-def _require_match(sol, cand: CandidateParams) -> None:
+    Returns (i, j, cs, phi, l_phi): the nodes' s- and t-indices in
+    row-major order, their CoefficientSet, Phi = f u_s + h u_t + Phi_0 and
+    L Phi from the coefficient identity, all 1-D over the nodes.
+    """
     if sol.params.m != cand.m:
         raise ValueError(
             f"solution has m={sol.params.m} but candidate expects m={cand.m}")
+    i, j = np.tril_indices(sol.grid.N, -1)      # 0 <= j < i < N, shifted
+    i, j = i + 1, j + 1                         # by one: 0 < j < i <= N
+    s, t = sol.grid.coords[i], sol.grid.coords[j]
+    cs = coefficient_set(s, t, cand)
+    u_s, u_t = sol.u_s[i, j], sol.u_t[i, j]
+    phi = cs.f * u_s + cs.h * u_t + phi0_generic(s, t, cand)
+    l_phi = (cs.c_s * u_s + cs.c_t * u_t + cs.c_ss * sol.u_ss[i, j]
+             + cs.c_st * sol.u_st[i, j] + cs.c_tt * sol.u_tt[i, j]
+             + l_phi0(s, t, sol.u[i, j], cand))
+    return i, j, cs, phi, l_phi
 
 
 # ---------------------------------------------------------------------------

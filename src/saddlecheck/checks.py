@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from saddlecheck.candidate import CandidateParams, l_phi, phi_field, region_classify
+from saddlecheck.candidate import CandidateParams, region_classify, wedge_fields
 from saddlecheck.params import st_to_yz, SQRT2
 from saddlecheck.rigor import DEFECT_A_MAX
 from saddlecheck.scalars import (double_well, g_profile, heteroclinic,
@@ -37,8 +37,8 @@ OUTER_MARGIN = 2.5
 # the maximum-principle argument; with rho normalized by rho(0) = 0,
 # rho'(0) = 2/3 this gives C ~= 5.19.
 def _deficit_rho_constant() -> float:
-    h1 = float(np.asarray(heteroclinic(1.0)))
-    hp1 = float(np.asarray(heteroclinic(1.0, 1)))
+    h1 = float(heteroclinic(1.0))
+    hp1 = float(heteroclinic(1.0, 1))
     return 4.0 * (h1 + hp1) / (2.0 * SQRT2 * float(rho(1.0)))
 
 
@@ -281,8 +281,8 @@ def _build_suite(sol: SaddleSolution):
     # 27. deficit phi = H(y)H(z) - u: nonnegative and two upper bounds
     phi = hh_supersolution(y, z) - u
     denom = np.where(msk, y**2 - z**2, 1.0)
-    Hy = np.asarray(heteroclinic(y))
-    b27a = 8.0 * Hy * np.asarray(g_profile(z)) / denom   # 4H(y)(H(z)+zH'(z))
+    Hy = heteroclinic(y)
+    b27a = 8.0 * Hy * g_profile(z) / denom   # 4H(y)(H(z)+zH'(z))
     m27 = np.minimum(phi, b27a - phi)
     zgt1 = z > 1.0
     rho_z = np.zeros_like(u)
@@ -296,7 +296,7 @@ def _build_suite(sol: SaddleSolution):
 
     # 28. subsolution bound u >= H(0.45y)H(0.45z); where the proven a-range
     # of the defect claim stops below 0.45 it is a grid check only
-    sub = np.asarray(hh_supersolution(0.45 * y, 0.45 * z))
+    sub = hh_supersolution(0.45 * y, 0.45 * z)
     desc28 = "u - H(0.45y)H(0.45z) >= 0"
     a_max = DEFECT_A_MAX.get(2 * m, 0.45)
     if a_max < 0.45:
@@ -337,26 +337,26 @@ def run_inequality_suite(sol: SaddleSolution):
 
 def verify_supersolution(sol: SaddleSolution, cand: CandidateParams,
                          tol: float = 1e-8) -> CheckReport:
-    """Check L Phi <= tol and Phi > 0 at interior nodes; extras carry worst
-    margins per region (E1/E2/E3)."""
-    lp, mask = l_phi(sol, cand)
-    ph, _ = phi_field(sol, cand)
+    """Check L Phi <= tol and Phi > 0 at the interior nodes 0 < t < s < R;
+    extras carry worst margins per region (E1/E2/E3)."""
+    i, j, _, ph, lp = wedge_fields(sol, cand)
+    inner = i < sol.grid.N              # the outer edge carries data
+    i, j, ph, lp = i[inner], j[inner], ph[inner], lp[inner]
     h = sol.grid.h
-    S, T = sol.grid.meshgrid()
-    regions = region_classify(S, T)
+    regions = region_classify(sol.grid.coords[i], sol.grid.coords[j])
     extras = {}
     for label, rid in (("E1", 1), ("E2", 2), ("E3", 3)):
-        rm = mask & (regions == rid)
+        rm = regions == rid
         extras[f"worst_lphi_{label}"] = float(lp[rm].max()) if rm.any() else None
-    extras["min_phi"] = float(ph[mask].min())
-    worst = float(lp[mask].max())
-    i, j = np.unravel_index(np.argmax(np.where(mask, lp, -np.inf)), lp.shape)
+    extras["min_phi"] = float(ph.min())
+    k = int(np.argmax(lp))
+    worst = float(lp[k])
     passed = worst <= tol and extras["min_phi"] > 0.0
     return CheckReport(
         id=f"supersolution-n{cand.n}",
         description="L Phi <= 0 and Phi > 0 at interior nodes",
-        passed=passed, worst_margin=-worst, worst_point=(float(i * h), float(j * h)),
-        nodes_checked=int(mask.sum()),
-        nodes_excluded=int(sol.grid.mask_triangle.sum()) - int(mask.sum()),
+        passed=passed, worst_margin=-worst,
+        worst_point=(float(i[k] * h), float(j[k] * h)),
+        nodes_checked=lp.size,
+        nodes_excluded=int(sol.grid.mask_triangle.sum()) - lp.size,
         tolerance_used=tol, extras=extras)
-

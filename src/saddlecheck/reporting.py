@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from saddlecheck.candidate import (coefficient_set, l_phi_from,
-                                   lambda_coeff, region_classify, REGION_E1,
-                                   REGION_E3, t_ratio, wedge_nodes)
+from saddlecheck.candidate import (lambda_coeff, region_classify, REGION_E1,
+                                   REGION_E3, t_ratio, wedge_fields)
 from saddlecheck.checks import CheckReport
 from saddlecheck.params import CandidateParams
 from saddlecheck.solver import SaddleSolution
@@ -241,30 +240,37 @@ def export_signmaps(sol: SaddleSolution, cand: CandidateParams,
     coefficient ratios, the directional-convexity ratio T, the operator
     value on the inner wedge and on the small-t strip, and the C_tt sign."""
     outdir = Path(outdir)
-    s_safe, t_safe, tri = wedge_nodes(sol.grid)
-    cs = coefficient_set(s_safe, t_safe, cand)
-    lphi, lmask = l_phi_from(sol, cand, cs)
-    region = region_classify(*sol.grid.meshgrid())
+    i, j, cs, _, lphi = wedge_fields(sol, cand)
+    s, t = sol.grid.coords[i], sol.grid.coords[j]
+    inner = i < sol.grid.N              # the outer edge carries data
+    region = region_classify(s, t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio_ts = np.where(tri, cs.c_t / cs.c_s, np.nan)
-        ratio_gap = np.where(tri, cs.c_ss / (cs.c_st - cs.c_tt), np.nan)
-        lam = lambda_coeff(s_safe, t_safe, cand)
-        r = np.clip(1.0 - lam, 0.0, 1.0 - 1e-9)
+        ratio_ts = cs.c_t / cs.c_s
+        ratio_gap = cs.c_ss / (cs.c_st - cs.c_tt)
+        r = np.clip(1.0 - lambda_coeff(s, t, cand), 0.0, 1.0 - 1e-9)
         tval, tok = t_ratio(cs, r)
+    shape = (sol.grid.N + 1,) * 2
+
+    def quadrant(values, keep=True):
+        """The wedge values as a full-quadrant map (nan elsewhere) and the
+        mask of the wedge nodes where keep holds."""
+        field, mask = np.full(shape, np.nan), np.zeros(shape, dtype=bool)
+        field[i, j], mask[i, j] = values, keep
+        return field, mask
+
     paths = [
-        svg_heatmap(ratio_ts, tri & np.isfinite(ratio_ts),
+        svg_heatmap(*quadrant(ratio_ts, np.isfinite(ratio_ts)),
                     "C_t / C_s", outdir / "map-ct-over-cs.svg", 0.0, 2.0),
-        svg_heatmap(ratio_gap, tri & np.isfinite(ratio_gap),
+        svg_heatmap(*quadrant(ratio_gap, np.isfinite(ratio_gap)),
                     "C_ss / (C_st - C_tt)", outdir / "map-css-over-gap.svg",
                     0.0, 2.0),
-        svg_heatmap(tval, tri & tok & np.isfinite(tval),
+        svg_heatmap(*quadrant(tval, tok & np.isfinite(tval)),
                     "T(1 - lambda)", outdir / "map-t-ratio.svg", 0.0, 1.0),
-        svg_sign_map(lphi, lmask & (region == REGION_E1),
+        svg_sign_map(*quadrant(lphi, inner & (region == REGION_E1)),
                      "L Phi on inner wedge", outdir / "map-lphi-e1.svg"),
-        svg_sign_map(lphi, lmask & (region == REGION_E3),
+        svg_sign_map(*quadrant(lphi, inner & (region == REGION_E3)),
                      "L Phi on small-t strip", outdir / "map-lphi-e3.svg"),
-        svg_sign_map(np.where(tri, cs.c_tt, 0.0), tri,
+        svg_sign_map(*quadrant(cs.c_tt),
                      "sign of C_tt", outdir / "map-ctt-sign.svg"),
     ]
     return paths
-

@@ -19,14 +19,13 @@ topological list of operations that drops each intermediate value after
 its last reader, so a batch of boxes holds only the arrays still to be
 read.  Constants are 0-d intervals that broadcast.  A product takes fewer
 than the four endpoint products when it can: a finite point constant c
-needs c*lo and c*hi, two operands of one sign each (x * x included) need
-only the two corner products that are extreme in exact arithmetic, and any
-other x * x reuses lo*hi for hi*lo.  Rounding to nearest is monotone, so
-those corners are also the extremes of the four rounded products, equal in
-value and at most different in the sign of a zero, which the two-ulp step
-maps to the same bound.  A fast path whose result is not finite everywhere
-is redone by the four-product path, whose clamp of inf and NaN it would
-otherwise skip.
+needs c*lo and c*hi, and two operands of one sign each (x * x included)
+need only the two corner products that are extreme in exact arithmetic.
+Rounding to nearest is monotone, so those corners are also the extremes of
+the four rounded products, equal in value and at most different in the sign
+of a zero, which the two-ulp step maps to the same bound.  A fast path whose
+result is not finite everywhere is redone by the four-product path, whose
+clamp of inf and NaN it would otherwise skip.
 Every enclosure is therefore bit for bit the one of the plain four-product
 evaluation of the unmerged DAG (tests/test_rigor.py).
 
@@ -153,13 +152,13 @@ class IntervalArray:
 
     @staticmethod
     def from_bounds(lo, hi):
-        """The intervals [lo, hi], lane by lane.  The products and quotients
-        are the four-product evaluation bit for bit only where lo <= hi, as
-        in every box the prover builds: a lane with lo > hi can come out of
-        the two-product paths and the signed reciprocal with its ends
-        swapped."""
+        """The intervals [lo, hi], lane by lane.  A lane with lo > hi is a
+        ValueError: the two-product paths and the signed reciprocal would
+        hand it back with its ends swapped.  NaN lanes pass."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
+        if np.any(lo > hi):
+            raise ValueError("an interval has lo > hi")
         return IntervalArray(lo, hi, np.zeros(lo.shape, dtype=bool))
 
     @staticmethod
@@ -230,10 +229,6 @@ class IntervalArray:
                   * (o.lo if sx > 0 else o.hi))
             hi = ((self.hi if so > 0 else self.lo)
                   * (o.hi if sx > 0 else o.lo))
-        elif o is self:                                 # x * x: hl == lh
-            ll, lh, hh = self.lo * self.lo, self.lo * self.hi, self.hi * self.hi
-            lo = np.minimum(np.minimum(ll, lh), np.minimum(lh, hh))
-            hi = np.maximum(np.maximum(ll, lh), np.maximum(lh, hh))
         else:
             lo = None
         if lo is not None:

@@ -2,7 +2,8 @@
 functions, and the auxiliary ODE solution rho.
 
 Everything here is a pure function of its arguments in closed form,
-accurate to rounding.  All functions accept floats or numpy arrays.
+accurate to rounding.  All functions accept floats or numpy arrays and
+return numpy values.
 """
 
 from __future__ import annotations
@@ -20,34 +21,29 @@ def heteroclinic(x, order: int = 0):
     """
     h = np.tanh(np.asarray(x, dtype=float) / SQRT2)
     if order == 0:
-        out = h
-    elif order == 1:
-        out = (1.0 - h * h) / SQRT2
-    elif order == 2:
-        out = h * h * h - h
-    else:
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    return out if out.ndim else float(out)
+        return h
+    if order == 1:
+        return (1.0 - h * h) / SQRT2
+    if order == 2:
+        return h * h * h - h
+    raise ValueError(f"order must be 0, 1 or 2, got {order}")
 
 
 def double_well(u):
     """Double-well potential F(u) = (1 - u^2)^2 / 4."""
     u = np.asarray(u, dtype=float)
-    out = (1.0 - u * u) ** 2 / 4.0
-    return out if out.ndim else float(out)
+    return (1.0 - u * u) ** 2 / 4.0
 
 
 def hh_supersolution(y, z):
     """Product profile H(y)H(z); a supersolution of the saddle solution."""
-    out = np.asarray(heteroclinic(y)) * np.asarray(heteroclinic(z))
-    return out if out.ndim else float(out)
+    return heteroclinic(y) * heteroclinic(z)
 
 
 def g_profile(z):
     """g(z) = (H(z) + z H'(z)) / 2; vanishes at 0 and tends to 1/2."""
     z = np.asarray(z, dtype=float)
-    out = 0.5 * (heteroclinic(z) + z * np.asarray(heteroclinic(z, 1)))
-    return out if out.ndim else float(out)
+    return 0.5 * (heteroclinic(z) + z * heteroclinic(z, 1))
 
 
 def rho(z):
@@ -61,7 +57,6 @@ def rho(z):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise ValueError("defined for z >= 0 only")
-    out = np.asarray(heteroclinic(z, 1)) * (
+    return heteroclinic(z, 1) * (
         SQRT2 * z / 4.0 - np.expm1(-SQRT2 * z) / 3.0
         - np.expm1(-2.0 * SQRT2 * z) / 24.0)
-    return out if out.ndim else float(out)

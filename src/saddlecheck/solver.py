@@ -98,7 +98,7 @@ def initial_guess(grid: Grid) -> np.ndarray:
     data imposed, on the full quadrant (odd-reflected)."""
     S, T = grid.meshgrid()
     y, z = st_to_yz(S, T)
-    U = np.asarray(hh_supersolution(0.45 * y, 0.45 * z))
+    U = hh_supersolution(0.45 * y, 0.45 * z)
     return impose_boundary(U, grid)
 
 

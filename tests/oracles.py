@@ -161,9 +161,9 @@ def f_partials(s, t, cand: CandidateParams):
 
 
 def jet_coefficients(s, t, cand: CandidateParams) -> CoefficientSet:
-    """The five C coefficients at (s, t) from the jet partials of f and of
-    h(s,t) = -f(t,s):  C_s = Delta_m f + ((m-1)/s^2) f, C_t its mirror in h,
-    C_ss = 2 f_s, C_st = 2 f_t + 2 h_s, C_tt = 2 h_t."""
+    """f, h and the five C coefficients at (s, t) from the jet partials of f
+    and of h(s,t) = -f(t,s):  C_s = Delta_m f + ((m-1)/s^2) f, C_t its
+    mirror in h, C_ss = 2 f_s, C_st = 2 f_t + 2 h_s, C_tt = 2 h_t."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     d = cand.m - 1
@@ -171,6 +171,7 @@ def jet_coefficients(s, t, cand: CandidateParams) -> CoefficientSet:
     g, gs, gt, gss, _, gtt = f_partials(t, s, cand)    # f(t, s), slot order
     h, h_s, h_t, h_ss, h_tt = -g, -gt, -gs, -gtt, -gss
     return CoefficientSet(
+        f=f, h=h,
         c_s=fss + ftt + d / s * fs + d / t * ft + d / s**2 * f,
         c_t=h_ss + h_tt + d / s * h_s + d / t * h_t + d / t**2 * h,
         c_ss=2.0 * fs,

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import dense_min_eigenvalue, evaluate, rho1, validate_exact
-from saddlecheck.candidate import (CandidateParams, coefficient_set, l_phi,
-                                   l_phi0)
+from saddlecheck.candidate import (CandidateParams, coefficient_set, l_phi0,
+                                   wedge_fields)
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.grid import build_grid
 from saddlecheck.params import st_to_yz
@@ -88,11 +88,13 @@ def test_criterion_5_supersolution_certificate(solved):
 def test_criterion_6_ablation(solved):
     sol = solved(4, 30.0, 0.1)
     cand = CandidateParams(n=8)
-    full, mask = l_phi(sol, cand)
-    S, T = sol.grid.meshgrid()
-    without = full[mask] - l_phi0(S[mask], T[mask], sol.u[mask], cand)
+    i, j, _, _, full = wedge_fields(sol, cand)
+    inner = i < sol.grid.N
+    i, j, full = i[inner], j[inner], full[inner]
+    without = full - l_phi0(sol.grid.coords[i], sol.grid.coords[j],
+                            sol.u[i, j], cand)
     worst = float(without.max())
-    worst_full = float(full[mask].max())
+    worst_full = float(full.max())
     _line(6, "ablation-phi0", worst > 0.0 and worst_full <= 1e-8,
           f"without corrector max LPhi={worst:+.2e} (> 0), "
           f"with corrector {worst_full:+.2e}")

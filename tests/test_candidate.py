@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import f_partials, indicial_roots, jet_coefficients
+import saddlecheck.candidate as candidate
 from saddlecheck.candidate import (REGION_E1, REGION_E2, REGION_E3, _f_dags,
-                                   coefficient_set, f_generic, l_phi, l_phi0,
-                                   l_phi0_summand, lambda_coeff, phi_field,
-                                   region_classify, t_ratio)
+                                   candidate_expressions, coefficient_set,
+                                   f_generic, l_phi0, l_phi0_summand,
+                                   lambda_coeff, phi0_generic, region_classify,
+                                   t_ratio, wedge_fields)
+from saddlecheck.checks import verify_supersolution
 from saddlecheck.params import CandidateParams
 from saddlecheck.rigor import Tape
 
@@ -122,42 +125,75 @@ def test_phi0_radially_harmonic_for_n10():
     assert p * p + p - d * p == 0.0
 
 
+def _interior(sol, cand):
+    """wedge_fields at the interior nodes 0 < t < s < R: (s, t, i, j, phi,
+    l_phi)."""
+    i, j, _, phi, lp = wedge_fields(sol, cand)
+    inner = i < sol.grid.N
+    i, j = i[inner], j[inner]
+    return (sol.grid.coords[i], sol.grid.coords[j], i, j, phi[inner],
+            lp[inner])
+
+
 def test_phi_positive_and_symmetric(sol_m4_coarse):
-    phi, mask = phi_field(sol_m4_coarse, N8)
-    assert np.all(phi[mask] > 0.0)
+    s, t, i, j, phi, _ = _interior(sol_m4_coarse, N8)
+    assert np.all(phi > 0.0)
     # reflection consistency: Phi(t,s) rebuilt from the antisymmetry of the
     # solution (u(t,s) = -u(s,t)) must reproduce Phi(s,t) at every node
-    grid = sol_m4_coarse.grid
-    S, T = grid.meshgrid()
-    s = np.where(mask, S, 1.0)
-    t = np.where(mask, T, 1.0)
     f_sw = f_partials(t, s, N8)[0]
     h_sw = -f_partials(s, t, N8)[0]
     phi0 = N8.phi0_coeff * (s ** -N8.phi0_exponent * np.exp(-t / 3.0)
                             + t ** -N8.phi0_exponent * np.exp(-s / 3.0))
-    reflected = (f_sw * (-sol_m4_coarse.u_t) + h_sw * (-sol_m4_coarse.u_s)
-                 + phi0)
-    err = np.abs(phi - reflected)[mask] / np.abs(phi[mask])
+    reflected = (f_sw * (-sol_m4_coarse.u_t[i, j])
+                 + h_sw * (-sol_m4_coarse.u_s[i, j]) + phi0)
+    err = np.abs(phi - reflected) / np.abs(phi)
     assert np.max(err) < 1e-12
 
 
 def test_l_phi_routes_and_symmetry(sol_m4_coarse):
-    # l_phi (the tape of the catalogue's C DAGs) against L Phi from the C's
-    # of the forward-mode jet oracle
+    # wedge_fields (the tape of the catalogue's DAGs) against L Phi from the
+    # C's of the forward-mode jet oracle
     sol = sol_m4_coarse
-    lp_sym, mask = l_phi(sol, N8)
-    S, T = sol.grid.meshgrid()
-    s, t = S[mask], T[mask]
+    s, t, i, j, phi, lp_sym = _interior(sol, N8)
     c = jet_coefficients(s, t, N8)
-    lp_jet = (c.c_s * sol.u_s[mask] + c.c_t * sol.u_t[mask]
-              + c.c_ss * sol.u_ss[mask] + c.c_st * sol.u_st[mask]
-              + c.c_tt * sol.u_tt[mask] + l_phi0(s, t, sol.u[mask], N8))
-    assert np.max(np.abs(lp_sym[mask] - lp_jet)) < 1e-10
+    lp_jet = (c.c_s * sol.u_s[i, j] + c.c_t * sol.u_t[i, j]
+              + c.c_ss * sol.u_ss[i, j] + c.c_st * sol.u_st[i, j]
+              + c.c_tt * sol.u_tt[i, j] + l_phi0(s, t, sol.u[i, j], N8))
+    assert np.max(np.abs(lp_sym - lp_jet)) < 1e-10
+    # bit for bit the full-quadrant route: Phi from f_generic on arrays, and
+    # the tape of the five C's over every node, (2, 1) standing in for the
+    # nodes off the wedge
+    S, T = sol.grid.meshgrid()
+    wedge = (S > T) & (T > 0)
+    S, T = np.where(wedge, S, 2.0), np.where(wedge, T, 1.0)
+    phi_ref = (f_generic(S, T, N8) * sol.u_s - f_generic(T, S, N8) * sol.u_t
+               + phi0_generic(S, T, N8))
+    cat = candidate_expressions(N8)
+    c_s, c_t, c_ss, c_st, c_tt = Tape(
+        [cat[k] for k in ("c_s", "c_t", "c_ss", "c_st", "c_tt")]).run(
+        {"s": S, "t": T})
+    lp_ref = (c_s * sol.u_s + c_t * sol.u_t + c_ss * sol.u_ss
+              + c_st * sol.u_st + c_tt * sol.u_tt + l_phi0(S, T, sol.u, N8))
+    assert np.array_equal(phi.view(np.int64), phi_ref[i, j].view(np.int64))
+    assert np.array_equal(lp_sym.view(np.int64), lp_ref[i, j].view(np.int64))
 
 
 def test_l_phi_dimension_guard(sol_m1):
     with pytest.raises(ValueError):
-        l_phi(sol_m1, N8)
+        wedge_fields(sol_m1, N8)
+
+
+def test_supersolution_evaluates_wedge_nodes_only(sol_m4_coarse, monkeypatch):
+    # one tape run over the N(N-1)/2 nodes 0 < t < s <= R, nothing else
+    sizes = []
+
+    def counted(s, t, cand):
+        sizes.append(np.size(s))
+        return coefficient_set(s, t, cand)
+    monkeypatch.setattr(candidate, "coefficient_set", counted)
+    verify_supersolution(sol_m4_coarse, N8)
+    n = sol_m4_coarse.grid.N
+    assert sizes == [n * (n - 1) // 2]
 
 
 def test_region_partition():
