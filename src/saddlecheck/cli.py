@@ -12,13 +12,20 @@ prints only the help):
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import signal
 import sys
 import time
+import traceback
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NoReturn
 
 from saddlecheck.cache import load_or_solve
-from saddlecheck.checks import run_inequality_suite, verify_supersolution
+from saddlecheck.checks import (CheckReport, run_inequality_suite,
+                                verify_supersolution)
+from saddlecheck.grid import grid_size
 from saddlecheck.params import CANDIDATE_DIMENSIONS, CandidateParams
 from saddlecheck.reporting import (build_report, check_report_to_dict,
                                    eig_to_dict, export_csv, export_signmaps,
@@ -58,6 +65,7 @@ class RunConfig:
         if not 1 <= self.m <= MAX_M:
             raise ValueError(f"the Newton chain solves m in 1..{MAX_M}, "
                              f"got m={self.m}")
+        grid_size(self.R, self.h)
         unknown = set(self.stages) - set(ALL_STAGES)
         if unknown:
             raise ValueError(f"unknown stages: {sorted(unknown)}")
@@ -84,66 +92,26 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     """Execute the requested stages in dependency order; returns the report
     dictionary (also carries 'failures', a list of failed item names) and the
-    solution the stages ran on."""
-    stages: dict = {}
-    timing: dict = {}
-    failures: list[str] = []
-    cand = CandidateParams(n=cfg.n) if cfg.n in CANDIDATE_DIMENSIONS else None
+    solution the stages ran on.
 
-    t0 = time.perf_counter()
-    sol, cached, rejected = load_or_solve(cfg.m, cfg.R, cfg.h,
-                                          directory=cfg.cache)
-    timing["solve"] = time.perf_counter() - t0
-    stages["solve"] = solver_to_dict(sol) | {"from_cache": cached}
-    if rejected is not None:
-        stages["solve"]["cache_rejected"] = rejected
-    print(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
-          f"residual={sol.residual_norm:.3e} "
-          f"cg_iters={stages['solve']['cg_iters']} "
-          f"({'cache' if cached else _newton_summary(sol)})")
-
-    suite_reports = []
-    if "suite" in cfg.stages:
-        t0 = time.perf_counter()
-        suite_reports = run_inequality_suite(sol)
-        timing["suite"] = time.perf_counter() - t0
-        stages["suite"] = {"checks": [check_report_to_dict(r)
-                                      for r in suite_reports]}
-        for rep in suite_reports:
-            print("  " + rep.summary())
-            if not rep.passed:
-                failures.append(f"suite:{rep.id}")
-
-    super_report = None
-    if "supersolution" in cfg.stages:
-        t0 = time.perf_counter()
-        super_report = verify_supersolution(sol, cand)
-        timing["supersolution"] = time.perf_counter() - t0
-        stages["supersolution"] = {"checks":
-                                   [check_report_to_dict(super_report)]}
-        print("  " + super_report.summary())
-        if not super_report.passed:
-            failures.append("supersolution")
-
-    if "spectrum" in cfg.stages:
-        t0 = time.perf_counter()
-        est = min_eigenvalue(assemble(sol))
-        timing["spectrum"] = time.perf_counter() - t0
-        expect_stable = cfg.m >= 4
-        consistent = (est.lambda_min > -0.01 if expect_stable
-                      else est.lambda_min < -0.001)
-        stages["spectrum"] = eig_to_dict(est) | {
-            "expect_stable": expect_stable, "sign_consistent": consistent}
-        print(f"spectrum: lambda_min={est.lambda_min:+.6f} "
-              f"({'consistent' if consistent else 'INCONSISTENT'})")
-        if not consistent:
-            failures.append("spectrum")
+    With the rigor stage, a worker forked on entry runs solve, suite,
+    supersolution and spectrum while this process runs the proofs, which
+    need neither the field nor scipy; the log keeps the stage order."""
+    t_start = time.perf_counter()
+    proofs = None
+    if "rigor" in cfg.stages:
+        with _NumericWorker(cfg) as worker:
+            t0 = time.perf_counter()
+            proofs = run_rigor(cfg)
+            rigor_s = time.perf_counter() - t0
+            num = worker.result()
+    else:
+        num = _numeric_stages(cfg, print)
+    stages, timing, failures = num.stages, num.timing, num.failures
 
     trace = {}
-    if "rigor" in cfg.stages:
-        t0 = time.perf_counter()
-        proofs = run_rigor(cfg)
-        timing["rigor"] = time.perf_counter() - t0
+    if proofs is not None:
+        timing["rigor"] = rigor_s
         stages["rigor"] = {"proofs": proofs}
         trace["rigor"] = []
         for p in proofs:
@@ -158,13 +126,182 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
             if p["status"] != "proven":
                 failures.append(f"rigor:{p['claim']}")
 
-    if super_report is not None and super_report.passed and not failures:
+    if num.super_report is not None and num.super_report.passed \
+            and not failures:
         stages["certificate"] = stability_certificate(
-            sol, cand, suite_reports + [super_report])
+            num.sol, CandidateParams(n=cfg.n),
+            num.suite_reports + [num.super_report])
 
+    timing["wall"] = time.perf_counter() - t_start
     report = build_report(_config_echo(cfg), stages, timing, trace)
     report["failures"] = failures
-    return report, sol
+    return report, num.sol
+
+
+@dataclass
+class _NumericStages:
+    """What solve, suite, supersolution and spectrum hand on: the report
+    payload of each, its seconds, the failed items and the objects the
+    certificate is built from."""
+    sol: SaddleSolution
+    stages: dict
+    timing: dict
+    failures: list
+    suite_reports: list
+    super_report: CheckReport | None
+
+
+def _numeric_stages(cfg: RunConfig, emit) -> _NumericStages:
+    """solve, then whichever of suite, supersolution and spectrum cfg asks
+    for; each log line goes to emit."""
+    stages: dict = {}
+    timing: dict = {}
+    failures: list[str] = []
+    cand = CandidateParams(n=cfg.n) if cfg.n in CANDIDATE_DIMENSIONS else None
+
+    t0 = time.perf_counter()
+    sol, cached, rejected = load_or_solve(cfg.m, cfg.R, cfg.h,
+                                          directory=cfg.cache)
+    timing["solve"] = time.perf_counter() - t0
+    stages["solve"] = solver_to_dict(sol) | {"from_cache": cached}
+    if rejected is not None:
+        stages["solve"]["cache_rejected"] = rejected
+    emit(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
+         f"residual={sol.residual_norm:.3e} "
+         f"cg_iters={stages['solve']['cg_iters']} "
+         f"({'cache' if cached else _newton_summary(sol)})")
+
+    suite_reports = []
+    if "suite" in cfg.stages:
+        t0 = time.perf_counter()
+        suite_reports = run_inequality_suite(sol)
+        timing["suite"] = time.perf_counter() - t0
+        stages["suite"] = {"checks": [check_report_to_dict(r)
+                                      for r in suite_reports]}
+        for rep in suite_reports:
+            emit("  " + rep.summary())
+            if not rep.passed:
+                failures.append(f"suite:{rep.id}")
+
+    super_report = None
+    if "supersolution" in cfg.stages:
+        t0 = time.perf_counter()
+        super_report = verify_supersolution(sol, cand)
+        timing["supersolution"] = time.perf_counter() - t0
+        stages["supersolution"] = {"checks":
+                                   [check_report_to_dict(super_report)]}
+        emit("  " + super_report.summary())
+        if not super_report.passed:
+            failures.append("supersolution")
+
+    if "spectrum" in cfg.stages:
+        t0 = time.perf_counter()
+        est = min_eigenvalue(assemble(sol))
+        timing["spectrum"] = time.perf_counter() - t0
+        expect_stable = cfg.m >= 4
+        consistent = (est.lambda_min > -0.01 if expect_stable
+                      else est.lambda_min < -0.001)
+        stages["spectrum"] = eig_to_dict(est) | {
+            "expect_stable": expect_stable, "sign_consistent": consistent}
+        emit(f"spectrum: lambda_min={est.lambda_min:+.6f} "
+             f"({'consistent' if consistent else 'INCONSISTENT'})")
+        if not consistent:
+            failures.append("spectrum")
+
+    return _NumericStages(sol, stages, timing, failures, suite_reports,
+                         super_report)
+
+
+class WorkerError(RuntimeError):
+    """The numeric-stage worker ended without sending its results."""
+
+
+class _RemoteTraceback(Exception):
+    """The worker's traceback, set as the cause of an exception it raised."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class _NumericWorker:
+    """_numeric_stages(cfg) in a process forked on entry.
+
+    result() waits for the worker, prints the lines it logged and returns
+    its _NumericStages, or raises the exception it raised; leaving the block
+    kills and reaps a worker that is still there.  The worker leaves through
+    os._exit, so no handler or finally block of the forked caller runs
+    twice, and it exits when the pipe to this process is broken.  The fork
+    comes before the first scipy import, which is what lets the two halves
+    overlap (forking after it ran about 6% slower on certify), and numpy's
+    OpenBLAS makes its own thread pool safe to fork."""
+
+    def __init__(self, cfg: RunConfig):
+        sys.stdout.flush()                # or the worker inherits the buffer
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read_fd)
+            _serve(cfg, write_fd)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def __enter__(self) -> "_NumericWorker":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+    def result(self) -> _NumericStages:
+        try:
+            lines, value, error, remote_tb = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            lines = None
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if lines is None:
+            raise WorkerError(f"the numeric-stage worker exited with status "
+                              f"{os.waitstatus_to_exitcode(status)} without "
+                              f"sending its results")
+        for line in lines:
+            print(line)
+        if error is not None:
+            error.__cause__ = _RemoteTraceback(remote_tb)
+            raise error
+        return value
+
+
+def _serve(cfg: RunConfig, write_fd: int) -> NoReturn:
+    """The worker's whole life: run the numeric stages and send (log lines,
+    _NumericStages or None, exception or None, its traceback text) down
+    write_fd, pickled."""
+    code = 1
+    try:
+        lines: list[str] = []
+        try:
+            payload = (lines, _numeric_stages(cfg, lines.append), None, None)
+        except BaseException as exc:      # re-raised by the parent
+            payload = (lines, None, _picklable(exc),
+                       "".join(traceback.format_exception(exc)))
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _picklable(exc: BaseException) -> BaseException:
+    """exc, or a RuntimeError with its type and message when exc's args do
+    not rebuild it (scipy's ArpackNoConvergence, for one)."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
 def _newton_summary(sol: SaddleSolution) -> str:

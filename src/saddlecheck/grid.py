@@ -44,8 +44,9 @@ class Grid:
         return np.meshgrid(c, c, indexing="ij")
 
 
-def build_grid(R: float, h: float) -> Grid:
-    """Build the triangle grid; R/h must be an integer."""
+def grid_size(R: float, h: float) -> int:
+    """N = R/h once the settings pass the rules of build_grid: 0 < h <= H_MAX,
+    R >= 8 and R/h an integer; raises ValueError otherwise."""
     if h <= 0.0 or h > H_MAX:
         raise ValueError(f"spacing must satisfy 0 < h <= {H_MAX:g}, got h={h}")
     if R < 8.0:
@@ -54,7 +55,12 @@ def build_grid(R: float, h: float) -> Grid:
     N = int(round(ratio))
     if abs(ratio - N) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"R/h must be an integer, got R={R}, h={h} (R/h={ratio})")
+    return N
 
+
+def build_grid(R: float, h: float) -> Grid:
+    """Build the triangle grid; R/h must be an integer (see grid_size)."""
+    N = grid_size(R, h)
     idx = np.arange(N + 1)
     ii, jj = np.nonzero((idx[None, :] < idx[:, None]) & (idx[:, None] < N))
     return Grid(R=float(R), h=float(h), N=N, ii=ii, jj=jj)

@@ -21,17 +21,35 @@ produced with second-order stencils.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from saddlecheck.grid import H_MAX, Grid, build_grid
 from saddlecheck.params import DimensionParams, SQRT2, st_to_yz
 from saddlecheck.scalars import hh_supersolution
 
+
+class _DeferredModule:
+    """Stands for the module `name`, imported when an attribute of it is
+    first read or set (setting one patches the module itself).  scipy.sparse
+    takes about a third of a second to import, and cli forks the worker of
+    the numeric stages before anything needs it."""
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "_name", name)
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+    def __setattr__(self, attr: str, value) -> None:
+        setattr(importlib.import_module(self._name), attr, value)
+
+
+sp = _DeferredModule("scipy.sparse")
+spla = _DeferredModule("scipy.sparse.linalg")
 
 MAX_NEWTON_ITERS = 40
 DAMPING_HALVINGS = 30

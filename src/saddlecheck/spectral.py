@@ -35,13 +35,12 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from saddlecheck import __version__
 from saddlecheck.grid import Grid
 from saddlecheck.solver import (LU_ORDERING, SaddleSolution, grid_chain,
-                                jacobian, node_block, weighted_form)
+                                jacobian, node_block, sp, spla,
+                                weighted_form)
 
 EIG_SIGMA = -1.05        # shift below the spectrum
 EIG_TOL = 1e-10          # eigsh convergence tolerance

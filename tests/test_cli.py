@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -263,7 +264,7 @@ def test_cli_import_leaves_sympy_out():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, saddlecheck.cli; print([m for m in "
-         "('sympy', 'mpmath', 'pytest') if m in sys.modules])"],
+         "('sympy', 'mpmath', 'pytest', 'scipy') if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -318,3 +319,142 @@ def test_report_times_and_traces_each_proof(capsys):
             line) is not None for line in lines) == 1
     assert main(["run", "--stages", "solve,suite"] + M_ARGS) == 0
     assert "trace" not in json.loads(Path("out/report.json").read_text())
+
+
+@pytest.mark.parametrize("R, h, message", [
+    ("12", "0.07", "R/h must be an integer"),
+    ("12", "0.3", "spacing must satisfy 0 < h <= 0.2"),
+    ("6", "0.2", "truncation radius must be >= 8"),
+], ids=["R/h", "h", "R"])
+def test_grid_error_is_found_before_any_proof(R, h, message, tmp_path,
+                                             monkeypatch, capsys):
+    # the grid rules are configuration errors: no worker starts, no proof
+    # runs and the cache is not touched
+    calls = []
+    monkeypatch.setattr(cli, "prove_nonpositive",
+                        lambda *a, **k: calls.append(a))
+    rc = main(["run", "--m", "4", "--R", R, "--h", h])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
+    assert calls == []
+    assert not (tmp_path / "cache").exists()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_numeric_stages_run_in_a_worker_only_with_rigor(monkeypatch, capsys):
+    # with the rigor stage the suite runs in a forked worker and the proofs
+    # here; without it both run in this process, and nothing forks
+    _with_budget(monkeypatch, 500)
+    suite, pids = cli.run_inequality_suite, []
+
+    def suite_in(sol):
+        pids.append(os.getpid())
+        return suite(sol)
+
+    monkeypatch.setattr(cli, "run_inequality_suite", suite_in)
+    rc = main(["run", "--stages", "solve,suite,rigor"] + M_ARGS)
+    assert rc == 1                      # the cut budget leaves claims open
+    lines = capsys.readouterr().out.splitlines()
+    assert pids == []                   # the worker's list, not this one
+    assert lines[0].startswith("solve: ")
+    rigor = [k for k, line in enumerate(lines) if line.startswith("rigor: ")]
+    suite_lines = [k for k, line in enumerate(lines) if line.startswith("  [")]
+    assert len(suite_lines) == 29 and max(suite_lines) < min(rigor)
+    _no_child_left()
+
+    def no_fork():
+        raise AssertionError("forked without the rigor stage")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["run", "--stages", "solve,suite"] + M_ARGS) == 0
+    assert pids == [os.getpid()]
+
+
+def test_timing_wall_spans_the_run(capsys):
+    # stage seconds are measured where each stage ran; wall is run_stages
+    # from start to end, so it covers the proofs and the worker's stages
+    report, _ = run_stages(RunConfig(m=4, R=8.0, h=0.2,
+                                     stages=("solve", "suite", "rigor")))
+    timing = report["timing"]
+    assert timing["wall"] >= max(timing["rigor"],
+                                 timing["solve"] + timing["suite"])
+    report, _ = run_stages(RunConfig(m=4, R=8.0, h=0.2,
+                                     stages=("solve", "suite")))
+    timing = report["timing"]
+    assert timing["wall"] >= timing["solve"] + timing["suite"]
+    _no_child_left()
+
+
+def test_worker_newton_error_exits_two(monkeypatch, capsys):
+    _with_budget(monkeypatch, 500)
+
+    def fail(*args, **kwargs):
+        raise NewtonError(f"line search failed in process {os.getpid()}")
+
+    monkeypatch.setattr(cli, "load_or_solve", fail)
+    assert main(["run"] + M_ARGS) == 2
+    captured = capsys.readouterr()
+    [pid] = re.findall(r"^error: line search failed in process (\d+)$",
+                       captured.err, re.M)
+    assert int(pid) != os.getpid()
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
+    _no_child_left()
+
+
+class _Unrebuildable(Exception):
+    def __init__(self, message, detail):
+        super().__init__(message)
+
+
+@pytest.mark.parametrize("exc, raised, message", [
+    (ArithmeticError("not an M-matrix"), ArithmeticError, "not an M-matrix"),
+    (_Unrebuildable("no convergence", 7), RuntimeError,
+     "_Unrebuildable: no convergence"),
+], ids=["picklable", "unrebuildable"])
+def test_worker_exception_is_raised_here(exc, raised, message, monkeypatch,
+                                         capsys):
+    # the worker's log lines come first, and its traceback is the cause
+    _with_budget(monkeypatch, 500)
+
+    def fail(asm):
+        raise exc
+
+    monkeypatch.setattr(cli, "min_eigenvalue", fail)
+    with pytest.raises(raised, match=message) as info:
+        main(["run"] + M_ARGS)
+    assert "in fail" in str(info.value.__cause__)
+    out = capsys.readouterr().out
+    assert out.startswith("solve: ") and "rigor: " not in out
+    _no_child_left()
+
+
+def test_worker_dying_without_results_raises(monkeypatch, capsys):
+    _with_budget(monkeypatch, 500)
+    monkeypatch.setattr(cli, "verify_supersolution",
+                        lambda *args: os._exit(3))
+    with pytest.raises(cli.WorkerError, match="exited with status 3 "):
+        main(["run"] + M_ARGS)
+    _no_child_left()
+
+
+def test_failed_proof_kills_the_worker(monkeypatch, capsys):
+    # the worker would sleep for a minute; an exception in this process's
+    # proofs kills and reaps it instead of waiting
+    monkeypatch.setattr(cli, "run_inequality_suite",
+                        lambda sol: time.sleep(60))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("prover fault")
+
+    monkeypatch.setattr(cli, "prove_nonpositive", fail)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="prover fault"):
+        main(["run"] + M_ARGS)
+    assert time.monotonic() - t0 < 30
+    _no_child_left()
