@@ -231,9 +231,9 @@ class _NumericWorker:
     kills and reaps a worker that is still there.  The worker leaves through
     os._exit, so no handler or finally block of the forked caller runs
     twice, and it exits when the pipe to this process is broken.  The fork
-    comes before the first scipy import, which is what lets the two halves
-    overlap (forking after it ran about 6% slower on certify), and numpy's
-    OpenBLAS makes its own thread pool safe to fork."""
+    comes before the first scipy import, so the worker's import overlaps
+    the proofs too; numpy's OpenBLAS makes its own thread pool safe to
+    fork."""
 
     def __init__(self, cfg: RunConfig):
         sys.stdout.flush()                # or the worker inherits the buffer

@@ -257,7 +257,8 @@ def test_full_run_emits_certificate(tmp_path, capsys):
 
 def test_cli_import_leaves_sympy_out():
     # a fresh interpreter, since this one has pytest and the oracles' mpmath
-    # loaded: neither they nor sympy may come in with the program
+    # loaded: neither they nor sympy may come in with the program, and scipy
+    # loads only when a numeric stage first needs it
     src = str(Path(saddlecheck.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
