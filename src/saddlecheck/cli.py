@@ -3,10 +3,13 @@ and rigor, then the report.
 
 Run settings come from command-line flags only.  Exit status is 0 iff every
 requested verification passed; the last stdout line is always
-machine-parseable (usage errors and a failed Newton solve included; --help
-prints only the help):
+machine-parseable (usage errors, a failed Newton solve and a numeric-stage
+worker that died included; --help prints only the help):
 
     RESULT <pass|fail> stages=<csv> failures=<k>
+
+With the rigor stage, the numeric stages run in a one-worker process pool
+on the fork context while this process runs the proofs (run_stages).
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ from __future__ import annotations
 import argparse
 import os
 import pickle
-import signal
 import sys
+import threading
 import time
-import traceback
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import NoReturn
 
 from saddlecheck.cache import load_or_solve
 from saddlecheck.checks import (CheckReport, run_inequality_suite,
@@ -94,19 +96,38 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     dictionary (also carries 'failures', a list of failed item names) and the
     solution the stages ran on.
 
-    With the rigor stage, a worker forked on entry runs solve, suite,
-    supersolution and spectrum while this process runs the proofs, which
-    need neither the field nor scipy; the log keeps the stage order."""
+    With the rigor stage, solve, suite, supersolution and spectrum run in
+    a one-worker process pool on the fork context, forked before scipy is
+    imported, while this process runs the proofs, which need neither scipy
+    nor the field.  The worker prints its stage lines and flushes them
+    before its result is read.  It exits once the one write end of a pipe,
+    held here, closes: on an exception here, or when this process dies.  A
+    worker that dies without a result raises BrokenProcessPool."""
     t_start = time.perf_counter()
     proofs = None
     if "rigor" in cfg.stages:
-        with _NumericWorker(cfg) as worker:
-            t0 = time.perf_counter()
-            proofs = run_rigor(cfg)
-            rigor_s = time.perf_counter() - t0
-            num = worker.result()
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        sys.stdout.flush()                # or the worker inherits the buffer
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        with ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
+                                 initializer=_exit_with_caller,
+                                 initargs=(read_fd, write_fd)) as pool:
+            try:
+                future = pool.submit(_pooled_stages, cfg)
+                t0 = time.perf_counter()
+                proofs = run_rigor(cfg)
+                rigor_s = time.perf_counter() - t0
+                num = future.result()
+            except BaseException:
+                os.close(write_fd)        # so leaving the block does not
+                raise                     # wait for the numeric stages
+            finally:
+                os.close(read_fd)
+        os.close(write_fd)
     else:
-        num = _numeric_stages(cfg, print)
+        num = _numeric_stages(cfg)
     stages, timing, failures = num.stages, num.timing, num.failures
 
     trace = {}
@@ -151,9 +172,9 @@ class _NumericStages:
     super_report: CheckReport | None
 
 
-def _numeric_stages(cfg: RunConfig, emit) -> _NumericStages:
+def _numeric_stages(cfg: RunConfig) -> _NumericStages:
     """solve, then whichever of suite, supersolution and spectrum cfg asks
-    for; each log line goes to emit."""
+    for."""
     stages: dict = {}
     timing: dict = {}
     failures: list[str] = []
@@ -166,10 +187,10 @@ def _numeric_stages(cfg: RunConfig, emit) -> _NumericStages:
     stages["solve"] = solver_to_dict(sol) | {"from_cache": cached}
     if rejected is not None:
         stages["solve"]["cache_rejected"] = rejected
-    emit(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
-         f"residual={sol.residual_norm:.3e} "
-         f"cg_iters={stages['solve']['cg_iters']} "
-         f"({'cache' if cached else _newton_summary(sol)})")
+    print(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
+          f"residual={sol.residual_norm:.3e} "
+          f"cg_iters={stages['solve']['cg_iters']} "
+          f"({'cache' if cached else _newton_summary(sol)})")
 
     suite_reports = []
     if "suite" in cfg.stages:
@@ -179,7 +200,7 @@ def _numeric_stages(cfg: RunConfig, emit) -> _NumericStages:
         stages["suite"] = {"checks": [check_report_to_dict(r)
                                       for r in suite_reports]}
         for rep in suite_reports:
-            emit("  " + rep.summary())
+            print("  " + rep.summary())
             if not rep.passed:
                 failures.append(f"suite:{rep.id}")
 
@@ -190,7 +211,7 @@ def _numeric_stages(cfg: RunConfig, emit) -> _NumericStages:
         timing["supersolution"] = time.perf_counter() - t0
         stages["supersolution"] = {"checks":
                                    [check_report_to_dict(super_report)]}
-        emit("  " + super_report.summary())
+        print("  " + super_report.summary())
         if not super_report.passed:
             failures.append("supersolution")
 
@@ -203,8 +224,8 @@ def _numeric_stages(cfg: RunConfig, emit) -> _NumericStages:
                       else est.lambda_min < -0.001)
         stages["spectrum"] = eig_to_dict(est) | {
             "expect_stable": expect_stable, "sign_consistent": consistent}
-        emit(f"spectrum: lambda_min={est.lambda_min:+.6f} "
-             f"({'consistent' if consistent else 'INCONSISTENT'})")
+        print(f"spectrum: lambda_min={est.lambda_min:+.6f} "
+              f"({'consistent' if consistent else 'INCONSISTENT'})")
         if not consistent:
             failures.append("spectrum")
 
@@ -212,86 +233,28 @@ def _numeric_stages(cfg: RunConfig, emit) -> _NumericStages:
                          super_report)
 
 
-class WorkerError(RuntimeError):
-    """The numeric-stage worker ended without sending its results."""
-
-
-class _RemoteTraceback(Exception):
-    """The worker's traceback, set as the cause of an exception it raised."""
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-class _NumericWorker:
-    """_numeric_stages(cfg) in a process forked on entry.
-
-    result() waits for the worker, prints the lines it logged and returns
-    its _NumericStages, or raises the exception it raised; leaving the block
-    kills and reaps a worker that is still there.  The worker leaves through
-    os._exit, so no handler or finally block of the forked caller runs
-    twice, and it exits when the pipe to this process is broken.  The fork
-    comes before the first scipy import, so the worker's import overlaps
-    the proofs too; numpy's OpenBLAS makes its own thread pool safe to
-    fork."""
-
-    def __init__(self, cfg: RunConfig):
-        sys.stdout.flush()                # or the worker inherits the buffer
-        sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(read_fd)
-            _serve(cfg, write_fd)
-        os.close(write_fd)
-        self.pipe = os.fdopen(read_fd, "rb")
-
-    def __enter__(self) -> "_NumericWorker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-    def result(self) -> _NumericStages:
-        try:
-            lines, value, error, remote_tb = pickle.load(self.pipe)
-        except (EOFError, pickle.UnpicklingError):
-            lines = None
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if lines is None:
-            raise WorkerError(f"the numeric-stage worker exited with status "
-                              f"{os.waitstatus_to_exitcode(status)} without "
-                              f"sending its results")
-        for line in lines:
-            print(line)
-        if error is not None:
-            error.__cause__ = _RemoteTraceback(remote_tb)
-            raise error
-        return value
-
-
-def _serve(cfg: RunConfig, write_fd: int) -> NoReturn:
-    """The worker's whole life: run the numeric stages and send (log lines,
-    _NumericStages or None, exception or None, its traceback text) down
-    write_fd, pickled."""
-    code = 1
+def _pooled_stages(cfg: RunConfig) -> _NumericStages:
+    """_numeric_stages(cfg) as the pool's worker runs it: its lines reach
+    stdout before its result is sent, and an exception that would not
+    unpickle goes back as _picklable(exc)."""
     try:
-        lines: list[str] = []
-        try:
-            payload = (lines, _numeric_stages(cfg, lines.append), None, None)
-        except BaseException as exc:      # re-raised by the parent
-            payload = (lines, None, _picklable(exc),
-                       "".join(traceback.format_exception(exc)))
-        with open(write_fd, "wb") as pipe:
-            pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        code = 0
+        return _numeric_stages(cfg)
+    except BaseException as exc:
+        raise _picklable(exc)
     finally:
-        os._exit(code)
+        sys.stdout.flush()
+
+
+def _exit_with_caller(read_fd: int, write_fd: int) -> None:
+    """Pool initializer: closes the worker's copy of the caller's write
+    end and starts a thread that ends the worker at EOF on read_fd."""
+    os.close(write_fd)
+
+    def watch() -> None:
+        os.read(read_fd, 1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _picklable(exc: BaseException) -> BaseException:
@@ -402,7 +365,7 @@ def main(argv=None) -> int:
             for p in paths:
                 print(f"plot: {p}")
         print(f"report: {write_report(report, out / 'report.json')}")
-    except (ValueError, NewtonError) as exc:
+    except (ValueError, NewtonError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("RESULT fail stages= failures=1")
         return 2

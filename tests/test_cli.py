@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -255,18 +256,25 @@ def test_full_run_emits_certificate(tmp_path, capsys):
         "RESULT pass stages=solve,suite,supersolution,spectrum,rigor failures=0"
 
 
+def _program_env():
+    """This environment, with the package under test first on the path of
+    a fresh interpreter."""
+    src = str(Path(saddlecheck.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_cli_import_leaves_sympy_out():
     # a fresh interpreter, since this one has pytest and the oracles' mpmath
-    # loaded: neither they nor sympy may come in with the program, and scipy
-    # loads only when a numeric stage first needs it
-    src = str(Path(saddlecheck.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # loaded: neither they nor sympy may come in with the program, scipy
+    # loads only when a numeric stage first needs it, and the process pool
+    # only when a run has the rigor stage
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, saddlecheck.cli; print([m for m in "
-         "('sympy', 'mpmath', 'pytest', 'scipy') if m in sys.modules])"],
-        env=env, capture_output=True, text=True, check=True)
+         "('sympy', 'mpmath', 'pytest', 'scipy', 'multiprocessing', "
+         "'concurrent.futures.process') if m in sys.modules])"],
+        env=_program_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -348,7 +356,7 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_numeric_stages_run_in_a_worker_only_with_rigor(monkeypatch, capsys):
+def test_numeric_stages_run_in_a_worker_only_with_rigor(monkeypatch, capfd):
     # with the rigor stage the suite runs in a forked worker and the proofs
     # here; without it both run in this process, and nothing forks
     _with_budget(monkeypatch, 500)
@@ -361,7 +369,7 @@ def test_numeric_stages_run_in_a_worker_only_with_rigor(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_inequality_suite", suite_in)
     rc = main(["run", "--stages", "solve,suite,rigor"] + M_ARGS)
     assert rc == 1                      # the cut budget leaves claims open
-    lines = capsys.readouterr().out.splitlines()
+    lines = capfd.readouterr().out.splitlines()
     assert pids == []                   # the worker's list, not this one
     assert lines[0].startswith("solve: ")
     rigor = [k for k, line in enumerate(lines) if line.startswith("rigor: ")]
@@ -419,7 +427,7 @@ class _Unrebuildable(Exception):
      "_Unrebuildable: no convergence"),
 ], ids=["picklable", "unrebuildable"])
 def test_worker_exception_is_raised_here(exc, raised, message, monkeypatch,
-                                         capsys):
+                                         capfd):
     # the worker's log lines come first, and its traceback is the cause
     _with_budget(monkeypatch, 500)
 
@@ -430,17 +438,22 @@ def test_worker_exception_is_raised_here(exc, raised, message, monkeypatch,
     with pytest.raises(raised, match=message) as info:
         main(["run"] + M_ARGS)
     assert "in fail" in str(info.value.__cause__)
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     assert out.startswith("solve: ") and "rigor: " not in out
     _no_child_left()
 
 
 def test_worker_dying_without_results_raises(monkeypatch, capsys):
+    # the pool raises BrokenProcessPool, which ends the run like a failed
+    # Newton solve
     _with_budget(monkeypatch, 500)
     monkeypatch.setattr(cli, "verify_supersolution",
                         lambda *args: os._exit(3))
-    with pytest.raises(cli.WorkerError, match="exited with status 3 "):
-        main(["run"] + M_ARGS)
+    assert main(["run"] + M_ARGS) == 2
+    captured = capsys.readouterr()
+    assert re.search(r"^error: .*terminated abruptly", captured.err, re.M)
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
+    assert not Path("out/report.json").exists()
     _no_child_left()
 
 
@@ -459,3 +472,57 @@ def test_failed_proof_kills_the_worker(monkeypatch, capsys):
         main(["run"] + M_ARGS)
     assert time.monotonic() - t0 < 30
     _no_child_left()
+
+
+_ORPHAN_RUN = """
+import os, sys, time
+from saddlecheck import cli
+
+def suite(sol):
+    with open(sys.argv[1] + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+    time.sleep(60)
+
+cli.run_inequality_suite = suite
+cli.main(sys.argv[2:])
+"""
+
+
+def _alive(pid):
+    # a zombie has ended and waits only to be reaped by its new parent
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    return re.search(r"^State:\s+Z", status, re.M) is None
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads process states from /proc")
+def test_worker_ends_with_a_killed_caller(tmp_path):
+    # SIGKILL runs no handler in the caller; the kernel closes its end of
+    # the pipe, and the worker, which would sleep for a minute, ends
+    pid_file = tmp_path / "worker.pid"
+    caller = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_RUN, str(pid_file), "run"] + M_ARGS,
+        env=_program_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    worker = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() and time.monotonic() < deadline \
+                and caller.poll() is None:
+            time.sleep(0.05)
+        worker = int(pid_file.read_text())
+        caller.kill()
+        caller.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(worker)
+    finally:
+        caller.kill()
+        caller.wait(timeout=10)
+        if worker is not None and _alive(worker):
+            os.kill(worker, signal.SIGKILL)
