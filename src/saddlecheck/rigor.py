@@ -13,6 +13,13 @@ below it (tests/test_libm_audit.py).  Partial operations
 instead of failing; bad boxes are simply split further.  A claim is proven
 when every surviving leaf box has an enclosure with hi <= -margin.
 
+One node kind stands for a special function: dd(z, u), the divided
+difference of G(w) = 2 sqrt(w) / sinh(sqrt(2w)) over [z^2, (z + u)^2], which
+the defect claim needs, with its partials dd_z and dd_u.  Its enclosures
+come from G' and G'' at the two ends of the box's w-range, which bound them
+because sqrt(t)/sinh(sqrt(t)) is completely monotone, and those end values
+from the same rounded operations, with exp and sqrt the only libm calls.
+
 A proof merges the claim and its gradients into one DAG in which
 structurally equal subtrees are one node, and runs it as a Tape: a
 topological list of operations that drops each intermediate value after
@@ -257,7 +264,9 @@ class IntervalArray:
             return self * IntervalArray(1.0 / o.hi, 1.0 / o.lo, o.bad, o.sign)
         # the product flags self's bad lanes, so the reciprocal needs only o's
         bad = o.bad | ((o.lo <= 0.0) & (o.hi >= 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a lane through zero is bad whatever these give; a divisor below
+        # 1/max overflows to inf, which the product clamps
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             r_lo, r_hi = 1.0 / o.lo, 1.0 / o.hi
         lo, hi = np.minimum(r_lo, r_hi), np.maximum(r_lo, r_hi)
         if bad.any():
@@ -291,6 +300,221 @@ def _lift(x) -> IntervalArray:
 
 
 # ---------------------------------------------------------------------------
+# the divided difference of G(w) = 2 sqrt(w) / sinh(sqrt(2w))
+# ---------------------------------------------------------------------------
+#
+# By Euler's product psi(t) = sqrt(t) / sinh(sqrt(t)) = prod_k (1 +
+# t/(k pi)^2)^-1, a product of completely monotone factors, so psi is
+# completely monotone on t >= 0.  G(w) = sqrt2 psi(2w), hence
+# G' = 2 sqrt2 psi'(2w) is negative and increasing and G'' = 4 sqrt2 psi''(2w)
+# positive and decreasing, and each is enclosed over an interval of w by its
+# values at the two ends.  Those values come from the rounded interval
+# operations above, with no libm function but exp and sqrt: a positive
+# series in t below _PSI_SWITCH, closed forms in E = e^-s, s = sqrt(t), above
+# it (where the series form of psi'' cancels catastrophically).
+
+_PSI_SWITCH = 4.0
+_PSI_TERMS = 14     # series terms kept; the rest is a tail enclosed in [0, T]
+_SQRT2 = IntervalArray.point(2.0).sqrt()
+
+
+def _series_tables():
+    """Enclosures of the coefficients of S(t) = sinh(s)/s = sum t^k/(2k+1)!,
+    S' and S'' (lowest power first), and of their tails for t < _PSI_SWITCH.
+    From the K-th term on, consecutive terms of each of the three series
+    have ratio <= t/(2(K-1)(2K+3)) = rho, so a tail is at most its first
+    term at t = _PSI_SWITCH over 1 - rho."""
+    K, t = _PSI_TERMS, _PSI_SWITCH
+    one = IntervalArray.point(1.0)
+    r = [one]                                           # 1/(2k+1)!
+    for k in range(1, K + 1):
+        r.append(r[-1] / float(2 * k * (2 * k + 1)))
+    coefs = ([r[k] for k in range(K)],
+             [r[k] * float(k) for k in range(1, K)],
+             [r[k] * float(k * (k - 1)) for k in range(2, K)])
+    geometric = one / (one - IntervalArray.point(t)
+                       / float(2 * (K - 1) * (2 * K + 3)))
+    tails = [IntervalArray.from_bounds(
+        0.0, (r[K] * float(factor * t ** power) * geometric).hi)
+        for factor, power in ((1, K), (K, K - 1), (K * (K - 1), K - 2))]
+    return coefs, tails
+
+
+_SERIES, _TAILS = _series_tables()
+_SERIES_FLOAT = [[float(0.5 * (c.lo + c.hi)) for c in row] for row in _SERIES]
+
+
+def _psi_series(t, order):
+    """psi, ..., psi^(order) from S = sinh(s)/s and its t-derivatives,
+    each by Horner's rule (positive terms only) plus its tail."""
+    interval = isinstance(t, IntervalArray)
+    series = []
+    for j in range(order + 1):
+        coefs = _SERIES[j] if interval else _SERIES_FLOAT[j]
+        acc = coefs[-1]
+        for c in reversed(coefs[:-1]):
+            acc = acc * t + c
+        series.append(acc + _TAILS[j] if interval else acc)
+    s0 = series[0]
+    out = [(IntervalArray.point(1.0) if interval else 1.0) / s0]
+    if order >= 1:
+        out.append(-(series[1] / (s0 * s0)))
+    if order >= 2:
+        s1, s2 = series[1], series[2]
+        out.append((s1 * s1 * 2.0 - s0 * s2) / (s0 * s0 * s0))
+    return out
+
+
+def _psi_closed(t, order):
+    """psi, ..., psi^(order) for t >= _PSI_SWITCH (s >= 2) in E = e^-s:
+      psi   = 2 s E / (1 - E^2),
+      psi'  = -E [(s - 1) + E^2 (s + 1)] / (s (1 - E^2)^2),
+      psi'' = E [s(s - 1) - 1 + E^2 (6s^2 + 2) + E^4 (s(s + 1) - 1)]
+              / (2 s^3 (1 - E^2)^3),
+    every bracketed term positive for s >= 2."""
+    interval = isinstance(t, IntervalArray)
+    s = t.sqrt() if interval else np.sqrt(t)
+    e = (-s).exp() if interval else np.exp(-s)
+    e2 = e * e
+    om = (IntervalArray.point(1.0) if interval else 1.0) - e2
+    out = [s * e * 2.0 / om]
+    if order >= 1:
+        out.append(-(e * ((s - 1.0) + e2 * (s + 1.0)) / (s * om * om)))
+    if order >= 2:
+        bracket = ((s * (s - 1.0) - 1.0) + e2 * (s * s * 6.0 + 2.0)
+                   + e2 * e2 * (s * (s + 1.0) - 1.0))
+        out.append(e * bracket / (s * s * s * om * om * om * 2.0))
+    return out
+
+
+def _psi(t, interval, order):
+    """[psi, psi', ..., psi^(order)] at the points t >= 0 (a float array):
+    enclosures if interval, else floats."""
+    small = t < _PSI_SWITCH
+    parts = [(m, form(IntervalArray.point(t[m]) if interval else t[m], order))
+             for m, form in ((small, _psi_series), (~small, _psi_closed))
+             if m.any()]
+    out = []
+    for j in range(order + 1):
+        if interval:
+            lo, hi = np.empty(t.shape), np.empty(t.shape)
+            bad = np.zeros(t.shape, dtype=bool)
+            for m, vals in parts:
+                lo[m], hi[m], bad[m] = vals[j].lo, vals[j].hi, vals[j].bad
+            out.append(IntervalArray(lo, hi, bad))
+        else:
+            v = np.empty(t.shape)
+            for m, vals in parts:
+                v[m] = vals[j]
+            out.append(v)
+    return out
+
+
+def _dd_interval(z, u, kind, shared=None):
+    """Enclosure of DD(z, u) = (G(y^2) - G(z^2)) / (y^2 - z^2), y = z + u
+    (kind "dd"), or of its partial in z ("dd_z") or u ("dd_u"), over boxes
+    with z, u >= 0; every other lane is bad.
+
+    DD = int_0^1 G'(z^2 + tau (y^2 - z^2)) dtau lies in G' over the hull
+    W = [z_lo^2, y_hi^2], which is intersected, where u_lo > 0, with the
+    quotient itself.  The partials are int G'' (2z + 2 tau u) dtau and
+    int G'' 2 tau y dtau, so they lie in G''(W) [2 z_lo, 2 y_hi] and
+    G''(W) [0, 2 y_hi].
+
+    The three kinds need psi, psi' and psi'' at the same four ends
+    z_lo^2, z_hi^2, y_lo^2, y_hi^2, so the first of them to run on (z, u)
+    evaluates all of it into the dict shared, and the others read it."""
+    if shared is None:
+        shared = {}
+    if not shared:
+        lo_z, hi_z, lo_u, hi_u, bad_z, bad_u = (
+            np.ravel(x) for x in np.broadcast_arrays(z.lo, z.hi, u.lo, u.hi,
+                                                     z.bad, u.bad))
+        bad = bad_z | bad_u | ~(lo_z >= 0.0) | ~(lo_u >= 0.0) \
+            | ~(hi_z + hi_u < 1e150)
+        zs = IntervalArray(np.where(bad, 0.0, lo_z), np.where(bad, 0.0, hi_z),
+                           bad)
+        us = IntervalArray(np.where(bad, 0.0, lo_u), np.where(bad, 0.0, hi_u),
+                           bad)
+        y = zs + us
+        zz, yy = zs * zs, y * y
+        # z_lo^2 and y_lo^2 rounded down stay >= 0
+        t = 2.0 * np.concatenate([np.maximum(zz.lo, 0.0), zz.hi,
+                                  np.maximum(yy.lo, 0.0), yy.hi])
+        shared.update(shape=np.broadcast(z.lo, u.lo).shape, bad=bad, z=zs,
+                      u=us, y=y, psi=_psi(t, True, 2))
+    bad, z, u, y = shared["bad"], shared["z"], shared["u"], shared["y"]
+    p0, p1, p2 = shared["psi"]
+    n = len(bad)
+    z_lo, z_hi, y_lo, y_hi = (slice(k * n, (k + 1) * n) for k in range(4))
+    # every result below has bad lanes [-inf, inf]
+    if kind == "dd":
+        hull = IntervalArray(p1.lo[z_lo], p1.hi[y_hi], bad) * (_SQRT2 * 2.0)
+        g_y = IntervalArray(p0.lo[y_hi], p0.hi[y_lo], bad)
+        g_z = IntervalArray(p0.lo[z_hi], p0.hi[z_lo], bad)
+        quotient = (g_y - g_z) * _SQRT2 / (u * (z * 2.0 + u))
+        # a lane with u_lo = 0 divides by zero, and its [-inf, inf] leaves
+        # the hull as it is
+        out = IntervalArray(np.maximum(hull.lo, quotient.lo),
+                            np.minimum(hull.hi, quotient.hi), bad)
+    else:
+        g2 = IntervalArray(p2.lo[y_hi], p2.hi[z_lo], bad) * (_SQRT2 * 4.0)
+        out = g2 * IntervalArray(z.lo * 2.0 if kind == "dd_z"
+                                 else np.zeros(n), y.hi * 2.0, bad)
+    shape = shared["shape"]
+    return IntervalArray(out.lo.reshape(shape), out.hi.reshape(shape),
+                         bad.reshape(shape))
+
+
+# Gauss-Legendre nodes and weights on [0, 1]; eight nodes integrate G' and
+# G'' over a w-interval of length <= 1 to below 1e-20 relative, since their
+# nearest singularity, w = -pi^2/2, is more than 4.9 away
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
+
+def _dd_float(z, u, kind):
+    """DD(z, u) or its partial at points: by quadrature of the integral form
+    where h = y^2 - z^2 <= 1, else from the quotient DD, whose partials are
+    2y (G'(y^2) - DD) / h in u and [2y (G'(y^2) - DD) + 2z (DD - G'(z^2))] / h
+    in z, sums of terms of one sign."""
+    z, u = np.broadcast_arrays(np.asarray(z, dtype=float),
+                               np.asarray(u, dtype=float))
+    shape = z.shape
+    z, u = z.ravel(), u.ravel()
+    y = z + u
+    h = u * (2.0 * z + u)
+    out = np.empty(len(z))
+    order = 1 if kind == "dd" else 2
+    r2 = np.sqrt(2.0)
+    near = h <= 1.0
+    if near.any():
+        zn, un, yn = z[near, None], u[near, None], y[near, None]
+        w = zn * zn + _GL_NODES * h[near, None]
+        g = _psi(2.0 * w.ravel(), False, order)[order].reshape(w.shape)
+        if kind == "dd":
+            out[near] = 2.0 * r2 * (g @ _GL_WEIGHTS)
+        else:
+            weight = (2.0 * zn + 2.0 * un * _GL_NODES if kind == "dd_z"
+                      else 2.0 * yn * _GL_NODES)
+            out[near] = 4.0 * r2 * ((g * weight) @ _GL_WEIGHTS)
+    far = ~near
+    if far.any():
+        zf, yf, hf = z[far], y[far], h[far]
+        m = len(zf)
+        p0, p1 = _psi(2.0 * np.concatenate([zf * zf, yf * yf]), False, 1)
+        dd = r2 * (p0[m:] - p0[:m]) / hf
+        g1_z, g1_y = 2.0 * r2 * p1[:m], 2.0 * r2 * p1[m:]
+        if kind == "dd":
+            out[far] = dd
+        else:
+            upper = 2.0 * yf * (g1_y - dd)
+            out[far] = (upper if kind == "dd_u"
+                        else upper + 2.0 * zf * (dd - g1_z)) / hf
+    return out.reshape(shape)[()]
+
+
+# ---------------------------------------------------------------------------
 # expression trees
 # ---------------------------------------------------------------------------
 
@@ -298,8 +522,9 @@ _UNARY = {"exp": np.exp, "tanh": np.tanh, "sqrt": np.sqrt}
 
 
 class ExprNode:
-    """Expression DAG over {const, var, +, -, *, /, pow, exp, tanh, sqrt},
-    evaluable over floats or IntervalArray through a Tape."""
+    """Expression DAG over {const, var, +, -, *, /, pow, exp, tanh, sqrt} and
+    the divided difference dd(z, u) of G (see _dd_interval) with its partials
+    dd_z and dd_u, evaluable over floats or IntervalArray through a Tape."""
 
     __slots__ = ("kind", "children", "value", "name")
 
@@ -374,6 +599,7 @@ nexp = ExprNode.exp
 
 _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
            "div": operator.truediv}
+_DIVIDED = ("dd", "dd_z", "dd_u")
 
 
 class Tape:
@@ -426,6 +652,7 @@ class Tape:
         """Values of the roots over env, in the order the roots were given."""
         interval = isinstance(next(iter(env.values())), IntervalArray)
         values = [None] * len(self.ops)
+        shared = {}     # per (z, u) slots, what the dd kinds share
         for i, (kind, args, value, name) in enumerate(self.ops):
             if kind == "const":
                 out = IntervalArray.point(value) if interval else value
@@ -438,6 +665,10 @@ class Tape:
             elif kind in _UNARY:
                 x = values[args[0]]
                 out = getattr(x, kind)() if interval else _UNARY[kind](x)
+            elif kind in _DIVIDED:
+                x, y = values[args[0]], values[args[1]]
+                out = _dd_interval(x, y, kind, shared.setdefault(args, {})) \
+                    if interval else _dd_float(x, y, kind)
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
             values[i] = out
@@ -526,8 +757,12 @@ def differentiate(expr: ExprNode, name: str, memo=None) -> ExprNode:
                                         _smart_mul(expr, expr)), d[0])
         elif k == "sqrt":
             out = _smart_div(d[0], _smart_mul(ExprNode.const(2.0), expr))
+        elif k == "dd":
+            out = _smart_add(
+                _smart_mul(ExprNode("dd_z", expr.children), d[0]),
+                _smart_mul(ExprNode("dd_u", expr.children), d[1]))
         else:
-            raise ValueError(f"unknown node kind {k!r}")
+            raise ValueError(f"no partial derivative of node kind {k!r}")
     memo[key] = out
     return out
 
@@ -536,61 +771,54 @@ def differentiate(expr: ExprNode, name: str, memo=None) -> ExprNode:
 # claim catalog
 # ---------------------------------------------------------------------------
 
-def defect_gap_expression() -> ExprNode:
-    """Defect -Delta(eta) - eta + eta^3 of eta = H(a y)H(a z), drift
-    coefficient d = m - 1, in gap coordinates (a, u, z) of the scaled
-    variables (y, z) <- (a y, a z), u = y - z > 0.  With Hy = H(y),
-    p = 1 - Hy^2 and q = 1 - Hz^2 the printed form is
+def defect_quotient_expression() -> ExprNode:
+    """Q = D / (H(y) H(z)), where D = -Delta(eta) - eta + eta^3 is the defect
+    of eta = H(a y)H(a z) with drift coefficient d = m - 1, in gap
+    coordinates (a, u, z) of the scaled variables (y, z) <- (a y, a z),
+    y = z + u.  With p = 1 - H(y)^2, q = 1 - H(z)^2 and
+    g(x) = x/H(x) - x H(x) = 2x / sinh(sqrt2 x) = G(x^2), the printed form
 
-      Hy Hz (2a^2 - 1 - a^2 Hy^2 - a^2 Hz^2 + Hy^2 Hz^2)
-        - d sqrt2 a^2 (y Hz p - z Hy q) / (y^2 - z^2),
+      D = Hy Hz (2a^2 - 1 - a^2 Hy^2 - a^2 Hz^2 + Hy^2 Hz^2)
+          - d sqrt2 a^2 (y Hz p - z Hy q) / (y^2 - z^2)
 
-    and here the two removable cancellations of its drift term are
-    eliminated algebraically:
+    divided by Hy Hz > 0 is
 
-      * the denominator y^2 - z^2 becomes u (2z + u) exactly, and
-      * the bracket y Hz p(y) - z Hy q(z) equals
-            4E [u eps (1 - E^2) - z (1 - eps)(1 + eps E^2)] / D,
-        D = (1 + E)^2 (1 + eps E)^2,  E = e^(-sqrt2 z),  eps = e^(-sqrt2 u),
-        so the factor u divides out before any interval subtraction.
+      Q = pq - (1 - a^2)(p + q) - d sqrt2 a^2 DD
+        = -(p Hz^2 + q) + a^2 (p + q - d sqrt2 DD),
 
-    Every remaining subtraction is between quantities of different scales,
-    which keeps enclosure widths proportional to box widths even on boxes
-    hugging the diagonal u -> 0 or deep in the exponential tail.
+    DD = (G(y^2) - G(z^2)) / (y^2 - z^2), one node (_dd_interval) with no
+    0/0 at u = 0 or z = 0.  So D <= 0 exactly where Q <= 0, and Q is defined
+    on the closed quadrant: at the corner it tends to
+    2a^2 - 1 + 2 d a^2 / 3, since G'(0) = -sqrt2/3.
 
-    The defect is linear in a^2, so the expression is arranged as
-    base(u, z) + a^2 * coef(u, z) with a single occurrence of ``a``: interval
-    evaluation is then exact in the a-direction (the extreme value sits at an
-    endpoint), and the branch-and-bound effectively only refines (u, z).
+    Q is linear in a^2 and written with a single occurrence of ``a``, so
+    interval evaluation is exact in the a-direction, and every term in the
+    bracket is >= 0 (DD < 0): nothing cancels where p, q and DD decay
+    together in the far field.  H(x) = (1 - e^(-sqrt2 x))/(1 + e^(-sqrt2 x)),
+    with sqrt2 the rounded-out enclosure of sqrt(2).
     """
     a, u, z, d = (ExprNode.var(n) for n in ("a", "u", "z", "d"))
-    s2 = ExprNode.const(np.sqrt(2.0))
+    s2 = ExprNode.const(2.0).sqrt()
     one = ExprNode.const(1.0)
-    big_e = nexp(ExprNode.const(-np.sqrt(2.0)) * z)
-    eps = nexp(ExprNode.const(-np.sqrt(2.0)) * u)
-    eE = eps * big_e
+    big_e = nexp(-s2 * z)
+    e_y = big_e * nexp(-s2 * u)
     hz = (one - big_e) / (one + big_e)
-    hy = (one - eE) / (one + eE)
     q = 4.0 * big_e / ((one + big_e) * (one + big_e))
-    p = 4.0 * eE / ((one + eE) * (one + eE))
-    n_over_u = (eps * (one - big_e * big_e)
-                - z * (one + eps * big_e * big_e) * ((one - eps) / u))
-    denom = ((one + big_e) * (one + big_e) * (one + eE) * (one + eE)
-             * (2.0 * z + u))
-    drift_coef = d * s2 * 4.0 * big_e * n_over_u / denom
-    base = ExprNode.const(0.0) - hy * hz * (p + hy * hy * q)
-    coef = hy * hz * (p + q) - drift_coef
+    p = 4.0 * e_y / ((one + e_y) * (one + e_y))
+    dd = ExprNode("dd", (z, u))
+    base = ExprNode.const(0.0) - (p * (hz * hz) + q)
+    coef = p + q - d * s2 * dd
     return base + (a * a) * coef
 
 
 def builtin_expressions(n: int = 8) -> dict:
     """Expression-tree catalog for dimension n: the profile f and its mirror
-    h, the five coefficient fields and the subsolution defect in gap
-    coordinates."""
+    h, the five coefficient fields and, under "defect_gap", the subsolution
+    defect divided by H(y)H(z) in gap coordinates."""
     # candidate builds its DAGs with this module, so it is imported late
     from saddlecheck.candidate import candidate_expressions
     cat = candidate_expressions(CandidateParams(n=n))
-    cat["defect_gap"] = defect_gap_expression()
+    cat["defect_gap"] = defect_quotient_expression()
     return cat
 
 
@@ -606,9 +834,12 @@ class HalfPlane:
     delta: float = 0.0
 
 
-# Upper end of the defect claim's a-range for each dimension n.  At n = 12
-# (d = 5) the defect turns positive between a = 0.43 and 0.435: it is
-# +1.6e-3 at (a, u, z) = (0.45, 0.014, 0.28).
+# Upper end of the defect claim's a-range for each dimension n.  No a-range
+# can pass the corner bound sqrt(3/(6 + 2d)), where Q(u = z = 0) =
+# 2a^2 - 1 + 2da^2/3 turns positive: 0.5, 0.4629 and 0.4330 for d = 3, 4, 5.
+# At n = 12 (d = 5) the defect turns positive between a = 0.43 and 0.435
+# (+1.6e-3 at (a, u, z) = (0.45, 0.014, 0.28)), so 0.42 stays below that
+# bound with a margin.
 DEFECT_A_MAX = {8: 0.45, 10: 0.45, 12: 0.42}
 
 
@@ -617,13 +848,16 @@ def claims(n: int) -> list[tuple[str, str, dict]]:
     (label, key into builtin_expressions(n), keyword arguments of
     prove_nonpositive).
 
-    The defect is proven in gap coordinates for a in [0.01, DEFECT_A_MAX[n]],
-    with d = m - 1 fixed and the single-occurrence a frozen; the coefficient
-    claims (n = 8 only) on the wedge s >= t + 0.05.
+    The defect claim is Q = D / (H(y)H(z)) <= 0 (defect_quotient_expression)
+    in gap coordinates, for a in [0.01, DEFECT_A_MAX[n]], u in [0, 11.99] and
+    z in [0, 12], with d = m - 1 fixed and the single-occurrence a frozen.
+    It starts at the corner u = z = 0, where Q is 2a^2 - 1 + 2da^2/3 < 0;
+    the far field z > 12 or u > 11.99, where Q tends to 0, is not proven.
+    The coefficient claims (n = 8 only) hold on the wedge s >= t + 0.05.
     """
     rows = [("defect<=0", "defect_gap",
              {"names": ["a", "u", "z"],
-              "box": [[0.01, DEFECT_A_MAX[n]], [0.01, 11.99], [0.01, 12.0]],
+              "box": [[0.01, DEFECT_A_MAX[n]], [0.0, 11.99], [0.0, 12.0]],
               "fixed": {"d": n / 2 - 1}, "frozen_dims": ("a",),
               "min_width": 1e-6})]
     if n == 8:
@@ -700,7 +934,9 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
     Each box is bounded twice and the tighter bound wins: once by direct
     interval evaluation, and once by the mean-value form
     f(c) + grad f(B) . (B - c), which is immune to the dependency blow-up of
-    the direct form on narrow boxes.
+    the direct form on narrow boxes.  Its center c is Baumann's, which
+    minimises the upper bound of each gradient term (Baumann, "Optimal
+    centered forms", BIT 28, 1988).
 
     Dimensions named in frozen_dims are never bisected; use this for
     variables the expression depends on monotonically-by-construction (e.g.
@@ -726,9 +962,22 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
         iv, *slopes = box_tape.run(env)
         hi = np.where(iv.bad, np.inf, iv.hi)
         # mean-value form over the splittable dims: center evaluation plus
-        # gradient times half-widths; frozen dims stay as full intervals
-        # (the expansion holds for each of their values, so the hull is sound)
+        # gradient times (box - center); frozen dims stay as full intervals
+        # (the expansion holds for each of their values, so the hull is sound).
+        # Any center in the box is sound.  Over a gradient enclosure [gl, gh]
+        # the term's upper bound is least at Baumann's center
+        # (gh hi - gl lo) / (gh - gl): the face the claim rises toward where
+        # the enclosure has one sign.  The midpoint stands in where that is
+        # not finite (bad lanes)
         centers = 0.5 * (boxes[:, :, 0] + boxes[:, :, 1])
+        for k, dk in zip(used, slopes):
+            x_lo, x_hi = boxes[:, k, 0], boxes[:, k, 1]
+            gl, gh = dk.lo, dk.hi
+            with np.errstate(all="ignore"):
+                c = np.where(gl >= 0.0, x_hi, np.where(
+                    gh <= 0.0, x_lo, (gh * x_hi - gl * x_lo) / (gh - gl)))
+            centers[:, k] = np.where(np.isfinite(c), np.clip(c, x_lo, x_hi),
+                                     centers[:, k])
         cenv = {nm: (IntervalArray.point(centers[:, k]) if splittable[k]
                      else env[nm])
                 for k, nm in enumerate(names)} | fixed_env

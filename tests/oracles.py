@@ -56,6 +56,51 @@ def subsolution_defect(a, y, z, d):
     return out if out.ndim else float(out)
 
 
+def _sinhc(t):
+    """sinh(sqrt t) / sqrt t, real on both sides of t = 0 (so that numerical
+    differentiation may step across it)."""
+    if t > 0:
+        return mpmath.sinh(mpmath.sqrt(t)) / mpmath.sqrt(t)
+    if t < 0:
+        return mpmath.sin(mpmath.sqrt(-t)) / mpmath.sqrt(-t)
+    return mpmath.mpf(1)
+
+
+def psi(t, k=0):
+    """The k-th derivative of psi(t) = sqrt(t) / sinh(sqrt(t)) at one point,
+    by mpmath's numerical differentiation in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        return mpmath.diff(lambda x: 1 / _sinhc(x), mpmath.mpf(t), k)
+
+
+def divided_difference(z, u):
+    """(DD, dDD/dz, dDD/du) at one point in 60-digit arithmetic, where
+    DD = (G(y^2) - G(z^2)) / (y^2 - z^2), y = z + u, G(w) = sqrt2 psi(2w),
+    from the quotient and its partials
+
+      dDD/du = 2y (G'(y^2) - DD) / h,
+      dDD/dz = (2y G'(y^2) - 2z G'(z^2) - (2y - 2z) DD) / h,  h = y^2 - z^2,
+
+    and at u = 0 from their limits G'(z^2), 2z G''(z^2) and z G''(z^2)."""
+    with mpmath.workdps(60):
+        z, u = mpmath.mpf(float(z)), mpmath.mpf(float(u))
+        r2 = mpmath.sqrt(2)
+        y = z + u
+
+        def g(w, k=0):
+            return r2 * 2**k * psi(2 * w, k)
+
+        if u == 0:
+            return tuple(float(v) for v in
+                         (g(z * z, 1), 2 * z * g(z * z, 2), z * g(z * z, 2)))
+        h = y * y - z * z
+        dd = (g(y * y) - g(z * z)) / h
+        d_u = 2 * y * (g(y * y, 1) - dd) / h
+        d_z = (2 * y * g(y * y, 1) - 2 * z * g(z * z, 1)
+               - (2 * y - 2 * z) * dd) / h
+        return float(dd), float(d_z), float(d_u)
+
+
 @dataclass(frozen=True)
 class Jet2:
     """Forward-mode second-order jet in two variables (s, t): a value and

@@ -4,16 +4,20 @@ Interval bounds are padded outward by two ulps.  That is sound for the
 correctly rounded +, -, *, / and sqrt, but exp, tanh and pow come from
 the platform's libm (possibly SIMD paths), which promises no error bound.
 This measures their error against 200-bit mpmath on the arguments the
-claims actually produce and fails unless it stays below the padding.
+claims actually produce and fails unless it stays below the padding: the
+arguments of the DAGs' exp, tanh and pow nodes, and those the
+divided-difference nodes pass to exp inside their own enclosures.
 """
 
 from collections import defaultdict
 
 import mpmath
 import numpy as np
+import pytest
 
-from saddlecheck.rigor import (Tape, builtin_expressions, claims,
-                               differentiate)
+from saddlecheck import rigor
+from saddlecheck.rigor import (IntervalArray, Tape, builtin_expressions,
+                               claims, differentiate)
 
 PADDING_ULPS = 2.0
 SAMPLES = 1500          # arguments audited per (function, exponent)
@@ -49,21 +53,44 @@ def _nodes(expr):
             stack.extend(node.children)
 
 
+def _divided_difference_exp_arguments(nodes, env):
+    """What the dd, dd_z and dd_u nodes pass to IntervalArray.exp while they
+    enclose themselves over the point boxes env."""
+    seen = []
+
+    def recorded(self):
+        seen.extend([np.ravel(self.lo), np.ravel(self.hi)])
+        return exp(self)
+
+    exp = IntervalArray.exp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntervalArray, "exp", recorded)
+        for node in nodes:
+            z, u = (IntervalArray.point(v) for v in
+                    Tape(list(node.children)).run(env))
+            rigor._dd_interval(z, u, node.kind)
+    return seen
+
+
 def _claim_arguments(rng):
     """Argument values of every exp/tanh/pow node the proofs of
     rigor.claims(n), n = 8, 10, 12, evaluate, at points of each claim's
-    domain."""
+    domain, and of the exp calls inside their divided-difference nodes
+    (key ("exp", "dd"))."""
     args = defaultdict(list)
     for n in (8, 10, 12):
         cat = builtin_expressions(n)
         for _, key, kwargs in claims(n):
             env = _domain_points(rng, kwargs, POINTS)
-            calls = [node for expr in _proof_expressions(cat[key], kwargs)
-                     for node in _nodes(expr)
+            nodes = [node for expr in _proof_expressions(cat[key], kwargs)
+                     for node in _nodes(expr)]
+            calls = [node for node in nodes
                      if node.kind in ("exp", "tanh", "pow")]
             values = Tape([node.children[0] for node in calls]).run(env)
             for node, arg in zip(calls, values):
                 args[(node.kind, node.value)].append(np.atleast_1d(arg))
+            args[("exp", "dd")] += _divided_difference_exp_arguments(
+                [node for node in nodes if node.kind in rigor._DIVIDED], env)
     return {key: np.concatenate(v) for key, v in args.items()}
 
 
@@ -94,7 +121,7 @@ def test_libm_error_below_rounding_padding():
                  for expr in _proof_expressions(builtin_expressions(n)[key],
                                                 kwargs)
                  for node in _nodes(expr) if node.kind == "pow"}
-    assert set(args) >= {("pow", p) for p in exponents}
+    assert set(args) >= {("pow", p) for p in exponents} | {("exp", "dd")}
     assert {kind for kind, _ in args} == {"exp", "tanh", "pow"}
     report = {}
     for (kind, p), x in sorted(args.items(), key=str):
@@ -104,7 +131,8 @@ def test_libm_error_below_rounding_padding():
             mp_fn = lambda v, p=p: v ** mpmath.mpf(p)
         else:
             np_fn, mp_fn = funcs[kind]
-        report[f"{kind}{'' if p is None else f'^{p:g}'}"] = \
-            _max_ulp_error(np_fn, mp_fn, x)
+        label = kind if p is None else f"{kind} in {p}" if p == "dd" \
+            else f"{kind}^{p:g}"
+        report[label] = _max_ulp_error(np_fn, mp_fn, x)
     print("max ulp error:", ", ".join(f"{k} {v:.3f}" for k, v in report.items()))
     assert all(err < PADDING_ULPS for err in report.values()), report

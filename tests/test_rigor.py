@@ -1,15 +1,18 @@
 """Outward-rounded interval arithmetic, expression catalog, symbolic
 differentiation, and the branch-and-bound nonpositivity prover."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import evaluate, jet_coefficients, subsolution_defect
+from oracles import (divided_difference, evaluate, jet_coefficients, psi,
+                     subsolution_defect)
 from saddlecheck import rigor
 from saddlecheck.params import CandidateParams
 from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, Tape,
                                _down, _up, builtin_expressions, claims,
-                               defect_gap_expression, differentiate, nexp,
+                               defect_quotient_expression, differentiate, nexp,
                                prove_nonpositive)
 
 RNG = np.random.default_rng(917)
@@ -87,20 +90,58 @@ def test_cross_coefficient_vanishes_on_diagonal_interval():
         assert iv.hi[0] - iv.lo[0] <= 1e-10
 
 
+def _heteroclinic(x):
+    return np.tanh(x / np.sqrt(2.0))
+
+
+def _defect_from_quotient(a, u, z, d):
+    """D = Q H(y) H(z) from the catalogue's Q, y = z + u."""
+    q = evaluate(defect_quotient_expression(),
+                 {"a": a, "u": u, "z": z, "d": d})
+    return q * _heteroclinic(z + u) * _heteroclinic(z)
+
+
 def test_defect_frozen_oracle_and_gap_form_agreement():
-    # the oracle is the printed two-term form in 60-digit arithmetic
-    gap = defect_gap_expression()
+    # the oracle is the printed two-term form in 60-digit arithmetic; the
+    # catalogue holds Q = D / (H(y)H(z)) in gap coordinates
     got = subsolution_defect(0.3, 3.0, 0.5, 3.0)
     assert got == pytest.approx(DEFECT_ORACLE, rel=1e-14)
-    got_gap = evaluate(gap, {"a": 0.3, "u": 2.5, "z": 0.5, "d": 3.0})
+    got_gap = _defect_from_quotient(0.3, 2.5, 0.5, 3.0)
     assert got_gap == pytest.approx(DEFECT_ORACLE, rel=1e-12)
     # dense random agreement between the two parametrizations
     a = RNG.uniform(0.01, 0.45, 3000)
     z = RNG.uniform(0.01, 12.0, 3000)
     u = RNG.uniform(0.01, 12.0, 3000)
     v1 = subsolution_defect(a, z + u, z, 3.0)
-    v2 = evaluate(gap, {"a": a, "u": u, "z": z, "d": 3.0})
+    v2 = _defect_from_quotient(a, u, z, 3.0)
     assert np.max(np.abs(v1 - v2) / np.maximum(np.abs(v1), 1e-300)) < 1e-9
+
+
+@pytest.mark.parametrize("d", [3.0, 4.0, 5.0])
+def test_quotient_times_heteroclinics_is_the_defect(d):
+    # Q H(y) H(z) against the 60-digit printed form, down to u, z ~ 1e-3
+    # (where D ~ yz, so D and Q H(y)H(z) are both small) and out to z = 12
+    rng = np.random.default_rng(int(d))
+    n = 400
+    a = rng.uniform(0.01, 0.45, n)
+    u = np.concatenate([10.0 ** rng.uniform(-3, -2, n // 4),
+                        rng.uniform(1e-3, 12.0, 3 * n // 4)])
+    z = np.concatenate([rng.uniform(1e-3, 12.0, n // 4),
+                        10.0 ** rng.uniform(-3, -2, n // 4),
+                        12.0 - rng.uniform(0.0, 0.5, n // 4),
+                        rng.uniform(1e-3, 12.0, n // 4)])
+    want = subsolution_defect(a, z + u, z, d)
+    got = _defect_from_quotient(a, u, z, d)
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+
+@pytest.mark.parametrize("a, d", [(0.45, 3.0), (0.45, 4.0), (0.42, 5.0),
+                                  (0.1, 5.0)])
+def test_quotient_corner_limit(a, d):
+    # G'(0) = -sqrt2/3, so Q(u = 0, z = 0) = 2a^2 - 1 + 2 d a^2 / 3
+    got = evaluate(defect_quotient_expression(),
+                   {"a": a, "u": 0.0, "z": 0.0, "d": d})
+    assert got == pytest.approx(2 * a * a - 1 + 2 * d * a * a / 3, rel=1e-14)
 
 
 def test_n12_claim_box_excludes_the_known_counterexample():
@@ -108,24 +149,29 @@ def test_n12_claim_box_excludes_the_known_counterexample():
     # at (a, u, z) = (0.45, 0.014, 0.28) and turns sign between a = 0.43 and
     # 0.435, so the n = 12 claim must stop short of that
     assert subsolution_defect(0.45, 0.28 + 0.014, 0.28, 5.0) > 0.0
+    assert evaluate(builtin_expressions(12)["defect_gap"],
+                    {"a": 0.45, "u": 0.014, "z": 0.28, "d": 5.0}) > 0.0
     (kwargs,) = [kw for _, key, kw in claims(12) if key == "defect_gap"]
     assert kwargs["fixed"] == {"d": 5.0}
     assert kwargs["box"][kwargs["names"].index("a")][1] < 0.435
 
 
 def test_differentiate_matches_finite_differences():
-    gap = defect_gap_expression()
+    # Q's partials through the divided-difference node, on both of its
+    # float routes (quadrature for y^2 - z^2 <= 1, quotient beyond)
+    gap = defect_quotient_expression()
     names = ("a", "u", "z")
-    base = {"a": 0.31, "u": 1.7, "z": 0.9, "d": 3.0}
     eps = 1e-6
-    for nm in names:
+    for (u, z), nm in itertools.product([(1.7, 0.9), (0.2, 0.3), (0.01, 2.0)],
+                                        names):
+        base = {"a": 0.31, "u": u, "z": z, "d": 3.0}
         g = differentiate(gap, nm)
         hi = dict(base)
         lo = dict(base)
         hi[nm] += eps
         lo[nm] -= eps
         fd = (evaluate(gap, hi) - evaluate(gap, lo)) / (2 * eps)
-        assert evaluate(g, base) == pytest.approx(fd, rel=1e-6), nm
+        assert evaluate(g, base) == pytest.approx(fd, rel=1e-6), (u, z, nm)
 
 
 def test_differentiate_shares_subtrees():
@@ -238,6 +284,119 @@ def test_catalog_matches_jet_coefficients(n):
         want = getattr(cs, key)
         got = evaluate(cat[key], {"s": s, "t": t})
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9, key
+
+
+# ---------------------------------------------------------------------------
+# the divided-difference node and the corner of the defect claim
+# ---------------------------------------------------------------------------
+
+def test_psi_endpoint_enclosures_contain_the_exact_values():
+    # psi, psi', psi'' at points on both sides of the series / closed-form
+    # switch, out past the largest argument of the defect claim (2 * 24^2)
+    t = np.concatenate([[0.0, 1e-300, 1e-8, 1.0, np.nextafter(4.0, 0.0),
+                         4.0, np.nextafter(4.0, 5.0), 1152.0],
+                        10.0 ** RNG.uniform(-6, 3.1, 40)])
+    for k, iv in enumerate(rigor._psi(t, True, 2)):
+        assert not iv.bad.any()
+        for j, tj in enumerate(t):
+            assert iv.lo[j] <= psi(tj, k) <= iv.hi[j], (k, tj)
+        # tight: a few dozen ulps at most
+        assert np.all(iv.hi - iv.lo <= 1e-13 * np.abs(iv.hi)), k
+
+
+def _dd_boxes(rng, n):
+    """Boxes (z_lo, z_hi, u_lo, u_hi) of the defect claim's quadrant: a
+    quarter with u_lo = 0, a quarter with z_lo = 0, a quarter with both, and
+    every box's u-width up to 12 on a log scale; a tenth are points."""
+    z_lo = rng.uniform(0.0, 12.0, n) * (rng.uniform(size=n) < 0.5)
+    u_lo = rng.uniform(0.0, 11.9, n)
+    u_lo[: n // 4] = 0.0
+    z_lo[n // 4: n // 2] = 0.0
+    z_lo[n // 2: 3 * n // 4] = u_lo[n // 2: 3 * n // 4] = 0.0
+    z_w = 10.0 ** rng.uniform(-6, 0, n)
+    u_w = 10.0 ** rng.uniform(-6, np.log10(12.0), n)
+    points = rng.uniform(size=n) < 0.1
+    z_w[points] = u_w[points] = 0.0
+    return z_lo, z_lo + z_w, u_lo, u_lo + u_w
+
+
+def test_divided_difference_enclosures_contain_the_exact_values():
+    # DD and its two partials over boxes touching u = 0, z = 0 or both, and
+    # over u-widths up to 12, against 60-digit values at corners and inner
+    # points of each box
+    rng = np.random.default_rng(31)
+    z_lo, z_hi, u_lo, u_hi = _dd_boxes(rng, 120)
+    z = IntervalArray.from_bounds(z_lo, z_hi)
+    u = IntervalArray.from_bounds(u_lo, u_hi)
+    enclosures = [rigor._dd_interval(z, u, kind)
+                  for kind in ("dd", "dd_z", "dd_u")]
+    assert not any(iv.bad.any() for iv in enclosures)
+    for b in range(len(z_lo)):
+        points = [(z_lo[b], u_lo[b]), (z_hi[b], u_hi[b]),
+                  (z_lo[b], u_hi[b]), (z_hi[b], u_lo[b])]
+        points += list(zip(rng.uniform(z_lo[b], z_hi[b], 2),
+                           rng.uniform(u_lo[b], u_hi[b], 2)))
+        for zp, up in points:
+            for iv, exact in zip(enclosures, divided_difference(zp, up)):
+                assert iv.lo[b] <= exact <= iv.hi[b], (b, zp, up)
+
+
+def test_divided_difference_limits_at_the_diagonal_and_the_corner():
+    # at u = 0 the node is G'(z^2), at the corner G'(0) = -sqrt2/3; the
+    # point enclosure holds the limit and the float route returns it
+    z = np.array([0.0, 1e-3, 0.5, 3.0, 12.0])
+    iv = rigor._dd_interval(IntervalArray.point(z),
+                            IntervalArray.point(np.zeros_like(z)), "dd")
+    limit = np.array([float(np.sqrt(2.0) * 2 * psi(2 * zk * zk, 1))
+                      for zk in z])
+    assert np.all((iv.lo <= limit) & (limit <= iv.hi))
+    assert evaluate(ExprNode("dd", (ExprNode.var("z"), ExprNode.var("u"))),
+                    {"z": z, "u": 0.0 * z}) == pytest.approx(limit, rel=1e-14)
+    assert iv.lo[0] <= -np.sqrt(2.0) / 3.0 <= iv.hi[0]
+    assert limit[0] == pytest.approx(-np.sqrt(2.0) / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_defect_claim_enclosures_hold_down_to_the_corner(n):
+    # Q and the two partials the prover bounds it with, over boxes of the
+    # claim's domain that touch u = 0, z = 0 or both, against their float
+    # values at points of each box
+    rng = np.random.default_rng(40 + n)
+    (kwargs,) = [kw for _, key, kw in claims(n) if key == "defect_gap"]
+    expr = builtin_expressions(n)["defect_gap"]
+    roots = [expr, differentiate(expr, "u"), differentiate(expr, "z")]
+    z_lo, z_hi, u_lo, u_hi = _dd_boxes(rng, 2000)
+    keep = (z_hi > z_lo + 1e-4) & (u_hi > u_lo + 1e-4) & (u_hi <= 11.99)
+    z_lo, z_hi, u_lo, u_hi = z_lo[keep], z_hi[keep], u_lo[keep], u_hi[keep]
+    a_lo = rng.uniform(0.01, kwargs["box"][0][1] - 0.01, len(z_lo))
+    a_hi = a_lo + 0.01
+    d = kwargs["fixed"]["d"]
+    boxes = {"a": (a_lo, a_hi), "u": (u_lo, u_hi), "z": (z_lo, z_hi)}
+    env = {nm: IntervalArray.from_bounds(*b) for nm, b in boxes.items()}
+    enclosures = Tape(roots).run(env | {"d": IntervalArray.point(d)})
+    pts = {nm: lo[:, None]
+           + (hi - lo)[:, None] * rng.uniform(0, 1, (len(lo), 20))
+           for nm, (lo, hi) in boxes.items()}
+    for root, iv in zip(roots, enclosures):
+        vals = evaluate(root, pts | {"d": d})
+        assert not iv.bad.any()
+        assert np.all((iv.lo[:, None] <= vals) & (vals <= iv.hi[:, None]))
+
+
+@pytest.mark.parametrize("n, a_max", [(12, 0.435), (8, 0.51)])
+def test_defect_claim_past_the_corner_bound_stays_undecided(n, a_max):
+    # Q(0, 0) = 2a^2 - 1 + 2da^2/3 is positive once a > sqrt(3/(6 + 2d))
+    # (0.4330 at d = 5, 0.5 at d = 3), so no enclosure may prove the claim
+    # there, and what is left open sits at the corner
+    assert 2 * a_max**2 - 1 + 2 * (n / 2 - 1) * a_max**2 / 3 > 0.0
+    (kwargs,) = [kw for _, key, kw in claims(n) if key == "defect_gap"]
+    kwargs = dict(kwargs, box=[[0.01, a_max]] + kwargs["box"][1:])
+    res = prove_nonpositive(builtin_expressions(n)["defect_gap"],
+                            max_boxes=30_000, **kwargs)
+    assert res.status == "undecided" and len(res.frontier)
+    u_box, z_box = res.frontier[:, 1], res.frontier[:, 2]
+    assert u_box[:, 1].max() <= 0.5 and z_box[:, 1].max() <= 0.5
+    assert np.any((u_box[:, 0] == 0.0) & (z_box[:, 0] == 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +665,8 @@ def _unmerged(node, env, memo):
                 out = args[0] - args[1]
             elif kind == "pow":
                 out = args[0] ** node.value
+            elif kind in ("dd", "dd_z", "dd_u"):
+                out = rigor._dd_interval(*args, kind)
             else:
                 out = getattr(args[0], kind)()
         memo[id(node)] = out
