@@ -8,8 +8,10 @@ worker that died included; --help prints only the help):
 
     RESULT <pass|fail> stages=<csv> failures=<k>
 
-With the rigor stage, the numeric stages run in a one-worker process pool
-on the fork context while this process runs the proofs (run_stages).
+k counts the report's 'failures', which one function derives from the
+report's stage payloads; the certificate is derived from the same payloads
+(run_stages).  With the rigor stage, the numeric stages run in a one-worker
+process pool on the fork context while this process runs the proofs.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from saddlecheck.cache import load_or_solve
-from saddlecheck.checks import (CheckReport, run_inequality_suite,
-                                verify_supersolution)
+from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.grid import grid_size
 from saddlecheck.params import CANDIDATE_DIMENSIONS, CandidateParams
 from saddlecheck.reporting import (build_report, check_report_to_dict,
@@ -93,8 +94,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     """Execute the requested stages in dependency order; returns the report
-    dictionary (also carries 'failures', a list of failed item names) and the
-    solution the stages ran on.
+    dictionary and the solution the stages ran on.  _failures derives the
+    report's 'failures' from its stage payloads alone; stages.certificate,
+    built on the payloads' check entries, is written exactly when the
+    supersolution stage ran and that list is empty (so for --stages
+    solve,supersolution too).
 
     With the rigor stage, solve, suite, supersolution and spectrum run in
     a one-worker process pool on the fork context, forked before scipy is
@@ -119,7 +123,7 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
                 t0 = time.perf_counter()
                 proofs = run_rigor(cfg)
                 rigor_s = time.perf_counter() - t0
-                num = future.result()
+                sol, stages, timing = future.result()
             except BaseException:
                 os.close(write_fd)        # so leaving the block does not
                 raise                     # wait for the numeric stages
@@ -127,8 +131,7 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
                 os.close(read_fd)
         os.close(write_fd)
     else:
-        num = _numeric_stages(cfg)
-    stages, timing, failures = num.stages, num.timing, num.failures
+        sol, stages, timing = _numeric_stages(cfg)
 
     trace = {}
     if proofs is not None:
@@ -144,42 +147,44 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
             print(f"rigor: {p['claim']}: {p['status']} "
                   f"({p['boxes_examined']} boxes, {secs:.2f} s, "
                   f"{p['boxes_examined'] / secs:.0f} boxes/s)")
-            if p["status"] != "proven":
-                failures.append(f"rigor:{p['claim']}")
 
-    if num.super_report is not None and num.super_report.passed \
-            and not failures:
+    failures = _failures(stages)
+    if "supersolution" in stages and not failures:
         stages["certificate"] = stability_certificate(
-            num.sol, CandidateParams(n=cfg.n),
-            num.suite_reports + [num.super_report])
+            sol, CandidateParams(n=cfg.n),
+            _checks(stages, "suite") + _checks(stages, "supersolution"))
 
     timing["wall"] = time.perf_counter() - t_start
     report = build_report(_config_echo(cfg), stages, timing, trace)
     report["failures"] = failures
-    return report, num.sol
+    return report, sol
 
 
-@dataclass
-class _NumericStages:
-    """What solve, suite, supersolution and spectrum hand on: the report
-    payload of each, its seconds, the failed items and the objects the
-    certificate is built from."""
-    sol: SaddleSolution
-    stages: dict
-    timing: dict
-    failures: list
-    suite_reports: list
-    super_report: CheckReport | None
+def _checks(stages: dict, name: str) -> list[dict]:
+    """The check entries of stage name's payload; [] if it did not run."""
+    return stages.get(name, {}).get("checks", [])
 
 
-def _numeric_stages(cfg: RunConfig) -> _NumericStages:
+def _failures(stages: dict) -> list[str]:
+    """The failed items of a run, read from its stage payloads: each failed
+    suite check (suite:<id>), a failed supersolution check, an inconsistent
+    spectrum sign, then each proof that is not proven (rigor:<claim>)."""
+    verdicts = (
+        [(f"suite:{c['id']}", c["passed"]) for c in _checks(stages, "suite")]
+        + [("supersolution", c["passed"])
+           for c in _checks(stages, "supersolution")]
+        + [("spectrum",
+            stages.get("spectrum", {}).get("sign_consistent", True))]
+        + [(f"rigor:{p['claim']}", p["status"] == "proven")
+           for p in stages.get("rigor", {}).get("proofs", [])])
+    return [name for name, passed in verdicts if not passed]
+
+
+def _numeric_stages(cfg: RunConfig) -> tuple[SaddleSolution, dict, dict]:
     """solve, then whichever of suite, supersolution and spectrum cfg asks
-    for."""
-    stages: dict = {}
-    timing: dict = {}
-    failures: list[str] = []
-    cand = CandidateParams(n=cfg.n) if cfg.n in CANDIDATE_DIMENSIONS else None
-
+    for; returns the solution, the report payload of each stage and its
+    seconds."""
+    stages, timing = {}, {}
     t0 = time.perf_counter()
     sol, cached, rejected = load_or_solve(cfg.m, cfg.R, cfg.h,
                                           directory=cfg.cache)
@@ -192,28 +197,20 @@ def _numeric_stages(cfg: RunConfig) -> _NumericStages:
           f"cg_iters={stages['solve']['cg_iters']} "
           f"({'cache' if cached else _newton_summary(sol)})")
 
-    suite_reports = []
     if "suite" in cfg.stages:
         t0 = time.perf_counter()
-        suite_reports = run_inequality_suite(sol)
+        reports = run_inequality_suite(sol)
         timing["suite"] = time.perf_counter() - t0
-        stages["suite"] = {"checks": [check_report_to_dict(r)
-                                      for r in suite_reports]}
-        for rep in suite_reports:
+        stages["suite"] = {"checks": list(map(check_report_to_dict, reports))}
+        for rep in reports:
             print("  " + rep.summary())
-            if not rep.passed:
-                failures.append(f"suite:{rep.id}")
 
-    super_report = None
     if "supersolution" in cfg.stages:
         t0 = time.perf_counter()
-        super_report = verify_supersolution(sol, cand)
+        rep = verify_supersolution(sol, CandidateParams(n=cfg.n))
         timing["supersolution"] = time.perf_counter() - t0
-        stages["supersolution"] = {"checks":
-                                   [check_report_to_dict(super_report)]}
-        print("  " + super_report.summary())
-        if not super_report.passed:
-            failures.append("supersolution")
+        stages["supersolution"] = {"checks": [check_report_to_dict(rep)]}
+        print("  " + rep.summary())
 
     if "spectrum" in cfg.stages:
         t0 = time.perf_counter()
@@ -226,14 +223,11 @@ def _numeric_stages(cfg: RunConfig) -> _NumericStages:
             "expect_stable": expect_stable, "sign_consistent": consistent}
         print(f"spectrum: lambda_min={est.lambda_min:+.6f} "
               f"({'consistent' if consistent else 'INCONSISTENT'})")
-        if not consistent:
-            failures.append("spectrum")
 
-    return _NumericStages(sol, stages, timing, failures, suite_reports,
-                         super_report)
+    return sol, stages, timing
 
 
-def _pooled_stages(cfg: RunConfig) -> _NumericStages:
+def _pooled_stages(cfg: RunConfig) -> tuple[SaddleSolution, dict, dict]:
     """_numeric_stages(cfg) as the pool's worker runs it: its lines reach
     stdout before its result is sent, and an exception that would not
     unpickle goes back as _picklable(exc)."""

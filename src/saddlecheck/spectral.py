@@ -158,29 +158,31 @@ def _digest(obj) -> str:
         json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()
 
 
-def report_digest(report) -> str:
-    payload = {k: getattr(report, k) for k in
-               ("id", "passed", "worst_margin", "tolerance_used",
-                "nodes_checked")}
-    return _digest(payload)
+def report_digest(check: dict) -> str:
+    """sha256 of a check entry of report.json, on the keys that judge it."""
+    return _digest({k: check[k] for k in
+                    ("id", "passed", "worst_margin", "tolerance_used",
+                     "nodes_checked")})
 
 
-def stability_certificate(sol: SaddleSolution, cand, reports) -> dict:
+def stability_certificate(sol: SaddleSolution, cand, checks) -> dict:
     """Record the supersolution-based stability conclusion, with the
     version of the package that reached it.
 
-    `reports` must contain a passing supersolution report (and may carry the
-    inequality suite).  Refuses if any report failed or the dimension
-    mismatches.
+    `checks` are the report's check entries (check_report_to_dict), the
+    suite's and then the supersolution's: cli.run_stages passes them when
+    cli._failures, its one failure function, finds nothing failed.  Refuses
+    if a check failed, none is the supersolution's, the list is empty or
+    the dimension mismatches.
     """
     if sol.params.m != cand.m:
         raise CertificateError("solution/candidate dimension mismatch")
-    if not reports:
+    if not checks:
         raise CertificateError("no verification reports supplied")
-    for rep in reports:
-        if not rep.passed:
-            raise CertificateError(f"prerequisite report {rep.id} failed")
-    if not any(r.id.startswith("supersolution") for r in reports):
+    for check in checks:
+        if not check["passed"]:
+            raise CertificateError(f"prerequisite report {check['id']} failed")
+    if not any(c["id"].startswith("supersolution") for c in checks):
         raise CertificateError("missing supersolution report")
     return {
         "schema": "stability-certificate/1",
@@ -190,7 +192,7 @@ def stability_certificate(sol: SaddleSolution, cand, reports) -> dict:
         "conclusion": "stable",
         "basis": "positive supersolution of the linearized operator",
         "solution_sha256": _digest(sol.u),
-        "report_sha256": [report_digest(r) for r in reports],
-        "report_ids": [r.id for r in reports],
+        "report_sha256": [report_digest(c) for c in checks],
+        "report_ids": [c["id"] for c in checks],
         "package_version": __version__,
     }

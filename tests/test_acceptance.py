@@ -77,7 +77,7 @@ def test_criterion_5_supersolution_certificate(solved):
     ok = True
     for n in (8, 10, 12):
         rep = verify_supersolution(solved(n // 2, 20.0, 0.05),
-                                   CandidateParams(n=n), tol=1e-8)
+                                   CandidateParams(n=n))
         worst[n] = (-rep.worst_margin, rep.extras["min_phi"])
         ok &= rep.passed
     detail = ", ".join(f"n={n}: max LPhi={w:.1e}, min Phi={p:.1e}"

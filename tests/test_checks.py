@@ -4,6 +4,7 @@ identities, tolerance model, and the supersolution condition."""
 import numpy as np
 import pytest
 
+from saddlecheck import checks
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import (CheckReport, _deficit_rho_constant,
                                 cone_interp, run_inequality_suite, tri_mask,
@@ -126,13 +127,35 @@ def test_cone_interp_exact_on_linear_field(sol_m4_coarse):
 
 
 def test_verify_supersolution_coarse(sol_m4_coarse):
-    rep = verify_supersolution(sol_m4_coarse, CandidateParams(n=8), tol=1e-8)
+    rep = verify_supersolution(sol_m4_coarse, CandidateParams(n=8))
     assert isinstance(rep, CheckReport)
     assert rep.passed
+    assert rep.tolerance_used == 0.0
     assert rep.extras["min_phi"] > 0.0
     for key in ("worst_lphi_E1", "worst_lphi_E2", "worst_lphi_E3"):
         assert rep.extras[key] is not None
-        assert rep.extras[key] <= 1e-8
+        assert rep.extras[key] < 0.0
+
+
+def test_supersolution_gate_has_no_tolerance(sol_m4_coarse, monkeypatch):
+    # L Phi = +5e-9 at one interior node fails the check: the gate is
+    # L Phi < 0 itself, not L Phi <= some tolerance of that size
+    fields = checks.wedge_fields
+
+    def positive_at_worst(sol, cand):
+        i, j, cs, ph, lp = fields(sol, cand)
+        lp = lp.copy()
+        inner = np.flatnonzero(i < sol.grid.N)
+        k = inner[np.argmax(lp[inner])]
+        assert lp[k] < 0.0
+        lp[k] = 5e-9
+        return i, j, cs, ph, lp
+
+    monkeypatch.setattr(checks, "wedge_fields", positive_at_worst)
+    rep = verify_supersolution(sol_m4_coarse, CandidateParams(n=8))
+    assert not rep.passed
+    assert rep.worst_margin == -5e-9
+    assert rep.extras["min_phi"] > 0.0
 
 
 def test_suite_requires_derivative_fields(sol_m4_coarse):

@@ -1,6 +1,7 @@
 """Command-line pipeline: flags, stage execution, exit codes, and the
 RESULT summary line."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -254,6 +255,43 @@ def test_full_run_emits_certificate(tmp_path, capsys):
     assert cert["n"] == 8
     assert _last_line(capsys) == \
         "RESULT pass stages=solve,suite,supersolution,spectrum,rigor failures=0"
+
+
+def _altered(name, change):
+    """Breaks one pillar: cli's `name` returns change(its result)."""
+    def breaks(monkeypatch):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *a, **k: change(original(*a, **k)))
+    return breaks
+
+
+@pytest.mark.parametrize("breaks, expected", [
+    (_altered("run_inequality_suite", lambda reports: [
+        dataclasses.replace(r, passed=False) if r.id == "13-radial" else r
+        for r in reports]), ["suite:13-radial"]),
+    (_altered("verify_supersolution",
+              lambda rep: dataclasses.replace(rep, passed=False)),
+     ["supersolution"]),
+    (_altered("min_eigenvalue",
+              lambda est: dataclasses.replace(est, lambda_min=-0.5)),
+     ["spectrum"]),
+    (lambda monkeypatch: _with_budget(monkeypatch, 500),
+     ["rigor:defect<=0", "rigor:c_s<0", "rigor:c_ss<0", "rigor:c_st<0"]),
+], ids=["suite", "supersolution", "spectrum", "rigor"])
+def test_failing_pillar_is_named_and_withholds_the_certificate(
+        breaks, expected, capsys, monkeypatch):
+    # a full run with one pillar broken lists exactly the failed items,
+    # writes no certificate and exits 1
+    breaks(monkeypatch)
+    rc = main(["run"] + M_ARGS)
+    rep = json.loads(Path("out/report.json").read_text())
+    assert rep["failures"] == expected
+    assert "certificate" not in rep["stages"]
+    assert rc == 1
+    assert _last_line(capsys) == (
+        "RESULT fail stages=solve,suite,supersolution,spectrum,rigor "
+        f"failures={len(expected)}")
 
 
 def _program_env():

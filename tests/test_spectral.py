@@ -14,6 +14,7 @@ from oracles import dense_min_eigenvalue, even_sector_values, rayleigh_quotient
 from saddlecheck import spectral
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
+from saddlecheck.reporting import check_report_to_dict
 from saddlecheck.spectral import (EIG_SIGMA, CertificateError, assemble,
                                   certify_shift, min_eigenvalue,
                                   stability_certificate)
@@ -156,14 +157,15 @@ def test_near_shift_cuts_the_solve_count(sol_m4):
 
 def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
     cand = CandidateParams(n=8)
-    sup = verify_supersolution(sol_m4_coarse, cand)
-    suite = run_inequality_suite(sol_m4_coarse)
+    sup = check_report_to_dict(verify_supersolution(sol_m4_coarse, cand))
+    suite = [check_report_to_dict(r)
+             for r in run_inequality_suite(sol_m4_coarse)]
     reports = [sup] + suite
     cert = stability_certificate(sol_m4_coarse, cand, reports)
     assert cert["schema"] == "stability-certificate/1"
     assert cert["n"] == 8 and cert["m"] == 4
     assert cert["conclusion"] == "stable"
-    assert cert["report_ids"][0] == sup.id
+    assert cert["report_ids"][0] == sup["id"]
     assert len(cert["report_sha256"]) == len(reports)
     assert cert["package_version"] == saddlecheck.__version__
     assert sorted(cert) == ["basis", "conclusion", "grid", "m", "n",
@@ -171,7 +173,7 @@ def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
                             "report_sha256", "schema", "solution_sha256"]
 
     # failed prerequisite
-    failed = dataclasses.replace(sup, passed=False)
+    failed = dict(sup, passed=False)
     with pytest.raises(CertificateError):
         stability_certificate(sol_m4_coarse, cand, [failed] + suite)
 
