@@ -3,19 +3,18 @@ by the saddle solution, plus the supersolution condition for the stability
 candidate.
 
 Each check evaluates a closed-form combination of solution fields over an
-explicit node set and reports its worst margin.  All inequalities are exact
-in the continuum, so the tolerance model is tau = kappa * h^2 * scale with
-scale the local magnitude of the participating terms (discretization error
-is second order).  Failures are reports, not exceptions.
+explicit node set and returns its worst margin as a report entry, a dict of
+plain JSON values.  All inequalities are exact in the continuum, so the
+tolerance model is tau = kappa * h^2 * scale with scale the local magnitude
+of the participating terms (discretization error is second order).
+Failures are entries with passed False, not exceptions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from saddlecheck.candidate import CandidateParams, region_classify, wedge_fields
+from saddlecheck.candidate import CandidateParams, wedge_fields
 from saddlecheck.params import st_to_yz, SQRT2
 from saddlecheck.rigor import DEFECT_A_MAX
 from saddlecheck.scalars import (double_well, g_profile, heteroclinic,
@@ -42,23 +41,12 @@ def _deficit_rho_constant() -> float:
     return 4.0 * (h1 + hp1) / (2.0 * SQRT2 * float(rho(1.0)))
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    id: str
-    description: str
-    passed: bool
-    worst_margin: float
-    worst_point: tuple
-    nodes_checked: int
-    nodes_excluded: int
-    tolerance_used: float
-    extras: dict = field(default_factory=dict)
-
-    def summary(self) -> str:
-        flag = "pass" if self.passed else "FAIL"
-        return (f"[{flag}] {self.id}: worst {self.worst_margin:+.3e} "
-                f"(tol {self.tolerance_used:.1e}) at {self.worst_point}, "
-                f"{self.nodes_checked} nodes")
+def summary(entry: dict) -> str:
+    """The log line of a check entry."""
+    flag = "pass" if entry["passed"] else "FAIL"
+    return (f"[{flag}] {entry['id']}: worst {entry['worst_margin']:+.3e} "
+            f"(tol {entry['tolerance_used']:.1e}) at "
+            f"{tuple(entry['worst_point'])}, {entry['nodes_checked']} nodes")
 
 
 def tri_mask(grid, cone: int = 2, axis: int = 2,
@@ -312,52 +300,48 @@ def _build_suite(sol: SaddleSolution):
            lhs29 - rhs29, np.abs(lhs29) + np.abs(rhs29), std, 1.0)
 
 
-def run_inequality_suite(sol: SaddleSolution):
-    """Evaluate every catalog inequality; returns a list of CheckReport."""
+def _entry(cid: str, description: str, passed: bool, worst_margin: float,
+           worst_point: tuple, nodes_checked: int, nodes_excluded: int,
+           tolerance_used: float) -> dict:
+    """A check's report entry, in plain JSON values."""
+    return {"id": cid, "description": description, "passed": bool(passed),
+            "worst_margin": float(worst_margin),
+            "worst_point": [float(x) for x in worst_point],
+            "nodes_checked": int(nodes_checked),
+            "nodes_excluded": int(nodes_excluded),
+            "tolerance_used": float(tolerance_used)}
+
+
+def run_inequality_suite(sol: SaddleSolution) -> list[dict]:
+    """Evaluate every catalog inequality; returns its report entries."""
     if sol.u_s is None:
         raise ValueError("solution lacks derivative fields")
     h = sol.grid.h
-    reports = []
+    entries = []
     total_nodes = int(sol.grid.mask_triangle.sum())
     for cid, desc, margin, scale, mask, kmult in _build_suite(sol):
         tol = np.maximum(KAPPA_DEFAULT * kmult * h * h * scale, TOL_FLOOR)
         slack = np.where(mask, margin + tol, np.inf)
         i, j = np.unravel_index(np.argmin(slack), slack.shape)
-        reports.append(CheckReport(
-            id=cid, description=desc,
-            passed=bool(slack[i, j] >= 0.0),
-            worst_margin=float(margin[i, j]),
-            worst_point=(float(i * h), float(j * h)),
-            nodes_checked=int(mask.sum()),
-            nodes_excluded=total_nodes - int(mask.sum()),
-            tolerance_used=float(tol[i, j]),
-        ))
-    return reports
+        checked = int(mask.sum())
+        entries.append(_entry(cid, desc, slack[i, j] >= 0.0, margin[i, j],
+                              (i * h, j * h), checked, total_nodes - checked,
+                              tol[i, j]))
+    return entries
 
 
-def verify_supersolution(sol: SaddleSolution,
-                         cand: CandidateParams) -> CheckReport:
+def verify_supersolution(sol: SaddleSolution, cand: CandidateParams) -> dict:
     """Check L Phi < 0 and Phi > 0 at the interior nodes 0 < t < s < R, with
-    no tolerance (max L Phi is -1.1e-8 at m = 6, R12 h.05); extras carry
-    worst margins per region (E1/E2/E3)."""
+    no tolerance (max L Phi is -1.1e-8 at m = 6, R12 h.05); returns its
+    report entry."""
     i, j, _, ph, lp = wedge_fields(sol, cand)
     inner = i < sol.grid.N              # the outer edge carries data
     i, j, ph, lp = i[inner], j[inner], ph[inner], lp[inner]
     h = sol.grid.h
-    regions = region_classify(sol.grid.coords[i], sol.grid.coords[j])
-    extras = {}
-    for label, rid in (("E1", 1), ("E2", 2), ("E3", 3)):
-        rm = regions == rid
-        extras[f"worst_lphi_{label}"] = float(lp[rm].max()) if rm.any() else None
-    extras["min_phi"] = float(ph.min())
     k = int(np.argmax(lp))
     worst = float(lp[k])
-    passed = worst < 0.0 and extras["min_phi"] > 0.0
-    return CheckReport(
-        id=f"supersolution-n{cand.n}",
-        description="L Phi <= 0 and Phi > 0 at interior nodes",
-        passed=passed, worst_margin=-worst,
-        worst_point=(float(i[k] * h), float(j[k] * h)),
-        nodes_checked=lp.size,
-        nodes_excluded=int(sol.grid.mask_triangle.sum()) - lp.size,
-        tolerance_used=0.0, extras=extras)
+    return _entry(f"supersolution-n{cand.n}",
+                  "L Phi < 0 and Phi > 0 at interior nodes",
+                  worst < 0.0 and ph.min() > 0.0, -worst,
+                  (i[k] * h, j[k] * h), lp.size,
+                  int(sol.grid.mask_triangle.sum()) - lp.size, 0.0)

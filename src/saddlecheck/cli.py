@@ -27,13 +27,13 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from saddlecheck.cache import load_or_solve
-from saddlecheck.checks import run_inequality_suite, verify_supersolution
+from saddlecheck.checks import (run_inequality_suite, summary,
+                                verify_supersolution)
 from saddlecheck.grid import grid_size
 from saddlecheck.params import CANDIDATE_DIMENSIONS, CandidateParams
-from saddlecheck.reporting import (build_report, check_report_to_dict,
-                                   eig_to_dict, export_csv, export_signmaps,
-                                   proof_to_dict, solver_to_dict,
-                                   write_report)
+from saddlecheck.reporting import (build_report, eig_to_dict, export_csv,
+                                   export_signmaps, proof_to_dict,
+                                   solver_to_dict, write_report)
 from saddlecheck.rigor import builtin_expressions, claims, prove_nonpositive
 from saddlecheck.solver import NEWTON_TOL, NewtonError, SaddleSolution
 from saddlecheck.spectral import (assemble, min_eigenvalue,
@@ -103,10 +103,14 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     With the rigor stage, solve, suite, supersolution and spectrum run in
     a one-worker process pool on the fork context, forked before scipy is
     imported, while this process runs the proofs, which need neither scipy
-    nor the field.  The worker prints its stage lines and flushes them
-    before its result is read.  It exits once the one write end of a pipe,
-    held here, closes: on an exception here, or when this process dies.  A
-    worker that dies without a result raises BrokenProcessPool."""
+    nor the field.  The worker sends back the solution, its stages'
+    payloads (the check entries as the checks built them) and their
+    seconds; run_rigor's entries, seconds and work counts go into
+    stages.rigor, timing and trace as they are.  The worker prints its
+    stage lines and flushes them before its result is read.  It exits
+    once the one write end of a pipe, held here, closes: on an exception
+    here, or when this process dies.  A worker that dies without a result
+    raises BrokenProcessPool."""
     t_start = time.perf_counter()
     proofs = None
     if "rigor" in cfg.stages:
@@ -121,7 +125,7 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
             try:
                 future = pool.submit(_pooled_stages, cfg)
                 t0 = time.perf_counter()
-                proofs = run_rigor(cfg)
+                proofs, proof_s, proof_trace = run_rigor(cfg)
                 rigor_s = time.perf_counter() - t0
                 sol, stages, timing = future.result()
             except BaseException:
@@ -136,14 +140,11 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     trace = {}
     if proofs is not None:
         timing["rigor"] = rigor_s
+        timing |= proof_s
         stages["rigor"] = {"proofs": proofs}
-        trace["rigor"] = []
+        trace["rigor"] = proof_trace
         for p in proofs:
-            # the seconds and work counts leave the judged payload
-            secs = timing[f"rigor:{p['claim']}"] = p.pop("seconds")
-            trace["rigor"].append({"claim": p["claim"],
-                                   "batches": p.pop("batches"),
-                                   "max_depth": p.pop("max_depth")})
+            secs = proof_s[f"rigor:{p['claim']}"]
             print(f"rigor: {p['claim']}: {p['status']} "
                   f"({p['boxes_examined']} boxes, {secs:.2f} s, "
                   f"{p['boxes_examined'] / secs:.0f} boxes/s)")
@@ -199,18 +200,18 @@ def _numeric_stages(cfg: RunConfig) -> tuple[SaddleSolution, dict, dict]:
 
     if "suite" in cfg.stages:
         t0 = time.perf_counter()
-        reports = run_inequality_suite(sol)
+        entries = run_inequality_suite(sol)
         timing["suite"] = time.perf_counter() - t0
-        stages["suite"] = {"checks": list(map(check_report_to_dict, reports))}
-        for rep in reports:
-            print("  " + rep.summary())
+        stages["suite"] = {"checks": entries}
+        for entry in entries:
+            print("  " + summary(entry))
 
     if "supersolution" in cfg.stages:
         t0 = time.perf_counter()
-        rep = verify_supersolution(sol, CandidateParams(n=cfg.n))
+        entry = verify_supersolution(sol, CandidateParams(n=cfg.n))
         timing["supersolution"] = time.perf_counter() - t0
-        stages["supersolution"] = {"checks": [check_report_to_dict(rep)]}
-        print("  " + rep.summary())
+        stages["supersolution"] = {"checks": [entry]}
+        print("  " + summary(entry))
 
     if "spectrum" in cfg.stages:
         t0 = time.perf_counter()
@@ -273,23 +274,25 @@ def _newton_summary(sol: SaddleSolution) -> str:
     return text
 
 
-def run_rigor(cfg: RunConfig) -> list[dict]:
-    """Interval proofs of the claims in rigor.claims(n), in table order; a
-    defect entry also names the upper end a_max of its a-range.  Each entry
-    also holds the proof's wall seconds, batch count and deepest bisection
-    (seconds, batches, max_depth)."""
+def run_rigor(cfg: RunConfig) -> tuple[list[dict], dict, list[dict]]:
+    """Interval proofs of the claims in rigor.claims(n), in table order.
+    Returns the report entries (a defect entry also names the upper end
+    a_max of its a-range), the wall seconds of each proof keyed
+    rigor:<claim>, and the trace entry {claim, batches, max_depth} of
+    each."""
     cat = builtin_expressions(cfg.n)
-    proofs = []
+    proofs, seconds, trace = [], {}, []
     for label, key, kwargs in claims(cfg.n):
         t0 = time.perf_counter()
         res = prove_nonpositive(cat[key], **kwargs)
+        seconds[f"rigor:{label}"] = time.perf_counter() - t0
         entry = proof_to_dict(res, label)
-        entry.update(seconds=time.perf_counter() - t0, batches=res.batches,
-                     max_depth=res.max_depth)
         if key == "defect_gap":
             entry["a_max"] = kwargs["box"][kwargs["names"].index("a")][1]
         proofs.append(entry)
-    return proofs
+        trace.append({"claim": label, "batches": res.batches,
+                      "max_depth": res.max_depth})
+    return proofs, seconds, trace
 
 
 def _config_echo(cfg: RunConfig) -> dict:

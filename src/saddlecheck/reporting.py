@@ -24,7 +24,6 @@ import numpy as np
 
 from saddlecheck.candidate import (lambda_coeff, region_classify, REGION_E1,
                                    REGION_E3, t_ratio, wedge_fields)
-from saddlecheck.checks import CheckReport
 from saddlecheck.params import CandidateParams
 from saddlecheck.solver import SaddleSolution
 from saddlecheck.spectral import EigEstimate
@@ -36,19 +35,6 @@ REPORT_SCHEMA = "saddlecheck-report/1"
 # ---------------------------------------------------------------------------
 # JSON report
 # ---------------------------------------------------------------------------
-
-def check_report_to_dict(rep: CheckReport) -> dict:
-    return {
-        "id": rep.id,
-        "description": rep.description,
-        "passed": bool(rep.passed),
-        "worst_margin": float(rep.worst_margin),
-        "worst_point": [float(x) for x in rep.worst_point],
-        "nodes_checked": int(rep.nodes_checked),
-        "nodes_excluded": int(rep.nodes_excluded),
-        "tolerance_used": float(rep.tolerance_used),
-    }
-
 
 def eig_to_dict(est: EigEstimate) -> dict:
     return {
@@ -87,8 +73,8 @@ def build_report(config: dict, stages: dict, timing: dict,
                  trace: dict) -> dict:
     """Assemble the self-contained run report.
 
-    ``stages`` values must already be JSON-serializable dictionaries (use the
-    *_to_dict helpers); ``timing`` maps stage name (and rigor:<claim>) to
+    ``stages`` values must already be JSON-serializable dictionaries (the
+    checks' entries and the *_to_dict helpers); ``timing`` maps stage name (and rigor:<claim>) to
     wall seconds and is the only part allowed to differ between reruns of an
     identical config.  ``trace`` holds work counts that do not judge
     anything; it is left out when empty.

@@ -169,11 +169,12 @@ def stability_certificate(sol: SaddleSolution, cand, checks) -> dict:
     """Record the supersolution-based stability conclusion, with the
     version of the package that reached it.
 
-    `checks` are the report's check entries (check_report_to_dict), the
-    suite's and then the supersolution's: cli.run_stages passes them when
-    cli._failures, its one failure function, finds nothing failed.  Refuses
-    if a check failed, none is the supersolution's, the list is empty or
-    the dimension mismatches.
+    `checks` are the report's check entries, as run_inequality_suite and
+    verify_supersolution return them, the suite's and then the
+    supersolution's: cli.run_stages passes them when cli._failures, its
+    one failure function, finds nothing failed.  Refuses if a check
+    failed, none is the supersolution's, the list is empty or the
+    dimension mismatches.
     """
     if sol.params.m != cand.m:
         raise CertificateError("solution/candidate dimension mismatch")

@@ -67,7 +67,7 @@ def test_criterion_4_inequality_suite(solved):
     for m in (4, 5, 6):
         reports = run_inequality_suite(solved(m, 12.0, 0.05))
         counts[m] = len(reports)
-        failed += [f"m{m}:{r.id}" for r in reports if not r.passed]
+        failed += [f"m{m}:{r['id']}" for r in reports if not r["passed"]]
     _line(4, "inequality-suite", not failed and counts[4] == 29,
           f"29 checks x m=4,5,6, failures: {failed or 'none'}")
 
@@ -76,10 +76,11 @@ def test_criterion_5_supersolution_certificate(solved):
     worst = {}
     ok = True
     for n in (8, 10, 12):
-        rep = verify_supersolution(solved(n // 2, 20.0, 0.05),
-                                   CandidateParams(n=n))
-        worst[n] = (-rep.worst_margin, rep.extras["min_phi"])
-        ok &= rep.passed
+        sol, cand = solved(n // 2, 20.0, 0.05), CandidateParams(n=n)
+        rep = verify_supersolution(sol, cand)
+        i, _, _, ph, _ = wedge_fields(sol, cand)
+        worst[n] = (-rep["worst_margin"], float(ph[i < sol.grid.N].min()))
+        ok &= rep["passed"]
     detail = ", ".join(f"n={n}: max LPhi={w:.1e}, min Phi={p:.1e}"
                        for n, (w, p) in worst.items())
     _line(5, "supersolution-core", ok, detail)

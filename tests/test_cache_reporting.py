@@ -14,8 +14,7 @@ from saddlecheck.cache import (CACHE_ENV_VAR, CacheMismatch, _content_hash,
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite
 from saddlecheck.cli import RunConfig, run_stages
-from saddlecheck.reporting import (REPORT_SCHEMA, build_report,
-                                   check_report_to_dict, export_csv,
+from saddlecheck.reporting import (REPORT_SCHEMA, build_report, export_csv,
                                    export_signmaps, svg_heatmap, svg_sign_map,
                                    write_report)
 
@@ -228,7 +227,7 @@ def test_csv_rejects_malformed(tmp_path):
 
 def test_report_roundtrip_and_determinism(tmp_path, solved):
     sol = solved(M, R, H)
-    checks = [check_report_to_dict(r) for r in run_inequality_suite(sol)]
+    checks = run_inequality_suite(sol)
     cfg = {"m": M, "R": R, "h": H}
     r1 = build_report(cfg, {"suite": {"checks": checks}}, {"suite": 0.12}, {})
     r2 = build_report(cfg, {"suite": {"checks": checks}}, {"suite": 99.0}, {})

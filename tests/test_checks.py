@@ -1,13 +1,15 @@
 """Inequality suite over solved fields: catalog integrity, pointwise
 identities, tolerance model, and the supersolution condition."""
 
+import json
+
 import numpy as np
 import pytest
 
 from saddlecheck import checks
-from saddlecheck.candidate import CandidateParams
-from saddlecheck.checks import (CheckReport, _deficit_rho_constant,
-                                cone_interp, run_inequality_suite, tri_mask,
+from saddlecheck.candidate import CandidateParams, region_classify
+from saddlecheck.checks import (_deficit_rho_constant, cone_interp,
+                                run_inequality_suite, summary, tri_mask,
                                 verify_supersolution)
 from saddlecheck.grid import build_grid
 from saddlecheck.rigor import DEFECT_A_MAX
@@ -16,19 +18,19 @@ from saddlecheck.rigor import DEFECT_A_MAX
 def test_suite_all_pass_m4(sol_m4):
     reports = run_inequality_suite(sol_m4)
     assert len(reports) == 29
-    assert len({r.id for r in reports}) == 29
-    failures = [r.summary() for r in reports if not r.passed]
+    assert len({r["id"] for r in reports}) == 29
+    failures = [summary(r) for r in reports if not r["passed"]]
     assert failures == []
     for r in reports:
-        assert r.nodes_checked > 0
-        assert r.tolerance_used > 0.0
+        assert r["nodes_checked"] > 0
+        assert r["tolerance_used"] > 0.0
 
 
 def test_suite_all_pass_other_dimensions(solved):
     for m in (5, 6):
         reports = run_inequality_suite(solved(m, 12.0, 0.05))
-        assert all(r.passed for r in reports), \
-            [r.id for r in reports if not r.passed]
+        assert all(r["passed"] for r in reports), \
+            [r["id"] for r in reports if not r["passed"]]
 
 
 def test_suite_holds_one_check_at_a_time(sol_m4):
@@ -61,9 +63,9 @@ def test_subsolution_check_names_its_basis(solved):
     descs = {}
     for m in (4, 5, 6):
         [rep] = [r for r in run_inequality_suite(solved(m, 12.0, 0.05))
-                 if r.id == "28-subsolution"]
-        assert rep.passed
-        descs[m] = rep.description
+                 if r["id"] == "28-subsolution"]
+        assert rep["passed"]
+        descs[m] = rep["description"]
     assert descs[4] == descs[5] == "u - H(0.45y)H(0.45z) >= 0"
     assert DEFECT_A_MAX[12] < 0.45
     assert descs[6].startswith(descs[4] + " (grid check only")
@@ -73,11 +75,12 @@ def test_subsolution_check_names_its_basis(solved):
 def test_energy_bound_worst_sits_on_axis_edge(sol_m4):
     # the Modica margin is tightest near the t = 0 axis where the solution
     # is closest to the one-dimensional profile
-    rep = next(r for r in run_inequality_suite(sol_m4) if r.id == "01-modica")
-    assert rep.passed
-    s_w, t_w = rep.worst_point
+    rep = next(r for r in run_inequality_suite(sol_m4)
+               if r["id"] == "01-modica")
+    assert rep["passed"]
+    s_w, t_w = rep["worst_point"]
     assert t_w < 0.5
-    assert rep.worst_margin > 0.0
+    assert rep["worst_margin"] > 0.0
 
 
 def test_monotone_energy_margin_is_sum_of_product_margins(sol_m4):
@@ -127,14 +130,48 @@ def test_cone_interp_exact_on_linear_field(sol_m4_coarse):
 
 
 def test_verify_supersolution_coarse(sol_m4_coarse):
-    rep = verify_supersolution(sol_m4_coarse, CandidateParams(n=8))
-    assert isinstance(rep, CheckReport)
-    assert rep.passed
-    assert rep.tolerance_used == 0.0
-    assert rep.extras["min_phi"] > 0.0
-    for key in ("worst_lphi_E1", "worst_lphi_E2", "worst_lphi_E3"):
-        assert rep.extras[key] is not None
-        assert rep.extras[key] < 0.0
+    cand = CandidateParams(n=8)
+    rep = verify_supersolution(sol_m4_coarse, cand)
+    assert isinstance(rep, dict)
+    assert rep["passed"]
+    assert rep["tolerance_used"] == 0.0
+    assert rep["description"] == "L Phi < 0 and Phi > 0 at interior nodes"
+    # every region of the interior holds nodes, and L Phi < 0 on each
+    i, j, _, ph, lp = checks.wedge_fields(sol_m4_coarse, cand)
+    inner = i < sol_m4_coarse.grid.N
+    i, j, ph, lp = i[inner], j[inner], ph[inner], lp[inner]
+    assert ph.min() > 0.0
+    regions = region_classify(sol_m4_coarse.grid.coords[i],
+                              sol_m4_coarse.grid.coords[j])
+    for rid in (1, 2, 3):
+        assert (regions == rid).any()
+        assert lp[regions == rid].max() < 0.0
+
+
+def test_check_entries_are_plain_json_values(sol_m4_coarse):
+    # report.json and the certificate read the entries as they are built
+    keys = {"id", "description", "passed", "worst_margin", "worst_point",
+            "nodes_checked", "nodes_excluded", "tolerance_used"}
+    entries = run_inequality_suite(sol_m4_coarse) + [
+        verify_supersolution(sol_m4_coarse, CandidateParams(n=8))]
+    assert len(entries) == 30
+    for e in entries:
+        assert set(e) == keys
+        assert type(e["passed"]) is bool
+        assert type(e["worst_margin"]) is float
+        assert type(e["tolerance_used"]) is float
+        assert type(e["nodes_checked"]) is int
+        assert type(e["nodes_excluded"]) is int
+        assert all(type(x) is float for x in e["worst_point"])
+        assert json.loads(json.dumps(e)) == e
+
+
+def test_summary_is_the_log_line():
+    entry = {"id": "07-x", "description": "", "passed": False,
+             "worst_margin": -1e-3, "worst_point": [1.5, 0.25],
+             "nodes_checked": 7, "nodes_excluded": 2, "tolerance_used": 0.0}
+    assert summary(entry) == ("[FAIL] 07-x: worst -1.000e-03 (tol 0.0e+00) "
+                              "at (1.5, 0.25), 7 nodes")
 
 
 def test_supersolution_gate_has_no_tolerance(sol_m4_coarse, monkeypatch):
@@ -153,9 +190,10 @@ def test_supersolution_gate_has_no_tolerance(sol_m4_coarse, monkeypatch):
 
     monkeypatch.setattr(checks, "wedge_fields", positive_at_worst)
     rep = verify_supersolution(sol_m4_coarse, CandidateParams(n=8))
-    assert not rep.passed
-    assert rep.worst_margin == -5e-9
-    assert rep.extras["min_phi"] > 0.0
+    assert not rep["passed"]
+    assert rep["worst_margin"] == -5e-9
+    i, _, _, ph, _ = checks.wedge_fields(sol_m4_coarse, CandidateParams(n=8))
+    assert ph[i < sol_m4_coarse.grid.N].min() > 0.0
 
 
 def test_suite_requires_derivative_fields(sol_m4_coarse):

@@ -268,10 +268,9 @@ def _altered(name, change):
 
 @pytest.mark.parametrize("breaks, expected", [
     (_altered("run_inequality_suite", lambda reports: [
-        dataclasses.replace(r, passed=False) if r.id == "13-radial" else r
+        dict(r, passed=False) if r["id"] == "13-radial" else r
         for r in reports]), ["suite:13-radial"]),
-    (_altered("verify_supersolution",
-              lambda rep: dataclasses.replace(rep, passed=False)),
+    (_altered("verify_supersolution", lambda rep: dict(rep, passed=False)),
      ["supersolution"]),
     (_altered("min_eigenvalue",
               lambda est: dataclasses.replace(est, lambda_min=-0.5)),
@@ -337,9 +336,13 @@ def test_rigor_decisions_pinned(m, expected, monkeypatch):
     max_boxes, rows, frontier_sha256 = expected
     results = []
     _with_budget(monkeypatch, max_boxes, results)
-    proofs = run_rigor(RunConfig(m=m))
+    proofs, seconds, trace = run_rigor(RunConfig(m=m))
     assert [(p["claim"], p["status"], p["boxes_examined"],
              p["undecided_boxes"]) for p in proofs] == rows
+    assert list(seconds) == [f"rigor:{row[0]}" for row in rows]
+    assert [t["claim"] for t in trace] == [row[0] for row in rows]
+    assert [(t["batches"], t["max_depth"]) for t in trace] == \
+        [(r.batches, r.max_depth) for r in results]
     assert [p.get("a_max") for p in proofs] == \
         [DEFECT_A_MAX[2 * m]] + [None] * (len(rows) - 1)
     frontier = b"".join(r.frontier.tobytes() for r in results)
@@ -358,6 +361,7 @@ def test_report_times_and_traces_each_proof(capsys):
         ("defect<=0", 15, 14), ("c_s<0", 17, 16), ("c_ss<0", 13, 12),
         ("c_st<0", 18, 17)]
     for p in rep["stages"]["rigor"]["proofs"]:
+        assert not {"seconds", "batches", "max_depth"} & set(p)
         assert 0.0 < rep["timing"][f"rigor:{p['claim']}"] \
             <= rep["timing"]["rigor"]
         assert sum(re.fullmatch(

@@ -14,7 +14,6 @@ from oracles import dense_min_eigenvalue, even_sector_values, rayleigh_quotient
 from saddlecheck import spectral
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
-from saddlecheck.reporting import check_report_to_dict
 from saddlecheck.spectral import (EIG_SIGMA, CertificateError, assemble,
                                   certify_shift, min_eigenvalue,
                                   stability_certificate)
@@ -157,9 +156,8 @@ def test_near_shift_cuts_the_solve_count(sol_m4):
 
 def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
     cand = CandidateParams(n=8)
-    sup = check_report_to_dict(verify_supersolution(sol_m4_coarse, cand))
-    suite = [check_report_to_dict(r)
-             for r in run_inequality_suite(sol_m4_coarse)]
+    sup = verify_supersolution(sol_m4_coarse, cand)
+    suite = run_inequality_suite(sol_m4_coarse)
     reports = [sup] + suite
     cert = stability_certificate(sol_m4_coarse, cand, reports)
     assert cert["schema"] == "stability-certificate/1"
