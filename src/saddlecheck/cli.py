@@ -3,15 +3,16 @@ and rigor, then the report.
 
 Run settings come from command-line flags only.  Exit status is 0 iff every
 requested verification passed; the last stdout line is always
-machine-parseable (usage errors, a failed Newton solve and a numeric-stage
+machine-parseable (usage errors, a failed Newton solve and a spectrum
 worker that died included; --help prints only the help):
 
     RESULT <pass|fail> stages=<csv> failures=<k>
 
 k counts the report's 'failures', which one function derives from the
 report's stage payloads; the certificate is derived from the same payloads
-(run_stages).  With the rigor stage, the numeric stages run in a one-worker
-process pool on the fork context while this process runs the proofs.
+(run_stages).  With the spectrum stage, the eigensolve runs in a one-worker
+process pool on the fork context while this process runs the suite, the
+supersolution and the proofs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 import threading
 import time
 from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -100,54 +102,67 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     supersolution stage ran and that list is empty (so for --stages
     solve,supersolution too).
 
-    With the rigor stage, solve, suite, supersolution and spectrum run in
-    a one-worker process pool on the fork context, forked before scipy is
-    imported, while this process runs the proofs, which need neither scipy
-    nor the field.  The worker sends back the solution, its stages'
-    payloads (the check entries as the checks built them) and their
-    seconds; run_rigor's entries, seconds and work counts go into
-    stages.rigor, timing and trace as they are.  The worker prints its
-    stage lines and flushes them before its result is read.  It exits
-    once the one write end of a pipe, held here, closes: on an exception
-    here, or when this process dies.  A worker that dies without a result
-    raises BrokenProcessPool."""
+    This process solves (cache load or Newton).  With the spectrum stage it
+    then forks a worker (_spectrum_worker) that assembles the pencil and
+    runs the eigensolve, the one stage that needs scipy.sparse.linalg and
+    the LU, while this process runs the suite, the supersolution and the
+    proofs.  The spectrum line prints when the worker's payload and seconds
+    are back, so the lines keep the stage order.  run_rigor's entries,
+    seconds and work counts go into stages.rigor, timing and trace as they
+    are."""
     t_start = time.perf_counter()
-    proofs = None
-    if "rigor" in cfg.stages:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        sys.stdout.flush()                # or the worker inherits the buffer
-        sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
-        with ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
-                                 initializer=_exit_with_caller,
-                                 initargs=(read_fd, write_fd)) as pool:
-            try:
-                future = pool.submit(_pooled_stages, cfg)
-                t0 = time.perf_counter()
-                proofs, proof_s, proof_trace = run_rigor(cfg)
-                rigor_s = time.perf_counter() - t0
-                sol, stages, timing = future.result()
-            except BaseException:
-                os.close(write_fd)        # so leaving the block does not
-                raise                     # wait for the numeric stages
-            finally:
-                os.close(read_fd)
-        os.close(write_fd)
-    else:
-        sol, stages, timing = _numeric_stages(cfg)
+    stages, timing, trace = {}, {}, {}
+    t0 = time.perf_counter()
+    sol, cached, rejected = load_or_solve(cfg.m, cfg.R, cfg.h,
+                                          directory=cfg.cache)
+    timing["solve"] = time.perf_counter() - t0
+    stages["solve"] = solver_to_dict(sol) | {"from_cache": cached}
+    if rejected is not None:
+        stages["solve"]["cache_rejected"] = rejected
+    print(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
+          f"residual={sol.residual_norm:.3e} "
+          f"cg_iters={stages['solve']['cg_iters']} "
+          f"({'cache' if cached else _newton_summary(sol)})")
 
-    trace = {}
-    if proofs is not None:
-        timing["rigor"] = rigor_s
-        timing |= proof_s
-        stages["rigor"] = {"proofs": proofs}
-        trace["rigor"] = proof_trace
-        for p in proofs:
-            secs = proof_s[f"rigor:{p['claim']}"]
-            print(f"rigor: {p['claim']}: {p['status']} "
-                  f"({p['boxes_examined']} boxes, {secs:.2f} s, "
-                  f"{p['boxes_examined'] / secs:.0f} boxes/s)")
+    with (_spectrum_worker(sol) if "spectrum" in cfg.stages
+          else nullcontext()) as spectrum:
+        if "suite" in cfg.stages:
+            t0 = time.perf_counter()
+            entries = run_inequality_suite(sol)
+            timing["suite"] = time.perf_counter() - t0
+            stages["suite"] = {"checks": entries}
+            for entry in entries:
+                print("  " + summary(entry))
+
+        if "supersolution" in cfg.stages:
+            t0 = time.perf_counter()
+            entry = verify_supersolution(sol, CandidateParams(n=cfg.n))
+            timing["supersolution"] = time.perf_counter() - t0
+            stages["supersolution"] = {"checks": [entry]}
+            print("  " + summary(entry))
+
+        if "rigor" in cfg.stages:
+            t0 = time.perf_counter()
+            proofs, proof_s, trace["rigor"] = run_rigor(cfg)
+            timing["rigor"] = time.perf_counter() - t0
+            timing |= proof_s
+            stages["rigor"] = {"proofs": proofs}
+
+        if spectrum is not None:
+            eig, timing["spectrum"] = spectrum.result()
+            expect_stable = cfg.m >= 4
+            consistent = (eig["lambda_min"] > -0.01 if expect_stable
+                          else eig["lambda_min"] < -0.001)
+            stages["spectrum"] = eig | {"expect_stable": expect_stable,
+                                        "sign_consistent": consistent}
+            print(f"spectrum: lambda_min={eig['lambda_min']:+.6f} "
+                  f"({'consistent' if consistent else 'INCONSISTENT'})")
+
+    for p in stages.get("rigor", {}).get("proofs", []):
+        secs = timing[f"rigor:{p['claim']}"]
+        print(f"rigor: {p['claim']}: {p['status']} "
+              f"({p['boxes_examined']} boxes, {secs:.2f} s, "
+              f"{p['boxes_examined'] / secs:.0f} boxes/s)")
 
     failures = _failures(stages)
     if "supersolution" in stages and not failures:
@@ -181,68 +196,41 @@ def _failures(stages: dict) -> list[str]:
     return [name for name, passed in verdicts if not passed]
 
 
-def _numeric_stages(cfg: RunConfig) -> tuple[SaddleSolution, dict, dict]:
-    """solve, then whichever of suite, supersolution and spectrum cfg asks
-    for; returns the solution, the report payload of each stage and its
-    seconds."""
-    stages, timing = {}, {}
-    t0 = time.perf_counter()
-    sol, cached, rejected = load_or_solve(cfg.m, cfg.R, cfg.h,
-                                          directory=cfg.cache)
-    timing["solve"] = time.perf_counter() - t0
-    stages["solve"] = solver_to_dict(sol) | {"from_cache": cached}
-    if rejected is not None:
-        stages["solve"]["cache_rejected"] = rejected
-    print(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
-          f"residual={sol.residual_norm:.3e} "
-          f"cg_iters={stages['solve']['cg_iters']} "
-          f"({'cache' if cached else _newton_summary(sol)})")
-
-    if "suite" in cfg.stages:
-        t0 = time.perf_counter()
-        entries = run_inequality_suite(sol)
-        timing["suite"] = time.perf_counter() - t0
-        stages["suite"] = {"checks": entries}
-        for entry in entries:
-            print("  " + summary(entry))
-
-    if "supersolution" in cfg.stages:
-        t0 = time.perf_counter()
-        entry = verify_supersolution(sol, CandidateParams(n=cfg.n))
-        timing["supersolution"] = time.perf_counter() - t0
-        stages["supersolution"] = {"checks": [entry]}
-        print("  " + summary(entry))
-
-    if "spectrum" in cfg.stages:
-        t0 = time.perf_counter()
-        est = min_eigenvalue(assemble(sol))
-        timing["spectrum"] = time.perf_counter() - t0
-        expect_stable = cfg.m >= 4
-        consistent = (est.lambda_min > -0.01 if expect_stable
-                      else est.lambda_min < -0.001)
-        stages["spectrum"] = eig_to_dict(est) | {
-            "expect_stable": expect_stable, "sign_consistent": consistent}
-        print(f"spectrum: lambda_min={est.lambda_min:+.6f} "
-              f"({'consistent' if consistent else 'INCONSISTENT'})")
-
-    return sol, stages, timing
+@contextmanager
+def _spectrum_worker(sol: SaddleSolution):
+    """Forks a one-worker process pool on the fork context and yields the
+    future of _spectrum() in it.  sol reaches the worker through the fork,
+    in the initializer's arguments, which the fork context does not pickle.
+    The worker exits once the one write end of a pipe, held here, closes:
+    on an exception in the block, or when this process dies.  A worker
+    that dies without a result raises BrokenProcessPool."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    sys.stdout.flush()                    # or the worker inherits the buffer
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    with ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
+                             initializer=_start_worker,
+                             initargs=(read_fd, write_fd, sol)) as pool:
+        try:
+            yield pool.submit(_spectrum)
+        except BaseException:
+            os.close(write_fd)            # so leaving the block does not
+            raise                         # wait for the eigensolve
+        finally:
+            os.close(read_fd)
+    os.close(write_fd)
 
 
-def _pooled_stages(cfg: RunConfig) -> tuple[SaddleSolution, dict, dict]:
-    """_numeric_stages(cfg) as the pool's worker runs it: its lines reach
-    stdout before its result is sent, and an exception that would not
-    unpickle goes back as _picklable(exc)."""
-    try:
-        return _numeric_stages(cfg)
-    except BaseException as exc:
-        raise _picklable(exc)
-    finally:
-        sys.stdout.flush()
+_forked_solution: SaddleSolution | None = None    # set in the worker
 
 
-def _exit_with_caller(read_fd: int, write_fd: int) -> None:
-    """Pool initializer: closes the worker's copy of the caller's write
-    end and starts a thread that ends the worker at EOF on read_fd."""
+def _start_worker(read_fd: int, write_fd: int, sol: SaddleSolution) -> None:
+    """Pool initializer: keeps sol for _spectrum, closes the worker's copy
+    of the caller's write end and starts a thread that ends the worker at
+    EOF on read_fd."""
+    global _forked_solution
+    _forked_solution = sol
     os.close(write_fd)
 
     def watch() -> None:
@@ -250,6 +238,18 @@ def _exit_with_caller(read_fd: int, write_fd: int) -> None:
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
+
+
+def _spectrum() -> tuple[dict, float]:
+    """The worker's task: eig_to_dict of the forked solution's principal
+    eigenvalue estimate and the seconds it took.  An exception that would
+    not unpickle goes back as _picklable(exc)."""
+    t0 = time.perf_counter()
+    try:
+        est = min_eigenvalue(assemble(_forked_solution))
+    except BaseException as exc:
+        raise _picklable(exc)
+    return eig_to_dict(est), time.perf_counter() - t0
 
 
 def _picklable(exc: BaseException) -> BaseException:

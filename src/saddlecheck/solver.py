@@ -35,8 +35,8 @@ from saddlecheck.scalars import hh_supersolution
 class _DeferredModule:
     """Stands for the module `name`, imported when an attribute of it is
     first read or set (setting one patches the module itself).  scipy.sparse
-    takes about a third of a second to import, and cli forks the worker of
-    the numeric stages before anything needs it."""
+    takes about a third of a second to import; a run on a cached field needs
+    it only in cli's spectrum worker, so the calling process never pays it."""
 
     def __init__(self, name: str):
         object.__setattr__(self, "_name", name)

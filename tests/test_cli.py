@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -22,7 +23,7 @@ from saddlecheck.cli import (RunConfig, build_parser, main, run_rigor,
 from saddlecheck.grid import build_grid
 from saddlecheck.params import DimensionParams
 from saddlecheck.rigor import DEFECT_A_MAX
-from saddlecheck.solver import NewtonError, newton_solve
+from saddlecheck.solver import NewtonError, SaddleSolution, newton_solve
 
 M_ARGS = ["--m", "4", "--R", "8", "--h", "0.2"]
 
@@ -305,7 +306,7 @@ def test_cli_import_leaves_sympy_out():
     # a fresh interpreter, since this one has pytest and the oracles' mpmath
     # loaded: neither they nor sympy may come in with the program, scipy
     # loads only when a numeric stage first needs it, and the process pool
-    # only when a run has the rigor stage
+    # only when a run has the spectrum stage
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, saddlecheck.cli; print([m for m in "
@@ -398,43 +399,57 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_numeric_stages_run_in_a_worker_only_with_rigor(monkeypatch, capfd):
-    # with the rigor stage the suite runs in a forked worker and the proofs
-    # here; without it both run in this process, and nothing forks
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def test_spectrum_runs_in_a_worker_only_with_its_stage(monkeypatch, capfd):
+    # the eigensolve runs in a forked worker, the suite and the proofs here,
+    # and the lines keep the stage order; without the spectrum stage
+    # nothing forks
     _with_budget(monkeypatch, 500)
-    suite, pids = cli.run_inequality_suite, []
+    pids = {"run_inequality_suite": [], "min_eigenvalue": []}
 
-    def suite_in(sol):
-        pids.append(os.getpid())
-        return suite(sol)
+    def recorded(name):
+        call = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "run_inequality_suite", suite_in)
-    rc = main(["run", "--stages", "solve,suite,rigor"] + M_ARGS)
+        def recording(*args):
+            pids[name].append(os.getpid())
+            return call(*args)
+
+        monkeypatch.setattr(cli, name, recording)
+
+    recorded("run_inequality_suite")
+    recorded("min_eigenvalue")
+    rc = main(["run", "--stages", "solve,suite,spectrum,rigor"] + M_ARGS)
     assert rc == 1                      # the cut budget leaves claims open
     lines = capfd.readouterr().out.splitlines()
-    assert pids == []                   # the worker's list, not this one
+    # min_eigenvalue's list is the worker's, not this one
+    assert pids == {"run_inequality_suite": [os.getpid()],
+                    "min_eigenvalue": []}
     assert lines[0].startswith("solve: ")
-    rigor = [k for k, line in enumerate(lines) if line.startswith("rigor: ")]
     suite_lines = [k for k, line in enumerate(lines) if line.startswith("  [")]
-    assert len(suite_lines) == 29 and max(suite_lines) < min(rigor)
+    [spectrum] = [k for k, line in enumerate(lines)
+                  if line.startswith("spectrum: ")]
+    rigor = [k for k, line in enumerate(lines) if line.startswith("rigor: ")]
+    assert len(suite_lines) == 29 and len(rigor) == 4
+    assert max(suite_lines) < spectrum < min(rigor)
     _no_child_left()
 
-    def no_fork():
-        raise AssertionError("forked without the rigor stage")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert main(["run", "--stages", "solve,suite"] + M_ARGS) == 0
-    assert pids == [os.getpid()]
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert main(["run", "--stages", "solve,suite,rigor"] + M_ARGS) == 1
+    assert pids["run_inequality_suite"] == [os.getpid()] * 2
 
 
 def test_timing_wall_spans_the_run(capsys):
     # stage seconds are measured where each stage ran; wall is run_stages
-    # from start to end, so it covers the proofs and the worker's stages
-    report, _ = run_stages(RunConfig(m=4, R=8.0, h=0.2,
-                                     stages=("solve", "suite", "rigor")))
+    # from start to end, so it covers the solve and then both the worker's
+    # spectrum and this process's suite and proofs
+    report, _ = run_stages(RunConfig(
+        m=4, R=8.0, h=0.2, stages=("solve", "suite", "spectrum", "rigor")))
     timing = report["timing"]
-    assert timing["wall"] >= max(timing["rigor"],
-                                 timing["solve"] + timing["suite"])
+    assert timing["wall"] >= timing["solve"] + max(
+        timing["spectrum"], timing["suite"] + timing["rigor"])
     report, _ = run_stages(RunConfig(m=4, R=8.0, h=0.2,
                                      stages=("solve", "suite")))
     timing = report["timing"]
@@ -442,20 +457,58 @@ def test_timing_wall_spans_the_run(capsys):
     _no_child_left()
 
 
-def test_worker_newton_error_exits_two(monkeypatch, capsys):
+def test_newton_error_exits_two_before_the_fork(monkeypatch, capsys):
+    # the solve runs in this process before the worker forks, so its error
+    # is raised here and no worker starts
     _with_budget(monkeypatch, 500)
 
     def fail(*args, **kwargs):
         raise NewtonError(f"line search failed in process {os.getpid()}")
 
     monkeypatch.setattr(cli, "load_or_solve", fail)
+    monkeypatch.setattr(os, "fork", _no_fork)
     assert main(["run"] + M_ARGS) == 2
     captured = capsys.readouterr()
     [pid] = re.findall(r"^error: line search failed in process (\d+)$",
                        captured.err, re.M)
-    assert int(pid) != os.getpid()
+    assert int(pid) == os.getpid()
     assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
     _no_child_left()
+
+
+def test_solution_reaches_the_worker_only_by_fork(monkeypatch, capsys):
+    # the field goes to the worker in the fork's copy of this process,
+    # never pickled: a run passes with a SaddleSolution that will not pickle
+    def refuse(self, protocol):
+        raise pickle.PicklingError("SaddleSolution pickled")
+
+    monkeypatch.setattr(SaddleSolution, "__reduce_ex__", refuse)
+    sol = newton_solve(DimensionParams(4), build_grid(8, 0.2))
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(sol)
+    assert main(["run"] + M_ARGS) == 0
+    assert _last_line(capsys) == \
+        "RESULT pass stages=solve,suite,supersolution,spectrum,rigor failures=0"
+    _no_child_left()
+
+
+def test_caller_never_imports_scipy_on_a_warm_cache(capsys):
+    # with the field in the cache, only the spectrum needs scipy, and it runs
+    # in the worker: a fresh interpreter runs all five stages and ends
+    # without scipy
+    assert main(["solve"] + M_ARGS) == 0
+    capsys.readouterr()
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from saddlecheck import cli; "
+         "code = cli.main(sys.argv[1:]); "
+         "print(code, sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))", "run"] + M_ARGS,
+        env=_program_env(), capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[-2] == ("RESULT pass stages=solve,suite,supersolution,"
+                         "spectrum,rigor failures=0")
+    assert lines[-1] == "0 []"
 
 
 class _Unrebuildable(Exception):
@@ -470,7 +523,8 @@ class _Unrebuildable(Exception):
 ], ids=["picklable", "unrebuildable"])
 def test_worker_exception_is_raised_here(exc, raised, message, monkeypatch,
                                          capfd):
-    # the worker's log lines come first, and its traceback is the cause
+    # this process's stage lines come first, no proof line follows, and
+    # the worker's traceback is the cause
     _with_budget(monkeypatch, 500)
 
     def fail(asm):
@@ -489,8 +543,7 @@ def test_worker_dying_without_results_raises(monkeypatch, capsys):
     # the pool raises BrokenProcessPool, which ends the run like a failed
     # Newton solve
     _with_budget(monkeypatch, 500)
-    monkeypatch.setattr(cli, "verify_supersolution",
-                        lambda *args: os._exit(3))
+    monkeypatch.setattr(cli, "min_eigenvalue", lambda *args: os._exit(3))
     assert main(["run"] + M_ARGS) == 2
     captured = capsys.readouterr()
     assert re.search(r"^error: .*terminated abruptly", captured.err, re.M)
@@ -500,10 +553,9 @@ def test_worker_dying_without_results_raises(monkeypatch, capsys):
 
 
 def test_failed_proof_kills_the_worker(monkeypatch, capsys):
-    # the worker would sleep for a minute; an exception in this process's
-    # proofs kills and reaps it instead of waiting
-    monkeypatch.setattr(cli, "run_inequality_suite",
-                        lambda sol: time.sleep(60))
+    # the worker's eigensolve would sleep for a minute; an exception in
+    # this process's proofs kills and reaps it instead of waiting
+    monkeypatch.setattr(cli, "min_eigenvalue", lambda asm: time.sleep(60))
 
     def fail(*args, **kwargs):
         raise RuntimeError("prover fault")
@@ -520,13 +572,13 @@ _ORPHAN_RUN = """
 import os, sys, time
 from saddlecheck import cli
 
-def suite(sol):
+def eigensolve(asm):
     with open(sys.argv[1] + ".tmp", "w") as fh:
         fh.write(str(os.getpid()))
     os.replace(sys.argv[1] + ".tmp", sys.argv[1])
     time.sleep(60)
 
-cli.run_inequality_suite = suite
+cli.min_eigenvalue = eigensolve
 cli.main(sys.argv[2:])
 """
 
