@@ -9,7 +9,7 @@ claims with interval branch-and-bound.
 
 __version__ = "0.1.0"
 
-from saddlecheck.params import DimensionParams, CandidateParams
+from saddlecheck.candidate import CandidateParams
 from saddlecheck.grid import Grid, build_grid
 from saddlecheck.solver import (SaddleSolution, compute_derivatives,
                                 newton_solve)
@@ -19,7 +19,6 @@ from saddlecheck.rigor import builtin_expressions, prove_nonpositive
 from saddlecheck.cache import load_or_solve
 
 __all__ = [
-    "DimensionParams",
     "CandidateParams",
     "Grid",
     "build_grid",

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from saddlecheck.grid import build_grid
-from saddlecheck.params import DimensionParams
 from saddlecheck.solver import (NEWTON_TOL, SaddleSolution,
                                 compute_derivatives, newton_solve)
 
@@ -52,7 +51,7 @@ def solution_key(m: int, R: float, h: float) -> str:
 def _header(sol: SaddleSolution) -> dict:
     return {
         "format": CACHE_FORMAT,
-        "m": sol.params.m,
+        "m": sol.m,
         "R": sol.grid.R,
         "h": sol.grid.h,
         "N": sol.grid.N,
@@ -80,8 +79,7 @@ def save_solution(sol: SaddleSolution,
     root.mkdir(parents=True, exist_ok=True)
     header = _header(sol)
     header["sha256"] = _content_hash(header, sol.u)
-    path = root / (solution_key(sol.params.m, sol.grid.R, sol.grid.h)
-                   + ".npz")
+    path = root / (solution_key(sol.m, sol.grid.R, sol.grid.h) + ".npz")
     tmp = path.with_suffix(".npz.tmp")
     with open(tmp, "wb") as fh:
         np.savez(fh, u=sol.u, header=np.bytes_(json.dumps(header,
@@ -93,7 +91,8 @@ def save_solution(sol: SaddleSolution,
 def load_solution(path: str | os.PathLike) -> SaddleSolution:
     """Load and revalidate a cache entry; raises CacheMismatch, naming the
     cause, on an unreadable file, any format, header or hash discrepancy,
-    or a residual_norm not within NEWTON_TOL."""
+    an m that is not an int >= 1 or a residual_norm not within
+    NEWTON_TOL."""
     try:
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
@@ -114,20 +113,20 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
                      - header.keys())
     if missing:
         raise CacheMismatch(f"{path}: header lacks {', '.join(missing)}")
-    residual = header["residual_norm"]
+    m, residual = header["m"], header["residual_norm"]
+    if not (type(m) is int and m >= 1):
+        raise CacheMismatch(f"{path}: m {m!r} is not an int >= 1")
     if not (isinstance(residual, float) and residual <= NEWTON_TOL):
         raise CacheMismatch(f"{path}: residual_norm {residual!r} is not "
                             f"<= {NEWTON_TOL:g}")
     try:
         grid = build_grid(header["R"], header["h"])
-        params = DimensionParams(m=header["m"])
     except ValueError as exc:
         raise CacheMismatch(f"{path}: {exc}") from exc
     if u.shape != (grid.N + 1, grid.N + 1):
         raise CacheMismatch(f"{path}: field shape {u.shape} does not match "
                             f"grid N={grid.N}")
-    sol = SaddleSolution(params=params, grid=grid, u=u,
-                         residual_norm=header["residual_norm"],
+    sol = SaddleSolution(m=m, grid=grid, u=u, residual_norm=residual,
                          newton_iters=header["newton_iters"])
     return compute_derivatives(sol)
 
@@ -144,7 +143,7 @@ def load_or_solve(m: int, R: float, h: float,
     if path.exists():
         try:
             sol = load_solution(path)
-            held = (sol.params.m, sol.grid.R, sol.grid.h)
+            held = (sol.m, sol.grid.R, sol.grid.h)
             if held != (m, R, h):
                 raise CacheMismatch(f"{path}: entry holds (m, R, h) = "
                                     f"{held}, requested {(m, R, h)}")
@@ -153,6 +152,6 @@ def load_or_solve(m: int, R: float, h: float,
             reason = str(exc)
             log.warning("cache entry %s rejected, re-solving: %s", path, reason)
     grid = build_grid(R, h)
-    sol = newton_solve(DimensionParams(m=m), grid)
+    sol = newton_solve(m, grid)
     save_solution(sol, directory)
     return sol, False, reason

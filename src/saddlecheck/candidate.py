@@ -12,7 +12,8 @@ five C coefficients.  f is written once, in f_generic, and its partials come
 one way: symbolic differentiation of the expression DAG that f_generic
 builds.  wedge_fields runs one rigor.Tape of f, h and the five C DAGs over
 the wedge nodes 0 < t < s alone, as 1-D arrays, and gives Phi and L Phi
-there; the interval proofs bound the same DAGs over boxes.
+there, for the dimension n = 2m the solution carries; the interval proofs
+bound the same DAGs over boxes.
 """
 
 from __future__ import annotations
@@ -21,8 +22,48 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from saddlecheck.params import CandidateParams, SQRT2
 from saddlecheck.rigor import ExprNode, Tape, differentiate
+from saddlecheck.scalars import SQRT2
+
+CANDIDATE_DIMENSIONS = (8, 10, 12)
+
+
+@dataclass(frozen=True)
+class CandidateParams:
+    """Parameters of the supersolution candidate Phi = f*u_s + h*u_t + Phi0.
+
+    The power carried by f and h is (n-3)/2, which must lie strictly between
+    the magnitudes of the indicial roots of a^2 + (n-3)a + (n-2) = 0.  The
+    small additive term Phi0 = c*(s^-p exp(-t/3) + t^-p exp(-s/3)) fixes the
+    far field, where f*u_s + h*u_t decays too fast to stay a supersolution.
+    """
+
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n not in CANDIDATE_DIMENSIONS:
+            raise ValueError(f"candidate defined for n in "
+                             f"{CANDIDATE_DIMENSIONS}, got n={self.n}")
+
+    @property
+    def m(self) -> int:
+        return self.n // 2
+
+    @property
+    def decay_exponent(self) -> float:
+        return (self.n - 3) / 2.0
+
+    @property
+    def phi0_coeff(self) -> float:
+        return 0.00007 if self.n == 8 else 0.001
+
+    @property
+    def phi0_exponent(self) -> float:
+        return 1.8 if self.n == 8 else (self.n - 4) / 2.0
+
+    @property
+    def has_exp_term(self) -> bool:
+        return self.n == 8
 
 
 def f_generic(s, t, cand: CandidateParams):
@@ -124,18 +165,16 @@ def l_phi0(s, t, u_value, cand: CandidateParams):
             + l_phi0_summand(t, s, u_value, cand))
 
 
-def wedge_fields(sol, cand: CandidateParams):
+def wedge_fields(sol):
     """f, h, the five C's, Phi and L Phi at the N(N-1)/2 wedge nodes
     0 < t < s <= R, outer edge included, from one run of the
-    coefficient_set tape.
+    coefficient_set tape, for the candidate of the solution's n = 2m.
 
     Returns (i, j, cs, phi, l_phi): the nodes' s- and t-indices in
     row-major order, their CoefficientSet, Phi = f u_s + h u_t + Phi_0 and
     L Phi from the coefficient identity, all 1-D over the nodes.
     """
-    if sol.params.m != cand.m:
-        raise ValueError(
-            f"solution has m={sol.params.m} but candidate expects m={cand.m}")
+    cand = CandidateParams(n=2 * sol.m)
     i, j = np.tril_indices(sol.grid.N, -1)      # 0 <= j < i < N, shifted
     i, j = i + 1, j + 1                         # by one: 0 < j < i <= N
     s, t = sol.grid.coords[i], sol.grid.coords[j]
@@ -169,12 +208,12 @@ def region_classify(s, t):
     return out
 
 
-def lambda_coeff(s, t, cand: CandidateParams):
+def lambda_coeff(s, t, n: int):
     """lambda = ((n-2)/4)(1/t - 1/s), the weight in the directional convexity
     bound lambda*u_s + u_st + u_ss >= 0."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    return (cand.n - 2) / 4.0 * (1.0 / t - 1.0 / s)
+    return (n - 2) / 4.0 * (1.0 / t - 1.0 / s)
 
 
 def t_ratio(cs: CoefficientSet, r):

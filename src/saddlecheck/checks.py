@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from saddlecheck.candidate import CandidateParams, wedge_fields
-from saddlecheck.params import st_to_yz, SQRT2
+from saddlecheck.candidate import wedge_fields
 from saddlecheck.rigor import DEFECT_A_MAX
-from saddlecheck.scalars import (double_well, g_profile, heteroclinic,
-                                 hh_supersolution, rho)
+from saddlecheck.scalars import (SQRT2, double_well, g_profile, heteroclinic,
+                                 hh_supersolution, rho, st_to_yz)
 from saddlecheck.solver import SaddleSolution
 
 KAPPA_DEFAULT = 10.0
@@ -90,7 +89,7 @@ def _build_suite(sol: SaddleSolution):
     the fields later checks read.
     """
     g = sol.grid
-    m = sol.params.m
+    m = sol.m
     d = float(m - 1)           # drift coefficient, 3 in the base dimension
     c2 = (m - 1) / 2.0         # the (n-2)/4 coefficient with n = 2m
     S, T, y, z = _fields(sol)
@@ -330,17 +329,17 @@ def run_inequality_suite(sol: SaddleSolution) -> list[dict]:
     return entries
 
 
-def verify_supersolution(sol: SaddleSolution, cand: CandidateParams) -> dict:
-    """Check L Phi < 0 and Phi > 0 at the interior nodes 0 < t < s < R, with
-    no tolerance (max L Phi is -1.1e-8 at m = 6, R12 h.05); returns its
-    report entry."""
-    i, j, _, ph, lp = wedge_fields(sol, cand)
+def verify_supersolution(sol: SaddleSolution) -> dict:
+    """Check L Phi < 0 and Phi > 0 for the candidate of n = 2 sol.m at the
+    interior nodes 0 < t < s < R, with no tolerance (max L Phi is -1.1e-8
+    at m = 6, R12 h.05); returns its report entry."""
+    i, j, _, ph, lp = wedge_fields(sol)
     inner = i < sol.grid.N              # the outer edge carries data
     i, j, ph, lp = i[inner], j[inner], ph[inner], lp[inner]
     h = sol.grid.h
     k = int(np.argmax(lp))
     worst = float(lp[k])
-    return _entry(f"supersolution-n{cand.n}",
+    return _entry(f"supersolution-n{2 * sol.m}",
                   "L Phi < 0 and Phi > 0 at interior nodes",
                   worst < 0.0 and ph.min() > 0.0, -worst,
                   (i[k] * h, j[k] * h), lp.size,

@@ -2,9 +2,12 @@
 and rigor, then the report.
 
 Run settings come from command-line flags only.  Exit status is 0 iff every
-requested verification passed; the last stdout line is always
-machine-parseable (usage errors, a failed Newton solve and a spectrum
-worker that died included; --help prints only the help):
+requested verification passed, 1 if one failed, and 2, with 'error: ...' on
+stderr and no report, if the run could not finish: a usage or configuration
+error, a failed Newton solve, a spectrum worker that died or raised
+spectral.MMatrixError, or an OSError (say --out under a file).  The last
+stdout line is then machine-parseable (--help prints only the help, and any
+other exception propagates with its traceback):
 
     RESULT <pass|fail> stages=<csv> failures=<k>
 
@@ -29,16 +32,16 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from saddlecheck.cache import load_or_solve
+from saddlecheck.candidate import CANDIDATE_DIMENSIONS
 from saddlecheck.checks import (run_inequality_suite, summary,
                                 verify_supersolution)
 from saddlecheck.grid import grid_size
-from saddlecheck.params import CANDIDATE_DIMENSIONS, CandidateParams
 from saddlecheck.reporting import (build_report, eig_to_dict, export_csv,
                                    export_signmaps, proof_to_dict,
                                    solver_to_dict, write_report)
 from saddlecheck.rigor import builtin_expressions, claims, prove_nonpositive
 from saddlecheck.solver import NEWTON_TOL, NewtonError, SaddleSolution
-from saddlecheck.spectral import (assemble, min_eigenvalue,
+from saddlecheck.spectral import (MMatrixError, assemble, min_eigenvalue,
                                   stability_certificate)
 
 ALL_STAGES = ("solve", "suite", "supersolution", "spectrum", "rigor")
@@ -136,7 +139,7 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
 
         if "supersolution" in cfg.stages:
             t0 = time.perf_counter()
-            entry = verify_supersolution(sol, CandidateParams(n=cfg.n))
+            entry = verify_supersolution(sol)
             timing["supersolution"] = time.perf_counter() - t0
             stages["supersolution"] = {"checks": [entry]}
             print("  " + summary(entry))
@@ -167,8 +170,7 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     failures = _failures(stages)
     if "supersolution" in stages and not failures:
         stages["certificate"] = stability_certificate(
-            sol, CandidateParams(n=cfg.n),
-            _checks(stages, "suite") + _checks(stages, "supersolution"))
+            sol, _checks(stages, "suite") + _checks(stages, "supersolution"))
 
     timing["wall"] = time.perf_counter() - t_start
     report = build_report(_config_echo(cfg), stages, timing, trace)
@@ -357,12 +359,13 @@ def main(argv=None) -> int:
         report, sol = run_stages(cfg)
         out = Path(cfg.out)
         if args.command == "plot":
-            paths = export_signmaps(sol, CandidateParams(n=cfg.n), out)
+            paths = export_signmaps(sol, out)
             export_csv(sol.u, "u", cfg.h, out / "u.csv")
             for p in paths:
                 print(f"plot: {p}")
         print(f"report: {write_report(report, out / 'report.json')}")
-    except (ValueError, NewtonError, BrokenExecutor) as exc:
+    except (ValueError, NewtonError, MMatrixError, BrokenExecutor,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("RESULT fail stages= failures=1")
         return 2

@@ -24,7 +24,6 @@ import numpy as np
 
 from saddlecheck.candidate import (lambda_coeff, region_classify, REGION_E1,
                                    REGION_E3, t_ratio, wedge_fields)
-from saddlecheck.params import CandidateParams
 from saddlecheck.solver import SaddleSolution
 from saddlecheck.spectral import EigEstimate
 from saddlecheck.rigor import ProofResult
@@ -57,7 +56,7 @@ def proof_to_dict(res: ProofResult, claim: str) -> dict:
 
 def solver_to_dict(sol: SaddleSolution) -> dict:
     return {
-        "m": sol.params.m,
+        "m": sol.m,
         "R": sol.grid.R,
         "h": sol.grid.h,
         "residual_norm": float(sol.residual_norm),
@@ -220,20 +219,19 @@ def svg_heatmap(field: np.ndarray, mask: np.ndarray, title: str,
     return path
 
 
-def export_signmaps(sol: SaddleSolution, cand: CandidateParams,
-                    outdir: str | Path) -> list[Path]:
+def export_signmaps(sol: SaddleSolution, outdir: str | Path) -> list[Path]:
     """The six standard diagnostic maps for the supersolution argument:
     coefficient ratios, the directional-convexity ratio T, the operator
     value on the inner wedge and on the small-t strip, and the C_tt sign."""
     outdir = Path(outdir)
-    i, j, cs, _, lphi = wedge_fields(sol, cand)
+    i, j, cs, _, lphi = wedge_fields(sol)
     s, t = sol.grid.coords[i], sol.grid.coords[j]
     inner = i < sol.grid.N              # the outer edge carries data
     region = region_classify(s, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio_ts = cs.c_t / cs.c_s
         ratio_gap = cs.c_ss / (cs.c_st - cs.c_tt)
-        r = np.clip(1.0 - lambda_coeff(s, t, cand), 0.0, 1.0 - 1e-9)
+        r = np.clip(1.0 - lambda_coeff(s, t, 2 * sol.m), 0.0, 1.0 - 1e-9)
         tval, tok = t_ratio(cs, r)
     shape = (sol.grid.N + 1,) * 2
 

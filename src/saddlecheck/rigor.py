@@ -60,8 +60,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from saddlecheck.params import CandidateParams
-
 _NEG = np.float64(-np.inf)
 _POS = np.float64(np.inf)
 
@@ -816,7 +814,7 @@ def builtin_expressions(n: int = 8) -> dict:
     h, the five coefficient fields and, under "defect_gap", the subsolution
     defect divided by H(y)H(z) in gap coordinates."""
     # candidate builds its DAGs with this module, so it is imported late
-    from saddlecheck.candidate import candidate_expressions
+    from saddlecheck.candidate import CandidateParams, candidate_expressions
     cat = candidate_expressions(CandidateParams(n=n))
     cat["defect_gap"] = defect_quotient_expression()
     return cat

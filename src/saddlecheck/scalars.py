@@ -1,5 +1,6 @@
 """Closed-form scalar objects: heteroclinic profile, double well, comparison
-functions, and the auxiliary ODE solution rho.
+functions, the auxiliary ODE solution rho, and the rotation st_to_yz, which
+maps the open wedge {s > t > 0} to {y > 0, 0 < z < y}.
 
 Everything here is a pure function of its arguments in closed form,
 accurate to rounding.  All functions accept floats or numpy arrays and
@@ -8,9 +9,16 @@ return numpy values.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from saddlecheck.params import SQRT2
+SQRT2 = math.sqrt(2.0)
+
+
+def st_to_yz(s, t):
+    """Rotate (s, t) to (y, z) with y = (s+t)/sqrt(2), z = (s-t)/sqrt(2)."""
+    return (s + t) / SQRT2, (s - t) / SQRT2
 
 
 def heteroclinic(x, order: int = 0):

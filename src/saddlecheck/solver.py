@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from saddlecheck.grid import H_MAX, Grid, build_grid
-from saddlecheck.params import DimensionParams, SQRT2, st_to_yz
-from saddlecheck.scalars import hh_supersolution
+from saddlecheck.scalars import SQRT2, hh_supersolution, st_to_yz
 
 
 class _DeferredModule:
@@ -70,7 +69,8 @@ JACOBI_SWEEPS = 2
 
 @dataclass(frozen=True)
 class SaddleSolution:
-    """Solved field on the full quadrant [0,R]^2 plus derivative fields.
+    """Solved field of R^m x R^m on the full quadrant [0,R]^2, and its
+    derivative fields.
 
     All arrays are (N+1, N+1), indexed [i, j] = (s = i*h, t = j*h).  The
     field u is odd under (s,t) <-> (t,s) by construction; derivative fields
@@ -83,7 +83,7 @@ class SaddleSolution:
     from the cache.
     """
 
-    params: DimensionParams
+    m: int
     grid: Grid
     u: np.ndarray = field(repr=False)
     u_s: np.ndarray | None = field(default=None, repr=False)
@@ -172,7 +172,7 @@ def _residual(K, V, U: np.ndarray, grid: Grid):
     return KU[ii, jj] / V[ii, jj] - (u - u**3)
 
 
-def newton_solve(params: DimensionParams, grid: Grid) -> SaddleSolution:
+def newton_solve(m: int, grid: Grid) -> SaddleSolution:
     """Solve for the saddle solution by damped Newton iteration.
 
     One loop over grid_chain(grid), coarsest level first: the coarsest level
@@ -181,9 +181,11 @@ def newton_solve(params: DimensionParams, grid: Grid) -> SaddleSolution:
     prolonged bilinearly, and solves by _TwoGrid, built from that level's
     Jacobian at its solved field.  Every level is solved to NEWTON_TOL.
     Deterministic: identical inputs produce bitwise-identical fields.
-    Raises NewtonError on non-convergence, a non-finite residual or
-    line-search failure at any level.
+    Raises ValueError for m < 1, and NewtonError on non-convergence, a
+    non-finite residual or line-search failure at any level.
     """
+    if m < 1:
+        raise ValueError(f"factor dimension must be >= 1, got m={m}")
     chain = grid_chain(grid)
     U, solve, coarse = initial_guess(chain[0]), _lu_solve, None
     steps, cg = [], []
@@ -193,13 +195,13 @@ def newton_solve(params: DimensionParams, grid: Grid) -> SaddleSolution:
             solve = _TwoGrid(jacobian(*block, U[coarse.ii, coarse.jj]),
                              _prolongation(coarse, level))
             U = impose_boundary(_prolong(U), level)
-        U, norm, iters, block = _newton(params, level, U, solve)
+        U, norm, iters, block = _newton(m, level, U, solve)
         steps.insert(0, (level.h, iters))
         if coarse is not None:
             cg.insert(0, (level.h, tuple(solve.iters)))
         coarse = level
     solve = block = None
-    sol = SaddleSolution(params=params, grid=grid, u=U, residual_norm=norm,
+    sol = SaddleSolution(m=m, grid=grid, u=U, residual_norm=norm,
                          newton_iters=iters, coarse_iters=tuple(steps[1:]),
                          cg_iters=tuple(cg))
     return compute_derivatives(sol)
@@ -310,7 +312,7 @@ def _lu_solve(J, rhs: np.ndarray) -> np.ndarray:
     return spla.splu(J.tocsc(), permc_spec=LU_ORDERING).solve(rhs)
 
 
-def _newton(params: DimensionParams, grid: Grid, U: np.ndarray, solve):
+def _newton(m: int, grid: Grid, U: np.ndarray, solve):
     """Newton on grid from the full-quadrant iterate U; returns (U, residual
     norm, steps, the node_block of the unknowns).
 
@@ -320,7 +322,7 @@ def _newton(params: DimensionParams, grid: Grid, U: np.ndarray, solve):
     until the residual drops.
     """
     ii, jj = grid.ii, grid.jj
-    K, V = weighted_form(params.m, grid)
+    K, V = weighted_form(m, grid)
     K_uu, vol = node_block(K, V, ii, jj)
     res = _residual(K, V, U, grid)
     norm = float(np.abs(res).max())

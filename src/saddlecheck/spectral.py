@@ -76,9 +76,8 @@ def assemble(sol: SaddleSolution) -> QuadraticFormAssembly:
     field injected onto grid_chain(grid)[0], the coarsest Newton level."""
     grid, coarse = sol.grid, grid_chain(sol.grid)[0]
     k = grid.N // coarse.N
-    low = (_pencil(sol.params.m, coarse, sol.u[::k, ::k]) if k > 1
-           else None)
-    return _pencil(sol.params.m, grid, sol.u, low)
+    low = _pencil(sol.m, coarse, sol.u[::k, ::k]) if k > 1 else None
+    return _pencil(sol.m, grid, sol.u, low)
 
 
 def _pencil(m: int, grid: Grid, u: np.ndarray,
@@ -88,6 +87,10 @@ def _pencil(m: int, grid: Grid, u: np.ndarray,
     K_b, vol = node_block(*weighted_form(m, grid), i, j)
     return QuadraticFormAssembly(stiffness=jacobian(K_b, vol, u[i, j]),
                                  mass=sp.diags(vol), coarse=coarse)
+
+
+class MMatrixError(ArithmeticError):
+    """certify_shift rejected every shift min_eigenvalue tried."""
 
 
 def certify_shift(asm: QuadraticFormAssembly, sigma: float):
@@ -115,7 +118,8 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
     EIG_SIGMA is certified the same way.  Shift-invert Lanczos with EIG_NCV
     vectors, started from the certificate's solve, runs to EIG_TOL on that
     one LU; `iterations` counts every solve with it, the certificate's
-    included, and `shift` is the certified lower bound.
+    included, and `shift` is the certified lower bound.  MMatrixError if
+    EIG_SIGMA is rejected too.
     """
     K, B = asm.stiffness, asm.mass
     sigma = EIG_SIGMA
@@ -126,8 +130,8 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
         sigma = EIG_SIGMA
         cert = certify_shift(asm, sigma)
     if cert is None:
-        raise ArithmeticError(f"K - sigma B is not an M-matrix at "
-                              f"sigma = {sigma}")
+        raise MMatrixError(f"K - sigma B is not an M-matrix at "
+                           f"sigma = {sigma}")
     lu, x = cert
     solves = 1
 
@@ -165,7 +169,7 @@ def report_digest(check: dict) -> str:
                      "nodes_checked")})
 
 
-def stability_certificate(sol: SaddleSolution, cand, checks) -> dict:
+def stability_certificate(sol: SaddleSolution, checks) -> dict:
     """Record the supersolution-based stability conclusion, with the
     version of the package that reached it.
 
@@ -173,22 +177,18 @@ def stability_certificate(sol: SaddleSolution, cand, checks) -> dict:
     verify_supersolution return them, the suite's and then the
     supersolution's: cli.run_stages passes them when cli._failures, its
     one failure function, finds nothing failed.  Refuses if a check
-    failed, none is the supersolution's, the list is empty or the
-    dimension mismatches.
+    failed or none is supersolution-n<n>, n = 2 sol.m (so an empty list).
     """
-    if sol.params.m != cand.m:
-        raise CertificateError("solution/candidate dimension mismatch")
-    if not checks:
-        raise CertificateError("no verification reports supplied")
+    n = 2 * sol.m
     for check in checks:
         if not check["passed"]:
             raise CertificateError(f"prerequisite report {check['id']} failed")
-    if not any(c["id"].startswith("supersolution") for c in checks):
-        raise CertificateError("missing supersolution report")
+    if not any(c["id"] == f"supersolution-n{n}" for c in checks):
+        raise CertificateError(f"missing supersolution-n{n} report")
     return {
         "schema": "stability-certificate/1",
-        "n": cand.n,
-        "m": sol.params.m,
+        "n": n,
+        "m": sol.m,
         "grid": {"R": sol.grid.R, "h": sol.grid.h},
         "conclusion": "stable",
         "basis": "positive supersolution of the linearized operator",

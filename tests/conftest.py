@@ -6,13 +6,12 @@ from functools import lru_cache
 import pytest
 
 from saddlecheck.grid import build_grid
-from saddlecheck.params import DimensionParams
 from saddlecheck.solver import newton_solve
 
 
 @lru_cache(maxsize=None)
 def _solve(m: int, R: float, h: float):
-    return newton_solve(DimensionParams(m=m), build_grid(R, h))
+    return newton_solve(m, build_grid(R, h))
 
 
 @pytest.fixture(scope="session")

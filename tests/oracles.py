@@ -18,11 +18,10 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from saddlecheck.candidate import CoefficientSet, f_generic
+from saddlecheck.candidate import CandidateParams, CoefficientSet, f_generic
 from saddlecheck.grid import build_grid
-from saddlecheck.params import CandidateParams, SQRT2, st_to_yz
 from saddlecheck.rigor import Tape
-from saddlecheck.scalars import heteroclinic
+from saddlecheck.scalars import SQRT2, heteroclinic, st_to_yz
 from saddlecheck.solver import weighted_form
 
 
@@ -362,7 +361,7 @@ def residual_yz_form(sol, guard: float | None = None):
     uyd = np.where(mask, sol.u_y, 0.0)
     uzd = np.where(mask, sol.u_z, 0.0)
     res = (-u_yy - u_zz
-           - 2.0 * (sol.params.m - 1) / denom * (y * uyd - z * uzd)
+           - 2.0 * (sol.m - 1) / denom * (y * uyd - z * uzd)
            - U + U**3)
     return np.where(mask, res, 0.0), mask
 

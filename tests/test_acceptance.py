@@ -12,11 +12,10 @@ from saddlecheck.candidate import (CandidateParams, coefficient_set, l_phi0,
                                    wedge_fields)
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.grid import build_grid
-from saddlecheck.params import st_to_yz
 from saddlecheck.rigor import (IntervalArray, builtin_expressions, claims,
                                prove_nonpositive)
 from saddlecheck.scalars import (double_well, heteroclinic, hh_supersolution,
-                                 rho)
+                                 rho, st_to_yz)
 from saddlecheck.spectral import assemble, min_eigenvalue
 
 SQRT2 = np.sqrt(2.0)
@@ -76,9 +75,9 @@ def test_criterion_5_supersolution_certificate(solved):
     worst = {}
     ok = True
     for n in (8, 10, 12):
-        sol, cand = solved(n // 2, 20.0, 0.05), CandidateParams(n=n)
-        rep = verify_supersolution(sol, cand)
-        i, _, _, ph, _ = wedge_fields(sol, cand)
+        sol = solved(n // 2, 20.0, 0.05)
+        rep = verify_supersolution(sol)
+        i, _, _, ph, _ = wedge_fields(sol)
         worst[n] = (-rep["worst_margin"], float(ph[i < sol.grid.N].min()))
         ok &= rep["passed"]
     detail = ", ".join(f"n={n}: max LPhi={w:.1e}, min Phi={p:.1e}"
@@ -88,12 +87,11 @@ def test_criterion_5_supersolution_certificate(solved):
 
 def test_criterion_6_ablation(solved):
     sol = solved(4, 30.0, 0.1)
-    cand = CandidateParams(n=8)
-    i, j, _, _, full = wedge_fields(sol, cand)
+    i, j, _, _, full = wedge_fields(sol)
     inner = i < sol.grid.N
     i, j, full = i[inner], j[inner], full[inner]
     without = full - l_phi0(sol.grid.coords[i], sol.grid.coords[j],
-                            sol.u[i, j], cand)
+                            sol.u[i, j], CandidateParams(n=8))
     worst = float(without.max())
     worst_full = float(full.max())
     _line(6, "ablation-phi0", worst > 0.0 and worst_full < 0.0,

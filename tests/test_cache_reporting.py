@@ -11,7 +11,6 @@ from saddlecheck import rigor
 from saddlecheck.cache import (CACHE_ENV_VAR, CacheMismatch, _content_hash,
                                cache_dir, load_or_solve, load_solution,
                                save_solution, solution_key)
-from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite
 from saddlecheck.cli import RunConfig, run_stages
 from saddlecheck.reporting import (REPORT_SCHEMA, build_report, export_csv,
@@ -29,7 +28,7 @@ def test_cache_roundtrip_bitwise(tmp_path, solved):
     back = load_solution(path)
     assert np.array_equal(back.u, sol.u)
     assert np.array_equal(back.u_ss, sol.u_ss)   # derivatives recomputed
-    assert back.params.m == M and back.grid.h == H
+    assert back.m == M and back.grid.h == H
 
 
 def test_cache_key_and_header_are_pinned(tmp_path, solved):
@@ -136,14 +135,23 @@ def _header_with_nan_residual_norm(path):
         residual_norm=float("nan")))
 
 
+def _header_with_m(m):
+    # the header's m comes from outside the program: only an int >= 1 is a
+    # factor dimension, whatever its hash
+    return lambda path: _rewrite_header(path, lambda hdr: hdr.update(m=m))
+
+
 @pytest.mark.parametrize("damage, cause", [
     (_empty, "EOFError"),
     (_truncated, "BadZipFile"),
     (_plain_array, "TypeError"),
     (_header_without_residual_norm, "lacks residual_norm"),
     (_header_with_nan_residual_norm, "residual_norm nan is not <= 1e-10"),
+    (_header_with_m(0), "m 0 is not an int >= 1"),
+    (_header_with_m(4.5), "m 4.5 is not an int >= 1"),
+    (_header_with_m("4"), "m '4' is not an int >= 1"),
 ], ids=["empty", "truncated", "plain-array", "no-residual-norm",
-        "nan-residual-norm"])
+        "nan-residual-norm", "m-zero", "m-float", "m-string"])
 def test_damaged_cache_entry_is_rejected_with_its_cause(tmp_path, solved,
                                                         damage, cause):
     sol = solved(M, R, H)
@@ -177,7 +185,7 @@ def test_entry_under_another_key_is_rejected(tmp_path, solved):
     cfg = RunConfig(m=M + 1, R=R, h=H, stages=("solve",), cache=str(tmp_path))
     report, sol = run_stages(cfg)
     solve = report["stages"]["solve"]
-    assert sol.params.m == solve["m"] == M + 1
+    assert sol.m == solve["m"] == M + 1
     assert solve["from_cache"] is False
     assert "(4, 8.0, 0.2)" in solve["cache_rejected"]
     assert "(5, 8.0, 0.2)" in solve["cache_rejected"]
@@ -257,7 +265,7 @@ def test_svg_emitters_deterministic(tmp_path, solved):
 
 def test_export_signmaps_files(tmp_path, solved):
     sol = solved(M, R, H)
-    paths = export_signmaps(sol, CandidateParams(n=8), tmp_path)
+    paths = export_signmaps(sol, tmp_path)
     assert len(paths) == 6
     names = {p.name for p in paths}
     assert names == {"map-ct-over-cs.svg", "map-css-over-gap.svg",
@@ -268,7 +276,7 @@ def test_export_signmaps_files(tmp_path, solved):
         assert text.startswith("<svg")
     # byte-identical on re-export
     first = {p.name: p.read_bytes() for p in paths}
-    again = export_signmaps(sol, CandidateParams(n=8), tmp_path)
+    again = export_signmaps(sol, tmp_path)
     assert {p.name: p.read_bytes() for p in again} == first
 
 
@@ -283,5 +291,5 @@ def test_export_signmaps_runs_the_coefficient_tape_once(tmp_path, solved,
         return run(self, env)
 
     monkeypatch.setattr(rigor.Tape, "run", counting)
-    export_signmaps(solved(M, R, H), CandidateParams(n=8), tmp_path)
+    export_signmaps(solved(M, R, H), tmp_path)
     assert len(runs) == 1

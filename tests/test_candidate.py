@@ -6,13 +6,13 @@ import pytest
 
 from oracles import f_partials, indicial_roots, jet_coefficients
 import saddlecheck.candidate as candidate
-from saddlecheck.candidate import (REGION_E1, REGION_E2, REGION_E3, _f_dags,
+from saddlecheck.candidate import (REGION_E1, REGION_E2, REGION_E3,
+                                   CandidateParams, _f_dags,
                                    candidate_expressions, coefficient_set,
                                    f_generic, l_phi0, l_phi0_summand,
                                    lambda_coeff, phi0_generic, region_classify,
                                    t_ratio, wedge_fields)
 from saddlecheck.checks import verify_supersolution
-from saddlecheck.params import CandidateParams
 from saddlecheck.rigor import Tape
 
 RNG = np.random.default_rng(20240818)
@@ -125,10 +125,10 @@ def test_phi0_radially_harmonic_for_n10():
     assert p * p + p - d * p == 0.0
 
 
-def _interior(sol, cand):
+def _interior(sol):
     """wedge_fields at the interior nodes 0 < t < s < R: (s, t, i, j, phi,
     l_phi)."""
-    i, j, _, phi, lp = wedge_fields(sol, cand)
+    i, j, _, phi, lp = wedge_fields(sol)
     inner = i < sol.grid.N
     i, j = i[inner], j[inner]
     return (sol.grid.coords[i], sol.grid.coords[j], i, j, phi[inner],
@@ -136,7 +136,7 @@ def _interior(sol, cand):
 
 
 def test_phi_positive_and_symmetric(sol_m4_coarse):
-    s, t, i, j, phi, _ = _interior(sol_m4_coarse, N8)
+    s, t, i, j, phi, _ = _interior(sol_m4_coarse)
     assert np.all(phi > 0.0)
     # reflection consistency: Phi(t,s) rebuilt from the antisymmetry of the
     # solution (u(t,s) = -u(s,t)) must reproduce Phi(s,t) at every node
@@ -154,7 +154,7 @@ def test_l_phi_routes_and_symmetry(sol_m4_coarse):
     # wedge_fields (the tape of the catalogue's DAGs) against L Phi from the
     # C's of the forward-mode jet oracle
     sol = sol_m4_coarse
-    s, t, i, j, phi, lp_sym = _interior(sol, N8)
+    s, t, i, j, phi, lp_sym = _interior(sol)
     c = jet_coefficients(s, t, N8)
     lp_jet = (c.c_s * sol.u_s[i, j] + c.c_t * sol.u_t[i, j]
               + c.c_ss * sol.u_ss[i, j] + c.c_st * sol.u_st[i, j]
@@ -179,8 +179,9 @@ def test_l_phi_routes_and_symmetry(sol_m4_coarse):
 
 
 def test_l_phi_dimension_guard(sol_m1):
-    with pytest.raises(ValueError):
-        wedge_fields(sol_m1, N8)
+    # the candidate of the solution's n = 2 is not defined
+    with pytest.raises(ValueError, match="got n=2"):
+        wedge_fields(sol_m1)
 
 
 def test_supersolution_evaluates_wedge_nodes_only(sol_m4_coarse, monkeypatch):
@@ -191,7 +192,7 @@ def test_supersolution_evaluates_wedge_nodes_only(sol_m4_coarse, monkeypatch):
         sizes.append(np.size(s))
         return coefficient_set(s, t, cand)
     monkeypatch.setattr(candidate, "coefficient_set", counted)
-    verify_supersolution(sol_m4_coarse, N8)
+    verify_supersolution(sol_m4_coarse)
     n = sol_m4_coarse.grid.N
     assert sizes == [n * (n - 1) // 2]
 
@@ -219,7 +220,7 @@ def test_t_ratio_on_e1():
     keep = t > 0.5
     s, t = s[keep], t[keep]
     cs = coefficient_set(s, t, N8)
-    lam = lambda_coeff(s, t, N8)
+    lam = lambda_coeff(s, t, 8)
     # denominator stays negative and T stays positive over the whole r range
     for r in (np.clip(1.0 - lam, 0.0, 1.0 - 1e-9), 1.0 - 1e-3):
         val, ok = t_ratio(cs, np.broadcast_to(r, s.shape))

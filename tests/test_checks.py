@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from saddlecheck import checks
-from saddlecheck.candidate import CandidateParams, region_classify
+from saddlecheck.candidate import region_classify
 from saddlecheck.checks import (_deficit_rho_constant, cone_interp,
                                 run_inequality_suite, summary, tri_mask,
                                 verify_supersolution)
@@ -130,14 +130,13 @@ def test_cone_interp_exact_on_linear_field(sol_m4_coarse):
 
 
 def test_verify_supersolution_coarse(sol_m4_coarse):
-    cand = CandidateParams(n=8)
-    rep = verify_supersolution(sol_m4_coarse, cand)
+    rep = verify_supersolution(sol_m4_coarse)
     assert isinstance(rep, dict)
     assert rep["passed"]
     assert rep["tolerance_used"] == 0.0
     assert rep["description"] == "L Phi < 0 and Phi > 0 at interior nodes"
     # every region of the interior holds nodes, and L Phi < 0 on each
-    i, j, _, ph, lp = checks.wedge_fields(sol_m4_coarse, cand)
+    i, j, _, ph, lp = checks.wedge_fields(sol_m4_coarse)
     inner = i < sol_m4_coarse.grid.N
     i, j, ph, lp = i[inner], j[inner], ph[inner], lp[inner]
     assert ph.min() > 0.0
@@ -153,7 +152,7 @@ def test_check_entries_are_plain_json_values(sol_m4_coarse):
     keys = {"id", "description", "passed", "worst_margin", "worst_point",
             "nodes_checked", "nodes_excluded", "tolerance_used"}
     entries = run_inequality_suite(sol_m4_coarse) + [
-        verify_supersolution(sol_m4_coarse, CandidateParams(n=8))]
+        verify_supersolution(sol_m4_coarse)]
     assert len(entries) == 30
     for e in entries:
         assert set(e) == keys
@@ -179,8 +178,8 @@ def test_supersolution_gate_has_no_tolerance(sol_m4_coarse, monkeypatch):
     # L Phi < 0 itself, not L Phi <= some tolerance of that size
     fields = checks.wedge_fields
 
-    def positive_at_worst(sol, cand):
-        i, j, cs, ph, lp = fields(sol, cand)
+    def positive_at_worst(sol):
+        i, j, cs, ph, lp = fields(sol)
         lp = lp.copy()
         inner = np.flatnonzero(i < sol.grid.N)
         k = inner[np.argmax(lp[inner])]
@@ -189,10 +188,10 @@ def test_supersolution_gate_has_no_tolerance(sol_m4_coarse, monkeypatch):
         return i, j, cs, ph, lp
 
     monkeypatch.setattr(checks, "wedge_fields", positive_at_worst)
-    rep = verify_supersolution(sol_m4_coarse, CandidateParams(n=8))
+    rep = verify_supersolution(sol_m4_coarse)
     assert not rep["passed"]
     assert rep["worst_margin"] == -5e-9
-    i, _, _, ph, _ = checks.wedge_fields(sol_m4_coarse, CandidateParams(n=8))
+    i, _, _, ph, _ = checks.wedge_fields(sol_m4_coarse)
     assert ph[i < sol_m4_coarse.grid.N].min() > 0.0
 
 

@@ -16,12 +16,11 @@ from pathlib import Path
 import pytest
 
 import saddlecheck
-from saddlecheck import cli
+from saddlecheck import cli, spectral
 from saddlecheck.cache import CACHE_ENV_VAR
 from saddlecheck.cli import (RunConfig, build_parser, main, run_rigor,
                              run_stages)
 from saddlecheck.grid import build_grid
-from saddlecheck.params import DimensionParams
 from saddlecheck.rigor import DEFECT_A_MAX
 from saddlecheck.solver import NewtonError, SaddleSolution, newton_solve
 
@@ -202,7 +201,7 @@ def test_nan_residual_fails_the_solve():
     # command line stops such an m before Newton; the library does not
     with pytest.warns(RuntimeWarning), \
             pytest.raises(NewtonError, match="residual nan after 0 iterations"):
-        newton_solve(DimensionParams(400), build_grid(8, 0.2))
+        newton_solve(400, build_grid(8, 0.2))
 
 
 def test_unsolvable_m_is_rejected_before_any_stage(tmp_path, monkeypatch,
@@ -483,7 +482,7 @@ def test_solution_reaches_the_worker_only_by_fork(monkeypatch, capsys):
         raise pickle.PicklingError("SaddleSolution pickled")
 
     monkeypatch.setattr(SaddleSolution, "__reduce_ex__", refuse)
-    sol = newton_solve(DimensionParams(4), build_grid(8, 0.2))
+    sol = newton_solve(4, build_grid(8, 0.2))
     with pytest.raises(pickle.PicklingError):
         pickle.dumps(sol)
     assert main(["run"] + M_ARGS) == 0
@@ -517,14 +516,17 @@ class _Unrebuildable(Exception):
 
 
 @pytest.mark.parametrize("exc, raised, message", [
-    (ArithmeticError("not an M-matrix"), ArithmeticError, "not an M-matrix"),
+    (ZeroDivisionError("float division"), ZeroDivisionError,
+     "float division"),
     (_Unrebuildable("no convergence", 7), RuntimeError,
      "_Unrebuildable: no convergence"),
 ], ids=["picklable", "unrebuildable"])
 def test_worker_exception_is_raised_here(exc, raised, message, monkeypatch,
                                          capfd):
-    # this process's stage lines come first, no proof line follows, and
-    # the worker's traceback is the cause
+    # an exception the program does not foresee (here an ArithmeticError
+    # that is not spectral.MMatrixError) propagates: this process's stage
+    # lines come first, no proof line follows, and the worker's traceback
+    # is the cause
     _with_budget(monkeypatch, 500)
 
     def fail(asm):
@@ -537,6 +539,33 @@ def test_worker_exception_is_raised_here(exc, raised, message, monkeypatch,
     out = capfd.readouterr().out
     assert out.startswith("solve: ") and "rigor: " not in out
     _no_child_left()
+
+
+def test_spectrum_refusal_exits_two(monkeypatch, capsys):
+    # min_eigenvalue's refusal when no shift is certified, raised in the
+    # worker, ends the run like a failed Newton solve: exit 2, the error on
+    # stderr, a RESULT line and no report
+    _with_budget(monkeypatch, 500)
+    monkeypatch.setattr(spectral, "certify_shift", lambda asm, sigma: None)
+    assert main(["run"] + M_ARGS) == 2
+    captured = capsys.readouterr()
+    assert re.search(r"^error: K - sigma B is not an M-matrix at "
+                     r"sigma = -1\.05$", captured.err, re.M)
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
+    assert not Path("out/report.json").exists()
+    _no_child_left()
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # --out under a regular file: the report cannot be written, which ends
+    # the run with exit 2 and a RESULT line, not a traceback
+    (tmp_path / "file").write_text("")
+    rc = main(["run", "--stages", "solve", "--out",
+               str(tmp_path / "file" / "o")] + M_ARGS)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert re.search(r"^error: .*Not a directory", captured.err, re.M)
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
 
 
 def test_worker_dying_without_results_raises(monkeypatch, capsys):

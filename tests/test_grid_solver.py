@@ -10,8 +10,7 @@ import scipy.sparse.linalg as spla
 from oracles import residual_yz_form, sine_gordon_saddle, weighted_residual
 from saddlecheck import solver
 from saddlecheck.grid import build_grid
-from saddlecheck.params import DimensionParams, st_to_yz
-from saddlecheck.scalars import hh_supersolution
+from saddlecheck.scalars import hh_supersolution, st_to_yz
 from saddlecheck.solver import (NEWTON_TOL, NewtonError, _lu_solve, _newton,
                                 impose_boundary, initial_guess, newton_solve,
                                 weighted_form)
@@ -72,11 +71,11 @@ def test_sine_gordon_vanishes_on_cone():
 def test_newton_converges_and_is_deterministic(solved):
     sol = solved(4, 12.0, 0.1)
     assert sol.residual_norm < NEWTON_TOL
-    again = newton_solve(DimensionParams(m=4), build_grid(12.0, 0.1))
+    again = newton_solve(4, build_grid(12.0, 0.1))
     assert np.array_equal(sol.u, again.u)
     # two refined levels of two-grid CG: the same bits and iterations
     sol = solved(4, 12.0, 0.05)
-    again = newton_solve(DimensionParams(m=4), build_grid(12.0, 0.05))
+    again = newton_solve(4, build_grid(12.0, 0.05))
     assert sol.u.tobytes() == again.u.tobytes()
     assert sol.cg_iters == again.cg_iters
     assert [h for h, _ in sol.cg_iters] == [0.05, 0.1]
@@ -130,6 +129,11 @@ def test_monotone_in_m(solved):
     assert np.all(u5[tri] <= u4[tri] + 1e-10)
 
 
+def test_newton_solve_rejects_m_below_one():
+    with pytest.raises(ValueError, match="got m=0"):
+        newton_solve(0, build_grid(8.0, 0.2))
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_coarse_start_finds_the_cold_start_field(m, solved):
     # R12 h.1 starts from the field solved at h = 0.2; the cold start from
@@ -137,8 +141,7 @@ def test_coarse_start_finds_the_cold_start_field(m, solved):
     grid = build_grid(12.0, 0.1)
     sol = solved(m, 12.0, 0.1)
     assert [h for h, _ in sol.coarse_iters] == [0.2]
-    cold, cold_norm, _, _ = _newton(DimensionParams(m=m), grid,
-                                    initial_guess(grid), _lu_solve)
+    cold, cold_norm, _, _ = _newton(m, grid, initial_guess(grid), _lu_solve)
     assert np.abs(sol.u - cold).max() <= 1e-9
     assert sol.residual_norm <= NEWTON_TOL and cold_norm <= NEWTON_TOL
 
@@ -147,9 +150,9 @@ def test_odd_grid_starts_cold():
     # N = 81 has no 2h grid, so the solve is the cold start itself
     grid = build_grid(8.1, 0.1)
     assert grid.N % 2 == 1
-    sol = newton_solve(DimensionParams(m=4), grid)
-    cold, cold_norm, cold_iters, _ = _newton(DimensionParams(m=4), grid,
-                                             initial_guess(grid), _lu_solve)
+    sol = newton_solve(4, grid)
+    cold, cold_norm, cold_iters, _ = _newton(4, grid, initial_guess(grid),
+                                             _lu_solve)
     assert sol.coarse_iters == ()
     assert np.array_equal(sol.u, cold)
     assert (sol.residual_norm, sol.newton_iters) == (cold_norm, cold_iters)
@@ -180,7 +183,7 @@ def test_refined_levels_factor_only_the_coarser_jacobian(monkeypatch, solved):
     # cycle, taken of the h = 0.1 Jacobian at the solved h = 0.1 field
     factored = _factored_matrices(monkeypatch)
     grid, mid = build_grid(12.0, 0.05), build_grid(12.0, 0.1)
-    sol = newton_solve(DimensionParams(m=4), grid)
+    sol = newton_solve(4, grid)
     assert sol.residual_norm <= NEWTON_TOL
     assert [h for h, _ in sol.coarse_iters] == [0.1, 0.2]
     sizes = [A.shape[0] for A in factored]
@@ -231,7 +234,7 @@ def test_prolongation_is_prolong_at_the_unknowns():
 def test_capped_cg_raises(monkeypatch):
     monkeypatch.setattr(solver, "CG_MAXITER", 1)
     with pytest.raises(NewtonError, match="CG stopped after 1 iterations"):
-        newton_solve(DimensionParams(m=4), build_grid(12.0, 0.1))
+        newton_solve(4, build_grid(12.0, 0.1))
 
 
 def test_nan_linear_solve_raises():
@@ -262,7 +265,7 @@ def test_one_lu_alive_at_a_time(monkeypatch):
                         lambda *a, **k: Tracked(factor(*a, **k)))
     gc.disable()
     try:
-        newton_solve(DimensionParams(m=4), build_grid(12.0, 0.05))
+        newton_solve(4, build_grid(12.0, 0.05))
     finally:
         gc.enable()
     assert count == {"live": 0, "peak": 1}
@@ -272,7 +275,7 @@ def test_lu_level_factors_once_per_newton_step(monkeypatch):
     # R12 h.2 is the coarsest level, a cold start: each Newton step factors
     # the Jacobian at its own iterate, and no LU serves two steps
     factored = _factored_matrices(monkeypatch)
-    sol = newton_solve(DimensionParams(m=4), build_grid(12.0, 0.2))
+    sol = newton_solve(4, build_grid(12.0, 0.2))
     assert sol.residual_norm <= NEWTON_TOL and sol.coarse_iters == ()
     assert len(factored) == sol.newton_iters > 0
 
@@ -284,5 +287,5 @@ def test_one_operator_per_level(monkeypatch):
     form = solver.weighted_form
     monkeypatch.setattr(solver, "weighted_form",
                         lambda m, grid: calls.append(grid.h) or form(m, grid))
-    newton_solve(DimensionParams(m=4), build_grid(12.0, 0.05))
+    newton_solve(4, build_grid(12.0, 0.05))
     assert calls == [0.2, 0.1, 0.05]

@@ -9,7 +9,7 @@ import pytest
 from oracles import (divided_difference, evaluate, jet_coefficients, psi,
                      subsolution_defect)
 from saddlecheck import rigor
-from saddlecheck.params import CandidateParams
+from saddlecheck.candidate import CandidateParams
 from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, Tape,
                                _down, _up, builtin_expressions, claims,
                                defect_quotient_expression, differentiate, nexp,

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import rho1, rho_quadrature, subsolution_defect
-from saddlecheck.params import SQRT2, st_to_yz
-from saddlecheck.scalars import (double_well, g_profile, heteroclinic,
-                                 hh_supersolution, rho)
+from saddlecheck.scalars import (SQRT2, double_well, g_profile, heteroclinic,
+                                 hh_supersolution, rho, st_to_yz)
 
 RNG = np.random.default_rng(20240817)
 

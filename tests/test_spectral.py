@@ -12,7 +12,6 @@ import scipy.sparse.linalg as spla
 import saddlecheck
 from oracles import dense_min_eigenvalue, even_sector_values, rayleigh_quotient
 from saddlecheck import spectral
-from saddlecheck.candidate import CandidateParams
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.spectral import (EIG_SIGMA, CertificateError, assemble,
                                   certify_shift, min_eigenvalue,
@@ -155,11 +154,10 @@ def test_near_shift_cuts_the_solve_count(sol_m4):
 
 
 def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
-    cand = CandidateParams(n=8)
-    sup = verify_supersolution(sol_m4_coarse, cand)
+    sup = verify_supersolution(sol_m4_coarse)
     suite = run_inequality_suite(sol_m4_coarse)
     reports = [sup] + suite
-    cert = stability_certificate(sol_m4_coarse, cand, reports)
+    cert = stability_certificate(sol_m4_coarse, reports)
     assert cert["schema"] == "stability-certificate/1"
     assert cert["n"] == 8 and cert["m"] == 4
     assert cert["conclusion"] == "stable"
@@ -173,17 +171,24 @@ def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
     # failed prerequisite
     failed = dict(sup, passed=False)
     with pytest.raises(CertificateError):
-        stability_certificate(sol_m4_coarse, cand, [failed] + suite)
+        stability_certificate(sol_m4_coarse, [failed] + suite)
 
     # missing supersolution report
     with pytest.raises(CertificateError):
-        stability_certificate(sol_m4_coarse, cand, suite)
+        stability_certificate(sol_m4_coarse, suite)
 
     # empty report list
     with pytest.raises(CertificateError):
-        stability_certificate(sol_m4_coarse, cand, [])
+        stability_certificate(sol_m4_coarse, [])
 
 
-def test_certificate_dimension_mismatch(sol_m1):
-    with pytest.raises(CertificateError):
-        stability_certificate(sol_m1, CandidateParams(n=8), [])
+def test_certificate_dimension_mismatch(sol_m4_coarse):
+    # every check passes, but the supersolution entry is n = 10's: it does
+    # not certify the m = 4 (n = 8) solution
+    sup = verify_supersolution(sol_m4_coarse)
+    assert sup["id"] == "supersolution-n8"
+    checks = run_inequality_suite(sol_m4_coarse) + [
+        dict(sup, id="supersolution-n10")]
+    assert all(c["passed"] for c in checks)
+    with pytest.raises(CertificateError, match="missing supersolution-n8"):
+        stability_certificate(sol_m4_coarse, checks)
