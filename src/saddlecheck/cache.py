@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import zipfile
 from pathlib import Path
@@ -91,8 +92,9 @@ def save_solution(sol: SaddleSolution,
 def load_solution(path: str | os.PathLike) -> SaddleSolution:
     """Load and revalidate a cache entry; raises CacheMismatch, naming the
     cause, on an unreadable file, any format, header or hash discrepancy,
-    an m that is not an int >= 1 or a residual_norm not within
-    NEWTON_TOL."""
+    an m that is not an int >= 1, an R or h that is not a finite real
+    number, a newton_iters that is not an int >= 0 or a residual_norm not
+    within NEWTON_TOL."""
     try:
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
@@ -116,6 +118,15 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
     m, residual = header["m"], header["residual_norm"]
     if not (type(m) is int and m >= 1):
         raise CacheMismatch(f"{path}: m {m!r} is not an int >= 1")
+    for name in ("R", "h"):
+        if not (type(header[name]) in (int, float)
+                and math.isfinite(header[name])):
+            raise CacheMismatch(f"{path}: {name} {header[name]!r} is not a "
+                                f"finite real number")
+    iters = header["newton_iters"]
+    if not (type(iters) is int and iters >= 0):
+        raise CacheMismatch(f"{path}: newton_iters {iters!r} is not an "
+                            f"int >= 0")
     if not (isinstance(residual, float) and residual <= NEWTON_TOL):
         raise CacheMismatch(f"{path}: residual_norm {residual!r} is not "
                             f"<= {NEWTON_TOL:g}")
@@ -127,7 +138,7 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
         raise CacheMismatch(f"{path}: field shape {u.shape} does not match "
                             f"grid N={grid.N}")
     sol = SaddleSolution(m=m, grid=grid, u=u, residual_norm=residual,
-                         newton_iters=header["newton_iters"])
+                         newton_iters=iters)
     return compute_derivatives(sol)
 
 

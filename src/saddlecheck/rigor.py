@@ -836,9 +836,9 @@ class HalfPlane:
 # can pass the corner bound sqrt(3/(6 + 2d)), where Q(u = z = 0) =
 # 2a^2 - 1 + 2da^2/3 turns positive: 0.5, 0.4629 and 0.4330 for d = 3, 4, 5.
 # At n = 12 (d = 5) the defect turns positive between a = 0.43 and 0.435
-# (+1.6e-3 at (a, u, z) = (0.45, 0.014, 0.28)), so 0.42 stays below that
-# bound with a margin.
-DEFECT_A_MAX = {8: 0.45, 10: 0.45, 12: 0.42}
+# (+1.6e-3 at (a, u, z) = (0.45, 0.014, 0.28)), so 0.43 stays below that
+# bound.
+DEFECT_A_MAX = {8: 0.45, 10: 0.45, 12: 0.43}
 
 
 def claims(n: int) -> list[tuple[str, str, dict]]:
@@ -867,6 +867,8 @@ def claims(n: int) -> list[tuple[str, str, dict]]:
 
 
 MAX_DEPTH = 60              # bisections of one box before it counts as stuck
+MIN_BATCH = 1024            # boxes split up to before a batch evaluation
+CHUNK = 65536               # bounds peak memory of a vectorized enclosure pass
 
 
 @dataclass(frozen=True)
@@ -927,7 +929,10 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
 
     Bisects the scaled-widest dimension of every undecided box; stops
     refining a box once it falls below min_width or MAX_DEPTH and reports
-    undecided with the surviving frontier.
+    undecided with the surviving frontier.  A batch of fewer than MIN_BATCH
+    boxes, the root included, is bisected again before it is evaluated while
+    one of its boxes can be refined and twice its size fits max_boxes: a
+    tape pass costs about as much on one box as on a thousand.
 
     Each box is bounded twice and the tighter bound wins: once by direct
     interval evaluation, and once by the mean-value form
@@ -991,14 +996,27 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
     queue = [(boxes, np.zeros(len(boxes), dtype=np.int32))]
     examined = batches = max_depth = 0
     stuck = []
-    chunk = 65536  # bounds peak memory of a vectorized enclosure pass
+
+    def refinable(boxes, depth):
+        widths = np.where(splittable, (boxes[:, :, 1] - boxes[:, :, 0]) / scale,
+                          -np.inf)
+        return widths, (widths.max(axis=1) > min_width) & (depth < MAX_DEPTH)
 
     while queue:
         boxes, depth = queue.pop()
-        if len(boxes) > chunk:
+        if len(boxes) > CHUNK:
             # a copy, not a view: a queued view would pin its whole parent
-            queue.append((boxes[chunk:].copy(), depth[chunk:].copy()))
-            boxes, depth = boxes[:chunk], depth[:chunk]
+            queue.append((boxes[CHUNK:].copy(), depth[CHUNK:].copy()))
+            boxes, depth = boxes[:CHUNK], depth[:CHUNK]
+        while len(boxes) < MIN_BATCH and \
+                examined + 2 * len(boxes) <= max_boxes:
+            widths, split = refinable(boxes, depth)
+            if not split.any():
+                break
+            children, child_depth = _bisect(boxes[split], depth[split],
+                                            widths[split], constraints)
+            boxes = np.concatenate([boxes[~split], children])
+            depth = np.concatenate([depth[~split], child_depth])
         examined += len(boxes)
         if examined > max_boxes:
             # the frontier is this batch, then the queue
@@ -1010,13 +1028,10 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
         boxes, depth = boxes[live], depth[live]
         if not len(boxes):
             continue
-        widths = np.where(splittable, (boxes[:, :, 1] - boxes[:, :, 0]) / scale,
-                          -np.inf)
-        refinable = (widths.max(axis=1) > min_width) & (depth < MAX_DEPTH)
-        if not refinable.all():
-            stuck.append(boxes[~refinable])
-            boxes, depth = boxes[refinable], depth[refinable]
-            widths = widths[refinable]
+        widths, split = refinable(boxes, depth)
+        if not split.all():
+            stuck.append(boxes[~split])
+            boxes, depth, widths = boxes[split], depth[split], widths[split]
         if not len(boxes):
             continue
         queue.append(_bisect(boxes, depth, widths, constraints))

@@ -135,10 +135,11 @@ def _header_with_nan_residual_norm(path):
         residual_norm=float("nan")))
 
 
-def _header_with_m(m):
-    # the header's m comes from outside the program: only an int >= 1 is a
-    # factor dimension, whatever its hash
-    return lambda path: _rewrite_header(path, lambda hdr: hdr.update(m=m))
+def _header_with(**fields):
+    # the header comes from outside the program: only an int m >= 1 is a
+    # factor dimension, only finite reals are a grid's R and h and only an
+    # int >= 0 counts Newton steps, whatever its hash
+    return lambda path: _rewrite_header(path, lambda hdr: hdr.update(fields))
 
 
 @pytest.mark.parametrize("damage, cause", [
@@ -147,11 +148,15 @@ def _header_with_m(m):
     (_plain_array, "TypeError"),
     (_header_without_residual_norm, "lacks residual_norm"),
     (_header_with_nan_residual_norm, "residual_norm nan is not <= 1e-10"),
-    (_header_with_m(0), "m 0 is not an int >= 1"),
-    (_header_with_m(4.5), "m 4.5 is not an int >= 1"),
-    (_header_with_m("4"), "m '4' is not an int >= 1"),
+    (_header_with(m=0), "m 0 is not an int >= 1"),
+    (_header_with(m=4.5), "m 4.5 is not an int >= 1"),
+    (_header_with(m="4"), "m '4' is not an int >= 1"),
+    (_header_with(R="8"), "R '8' is not a finite real number"),
+    (_header_with(h=float("nan")), "h nan is not a finite real number"),
+    (_header_with(newton_iters="x"), "newton_iters 'x' is not an int >= 0"),
 ], ids=["empty", "truncated", "plain-array", "no-residual-norm",
-        "nan-residual-norm", "m-zero", "m-float", "m-string"])
+        "nan-residual-norm", "m-zero", "m-float", "m-string", "R-string",
+        "h-nan", "newton-iters-string"])
 def test_damaged_cache_entry_is_rejected_with_its_cause(tmp_path, solved,
                                                         damage, cause):
     sol = solved(M, R, H)

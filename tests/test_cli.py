@@ -320,14 +320,14 @@ _NO_FRONTIER = hashlib.sha256(b"").hexdigest()
 
 # (box budget, per claim (label, status, boxes, undecided), frontier sha256)
 @pytest.mark.parametrize("m, expected", [
-    (4, (2_000_000, [("defect<=0", "proven", 843, 0),
-                     ("c_s<0", "proven", 5_929, 0),
-                     ("c_ss<0", "proven", 667, 0),
-                     ("c_st<0", "proven", 2_265, 0)], _NO_FRONTIER)),
-    (5, (2_000_000, [("defect<=0", "proven", 1_007, 0)], _NO_FRONTIER)),
+    (4, (2_000_000, [("defect<=0", "proven", 2_688, 0),
+                     ("c_s<0", "proven", 6_839, 0),
+                     ("c_ss<0", "proven", 2_336, 0),
+                     ("c_st<0", "proven", 3_912, 0)], _NO_FRONTIER)),
+    (5, (2_000_000, [("defect<=0", "proven", 2_176, 0)], _NO_FRONTIER)),
     # the d = 5 defect turns positive between a = 0.43 and 0.435; the
-    # claim holds on a <= 0.42
-    (6, (2_000_000, [("defect<=0", "proven", 967, 0)], _NO_FRONTIER)),
+    # claim holds on a <= 0.43
+    (6, (2_000_000, [("defect<=0", "proven", 3_456, 0)], _NO_FRONTIER)),
 ])
 def test_rigor_decisions_pinned(m, expected, monkeypatch):
     # every box decision of the prover shows in the box count and the
@@ -358,8 +358,8 @@ def test_report_times_and_traces_each_proof(capsys):
     rep = json.loads(Path("out/report.json").read_text())
     assert [(t["claim"], t["batches"], t["max_depth"])
             for t in rep["trace"]["rigor"]] == [
-        ("defect<=0", 15, 14), ("c_s<0", 17, 16), ("c_ss<0", 13, 12),
-        ("c_st<0", 18, 17)]
+        ("defect<=0", 2, 17), ("c_s<0", 5, 19), ("c_ss<0", 2, 15),
+        ("c_st<0", 3, 17)]
     for p in rep["stages"]["rigor"]["proofs"]:
         assert not {"seconds", "batches", "max_depth"} & set(p)
         assert 0.0 < rep["timing"][f"rigor:{p['claim']}"] \

@@ -203,12 +203,15 @@ def test_prover_toy_claims():
     # the surviving frontier hugs the true maximizer x = 1/2
     assert np.all(bad.frontier[:, 0, 0] < 0.5 + 0.1)
     assert np.all(bad.frontier[:, 0, 1] > 0.5 - 0.1)
-    # no box variable in the claim: one 0-d enclosure decides every box
+    # no box variable in the claim: one 0-d enclosure decides every box of
+    # the first batch, the root split unevaluated to 1,024 boxes
     const = prove_nonpositive(ExprNode.const(-1.0), ["x"], [[0.0, 1.0]])
-    assert (const.status, const.boxes_examined) == ("proven", 1)
+    assert (const.status, const.boxes_examined) == ("proven", 1024)
+    # a 100-box budget splits the root to 64 boxes, not 128, and stops at
+    # their 128 children
     const = prove_nonpositive(ExprNode.const(1.0), ["x"], [[0.0, 1.0]],
                               max_boxes=100)
-    assert const.status == "undecided" and const.frontier.shape == (64, 1, 2)
+    assert const.status == "undecided" and const.frontier.shape == (128, 1, 2)
 
 
 def test_prover_width_counts_splittable_dims_only():
@@ -228,6 +231,97 @@ def test_prover_halfplane_constraint():
     res = prove_nonpositive(t - s, ["s", "t"], [[0.0, 2.0], [0.0, 2.0]],
                             constraints=(HalfPlane(0, 1, 0.05),))
     assert res.status == "proven"
+
+
+def _pairwise(a, b, relation, rows=256):
+    """[i, j] = relation(a[i], b[j]) over boxes (N, dims, 2), row-chunked."""
+    return np.concatenate([relation(a[i:i + rows, None], b[None])
+                           for i in range(0, len(a), rows)])
+
+
+def _inside_halfplane(boxes, c):
+    """Measure of each 2-D box inside x[greater] >= x[lesser] + delta: the
+    integral over the lesser variable t of clamp(s1 - delta - t, 0, s1 - s0),
+    written as the difference of two ramps."""
+    s0, s1 = boxes[:, c.greater, 0], boxes[:, c.greater, 1]
+    t0, t1 = boxes[:, c.lesser, 0], boxes[:, c.lesser, 1]
+
+    def ramp(top):
+        return 0.5 * (np.maximum(top - t0, 0.0) ** 2
+                      - np.maximum(top - t1, 0.0) ** 2)
+    return ramp(s1 - c.delta) - ramp(s0 - c.delta)
+
+
+_X, _S, _T = ExprNode.var("x"), ExprNode.var("s"), ExprNode.var("t")
+
+
+@pytest.mark.parametrize("expr, kwargs", [
+    (_X * (1.0 - _X) - 0.26, dict(names=["x"], box=[[0.0, 1.0]])),
+    (_T - _S, dict(names=["s", "t"], box=[[0.0, 2.0], [0.0, 2.0]],
+                   constraints=(HalfPlane(0, 1, 0.05),))),
+    (_X * (1.0 - _X) - 0.24, dict(names=["x"], box=[[0.0, 1.0]],
+                                  max_boxes=1500)),
+], ids=["1d", "2d-halfplane", "budget"])
+def test_prover_neither_drops_nor_duplicates_a_box(expr, kwargs,
+                                                   monkeypatch):
+    # the boxes the prover decided and its frontier tile the claim box
+    # clipped to its constraints, and it evaluates a batch of fewer than
+    # MIN_BATCH boxes only when none of them can be split or the budget
+    # forbids doubling it
+    runs = []
+    run = Tape.run
+
+    def recording(self, env):
+        runs.append((self, env))
+        return run(self, env)
+
+    monkeypatch.setattr(Tape, "run", recording)
+    res = prove_nonpositive(expr, **kwargs)
+    names, box = kwargs["names"], np.array(kwargs["box"])
+    max_boxes = kwargs.get("max_boxes", 2_000_000)
+    # each batch runs the box tape first, then the centre tape
+    batches = [np.stack([np.stack([env[nm].lo, env[nm].hi], axis=1)
+                         for nm in names], axis=1)
+               for tape, env in runs if tape is runs[0][0]]
+    assert len(batches) == res.batches and res.max_depth < rigor.MAX_DEPTH
+    assert (res.status == "undecided") == ("max_boxes" in kwargs)
+
+    scale = box[:, 1] - box[:, 0]
+    examined = 0
+    for b in batches:
+        refinable = ((b[:, :, 1] - b[:, :, 0]) / scale).max(axis=1) > 1e-4
+        assert len(b) >= rigor.MIN_BATCH or not refinable.any() or \
+            examined + 2 * len(b) > max_boxes
+        examined += len(b)
+
+    # a box the prover evaluated and never split further is decided unless
+    # it is in the frontier; where the claim holds, its centre says so
+    evaluated, frontier = np.concatenate(batches), res.frontier
+    every = np.concatenate([evaluated, frontier])
+    split = _pairwise(evaluated, every, lambda a, b: np.all(
+        (a[..., 0] <= b[..., 0]) & (b[..., 1] <= a[..., 1]), axis=-1)
+        & np.any(a != b, axis=(-2, -1))).any(axis=1)
+    in_frontier = {b.tobytes() for b in frontier}
+    decided = np.array([b for b in evaluated[~split]
+                        if b.tobytes() not in in_frontier])
+    centres = 0.5 * (decided[:, :, 0] + decided[:, :, 1])
+    assert np.all(evaluate(expr, {nm: centres[:, k]
+                                  for k, nm in enumerate(names)}) <= 0.0)
+
+    tiles = np.concatenate([decided, frontier])
+    overlap = _pairwise(tiles, tiles, lambda a, b: np.all(
+        (a[..., 0] < b[..., 1]) & (b[..., 0] < a[..., 1]), axis=-1))
+    assert overlap.sum() == len(tiles)      # each tile meets itself only
+    constraints = kwargs.get("constraints", ())
+    if constraints:
+        (c,) = constraints
+        whole = _inside_halfplane(box[None], c)[0]
+        assert whole == pytest.approx(1.95**2 / 2)
+        assert _inside_halfplane(tiles, c).sum() == pytest.approx(whole,
+                                                                  rel=1e-12)
+    else:
+        assert (tiles[:, 0, 1] - tiles[:, 0, 0]).sum() == \
+            pytest.approx(scale[0], rel=1e-12)
 
 
 def test_prover_fixed_and_frozen_dims():
