@@ -13,9 +13,9 @@ other exception propagates with its traceback):
 
 k counts the report's 'failures', which one function derives from the
 report's stage payloads; the certificate is derived from the same payloads
-(run_stages).  With the spectrum stage, the eigensolve runs in a one-worker
-process pool on the fork context while this process runs the suite, the
-supersolution and the proofs.
+(run_stages).  With the spectrum stage, the eigensolve runs in a child
+forked with os.fork, which sends its result back through a socket pair,
+while this process runs the suite, the supersolution and the proofs.
 """
 
 from __future__ import annotations
@@ -23,13 +23,16 @@ from __future__ import annotations
 import argparse
 import os
 import pickle
+import signal
+import socket
 import sys
 import threading
 import time
-from concurrent.futures import BrokenExecutor
+import traceback
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NoReturn
 
 from saddlecheck.cache import load_or_solve
 from saddlecheck.candidate import CANDIDATE_DIMENSIONS
@@ -200,58 +203,80 @@ def _failures(stages: dict) -> list[str]:
 
 @contextmanager
 def _spectrum_worker(sol: SaddleSolution):
-    """Forks a one-worker process pool on the fork context and yields the
-    future of _spectrum() in it.  sol reaches the worker through the fork,
-    in the initializer's arguments, which the fork context does not pickle.
-    The worker exits once the one write end of a pipe, held here, closes:
-    on an exception in the block, or when this process dies.  A worker
-    that dies without a result raises BrokenProcessPool."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    sys.stdout.flush()                    # or the worker inherits the buffer
+    """Forks a child that runs the eigensolve (_spectrum_child) and yields
+    the _Worker that reads its reply.  sol reaches the child in the fork's
+    copy of this process and is never pickled; one pickle comes back through
+    a socket pair.  The child ends once this process's end closes, so when
+    this process dies, and a block left before result() kills and reaps
+    it."""
+    sys.stdout.flush()                    # or the child inherits the buffer
     sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    with ProcessPoolExecutor(1, multiprocessing.get_context("fork"),
-                             initializer=_start_worker,
-                             initargs=(read_fd, write_fd, sol)) as pool:
+    here, there = socket.socketpair()
+    with here:
+        with there:
+            pid = os.fork()
+            if pid == 0:
+                _spectrum_child(here, there, sol)
+        worker = _Worker(pid, here)
         try:
-            yield pool.submit(_spectrum)
-        except BaseException:
-            os.close(write_fd)            # so leaving the block does not
-            raise                         # wait for the eigensolve
+            yield worker
         finally:
-            os.close(read_fd)
-    os.close(write_fd)
+            if worker.pid is not None:    # not reaped by result()
+                os.kill(worker.pid, signal.SIGKILL)
+                os.waitpid(worker.pid, 0)
 
 
-_forked_solution: SaddleSolution | None = None    # set in the worker
-
-
-def _start_worker(read_fd: int, write_fd: int, sol: SaddleSolution) -> None:
-    """Pool initializer: keeps sol for _spectrum, closes the worker's copy
-    of the caller's write end and starts a thread that ends the worker at
-    EOF on read_fd."""
-    global _forked_solution
-    _forked_solution = sol
-    os.close(write_fd)
-
-    def watch() -> None:
-        os.read(read_fd, 1)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _spectrum() -> tuple[dict, float]:
-    """The worker's task: eig_to_dict of the forked solution's principal
-    eigenvalue estimate and the seconds it took.  An exception that would
-    not unpickle goes back as _picklable(exc)."""
-    t0 = time.perf_counter()
+def _spectrum_child(here: socket.socket, there: socket.socket,
+                    sol: SaddleSolution) -> NoReturn:
+    """Sends one pickle back on there, (eig_to_dict of sol's principal
+    eigenvalue estimate, seconds) or (_picklable(exc), traceback text), and
+    leaves through os._exit on every path, never into the caller's frames."""
+    code = 1
     try:
-        est = min_eigenvalue(assemble(_forked_solution))
-    except BaseException as exc:
-        raise _picklable(exc)
-    return eig_to_dict(est), time.perf_counter() - t0
+        here.close()
+
+        def watch() -> None:              # EOF: the caller's end is closed
+            there.recv(1)
+            os._exit(1)
+
+        threading.Thread(target=watch, daemon=True).start()
+        t0 = time.perf_counter()
+        try:
+            est = min_eigenvalue(assemble(sol))
+            reply = eig_to_dict(est), time.perf_counter() - t0
+        except BaseException as exc:
+            reply = _picklable(exc), traceback.format_exc()
+        there.sendall(pickle.dumps(reply))
+        sys.stdout.flush()
+        sys.stderr.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _WorkerTraceback(Exception):
+    """The text of a traceback in the spectrum worker."""
+
+
+@dataclass
+class _Worker:
+    """This process's side of the forked spectrum child."""
+    pid: int | None                       # None once the child is reaped
+    conn: socket.socket
+
+    def result(self) -> tuple[dict, float]:
+        """The child's reply, read to EOF, once it has exited; raises its
+        exception, or ChildProcessError if it exited without a reply."""
+        data = b"".join(iter(lambda: self.conn.recv(1 << 16), b""))
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code != 0 or not data:
+            raise ChildProcessError(f"spectrum worker terminated abruptly "
+                                    f"(exit status {code})")
+        value, detail = pickle.loads(data)
+        if isinstance(value, BaseException):
+            raise value from _WorkerTraceback(detail)
+        return value, detail
 
 
 def _picklable(exc: BaseException) -> BaseException:
@@ -364,8 +389,7 @@ def main(argv=None) -> int:
             for p in paths:
                 print(f"plot: {p}")
         print(f"report: {write_report(report, out / 'report.json')}")
-    except (ValueError, NewtonError, MMatrixError, BrokenExecutor,
-            OSError) as exc:
+    except (ValueError, NewtonError, MMatrixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("RESULT fail stages= failures=1")
         return 2

@@ -46,11 +46,12 @@ class Grid:
 
 def grid_size(R: float, h: float) -> int:
     """N = R/h once the settings pass the rules of build_grid: 0 < h <= H_MAX,
-    R >= 8 and R/h an integer; raises ValueError otherwise."""
-    if h <= 0.0 or h > H_MAX:
+    finite R >= 8 and R/h an integer; raises ValueError otherwise."""
+    if not 0.0 < h <= H_MAX:
         raise ValueError(f"spacing must satisfy 0 < h <= {H_MAX:g}, got h={h}")
-    if R < 8.0:
-        raise ValueError(f"truncation radius must be >= 8, got R={R}")
+    if not 8.0 <= R < float("inf"):
+        raise ValueError(f"truncation radius must be >= 8 and finite, "
+                         f"got R={R}")
     ratio = R / h
     N = int(round(ratio))
     if abs(ratio - N) > 1e-9 * max(1.0, ratio):

@@ -193,6 +193,17 @@ def test_exit_code_two_on_config_error(capsys):
     rc = main(["run", "--stages", "solve,suite,supersolution",
                "--m", "2", "--R", "8", "--h", "0.2"])
     assert rc == 2
+    # a radius or spacing that is not finite (1e400 parses as inf)
+    capsys.readouterr()
+    for flag, value in [("--R", "inf"), ("--R", "1e400"), ("--R", "nan"),
+                        ("--h", "nan"), ("--h", "inf")]:
+        rc = main(["run", "--m", "4", flag, value, "--stages", "solve"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert re.search(rf"^error: .*got {flag[2:]}=(inf|nan)$",
+                         captured.err, re.M)
+        assert captured.out.splitlines()[-1] == \
+            "RESULT fail stages= failures=1"
 
 
 def test_nan_residual_fails_the_solve():
@@ -304,13 +315,13 @@ def _program_env():
 def test_cli_import_leaves_sympy_out():
     # a fresh interpreter, since this one has pytest and the oracles' mpmath
     # loaded: neither they nor sympy may come in with the program, scipy
-    # loads only when a numeric stage first needs it, and the process pool
-    # only when a run has the spectrum stage
+    # loads only when a numeric stage first needs it, and no process
+    # machinery ever loads, since the spectrum worker is a bare os.fork
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, saddlecheck.cli; print([m for m in "
          "('sympy', 'mpmath', 'pytest', 'scipy', 'multiprocessing', "
-         "'concurrent.futures.process') if m in sys.modules])"],
+         "'concurrent.futures') if m in sys.modules])"],
         env=_program_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -494,7 +505,8 @@ def test_solution_reaches_the_worker_only_by_fork(monkeypatch, capsys):
 def test_caller_never_imports_scipy_on_a_warm_cache(capsys):
     # with the field in the cache, only the spectrum needs scipy, and it runs
     # in the worker: a fresh interpreter runs all five stages and ends
-    # without scipy
+    # without scipy, and the fork that starts the worker loads neither
+    # multiprocessing nor concurrent.futures
     assert main(["solve"] + M_ARGS) == 0
     capsys.readouterr()
     out = subprocess.run(
@@ -502,7 +514,8 @@ def test_caller_never_imports_scipy_on_a_warm_cache(capsys):
          "import sys; from saddlecheck import cli; "
          "code = cli.main(sys.argv[1:]); "
          "print(code, sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))", "run"] + M_ARGS,
+         "if m.split('.')[0] in ('scipy', 'multiprocessing') "
+         "or m.startswith('concurrent.futures')))", "run"] + M_ARGS,
         env=_program_env(), capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
     assert lines[-2] == ("RESULT pass stages=solve,suite,supersolution,"
@@ -569,13 +582,14 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
 
 
 def test_worker_dying_without_results_raises(monkeypatch, capsys):
-    # the pool raises BrokenProcessPool, which ends the run like a failed
-    # Newton solve
+    # a worker that exits without a reply raises ChildProcessError, naming
+    # its exit status, which ends the run like a failed Newton solve
     _with_budget(monkeypatch, 500)
     monkeypatch.setattr(cli, "min_eigenvalue", lambda *args: os._exit(3))
     assert main(["run"] + M_ARGS) == 2
     captured = capsys.readouterr()
-    assert re.search(r"^error: .*terminated abruptly", captured.err, re.M)
+    assert re.search(r"^error: .*terminated abruptly \(exit status 3\)$",
+                     captured.err, re.M)
     assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
     assert not Path("out/report.json").exists()
     _no_child_left()
@@ -625,7 +639,7 @@ def _alive(pid):
                     reason="reads process states from /proc")
 def test_worker_ends_with_a_killed_caller(tmp_path):
     # SIGKILL runs no handler in the caller; the kernel closes its end of
-    # the pipe, and the worker, which would sleep for a minute, ends
+    # the socket pair, and the worker, which would sleep for a minute, ends
     pid_file = tmp_path / "worker.pid"
     caller = subprocess.Popen(
         [sys.executable, "-c", _ORPHAN_RUN, str(pid_file), "run"] + M_ARGS,

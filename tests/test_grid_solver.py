@@ -1,6 +1,7 @@
 """Grid construction and the damped Newton solver."""
 
 import gc
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -23,6 +24,12 @@ def test_build_grid_validation():
         build_grid(4.0, 0.1)           # radius too small
     with pytest.raises(ValueError):
         build_grid(12.0, 0.07)         # R/h not an integer
+    # a NaN fails every comparison and an infinite R/h has no integer
+    # value: each is refused by name, not by a failed int conversion
+    for R, h, message in [(inf, 0.1, "got R=inf"), (nan, 0.1, "got R=nan"),
+                          (12.0, nan, "got h=nan"), (12.0, inf, "got h=inf")]:
+        with pytest.raises(ValueError, match=message):
+            build_grid(R, h)
 
 
 def test_node_classification():
