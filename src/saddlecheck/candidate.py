@@ -8,12 +8,14 @@ A product rule plus the differentiated equation collapses L(Phi) to
 with C_s = Delta_m f + ((m-1)/s^2) f, C_ss = 2 f_s, C_tt = 2 h_t,
 C_st = 2 f_t + 2 h_s, and C_t the s<->t mirror of C_s.  Stability follows
 once Phi > 0 and L Phi <= 0, so the verifier needs tight point values of the
-five C coefficients.  f is written once, in f_generic, and its partials come
-one way: symbolic differentiation of the expression DAG that f_generic
-builds.  wedge_fields runs one rigor.Tape of f, h and the five C DAGs over
-the wedge nodes 0 < t < s alone, as 1-D arrays, and gives Phi and L Phi
-there, for the dimension n = 2m the solution carries; the interval proofs
-bound the same DAGs over boxes.
+five C coefficients.  f and Phi_0 are written once each, in f_generic and
+phi0_generic, and their partials come one way: symbolic differentiation of
+the expression DAGs that those functions build, which gives L Phi_0 =
+Delta_m Phi_0 + (1 - 3u^2) Phi_0 too.  wedge_fields runs one rigor.Tape of
+f, h, the five C DAGs, Phi_0 and Delta_m Phi_0 over the wedge nodes
+0 < t < s alone, as 1-D arrays, and gives Phi and L Phi there, for the
+dimension n = 2m the solution carries; the interval proofs bound the same
+DAGs over boxes.
 """
 
 from __future__ import annotations
@@ -88,15 +90,18 @@ def f_generic(s, t, cand: CandidateParams):
 def phi0_generic(s, t, cand: CandidateParams):
     """Additive far-field corrector Phi_0, symmetric in (s,t).  Its leading
     harmonic-like term is tuned to dominate the e^(t-s) tail that f u_s + h u_t
-    alone fails to control."""
+    alone fails to control.  Works on plain arrays and on ExprNode DAGs, as
+    f_generic does."""
     c, p = cand.phi0_coeff, cand.phi0_exponent
     return c * (s ** (-p) * np.exp(-t / 3.0) + t ** (-p) * np.exp(-s / 3.0))
 
 
-def _f_dags(cand: CandidateParams, first: str, second: str):
+def _f_dags(cand: CandidateParams, first: str, second: str,
+            profile=f_generic):
     """(f, f_1, f_2, f_11, f_12, f_22) as DAGs in the variables s and t, with
-    the variable named `first` in f's first slot."""
-    e = f_generic(ExprNode.var(first), ExprNode.var(second), cand)
+    the variable named `first` in f's first slot; f is f_generic, or the
+    profile given."""
+    e = profile(ExprNode.var(first), ExprNode.var(second), cand)
     memo_1, memo_2 = {}, {}
     e1, e2 = differentiate(e, first, memo_1), differentiate(e, second, memo_2)
     return (e, e1, e2, differentiate(e1, first, memo_1),
@@ -106,7 +111,8 @@ def _f_dags(cand: CandidateParams, first: str, second: str):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Point values of f, h and the five coefficient fields at (s, t)."""
+    """Point values of f, h, the five coefficient fields, Phi_0 and its drift
+    Laplacian Delta_m Phi_0 at (s, t)."""
     f: np.ndarray
     h: np.ndarray
     c_s: np.ndarray
@@ -114,10 +120,13 @@ class CoefficientSet:
     c_ss: np.ndarray
     c_st: np.ndarray
     c_tt: np.ndarray
+    phi0: np.ndarray
+    lap_phi0: np.ndarray
 
 
 def candidate_expressions(cand: CandidateParams) -> dict:
-    """f, h and the five C's as expression DAGs in the variables s and t.
+    """f, h, the five C's, Phi_0 and Delta_m Phi_0 as expression DAGs in the
+    variables s and t, keyed by the CoefficientSet field names.
 
     h(s,t) = -f(t,s), so every h partial is a mirrored f partial:
     h_s = -g_t, h_t = -g_s, h_ss = -g_tt, h_st = -g_st, h_tt = -g_ss with
@@ -126,43 +135,24 @@ def candidate_expressions(cand: CandidateParams) -> dict:
     s, t, d = ExprNode.var("s"), ExprNode.var("t"), cand.m - 1
     f, fs, ft, fss, _, ftt = _f_dags(cand, "s", "t")
     g, gs, gt, gss, _, gtt = _f_dags(cand, "t", "s")
+    p, ps, pt, pss, _, ptt = _f_dags(cand, "s", "t", phi0_generic)
     return {"f": f, "h": -g,
             "c_s": fss + ftt + d / s * fs + d / t * ft + d / s**2 * f,
             "c_t": -(gss + gtt + d / s * gt + d / t * gs + d / t**2 * g),
             "c_ss": 2.0 * fs,
             "c_st": 2.0 * ft - 2.0 * gt,
-            "c_tt": -2.0 * gs}
+            "c_tt": -2.0 * gs,
+            "phi0": p,
+            "lap_phi0": pss + ptt + d / s * ps + d / t * pt}
 
 
 def coefficient_set(s, t, cand: CandidateParams) -> CoefficientSet:
-    """f, h and all five C coefficients at (s, t): one Tape of the DAGs the
-    proofs bound, run over float arrays."""
+    """Every CoefficientSet field at (s, t): one Tape of the catalogue's
+    DAGs (the proofs bound the same ones), run over float arrays."""
     cat = candidate_expressions(cand)
     tape = Tape([cat[c.name] for c in fields(CoefficientSet)])
     env = {"s": np.asarray(s, dtype=float), "t": np.asarray(t, dtype=float)}
     return CoefficientSet(*tape.run(env))
-
-
-def l_phi0_summand(s, t, u_value, cand: CandidateParams):
-    """L applied to the single summand c*s^(-p)*e^(-t/3).
-
-    Closed form: the radial part contributes c*(p^2 + p - (m-1)p) s^(-p-2)
-    e^(-t/3) (identically zero when p = m-1, i.e. n = 10, 12); the rest is
-    psi * (1/9 + 1 - (m-1)/(3t) - 3u^2).
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    c, p, d = cand.phi0_coeff, cand.phi0_exponent, cand.m - 1
-    psi = c * s ** (-p) * np.exp(-t / 3.0)
-    lead = c * (p * p + p - d * p) * s ** (-p - 2.0) * np.exp(-t / 3.0)
-    return lead + psi * (1.0 / 9.0 + 1.0 - d / (3.0 * t) - 3.0 * np.asarray(u_value) ** 2)
-
-
-def l_phi0(s, t, u_value, cand: CandidateParams):
-    """L Phi_0 with both symmetric summands (u is symmetric up to sign, and
-    only u^2 enters)."""
-    return (l_phi0_summand(s, t, u_value, cand)
-            + l_phi0_summand(t, s, u_value, cand))
 
 
 def wedge_fields(sol):
@@ -172,7 +162,8 @@ def wedge_fields(sol):
 
     Returns (i, j, cs, phi, l_phi): the nodes' s- and t-indices in
     row-major order, their CoefficientSet, Phi = f u_s + h u_t + Phi_0 and
-    L Phi from the coefficient identity, all 1-D over the nodes.
+    L Phi from the coefficient identity, with L Phi_0 = Delta_m Phi_0 +
+    (1 - 3u^2) Phi_0, all 1-D over the nodes.
     """
     cand = CandidateParams(n=2 * sol.m)
     i, j = np.tril_indices(sol.grid.N, -1)      # 0 <= j < i < N, shifted
@@ -180,10 +171,10 @@ def wedge_fields(sol):
     s, t = sol.grid.coords[i], sol.grid.coords[j]
     cs = coefficient_set(s, t, cand)
     u_s, u_t = sol.u_s[i, j], sol.u_t[i, j]
-    phi = cs.f * u_s + cs.h * u_t + phi0_generic(s, t, cand)
+    phi = cs.f * u_s + cs.h * u_t + cs.phi0
     l_phi = (cs.c_s * u_s + cs.c_t * u_t + cs.c_ss * sol.u_ss[i, j]
              + cs.c_st * sol.u_st[i, j] + cs.c_tt * sol.u_tt[i, j]
-             + l_phi0(s, t, sol.u[i, j], cand))
+             + cs.lap_phi0 + (1.0 - 3.0 * sol.u[i, j] ** 2) * cs.phi0)
     return i, j, cs, phi, l_phi
 
 

@@ -4,10 +4,11 @@ and rigor, then the report.
 Run settings come from command-line flags only.  Exit status is 0 iff every
 requested verification passed, 1 if one failed, and 2, with 'error: ...' on
 stderr and no report, if the run could not finish: a usage or configuration
-error, a failed Newton solve, a spectrum worker that died or raised
-spectral.MMatrixError, or an OSError (say --out under a file).  The last
-stdout line is then machine-parseable (--help prints only the help, and any
-other exception propagates with its traceback):
+error (a grid above grid.N_MAX among them), a failed Newton solve, a
+spectrum worker that died or raised spectral.MMatrixError, an OSError (say
+--out under a file) or a MemoryError, in this process or the worker.  The
+last stdout line is then machine-parseable (--help prints only the help,
+and any other exception propagates with its traceback):
 
     RESULT <pass|fail> stages=<csv> failures=<k>
 
@@ -389,7 +390,8 @@ def main(argv=None) -> int:
             for p in paths:
                 print(f"plot: {p}")
         print(f"report: {write_report(report, out / 'report.json')}")
-    except (ValueError, NewtonError, MMatrixError, OSError) as exc:
+    except (ValueError, NewtonError, MMatrixError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("RESULT fail stages= failures=1")
         return 2

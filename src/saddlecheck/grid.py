@@ -14,6 +14,12 @@ import numpy as np
 
 H_MAX = 0.2            # coarsest spacing build_grid accepts
 
+# The largest N = R/h build_grid accepts.  The scale grid (N = 800) peaks at
+# 514 MB, in the eigensolve's LU, and the peak grows like N^2, so N = 4,000
+# would need about 13 GB: a larger grid is refused before anything is
+# allocated.  Like cli.MAX_M, the bound is fixed here, not a setting.
+N_MAX = 4000
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -46,13 +52,17 @@ class Grid:
 
 def grid_size(R: float, h: float) -> int:
     """N = R/h once the settings pass the rules of build_grid: 0 < h <= H_MAX,
-    finite R >= 8 and R/h an integer; raises ValueError otherwise."""
+    finite R >= 8 and R/h an integer at most N_MAX; raises ValueError
+    otherwise."""
     if not 0.0 < h <= H_MAX:
         raise ValueError(f"spacing must satisfy 0 < h <= {H_MAX:g}, got h={h}")
     if not 8.0 <= R < float("inf"):
         raise ValueError(f"truncation radius must be >= 8 and finite, "
                          f"got R={R}")
     ratio = R / h
+    if not ratio < N_MAX + 0.5:         # an overflowing R/h is inf
+        raise ValueError(f"R/h must be at most {N_MAX}, got R={R}, h={h} "
+                         f"(R/h={ratio:g})")
     N = int(round(ratio))
     if abs(ratio - N) > 1e-9 * max(1.0, ratio):
         raise ValueError(f"R/h must be an integer, got R={R}, h={h} (R/h={ratio})")

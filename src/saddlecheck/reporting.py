@@ -15,8 +15,6 @@ Three output formats, all deterministic:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from pathlib import Path
 
@@ -109,13 +107,9 @@ def export_csv(field: np.ndarray, name: str, h: float,
         raise ValueError(f"refusing to export empty field {name!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", name, "rows", field.shape[0],
-                     "cols", field.shape[1], "h", "%.17g" % h])
-    for row in field:
-        writer.writerow(["%.17g" % v for v in row])
-    path.write_text(buf.getvalue())
+    rows, cols = field.shape
+    np.savetxt(path, field, fmt="%.17g", delimiter=",", comments="",
+               header=f"name,{name},rows,{rows},cols,{cols},h,{h:.17g}")
     return path
 
 

@@ -811,8 +811,10 @@ def defect_quotient_expression() -> ExprNode:
 
 def builtin_expressions(n: int = 8) -> dict:
     """Expression-tree catalog for dimension n: the profile f and its mirror
-    h, the five coefficient fields and, under "defect_gap", the subsolution
-    defect divided by H(y)H(z) in gap coordinates."""
+    h, the five coefficient fields, the corrector Phi_0 and its drift
+    Laplacian ("phi0", "lap_phi0", which no claim reads) and, under
+    "defect_gap", the subsolution defect divided by H(y)H(z) in gap
+    coordinates."""
     # candidate builds its DAGs with this module, so it is imported late
     from saddlecheck.candidate import CandidateParams, candidate_expressions
     cat = candidate_expressions(CandidateParams(n=n))

@@ -3,9 +3,10 @@
 Nothing here runs in `saddlecheck run` or `plot`.  Each function is a
 second, independent route to a quantity the program computes another way
 (the subsolution defect in 60-digit arithmetic, forward-mode jets of the
-candidate profile against the program's symbolic partials, the kernel rho by
-adaptive quadrature, a dense eigensolve, a Rayleigh quotient), a closed form
-the discretization must reproduce (the sine-Gordon saddle, the indicial
+candidate profile and of its corrector Phi_0 against the program's symbolic
+partials, the kernel rho by adaptive quadrature, a dense eigensolve, a
+Rayleigh quotient), a closed form the program or the discretization must
+reproduce (L Phi_0 derived by hand, the sine-Gordon saddle, the indicial
 roots), or a reader for what the program writes.  mpmath is a test-only
 dependency and is imported only here.
 """
@@ -18,7 +19,8 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from saddlecheck.candidate import CandidateParams, CoefficientSet, f_generic
+from saddlecheck.candidate import (CandidateParams, CoefficientSet, f_generic,
+                                   phi0_generic)
 from saddlecheck.grid import build_grid
 from saddlecheck.rigor import Tape
 from saddlecheck.scalars import SQRT2, heteroclinic, st_to_yz
@@ -197,30 +199,60 @@ class Jet2:
         return self._unary(v, 0.5 / v, -0.25 / v**3)
 
 
-def f_partials(s, t, cand: CandidateParams):
+def f_partials(s, t, cand: CandidateParams, profile=f_generic):
     """(f, f_s, f_t, f_ss, f_st, f_tt) at (s, t) by forward-mode jets
-    through candidate.f_generic."""
-    j = f_generic(Jet2.variable_s(s, t), Jet2.variable_t(s, t), cand)
+    through candidate.f_generic, or through the profile given (say
+    candidate.phi0_generic)."""
+    j = profile(Jet2.variable_s(s, t), Jet2.variable_t(s, t), cand)
     return (j.v, j.ds, j.dt, j.dss, j.dst, j.dtt)
 
 
 def jet_coefficients(s, t, cand: CandidateParams) -> CoefficientSet:
-    """f, h and the five C coefficients at (s, t) from the jet partials of f
-    and of h(s,t) = -f(t,s):  C_s = Delta_m f + ((m-1)/s^2) f, C_t its
-    mirror in h, C_ss = 2 f_s, C_st = 2 f_t + 2 h_s, C_tt = 2 h_t."""
+    """Every CoefficientSet field at (s, t) from jet partials: f, h and the
+    five C coefficients from those of f and of h(s,t) = -f(t,s),
+    C_s = Delta_m f + ((m-1)/s^2) f, C_t its mirror in h, C_ss = 2 f_s,
+    C_st = 2 f_t + 2 h_s, C_tt = 2 h_t; Phi_0 and Delta_m Phi_0 from those
+    of phi0_generic."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     d = cand.m - 1
     f, fs, ft, fss, _, ftt = f_partials(s, t, cand)
     g, gs, gt, gss, _, gtt = f_partials(t, s, cand)    # f(t, s), slot order
     h, h_s, h_t, h_ss, h_tt = -g, -gt, -gs, -gtt, -gss
+    p, ps, pt, pss, _, ptt = f_partials(s, t, cand, phi0_generic)
     return CoefficientSet(
         f=f, h=h,
         c_s=fss + ftt + d / s * fs + d / t * ft + d / s**2 * f,
         c_t=h_ss + h_tt + d / s * h_s + d / t * h_t + d / t**2 * h,
         c_ss=2.0 * fs,
         c_st=2.0 * ft + 2.0 * h_s,
-        c_tt=2.0 * h_t)
+        c_tt=2.0 * h_t,
+        phi0=p,
+        lap_phi0=pss + ptt + d / s * ps + d / t * pt)
+
+
+def l_phi0_summand(s, t, u_value, cand: CandidateParams):
+    """L = Delta_m + (1 - 3u^2) applied to the single summand
+    psi = c s^(-p) e^(-t/3) of Phi_0, by hand.
+
+    Closed form: the radial part contributes c (p^2 + p - (m-1)p) s^(-p-2)
+    e^(-t/3) (identically zero when p = m-1, i.e. n = 10, 12); the rest is
+    psi (1/9 + 1 - (m-1)/(3t) - 3u^2).
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    c, p, d = cand.phi0_coeff, cand.phi0_exponent, cand.m - 1
+    psi = c * s ** (-p) * np.exp(-t / 3.0)
+    lead = c * (p * p + p - d * p) * s ** (-p - 2.0) * np.exp(-t / 3.0)
+    return lead + psi * (1.0 / 9.0 + 1.0 - d / (3.0 * t)
+                         - 3.0 * np.asarray(u_value) ** 2)
+
+
+def l_phi0(s, t, u_value, cand: CandidateParams):
+    """L Phi_0 in closed form, both symmetric summands (u is symmetric up to
+    sign, and only u^2 enters)."""
+    return (l_phi0_summand(s, t, u_value, cand)
+            + l_phi0_summand(t, s, u_value, cand))
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_min_eigenvalue, evaluate, rho1, validate_exact
-from saddlecheck.candidate import (CandidateParams, coefficient_set, l_phi0,
-                                   wedge_fields)
+from saddlecheck.candidate import CandidateParams, coefficient_set, wedge_fields
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.grid import build_grid
 from saddlecheck.rigor import (IntervalArray, builtin_expressions, claims,
@@ -87,11 +86,11 @@ def test_criterion_5_supersolution_certificate(solved):
 
 def test_criterion_6_ablation(solved):
     sol = solved(4, 30.0, 0.1)
-    i, j, _, _, full = wedge_fields(sol)
+    i, j, cs, _, full = wedge_fields(sol)
     inner = i < sol.grid.N
     i, j, full = i[inner], j[inner], full[inner]
-    without = full - l_phi0(sol.grid.coords[i], sol.grid.coords[j],
-                            sol.u[i, j], CandidateParams(n=8))
+    without = full - (cs.lap_phi0[inner] + (1.0 - 3.0 * sol.u[i, j]**2)
+                      * cs.phi0[inner])
     worst = float(without.max())
     worst_full = float(full.max())
     _line(6, "ablation-phi0", worst > 0.0 and worst_full < 0.0,

@@ -4,14 +4,14 @@ region diagnostics."""
 import numpy as np
 import pytest
 
-from oracles import f_partials, indicial_roots, jet_coefficients
+from oracles import (f_partials, indicial_roots, jet_coefficients, l_phi0,
+                     l_phi0_summand)
 import saddlecheck.candidate as candidate
 from saddlecheck.candidate import (REGION_E1, REGION_E2, REGION_E3,
-                                   CandidateParams, _f_dags,
+                                   CandidateParams, CoefficientSet, _f_dags,
                                    candidate_expressions, coefficient_set,
-                                   f_generic, l_phi0, l_phi0_summand,
-                                   lambda_coeff, phi0_generic, region_classify,
-                                   t_ratio, wedge_fields)
+                                   f_generic, lambda_coeff, phi0_generic,
+                                   region_classify, t_ratio, wedge_fields)
 from saddlecheck.checks import verify_supersolution
 from saddlecheck.rigor import Tape
 
@@ -103,8 +103,14 @@ def test_coefficient_signs_at_reference_point():
     assert cs.c_s < 0 and cs.c_ss < 0 and cs.c_st < 0
 
 
+def _l_phi0(cs, u):
+    """L Phi_0 = Delta_m Phi_0 + (1 - 3u^2) Phi_0 from a CoefficientSet."""
+    return cs.lap_phi0 + (1.0 - 3.0 * u**2) * cs.phi0
+
+
 def test_l_phi0_closed_form():
-    # one-summand check by direct substitution at (s,t,u) = (2,1,0.9)
+    # the oracle's one-summand closed form by direct substitution at
+    # (s,t,u) = (2,1,0.9)
     want = N8.phi0_coeff * (-0.36 * 2.0**-3.8 * np.exp(-1 / 3)
                             + 2.0**-1.8 * np.exp(-1 / 3)
                             * (-1.0 + 10 / 9 - 3 * 0.81))
@@ -114,6 +120,39 @@ def test_l_phi0_closed_form():
     total = l_phi0(2.0, 1.0, 0.9, N8)
     assert total == pytest.approx(got + l_phi0_summand(1.0, 2.0, 0.9, N8),
                                   rel=1e-12)
+    # and the catalogue's Phi_0 and Delta_m Phi_0, differentiated by the
+    # program, give it too
+    assert _l_phi0(coefficient_set(2.0, 1.0, N8), 0.9) == \
+        pytest.approx(total, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_l_phi0_three_routes(n):
+    # L Phi_0 from the catalogue (symbolic partials of phi0_generic), from
+    # forward-mode jets of phi0_generic and from the closed form derived by
+    # hand, at seeded wedge points, some next to the cone s = t and some
+    # next to the axis t = 0
+    rng = np.random.default_rng(300 + n)
+    cand = CandidateParams(n=n)
+    t = np.concatenate([rng.uniform(0.05, 20.0, 4000),
+                        rng.uniform(1e-3, 0.05, 500),
+                        rng.uniform(0.05, 20.0, 500)])
+    gap = np.concatenate([rng.uniform(1e-3, 20.0, 4500),
+                          rng.uniform(1e-9, 1e-3, 500)])
+    s = t + gap
+    u = rng.uniform(-1.0, 1.0, s.size)
+    ours, jets = coefficient_set(s, t, cand), jet_coefficients(s, t, cand)
+    got = _l_phi0(ours, u)
+    # the radial terms of t^(-p) e^(-s/3), of size Phi_0/t^2, cancel exactly
+    # for n = 10, 12; the symbolic and jet routes carry that cancellation,
+    # so their rounding error is measured against those terms too
+    scale = (np.abs(ours.phi0) * (1.0 + 3.0 * u**2 + 1.0 / t**2)
+             + np.abs(ours.lap_phi0))
+    assert np.max(np.abs(got - _l_phi0(jets, u)) / scale) < 1e-12
+    assert np.max(np.abs(got - l_phi0(s, t, u, cand)) / scale) < 1e-12
+    assert np.max(np.abs(ours.phi0 - jets.phi0) / jets.phi0) < 1e-14
+    # Phi_0 on the tape is phi0_generic on arrays, bit for bit
+    assert np.array_equal(ours.phi0, phi0_generic(s, t, cand))
 
 
 def test_phi0_radially_harmonic_for_n10():
@@ -158,10 +197,11 @@ def test_l_phi_routes_and_symmetry(sol_m4_coarse):
     c = jet_coefficients(s, t, N8)
     lp_jet = (c.c_s * sol.u_s[i, j] + c.c_t * sol.u_t[i, j]
               + c.c_ss * sol.u_ss[i, j] + c.c_st * sol.u_st[i, j]
-              + c.c_tt * sol.u_tt[i, j] + l_phi0(s, t, sol.u[i, j], N8))
+              + c.c_tt * sol.u_tt[i, j] + _l_phi0(c, sol.u[i, j]))
     assert np.max(np.abs(lp_sym - lp_jet)) < 1e-10
-    # bit for bit the full-quadrant route: Phi from f_generic on arrays, and
-    # the tape of the five C's over every node, (2, 1) standing in for the
+    # bit for bit the full-quadrant route: Phi from f_generic and
+    # phi0_generic on arrays, and the tape of the catalogue (the five C's,
+    # Phi_0 and Delta_m Phi_0) over every node, (2, 1) standing in for the
     # nodes off the wedge
     S, T = sol.grid.meshgrid()
     wedge = (S > T) & (T > 0)
@@ -169,11 +209,11 @@ def test_l_phi_routes_and_symmetry(sol_m4_coarse):
     phi_ref = (f_generic(S, T, N8) * sol.u_s - f_generic(T, S, N8) * sol.u_t
                + phi0_generic(S, T, N8))
     cat = candidate_expressions(N8)
-    c_s, c_t, c_ss, c_st, c_tt = Tape(
-        [cat[k] for k in ("c_s", "c_t", "c_ss", "c_st", "c_tt")]).run(
-        {"s": S, "t": T})
-    lp_ref = (c_s * sol.u_s + c_t * sol.u_t + c_ss * sol.u_ss
-              + c_st * sol.u_st + c_tt * sol.u_tt + l_phi0(S, T, sol.u, N8))
+    ref = CoefficientSet(**dict(zip(cat, Tape(list(cat.values())).run(
+        {"s": S, "t": T}))))
+    lp_ref = (ref.c_s * sol.u_s + ref.c_t * sol.u_t + ref.c_ss * sol.u_ss
+              + ref.c_st * sol.u_st + ref.c_tt * sol.u_tt + ref.lap_phi0
+              + (1.0 - 3.0 * sol.u**2) * ref.phi0)
     assert np.array_equal(phi.view(np.int64), phi_ref[i, j].view(np.int64))
     assert np.array_equal(lp_sym.view(np.int64), lp_ref[i, j].view(np.int64))
 

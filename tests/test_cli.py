@@ -20,7 +20,7 @@ from saddlecheck import cli, spectral
 from saddlecheck.cache import CACHE_ENV_VAR
 from saddlecheck.cli import (RunConfig, build_parser, main, run_rigor,
                              run_stages)
-from saddlecheck.grid import build_grid
+from saddlecheck.grid import N_MAX, build_grid
 from saddlecheck.rigor import DEFECT_A_MAX
 from saddlecheck.solver import NewtonError, SaddleSolution, newton_solve
 
@@ -204,6 +204,29 @@ def test_exit_code_two_on_config_error(capsys):
                          captured.err, re.M)
         assert captured.out.splitlines()[-1] == \
             "RESULT fail stages= failures=1"
+    # a grid above grid.N_MAX is refused before anything is allocated or
+    # cached (at R = 1e6, h = 0.2 build_grid's masks would take 22.7 TiB)
+    rc = main(["run", "--m", "4", "--R", "1e6", "--h", "0.2",
+               "--stages", "solve"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"R/h must be at most {N_MAX}, got R=1000000.0, h=0.2" \
+        in captured.err
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
+    assert not Path(os.environ[CACHE_ENV_VAR]).exists()
+
+
+def test_memory_error_exits_two(monkeypatch, capsys):
+    # an allocation that fails after the settings passed ends like any other
+    # run that could not finish: exit 2, 'error: ...' and the RESULT line
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 13.0 GiB")
+    monkeypatch.setattr(cli, "load_or_solve", exhausted)
+    rc = main(["run", "--stages", "solve"] + M_ARGS)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: Unable to allocate 13.0 GiB" in captured.err
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
 
 
 def test_nan_residual_fails_the_solve():

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from oracles import residual_yz_form, sine_gordon_saddle, weighted_residual
 from saddlecheck import solver
-from saddlecheck.grid import build_grid
+from saddlecheck.grid import N_MAX, build_grid, grid_size
 from saddlecheck.scalars import hh_supersolution, st_to_yz
 from saddlecheck.solver import (NEWTON_TOL, NewtonError, _lu_solve, _newton,
                                 impose_boundary, initial_guess, newton_solve,
@@ -30,6 +30,14 @@ def test_build_grid_validation():
                           (12.0, nan, "got h=nan"), (12.0, inf, "got h=inf")]:
         with pytest.raises(ValueError, match=message):
             build_grid(R, h)
+    # a grid above N_MAX is refused before its masks are allocated (at
+    # R = 1e6, h = 0.2 they would take 22.7 TiB), and so is an R/h that
+    # overflows to inf
+    for R, h in [(1e6, 0.2), (1e10, 1e-300)]:
+        with pytest.raises(ValueError, match=rf"R/h must be at most "
+                                             rf"{N_MAX}, got R={R}, h={h}"):
+            build_grid(R, h)
+    assert grid_size(N_MAX * 0.002, 0.002) == N_MAX
 
 
 def test_node_classification():
