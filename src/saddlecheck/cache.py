@@ -24,7 +24,10 @@ from saddlecheck.grid import build_grid
 from saddlecheck.solver import (NEWTON_TOL, SaddleSolution,
                                 compute_derivatives, newton_solve)
 
-CACHE_FORMAT = 2          # 2: fields solved with solver.weighted_form
+# 2: fields solved with solver.weighted_form; 3: refined levels solved by
+# the CG loop of solver._TwoGrid, which sums without BLAS, so a field no
+# longer follows the BLAS thread count and has other bits than in format 2
+CACHE_FORMAT = 3
 CACHE_ENV_VAR = "SADDLECHECK_CACHE_DIR"
 
 log = logging.getLogger(__name__)
@@ -74,18 +77,25 @@ def save_solution(sol: SaddleSolution,
     """Write the solution to the cache; returns the entry path.
 
     Only the field itself is stored; derivative fields are recomputed on
-    load (they are deterministic functions of the field).
+    load (they are deterministic functions of the field).  Concurrent saves
+    of one key each leave a whole entry.
     """
     root = cache_dir(directory)
     root.mkdir(parents=True, exist_ok=True)
     header = _header(sol)
     header["sha256"] = _content_hash(header, sol.u)
     path = root / (solution_key(sol.m, sol.grid.R, sol.grid.h) + ".npz")
-    tmp = path.with_suffix(".npz.tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, u=sol.u, header=np.bytes_(json.dumps(header,
-                                                          sort_keys=True)))
-    os.replace(tmp, path)
+    # this writer's own temp file: another process saving the same key at
+    # the same time cannot truncate it or rename it away
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, u=sol.u, header=np.bytes_(json.dumps(header,
+                                                              sort_keys=True)))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -14,9 +14,11 @@ Newton step factors the symmetric Jacobian with one sparse LU in the
 minimum-degree ordering LU_ORDERING.  A refined level factors nothing of its
 own size: it solves each Newton system by conjugate gradients,
 preconditioned by one symmetric two-grid cycle whose coarse solve is the LU
-of the 2h Jacobian at the 2h solution.  The solved field is odd-reflected
-onto the full quadrant and all first and second derivative fields are
-produced with second-order stencils.
+of the 2h Jacobian at the 2h solution.  That CG is a loop of this module
+whose dot products and norms are numpy's pairwise sums (_dot), not BLAS
+calls, so the BLAS thread count does not enter the field's bits.  The
+solved field is odd-reflected onto the full quadrant and all first and
+second derivative fields are produced with second-order stencils.
 """
 
 from __future__ import annotations
@@ -180,7 +182,9 @@ def newton_solve(m: int, grid: Grid) -> SaddleSolution:
     every other level starts from the field solved on the level below,
     prolonged bilinearly, and solves by _TwoGrid, built from that level's
     Jacobian at its solved field.  Every level is solved to NEWTON_TOL.
-    Deterministic: identical inputs produce bitwise-identical fields.
+    Deterministic: identical inputs produce bitwise-identical fields, also
+    under another BLAS thread count (tested at 1 and 2), since no sum of the
+    solve goes through BLAS; other CPUs and SIMD widths were not measured.
     Raises ValueError for m < 1, and NewtonError on non-convergence, a
     non-finite residual or line-search failure at any level.
     """
@@ -275,8 +279,9 @@ class _TwoGrid:
         self.iters: list[int] = []
 
     def __call__(self, J, rhs: np.ndarray) -> np.ndarray:
-        """J^-1 rhs by preconditioned CG to CG_TOL; raises NewtonError when
-        CG_MAXITER iterations do not reach it."""
+        """J^-1 rhs by preconditioned CG from 0 to CG_TOL: done once
+        |r| < CG_TOL |rhs| before an iteration, as in scipy's cg; raises
+        NewtonError when CG_MAXITER iterations do not reach it."""
         weight = JACOBI_OMEGA / J.diagonal()
         P, lu = self.P, self.lu
 
@@ -289,22 +294,23 @@ class _TwoGrid:
                 x += weight * (r - J @ x)
             return x
 
-        count = 0
-
-        def counted(_):
-            nonlocal count
-            count += 1
-
-        delta, info = spla.cg(J, rhs, rtol=CG_TOL, maxiter=CG_MAXITER,
-                              M=spla.LinearOperator(J.shape, matvec=cycle,
-                                                     dtype=float),
-                              callback=counted)
-        if info:
-            raise NewtonError(f"CG stopped after {count} iterations at "
-                              f"relative residual {_relres(J, delta, rhs):.3e}"
-                              f" (target {CG_TOL:g})")
-        self.iters.append(count)
-        return delta
+        x, r = np.zeros_like(rhs), rhs.copy()
+        target = CG_TOL * _norm(rhs)
+        for count in range(CG_MAXITER):
+            if _norm(r) < target:
+                self.iters.append(count)
+                return x
+            z = cycle(r)
+            rho = _dot(r, z)
+            p = z if count == 0 else z + (rho / rho_prev) * p
+            q = J @ p
+            alpha = rho / _dot(p, q)        # numpy scalars: 0/0 is nan
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+        raise NewtonError(f"CG stopped after {CG_MAXITER} iterations at "
+                          f"relative residual {_relres(J, x, rhs):.3e}"
+                          f" (target {CG_TOL:g})")
 
 
 def _lu_solve(J, rhs: np.ndarray) -> np.ndarray:
@@ -353,10 +359,21 @@ def _newton(m: int, grid: Grid, U: np.ndarray, solve):
     return U, norm, iters, (K_uu, vol)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.floating:
+    """sum(a * b) by numpy's pairwise summation.  np.dot, @ and
+    np.linalg.norm go to BLAS, which may split a long sum across threads,
+    so their last bits follow the thread count; this sum's do not."""
+    return np.add.reduce(a * b)
+
+
+def _norm(x: np.ndarray) -> np.floating:
+    """The 2-norm of x by _dot."""
+    return np.sqrt(_dot(x, x))
+
+
 def _relres(J, delta: np.ndarray, rhs: np.ndarray) -> float:
-    """Relative residual |J delta - rhs| / |rhs| in the 2-norm."""
-    return float(np.linalg.norm(J @ delta - rhs)
-                 / max(np.linalg.norm(rhs), 1e-300))
+    """Relative residual |J delta - rhs| / |rhs| in the 2-norm, by _norm."""
+    return float(_norm(J @ delta - rhs) / max(_norm(rhs), 1e-300))
 
 
 def _checked(solve, J, rhs: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import import_csv
-from saddlecheck import rigor
+from saddlecheck import cache, rigor
 from saddlecheck.cache import (CACHE_ENV_VAR, CacheMismatch, _content_hash,
                                cache_dir, load_or_solve, load_solution,
                                save_solution, solution_key)
@@ -70,6 +70,39 @@ def test_cache_rejects_tampering(tmp_path, solved):
     assert np.array_equal(sol2.u, sol.u)
 
 
+def test_concurrent_saves_of_one_key(tmp_path, solved, monkeypatch):
+    # a second save of the same key runs while the first is mid-write, as
+    # when `run` and `plot` fill one cache at once: each writes its own temp
+    # file, so neither is truncated or renamed away under the other
+    sol = solved(M, R, H)
+    savez, calls = np.savez, []
+
+    def interleaved(fh, **arrays):
+        calls.append(fh)
+        fh.write(b"partial")
+        if len(calls) == 1:
+            save_solution(sol, tmp_path)
+        fh.seek(0)
+        savez(fh, **arrays)
+
+    monkeypatch.setattr(cache.np, "savez", interleaved)
+    path = save_solution(sol, tmp_path)
+    assert len(calls) == 2
+    assert np.array_equal(load_solution(path).u, sol.u)
+    assert list(tmp_path.glob("*.tmp")) == []
+
+    # a write that fails leaves no temp file and no entry
+    def failing(fh, **arrays):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache.np, "savez", failing)
+    path.unlink()
+    with pytest.raises(OSError, match="disk full"):
+        save_solution(sol, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _rewrite_header(path, edit):
     """Apply edit to a cache entry's header and give it a matching hash."""
     with np.load(path) as data:
@@ -98,6 +131,11 @@ def test_cache_rejects_entry_of_older_format(tmp_path, solved):
         load_solution(path)
     _, cached, _ = load_or_solve(M, R, H, directory=tmp_path)
     assert not cached
+    # format 2 fields came from a CG whose sums went through BLAS: their
+    # bits followed the thread count, so they are re-solved too
+    _rewrite_header(path, lambda header: header.update(format=2))
+    with pytest.raises(CacheMismatch, match="format 2, expected 3"):
+        load_solution(path)
 
 
 def test_rejected_cache_entry_is_logged_with_its_reason(tmp_path, solved,
@@ -109,7 +147,7 @@ def test_rejected_cache_entry_is_logged_with_its_reason(tmp_path, solved,
     [record] = [r for r in caplog.records if r.name == "saddlecheck.cache"]
     assert record.levelno == logging.WARNING
     assert str(path) in record.getMessage()
-    assert "format 1, expected 2" in record.getMessage()
+    assert "format 1, expected 3" in record.getMessage()
 
 
 def _empty(path):
@@ -175,7 +213,7 @@ def test_rejected_cache_reason_reaches_the_report(tmp_path, solved):
     report, _ = run_stages(cfg)
     solve = report["stages"]["solve"]
     assert solve["from_cache"] is False
-    assert "format 1, expected 2" in solve["cache_rejected"]
+    assert "format 1, expected 3" in solve["cache_rejected"]
     # the re-solve replaced the entry: a hit carries no rejection key
     report, _ = run_stages(cfg)
     assert report["stages"]["solve"]["from_cache"] is True

@@ -349,6 +349,32 @@ def test_cli_import_leaves_sympy_out():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one CPU: one and two BLAS threads cannot split "
+                           "a sum differently here")
+def test_report_does_not_follow_the_blas_thread_count(tmp_path):
+    # a cold solve, the suite and the supersolution under one and under two
+    # BLAS threads, set in the child since CI pins both variables to 1:
+    # every sum of the Newton solve is numpy's own, so the field, its
+    # certificate hash and each margin keep their bits
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(_program_env(), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   **{CACHE_ENV_VAR: str(tmp_path / f"cache{threads}")})
+        subprocess.run(
+            [sys.executable, "-m", "saddlecheck.cli", "run", "--m", "4",
+             "--R", "8", "--h", "0.05", "--stages", "solve,suite,supersolution",
+             "--out", str(out)],
+            env=env, capture_output=True, check=True)
+        rep = json.loads((out / "report.json").read_text())
+        del rep["timing"], rep["config"]["out"]
+        reports.append(rep)
+    assert reports[0]["stages"]["solve"]["from_cache"] is False
+    assert reports[0] == reports[1]
+
+
 _NO_FRONTIER = hashlib.sha256(b"").hexdigest()
 
 

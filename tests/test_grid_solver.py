@@ -94,6 +94,8 @@ def test_newton_converges_and_is_deterministic(solved):
     assert sol.u.tobytes() == again.u.tobytes()
     assert sol.cg_iters == again.cg_iters
     assert [h for h, _ in sol.cg_iters] == [0.05, 0.1]
+    # the counts of scipy's cg, whose stopping rule the loop keeps
+    assert sol.cg_iters == ((0.05, (10, 10)), (0.1, (10, 10)))
 
 
 def test_solution_shape_and_bounds(sol_m4_coarse):
@@ -250,6 +252,18 @@ def test_capped_cg_raises(monkeypatch):
     monkeypatch.setattr(solver, "CG_MAXITER", 1)
     with pytest.raises(NewtonError, match="CG stopped after 1 iterations"):
         newton_solve(4, build_grid(12.0, 0.1))
+
+
+def test_cg_breakdown_raises():
+    # an indefinite J on which the cycle is an exact solve: r.z and p.Jp are
+    # 0 in the first iteration, and 0/0 of numpy scalars is a nan that runs
+    # out the iterations, not a ZeroDivisionError
+    J = sp.diags([1.0, -1.0], format="csr")
+    solve = solver._TwoGrid(J, sp.identity(2, format="csr"))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NewtonError, match=f"CG stopped after {solver.CG_MAXITER} "
+                               f"iterations at relative residual nan"):
+        solve(J, np.ones(2))
 
 
 def test_nan_linear_solve_raises():
