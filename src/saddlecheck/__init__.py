@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.grid import Grid, build_grid
-from saddlecheck.solver import (SaddleSolution, compute_derivatives,
-                                newton_solve)
+from saddlecheck.solver import SaddleSolution, newton_solve
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.spectral import assemble, min_eigenvalue
 from saddlecheck.rigor import builtin_expressions, prove_nonpositive
@@ -24,7 +23,6 @@ __all__ = [
     "build_grid",
     "SaddleSolution",
     "newton_solve",
-    "compute_derivatives",
     "run_inequality_suite",
     "verify_supersolution",
     "assemble",

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from saddlecheck.grid import build_grid
-from saddlecheck.solver import (NEWTON_TOL, SaddleSolution,
-                                compute_derivatives, newton_solve)
+from saddlecheck.solver import NEWTON_TOL, SaddleSolution, newton_solve
 
 # 2: fields solved with solver.weighted_form; 3: refined levels solved by
 # the CG loop of solver._TwoGrid, which sums without BLAS, so a field no
@@ -76,9 +75,9 @@ def save_solution(sol: SaddleSolution,
                   directory: str | os.PathLike | None = None) -> Path:
     """Write the solution to the cache; returns the entry path.
 
-    Only the field itself is stored; derivative fields are recomputed on
-    load (they are deterministic functions of the field).  Concurrent saves
-    of one key each leave a whole entry.
+    Only the field itself is stored: a derivative field is computed from
+    it when something first reads it, as for a solved field.  Concurrent
+    saves of one key each leave a whole entry.
     """
     root = cache_dir(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -103,8 +102,9 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
     """Load and revalidate a cache entry; raises CacheMismatch, naming the
     cause, on an unreadable file, any format, header or hash discrepancy,
     an m that is not an int >= 1, an R or h that is not a finite real
-    number, a newton_iters that is not an int >= 0 or a residual_norm not
-    within NEWTON_TOL."""
+    number, a newton_iters that is not an int >= 0 or a residual_norm that
+    is not a float between 0 and NEWTON_TOL.  Derivative fields are not
+    computed here but on first read."""
     try:
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode())
@@ -137,9 +137,9 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
     if not (type(iters) is int and iters >= 0):
         raise CacheMismatch(f"{path}: newton_iters {iters!r} is not an "
                             f"int >= 0")
-    if not (isinstance(residual, float) and residual <= NEWTON_TOL):
+    if not (isinstance(residual, float) and 0.0 <= residual <= NEWTON_TOL):
         raise CacheMismatch(f"{path}: residual_norm {residual!r} is not "
-                            f"<= {NEWTON_TOL:g}")
+                            f"between 0 and {NEWTON_TOL:g}")
     try:
         grid = build_grid(header["R"], header["h"])
     except ValueError as exc:
@@ -147,9 +147,8 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
     if u.shape != (grid.N + 1, grid.N + 1):
         raise CacheMismatch(f"{path}: field shape {u.shape} does not match "
                             f"grid N={grid.N}")
-    sol = SaddleSolution(m=m, grid=grid, u=u, residual_norm=residual,
-                         newton_iters=iters)
-    return compute_derivatives(sol)
+    return SaddleSolution(m=m, grid=grid, u=u, residual_norm=residual,
+                          newton_iters=iters)
 
 
 def load_or_solve(m: int, R: float, h: float,

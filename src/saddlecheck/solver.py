@@ -17,15 +17,17 @@ preconditioned by one symmetric two-grid cycle whose coarse solve is the LU
 of the 2h Jacobian at the 2h solution.  That CG is a loop of this module
 whose dot products and norms are numpy's pairwise sums (_dot), not BLAS
 calls, so the BLAS thread count does not enter the field's bits.  The
-solved field is odd-reflected onto the full quadrant and all first and
-second derivative fields are produced with second-order stencils.
+solved field is odd-reflected onto the full quadrant; each first and second
+derivative field is computed by a second-order stencil the first time it is
+read.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +77,14 @@ class SaddleSolution:
     derivative fields.
 
     All arrays are (N+1, N+1), indexed [i, j] = (s = i*h, t = j*h).  The
-    field u is odd under (s,t) <-> (t,s) by construction; derivative fields
-    are second-order accurate except within 2h of the outer boundary, where
-    one-sided stencils are used.  newton_iters counts the Newton steps taken
-    on this grid; coarse_iters lists (h, steps) of each coarser level that
-    produced the start field, finest first;
+    field u is odd under (s,t) <-> (t,s) by construction.  Each derivative
+    field is computed from u the first time it is read, and kept.  They are
+    second-order accurate except within 2h of the outer boundary, where
+    one-sided stencils are used; u_y and u_z use rotated central stencils,
+    with even ghosts across both axes, and the chain rule on the outer
+    edges.  newton_iters counts the Newton steps taken on this grid;
+    coarse_iters lists (h, steps) of each coarser level that produced the
+    start field, finest first;
     cg_iters lists (h, CG iterations of each Newton step) of each refined
     level, finest first.  Both are empty for a cold start or a field loaded
     from the cache.
@@ -88,17 +93,44 @@ class SaddleSolution:
     m: int
     grid: Grid
     u: np.ndarray = field(repr=False)
-    u_s: np.ndarray | None = field(default=None, repr=False)
-    u_t: np.ndarray | None = field(default=None, repr=False)
-    u_ss: np.ndarray | None = field(default=None, repr=False)
-    u_st: np.ndarray | None = field(default=None, repr=False)
-    u_tt: np.ndarray | None = field(default=None, repr=False)
-    u_y: np.ndarray | None = field(default=None, repr=False)
-    u_z: np.ndarray | None = field(default=None, repr=False)
     residual_norm: float = math.nan
     newton_iters: int = 0
     coarse_iters: tuple = ()
     cg_iters: tuple = ()
+
+    @cached_property
+    def u_s(self) -> np.ndarray:
+        return _d1(self.u, self.grid.h, axis=0)
+
+    @cached_property
+    def u_t(self) -> np.ndarray:
+        return _d1(self.u, self.grid.h, axis=1)
+
+    @cached_property
+    def u_ss(self) -> np.ndarray:
+        return _d2(self.u, self.grid.h, axis=0)
+
+    @cached_property
+    def u_st(self) -> np.ndarray:
+        return _d1(self.u_s, self.grid.h, axis=1)
+
+    @cached_property
+    def u_tt(self) -> np.ndarray:
+        return _d2(self.u, self.grid.h, axis=1)
+
+    @cached_property
+    def u_y(self) -> np.ndarray:
+        out = (self.u_s + self.u_t) / SQRT2
+        P = np.pad(self.u, 1, mode="reflect")   # P[i, j] = U[i-1, j-1]
+        out[:-1, :-1] = (P[2:-1, 2:-1] - P[:-3, :-3]) / (2.0 * SQRT2 * self.grid.h)
+        return out
+
+    @cached_property
+    def u_z(self) -> np.ndarray:
+        out = (self.u_s - self.u_t) / SQRT2
+        P = np.pad(self.u, 1, mode="reflect")
+        out[:-1, :-1] = (P[2:-1, :-3] - P[:-3, 2:-1]) / (2.0 * SQRT2 * self.grid.h)
+        return out
 
 
 class NewtonError(RuntimeError):
@@ -205,10 +237,9 @@ def newton_solve(m: int, grid: Grid) -> SaddleSolution:
             cg.insert(0, (level.h, tuple(solve.iters)))
         coarse = level
     solve = block = None
-    sol = SaddleSolution(m=m, grid=grid, u=U, residual_norm=norm,
-                         newton_iters=iters, coarse_iters=tuple(steps[1:]),
-                         cg_iters=tuple(cg))
-    return compute_derivatives(sol)
+    return SaddleSolution(m=m, grid=grid, u=U, residual_norm=norm,
+                          newton_iters=iters, coarse_iters=tuple(steps[1:]),
+                          cg_iters=tuple(cg))
 
 
 def grid_chain(grid: Grid) -> list[Grid]:
@@ -409,29 +440,3 @@ def _d2(U: np.ndarray, h: float, axis: int) -> np.ndarray:
     out[0] = 2.0 * (A[1] - A[0]) / h**2
     out[-1] = (2.0 * A[-1] - 5.0 * A[-2] + 4.0 * A[-3] - A[-4]) / h**2
     return out if axis == 0 else out.T
-
-
-def compute_derivatives(sol: SaddleSolution) -> SaddleSolution:
-    """Fill all derivative fields of a solved solution.
-
-    u_y and u_z come from rotated stencils at rotated-interior nodes and fall
-    back to chain-rule combinations on the outer edges.
-    """
-    grid, h = sol.grid, sol.grid.h
-    U = sol.u
-    u_s = _d1(U, h, axis=0)
-    u_t = _d1(U, h, axis=1)
-    u_ss = _d2(U, h, axis=0)
-    u_tt = _d2(U, h, axis=1)
-    u_st = _d1(u_s, h, axis=1)
-
-    u_y = (u_s + u_t) / SQRT2
-    u_z = (u_s - u_t) / SQRT2
-    # rotated central stencils, with even ghosts across both axes
-    P = np.pad(U, 1, mode="reflect")  # P[i, j] = U[i-1, j-1], reflected edges
-    u_y[:-1, :-1] = (P[2:-1, 2:-1] - P[:-3, :-3]) / (2.0 * SQRT2 * h)
-    u_z[:-1, :-1] = (P[2:-1, :-3] - P[:-3, 2:-1]) / (2.0 * SQRT2 * h)
-
-    fields = dict(u_s=u_s, u_t=u_t, u_ss=u_ss, u_st=u_st, u_tt=u_tt,
-                  u_y=u_y, u_z=u_z)
-    return replace(sol, **fields)

@@ -159,7 +159,7 @@ def _digest(obj) -> str:
     if isinstance(obj, np.ndarray):
         return hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()
     return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()
+        json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def report_digest(check: dict) -> str:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import import_csv
-from saddlecheck import cache, rigor
+from saddlecheck import cache, rigor, solver
 from saddlecheck.cache import (CACHE_ENV_VAR, CacheMismatch, _content_hash,
                                cache_dir, load_or_solve, load_solution,
                                save_solution, solution_key)
@@ -27,7 +27,7 @@ def test_cache_roundtrip_bitwise(tmp_path, solved):
     assert path.stem == solution_key(M, R, H)
     back = load_solution(path)
     assert np.array_equal(back.u, sol.u)
-    assert np.array_equal(back.u_ss, sol.u_ss)   # derivatives recomputed
+    assert np.array_equal(back.u_ss, sol.u_ss)   # computed on first read
     assert back.m == M and back.grid.h == H
 
 
@@ -185,7 +185,12 @@ def _header_with(**fields):
     (_truncated, "BadZipFile"),
     (_plain_array, "TypeError"),
     (_header_without_residual_norm, "lacks residual_norm"),
-    (_header_with_nan_residual_norm, "residual_norm nan is not <= 1e-10"),
+    (_header_with_nan_residual_norm,
+     "residual_norm nan is not between 0 and 1e-10"),
+    (_header_with(residual_norm=-1e-12),
+     "residual_norm -1e-12 is not between 0 and 1e-10"),
+    (_header_with(residual_norm=float("-inf")),
+     "residual_norm -inf is not between 0 and 1e-10"),
     (_header_with(m=0), "m 0 is not an int >= 1"),
     (_header_with(m=4.5), "m 4.5 is not an int >= 1"),
     (_header_with(m="4"), "m '4' is not an int >= 1"),
@@ -193,8 +198,9 @@ def _header_with(**fields):
     (_header_with(h=float("nan")), "h nan is not a finite real number"),
     (_header_with(newton_iters="x"), "newton_iters 'x' is not an int >= 0"),
 ], ids=["empty", "truncated", "plain-array", "no-residual-norm",
-        "nan-residual-norm", "m-zero", "m-float", "m-string", "R-string",
-        "h-nan", "newton-iters-string"])
+        "nan-residual-norm", "residual-negative", "residual-neg-inf",
+        "m-zero", "m-float", "m-string", "R-string", "h-nan",
+        "newton-iters-string"])
 def test_damaged_cache_entry_is_rejected_with_its_cause(tmp_path, solved,
                                                         damage, cause):
     sol = solved(M, R, H)
@@ -218,6 +224,28 @@ def test_rejected_cache_reason_reaches_the_report(tmp_path, solved):
     report, _ = run_stages(cfg)
     assert report["stages"]["solve"]["from_cache"] is True
     assert "cache_rejected" not in report["stages"]["solve"]
+
+
+def test_solve_stage_computes_no_derivative(tmp_path, monkeypatch):
+    # nothing in a solve run reads a derivative field, so no stencil runs,
+    # neither after the Newton solve (cold) nor after the load (warm)
+    calls = []
+
+    def counted(stencil):
+        def call(*args, **kwargs):
+            calls.append(stencil.__name__)
+            return stencil(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(solver, "_d1", counted(solver._d1))
+    monkeypatch.setattr(solver, "_d2", counted(solver._d2))
+    cfg = RunConfig(m=M, R=R, h=H, stages=("solve",), cache=str(tmp_path))
+    for from_cache in (False, True):
+        report, sol = run_stages(cfg)
+        assert report["stages"]["solve"]["from_cache"] is from_cache
+        assert calls == []
+    sol.u_st                        # reads u_s, then differentiates it
+    assert calls == ["_d1", "_d1"]
 
 
 def test_entry_under_another_key_is_rejected(tmp_path, solved):

@@ -195,13 +195,5 @@ def test_supersolution_gate_has_no_tolerance(sol_m4_coarse, monkeypatch):
     assert ph[i < sol_m4_coarse.grid.N].min() > 0.0
 
 
-def test_suite_requires_derivative_fields(sol_m4_coarse):
-    import dataclasses
-
-    stripped = dataclasses.replace(sol_m4_coarse, u_s=None)
-    with pytest.raises(ValueError):
-        run_inequality_suite(stripped)
-
-
 def test_weighted_deficit_constant():
     assert _deficit_rho_constant() == pytest.approx(5.192266261051069, rel=1e-12)

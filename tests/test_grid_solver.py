@@ -1,6 +1,8 @@
 """Grid construction and the damped Newton solver."""
 
+import dataclasses
 import gc
+import hashlib
 from math import inf, nan
 
 import numpy as np
@@ -129,7 +131,37 @@ def test_derivative_fields_consistent(sol_m4_coarse):
     assert np.max(np.abs(lhs - rhs)) < 5e-3   # both second order, offset grids
     # second derivatives symmetric in the mixed partial: u_st == u_ts by
     # construction of the cross stencil
-    assert sol.u_st is not None and np.all(np.isfinite(sol.u_st[inner]))
+    assert np.all(np.isfinite(sol.u_st[inner]))
+
+
+# sha256 of each derivative field at m = 4, R = 8, h = 0.2: the stencils are
+# elementwise numpy arithmetic, so their bits follow from the field's
+DERIVATIVE_SHA256 = {
+    "u_s": "46be96678d784e49acacaee67696bb0bd43626d38dfb67ebddf97b3c523c6c67",
+    "u_t": "c9a101e40b8c507968dfac07953ab49c0164dc3f5e4ffc9e83f7185ff0308f70",
+    "u_ss": "587e78e3b530945d37208f8b38857db5ac64437d69e04ec1e04db82a360f16b4",
+    "u_st": "755aab7071730a017f235c846ad01f8a1fab13449c907a0dd03ed5dea88fc01e",
+    "u_tt": "b4361226d499a1a93d043a886d40e9ad021b48c7276d1bfb782f0532b00abf65",
+    "u_y": "45eb0a230a34b8d1fa3a7cea50bc533506703c6f7de03021eafbdac6ff276b2f",
+    "u_z": "1c710936c91459c091bec8c5118d4f819a1a4ae225074aa7ad975f07b6e1ee88",
+}
+
+
+def test_derivative_fields_keep_their_bits(solved):
+    sol = solved(4, 8.0, 0.2)
+    got = {name: hashlib.sha256(
+        np.ascontiguousarray(getattr(sol, name)).tobytes()).hexdigest()
+        for name in DERIVATIVE_SHA256}
+    assert got == DERIVATIVE_SHA256
+
+
+def test_derivative_fields_follow_the_field(sol_m4_coarse):
+    # a derivative is computed from the u it is read on: replace() does not
+    # carry the fields of the solution it copies
+    sol = sol_m4_coarse
+    flipped = dataclasses.replace(sol, u=-sol.u)
+    for name in DERIVATIVE_SHA256:
+        assert np.array_equal(getattr(flipped, name), -getattr(sol, name))
 
 
 def test_residual_rotated_frame(sol_m4_coarse):

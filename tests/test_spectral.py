@@ -15,7 +15,7 @@ from saddlecheck import spectral
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.spectral import (EIG_SIGMA, CertificateError, assemble,
                                   certify_shift, min_eigenvalue,
-                                  stability_certificate)
+                                  report_digest, stability_certificate)
 from saddlecheck.solver import weighted_form
 
 
@@ -192,3 +192,12 @@ def test_certificate_dimension_mismatch(sol_m4_coarse):
     assert all(c["passed"] for c in checks)
     with pytest.raises(CertificateError, match="missing supersolution-n8"):
         stability_certificate(sol_m4_coarse, checks)
+
+
+def test_report_digest_refuses_a_value_that_is_not_json(sol_m4_coarse):
+    # a numpy scalar is not a JSON value: hashing its str would let two
+    # entries that report.json writes alike hash apart, or the reverse
+    entry = verify_supersolution(sol_m4_coarse)
+    report_digest(entry)
+    with pytest.raises(TypeError):
+        report_digest(dict(entry, nodes_checked=np.int64(entry["nodes_checked"])))
