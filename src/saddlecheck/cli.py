@@ -158,11 +158,12 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
         if spectrum is not None:
             eig, timing["spectrum"] = spectrum.result()
             expect_stable = cfg.m >= 4
-            consistent = (eig["lambda_min"] > -0.01 if expect_stable
-                          else eig["lambda_min"] < -0.001)
+            consistent = (eig["lower"] > 0.0 if expect_stable
+                          else eig["lambda_min"] < 0.0)
             stages["spectrum"] = eig | {"expect_stable": expect_stable,
                                         "sign_consistent": consistent}
             print(f"spectrum: lambda_min={eig['lambda_min']:+.6f} "
+                  f"lower={eig['lower']:+.6f} "
                   f"({'consistent' if consistent else 'INCONSISTENT'})")
 
     for p in stages.get("rigor", {}).get("proofs", []):
@@ -282,7 +283,7 @@ class _Worker:
 
 def _picklable(exc: BaseException) -> BaseException:
     """exc, or a RuntimeError with its type and message when exc's args do
-    not rebuild it (scipy's ArpackNoConvergence, for one)."""
+    not rebuild it."""
     try:
         pickle.loads(pickle.dumps(exc))
     except Exception:

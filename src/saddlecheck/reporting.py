@@ -36,7 +36,7 @@ REPORT_SCHEMA = "saddlecheck-report/1"
 def eig_to_dict(est: EigEstimate) -> dict:
     return {
         "lambda_min": float(est.lambda_min),
-        "residual": float(est.residual),
+        "lower": float(est.lower),
         "iterations": int(est.iterations),
         "shift": float(est.shift),
     }

@@ -391,8 +391,8 @@ def _newton(m: int, grid: Grid, U: np.ndarray, solve):
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.floating:
-    """sum(a * b) by numpy's pairwise summation.  np.dot, @ and
-    np.linalg.norm go to BLAS, which may split a long sum across threads,
+    """sum(a * b) by numpy's pairwise summation.  np.dot, @ and the 2-norm
+    of numpy.linalg go to BLAS, which may split a long sum across threads,
     so their last bits follow the thread count; this sum's do not."""
     return np.add.reduce(a * b)
 

@@ -12,19 +12,23 @@ even, so only the even sector is assembled: the triangle {t <= s} with the
 cone and axis as natural (reflection) boundaries and Dirichlet truncation on
 the outer edge.
 
-The eigensolve is shift-invert Lanczos on one LU of K - sigma B, in the
-Newton solve's symmetric minimum-degree ordering.  The shift sits just
-below the eigenvalue: SHIFT_GAP under the eigenvalue of the same pencil on
-the coarsest level of solver.grid_chain.  K - sigma B is a symmetric
-Z-matrix (the edge Laplacian's off-diagonals are -w <= 0; the potential and
-sigma touch only the diagonal), so one solve x = (K - sigma B)^-1 1 with x > 0
-and (K - sigma B) x > 0 proves it a nonsingular M-matrix, hence positive
-definite: every eigenvalue lies above sigma, and the one Lanczos finds
-nearest sigma is the smallest (Berman & Plemmons, Nonnegative Matrices in
-the Mathematical Sciences, SIAM 1994, ch. 6).  If that fails, the shift
-falls back to EIG_SIGMA, below the spectrum since the potential 3u^2-1 is
->= -1.  Negative lambda_min reproduces the known instability for m <= 3;
-for m >= 4 it is a one-sided consistency indicator (the stability proof
+The eigensolve is inverse iteration on one LU of K - sigma B, in the Newton
+solve's symmetric minimum-degree ordering, with sigma SHIFT_GAP under the
+eigenvalue of the same pencil on the coarsest level of solver.grid_chain.
+K is a symmetric Z-matrix (the edge Laplacian's off-diagonals are -w <= 0;
+the potential and sigma touch only the diagonal), checked exactly, so one
+solve x = (K - sigma B)^-1 1 with x > 0 and (K - sigma B) x > 0 proves K -
+sigma B a nonsingular M-matrix: every eigenvalue lies above sigma, and the
+inverse is entrywise >= 0, so the iterates stay positive (Berman &
+Plemmons, Nonnegative Matrices in the Mathematical Sciences, SIAM 1994,
+ch. 6).  If that fails, the shift falls back to EIG_SIGMA, below the
+spectrum since the potential 3u^2-1 is >= -1.  The last iterate v brackets
+lambda_min of the float pencil between the Collatz-Wielandt bound
+min_i (Kv)_i/(Bv)_i (Varga, Matrix Iterative Analysis, Springer 2000,
+ch. 2) and the Rayleigh quotient, both rounded outward.  That is lambda_min
+of the discrete, Dirichlet-truncated, even-sector pencil, which falls with
+R: a negative bracket reproduces the known instability for m <= 3; for
+m >= 4 a positive one is a consistency indicator (the stability proof
 itself goes through the supersolution certificate, not this pencil).
 """
 
@@ -38,14 +42,15 @@ import numpy as np
 
 from saddlecheck import __version__
 from saddlecheck.grid import Grid
-from saddlecheck.solver import (LU_ORDERING, SaddleSolution, grid_chain,
+from saddlecheck.rigor import _down, _up
+from saddlecheck.solver import (LU_ORDERING, SaddleSolution, _dot, grid_chain,
                                 jacobian, node_block, sp, spla,
                                 weighted_form)
 
 EIG_SIGMA = -1.05        # shift below the spectrum
-EIG_TOL = 1e-10          # eigsh convergence tolerance
+EIG_TOL = 1e-10          # stop: Rayleigh quotient fell by <= this, relative
 SHIFT_GAP = 0.01         # near shift: coarse-grid eigenvalue minus this
-EIG_NCV = 6              # Lanczos vectors
+MAX_SOLVES = 1000        # solves with one LU before inverse iteration refuses
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,10 @@ class QuadraticFormAssembly:
 
 @dataclass(frozen=True)
 class EigEstimate:
-    lambda_min: float
-    residual: float
+    """The smallest eigenvalue of the float pencil lies in [lower,
+    lambda_min]."""
+    lambda_min: float        # Rayleigh quotient of vector, rounded up
+    lower: float             # max(shift, Collatz-Wielandt bound), rounded down
     iterations: int          # solves with the LU, the certificate's included
     shift: float             # certified lower bound of the spectrum
     vector: np.ndarray = field(repr=False)
@@ -90,19 +97,25 @@ def _pencil(m: int, grid: Grid, u: np.ndarray,
 
 
 class MMatrixError(ArithmeticError):
-    """certify_shift rejected every shift min_eigenvalue tried."""
+    """min_eigenvalue cannot bound the spectrum: K is not a symmetric
+    Z-matrix, certify_shift rejected every shift, or inverse iteration did
+    not settle within MAX_SOLVES solves."""
 
 
 def certify_shift(asm: QuadraticFormAssembly, sigma: float):
     """(LU of K - sigma B, x = LU^-1 1) if x > 0 and (K - sigma B) x > 0,
     else None.
 
-    K - sigma B is a symmetric Z-matrix, and those two conditions make it a
-    nonsingular M-matrix, so positive definite: every eigenvalue of the
-    pencil exceeds sigma.  One LU in solver.LU_ORDERING, one solve and one
-    matvec; on a rejection the LU is released before this returns.
+    First checks, exactly on the assembled floats, that K is symmetric and
+    has no positive off-diagonal entry, and raises MMatrixError naming the
+    one that fails.  K - sigma B is then a symmetric Z-matrix, and the two
+    conditions make it a nonsingular M-matrix, so positive definite: every
+    eigenvalue of the pencil exceeds sigma.  One LU in solver.LU_ORDERING,
+    one solve and one matvec; on a rejection the LU is released before this
+    returns.
     """
     K, B = asm.stiffness, asm.mass
+    _check_z_matrix(K)
     lu = spla.splu((K - sigma * B).tocsc(), permc_spec=LU_ORDERING)
     x = lu.solve(np.ones(asm.n_dof))
     if x.min() > 0.0 and (K @ x - sigma * (B @ x)).min() > 0.0:
@@ -110,18 +123,33 @@ def certify_shift(asm: QuadraticFormAssembly, sigma: float):
     return None
 
 
+def _check_z_matrix(K) -> None:
+    """MMatrixError unless the CSR matrix K equals its transpose and has no
+    positive entry off the diagonal, both compared exactly.  The sign test
+    finds the row of each positive entry, in practice the diagonal, not of
+    every entry, so that it leaves less heap behind for the LU to come."""
+    if (K != K.T).nnz:
+        raise MMatrixError("K is not symmetric")
+    pos = np.flatnonzero(K.data > 0.0)
+    rows = np.searchsorted(K.indptr, pos, side="right") - 1
+    if (K.indices[pos] != rows).any():
+        raise MMatrixError("K has a positive off-diagonal entry")
+
+
 def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
-    """Smallest generalized eigenvalue of (K, B).
+    """A certified bracket [lower, lambda_min] of the smallest generalized
+    eigenvalue of (K, B).
 
     The shift is SHIFT_GAP below min_eigenvalue of the coarse pencil, or
     EIG_SIGMA when there is none or certify_shift rejects the near shift;
-    EIG_SIGMA is certified the same way.  Shift-invert Lanczos with EIG_NCV
-    vectors, started from the certificate's solve, runs to EIG_TOL on that
-    one LU; `iterations` counts every solve with it, the certificate's
-    included, and `shift` is the certified lower bound.  MMatrixError if
-    EIG_SIGMA is rejected too.
+    EIG_SIGMA is certified the same way.  Inverse iteration on that one LU,
+    v <- (K - sigma B)^-1 (B v) and v /= max v, starts from the
+    certificate's x and stops once the Rayleigh quotient falls by at most
+    EIG_TOL of itself; `iterations` counts every solve with the LU, the
+    certificate's included, and `shift` is sigma.  With the LU released,
+    _bracket bounds lambda_min on the last v.  MMatrixError if certify_shift
+    does, if EIG_SIGMA is rejected too, or after MAX_SOLVES solves.
     """
-    K, B = asm.stiffness, asm.mass
     sigma = EIG_SIGMA
     if asm.coarse is not None:
         sigma = min_eigenvalue(asm.coarse).lambda_min - SHIFT_GAP
@@ -133,22 +161,68 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
         raise MMatrixError(f"K - sigma B is not an M-matrix at "
                            f"sigma = {sigma}")
     lu, x = cert
-    solves = 1
+    del cert
+    K, b = asm.stiffness, asm.mass.diagonal()
+    v = x / x.max()
+    q = _rayleigh(K, b, v)
+    for solves in range(2, MAX_SOLVES + 1):
+        v = lu.solve(b * v)
+        v /= v.max()
+        prev, q = q, _rayleigh(K, b, v)
+        if prev - q <= EIG_TOL * abs(q):
+            break
+    else:
+        raise MMatrixError(f"inverse iteration at sigma = {sigma} did not "
+                           f"settle in {MAX_SOLVES} solves")
+    del lu                                # no copy of |K| beside the LU
+    lower, upper = _bracket(K, b, v)
+    return EigEstimate(lambda_min=upper, lower=max(sigma, lower),
+                       iterations=solves, shift=sigma, vector=v)
 
-    def solve(b):
-        nonlocal solves
-        solves += 1
-        return lu.solve(b)
 
-    op_inv = spla.LinearOperator(K.shape, matvec=solve, dtype=K.dtype)
-    w, V = spla.eigsh(K, k=1, M=B, sigma=sigma, which="LM", v0=x,
-                      ncv=EIG_NCV, tol=EIG_TOL, OPinv=op_inv)
-    lam = float(w[0])
-    vec = V[:, 0]
-    res = float(np.linalg.norm(K @ vec - lam * (B @ vec))
-                / np.linalg.norm(B @ vec))
-    return EigEstimate(lambda_min=lam, residual=res, iterations=solves,
-                       shift=sigma, vector=vec)
+def _rayleigh(K, b: np.ndarray, v: np.ndarray) -> float:
+    """v.Kv / v.Bv in plain floats, by solver._dot."""
+    return float(_dot(v, K @ v) / _dot(v, b * v))
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53, rounded up: a computed sum of k
+    terms, in any order, is off by at most gamma_k times the sum of their
+    magnitudes."""
+    ku = k * 2.0**-53
+    return float(_up(ku / _down(1.0 - ku)))
+
+
+def _sum_up(t: np.ndarray) -> float:
+    """An upper bound of the exact sum of the floats t.  The computed sum of
+    |t| undercounts the exact one by at most a factor 1 - gamma_n, which
+    gamma_2n in place of gamma_n absorbs."""
+    err = _up(_gamma(2 * t.size) * np.abs(t).sum())
+    return float(_up(t.sum() + err))
+
+
+def _bracket(K, b: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(lower, upper) around lambda_min of the float pencil (K, diag b), K a
+    symmetric Z-matrix and b > 0: upper bounds the Rayleigh quotient
+    v.Kv / v.Bv from above, and lower the Collatz-Wielandt bound
+    min_i (Kv)_i / (Bv)_i from below (-inf unless v > 0).  A row of Kv sums
+    at most r products, so it is off by at most gamma_2r times the computed
+    row of |K| |v|; every other product and quotient is rounded out by
+    rigor's two ulps, each quotient over the end of the divisor's range
+    that bounds it."""
+    av = np.abs(v)
+    kv = K @ v
+    slack = _up(_gamma(2 * np.diff(K.indptr).max()) * (abs(K) @ av))
+    kv_lo, kv_hi = _down(kv - slack), _up(kv + slack)
+    bv_lo, bv_hi = _down(b * av), _up(b * av)
+    lower = -np.inf
+    if v.min() > 0.0:
+        ratio = kv_lo / np.where(kv_lo >= 0.0, bv_hi, bv_lo)
+        lower = float(_down(ratio).min())
+    num_hi = _sum_up(_up(v * np.where(v >= 0.0, kv_hi, kv_lo)))
+    den = (-_sum_up(-_down(bv_lo * av)) if num_hi >= 0.0
+           else _sum_up(_up(bv_hi * av)))
+    return lower, float(_up(num_hi / den))
 
 
 class CertificateError(RuntimeError):

@@ -109,10 +109,13 @@ def test_criterion_7_rigor_proofs():
 
 
 def test_criterion_8_spectral_dichotomy(solved):
-    lams = {m: min_eigenvalue(assemble(solved(m, 16.0, 0.1))).lambda_min
+    ests = {m: min_eigenvalue(assemble(solved(m, 16.0, 0.1)))
             for m in range(1, 7)}
-    signs_ok = (all(lams[m] < -0.001 for m in (1, 2, 3))
-                and all(lams[m] > -0.01 for m in (4, 5, 6)))
+    # the CLI's gates: the bracket's upper end below 0 for m <= 3, its
+    # lower end above 0 for m >= 4
+    signs_ok = (all(ests[m].lambda_min < 0.0 for m in (1, 2, 3))
+                and all(ests[m].lower > 0.0 for m in (4, 5, 6)))
+    lams = {m: est.lambda_min for m, est in ests.items()}
     asm = assemble(solved(2, 8.0, 0.2))
     sparse = min_eigenvalue(asm).lambda_min
     dense = dense_min_eigenvalue(asm)

@@ -307,7 +307,8 @@ def _altered(name, change):
     (_altered("verify_supersolution", lambda rep: dict(rep, passed=False)),
      ["supersolution"]),
     (_altered("min_eigenvalue",
-              lambda est: dataclasses.replace(est, lambda_min=-0.5)),
+              lambda est: dataclasses.replace(est, lambda_min=-0.5,
+                                              lower=-0.5)),
      ["spectrum"]),
     (lambda monkeypatch: _with_budget(monkeypatch, 500),
      ["rigor:defect<=0", "rigor:c_s<0", "rigor:c_ss<0", "rigor:c_st<0"]),
@@ -353,10 +354,11 @@ def test_cli_import_leaves_sympy_out():
                     reason="one CPU: one and two BLAS threads cannot split "
                            "a sum differently here")
 def test_report_does_not_follow_the_blas_thread_count(tmp_path):
-    # a cold solve, the suite and the supersolution under one and under two
-    # BLAS threads, set in the child since CI pins both variables to 1:
-    # every sum of the Newton solve is numpy's own, so the field, its
-    # certificate hash and each margin keep their bits
+    # a cold solve, the suite, the supersolution and the spectrum under one
+    # and under two BLAS threads, set in the child since CI pins both
+    # variables to 1: every sum of the Newton solve and of the eigensolve is
+    # numpy's own or SuperLU's, so the field, its certificate hash, each
+    # margin and the spectrum's bracket keep their bits
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
@@ -365,7 +367,8 @@ def test_report_does_not_follow_the_blas_thread_count(tmp_path):
                    **{CACHE_ENV_VAR: str(tmp_path / f"cache{threads}")})
         subprocess.run(
             [sys.executable, "-m", "saddlecheck.cli", "run", "--m", "4",
-             "--R", "8", "--h", "0.05", "--stages", "solve,suite,supersolution",
+             "--R", "8", "--h", "0.05", "--stages",
+             "solve,suite,supersolution,spectrum",
              "--out", str(out)],
             env=env, capture_output=True, check=True)
         rep = json.loads((out / "report.json").read_text())
@@ -613,6 +616,20 @@ def test_spectrum_refusal_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert re.search(r"^error: K - sigma B is not an M-matrix at "
                      r"sigma = -1\.05$", captured.err, re.M)
+    assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
+    assert not Path("out/report.json").exists()
+    _no_child_left()
+
+
+def test_spectrum_refuses_at_the_solve_cap(monkeypatch, capsys):
+    # inverse iteration that has not settled within MAX_SOLVES solves with
+    # its LU is refused like an uncertified shift: exit 2, the error on
+    # stderr, a RESULT line and no report
+    monkeypatch.setattr(spectral, "MAX_SOLVES", 2)
+    assert main(["run", "--stages", "solve,spectrum"] + M_ARGS) == 2
+    captured = capsys.readouterr()
+    assert re.search(r"^error: inverse iteration at sigma = -1\.05 did not "
+                     r"settle in 2 solves$", captured.err, re.M)
     assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
     assert not Path("out/report.json").exists()
     _no_child_left()

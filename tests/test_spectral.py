@@ -3,6 +3,7 @@ certified shift of its eigensolve, and the stability certificate built on the
 verification reports."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +14,16 @@ import saddlecheck
 from oracles import dense_min_eigenvalue, even_sector_values, rayleigh_quotient
 from saddlecheck import spectral
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
-from saddlecheck.spectral import (EIG_SIGMA, CertificateError, assemble,
-                                  certify_shift, min_eigenvalue,
+from saddlecheck.spectral import (EIG_SIGMA, CertificateError, MMatrixError,
+                                  assemble, certify_shift, min_eigenvalue,
                                   report_digest, stability_certificate)
 from saddlecheck.solver import weighted_form
+
+
+def _assert_tight(est, rel=1e-5):
+    """The bracket [lower, lambda_min] is within rel of lambda_min."""
+    assert est.lower <= est.lambda_min
+    assert est.lambda_min - est.lower <= rel * abs(est.lambda_min), est
 
 
 def test_stiffness_symmetric_and_mass_positive(sol_m4_coarse):
@@ -34,7 +41,8 @@ def test_eigenvalue_signs_by_dimension(solved):
     for m, sign in expected_sign.items():
         est = min_eigenvalue(assemble(solved(m, 12.0, 0.1)))
         assert np.sign(est.lambda_min) == sign, (m, est.lambda_min)
-        assert est.residual < 1e-10
+        assert np.sign(est.lower) == sign, (m, est.lower)
+        _assert_tight(est)
 
 
 def test_dense_oracle_agrees_with_sparse(solved):
@@ -106,6 +114,64 @@ def test_stiffness_is_a_z_matrix(solved):
             assert (K - sp.diags(K.diagonal())).max() <= 0.0, m
 
 
+@pytest.mark.parametrize("pair, message", [
+    (False, "K is not symmetric"),
+    (True, "K has a positive off-diagonal entry"),
+], ids=["one-entry", "symmetric-pair"])
+def test_certify_shift_checks_the_z_matrix_premise(solved, pair, message):
+    # the M-matrix certificate and the Collatz-Wielandt bound both rest on
+    # K being a symmetric Z-matrix: flipping the sign of one off-diagonal
+    # entry breaks the symmetry, flipping it and its mirror the sign pattern
+    asm = assemble(solved(4, 8.0, 0.2))
+    K = asm.stiffness.copy()
+    rows = np.repeat(np.arange(asm.n_dof), np.diff(K.indptr))
+    k = np.flatnonzero(rows != K.indices)[0]
+    i, j = rows[k], K.indices[k]
+    K[i, j] = -K[i, j]
+    if pair:
+        K[j, i] = -K[j, i]
+    broken = dataclasses.replace(asm, stiffness=K)
+    with pytest.raises(MMatrixError, match=message):
+        certify_shift(broken, EIG_SIGMA)
+    with pytest.raises(MMatrixError, match=message):
+        min_eigenvalue(broken)
+
+
+def _exact_ends(asm, v):
+    """min_i (Kv)_i / (Bv)_i and v.Kv / v.Bv in exact rational arithmetic,
+    from K's CSR entries, B's diagonal and the floats v."""
+    K, b = asm.stiffness, asm.mass.diagonal()
+    v = [Fraction(x) for x in v]
+    kv = [sum((Fraction(K.data[k]) * v[K.indices[k]]
+               for k in range(K.indptr[i], K.indptr[i + 1])), Fraction(0))
+          for i in range(asm.n_dof)]
+    bv = [Fraction(b[i]) * v[i] for i in range(asm.n_dof)]
+    vkv = sum(x * y for x, y in zip(v, kv))
+    vbv = sum(x * y for x, y in zip(v, bv))
+    return min(p / q for p, q in zip(kv, bv)), vkv / vbv
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_bracket_rounds_outward_of_exact_arithmetic(solved, m):
+    # lower lies below the exact Collatz-Wielandt minimum of the returned
+    # vector and lambda_min above its exact Rayleigh quotient, and the
+    # bracket holds the dense LAPACK eigenvalue
+    asm = assemble(solved(m, 8.0, 0.2))
+    est = min_eigenvalue(asm)
+    ratio, rayleigh = _exact_ends(asm, est.vector)
+    assert est.shift < est.lower <= ratio
+    assert est.lambda_min >= rayleigh
+    assert est.lower <= dense_min_eigenvalue(asm) <= est.lambda_min
+    # so do both ends for perturbed positive vectors, whichever way the
+    # plain float sums happen to round
+    b = asm.mass.diagonal()
+    rng = np.random.default_rng(m)
+    for v in rng.uniform(0.9, 1.0, (6, asm.n_dof)) * est.vector:
+        lower, upper = spectral._bracket(asm.stiffness, b, v)
+        ratio, rayleigh = _exact_ends(asm, v)
+        assert lower <= ratio and upper >= rayleigh
+
+
 @pytest.mark.parametrize("m", [2, 4])
 def test_shift_certificate_brackets_the_eigenvalue(solved, m):
     asm = assemble(solved(m, 8.0, 0.2))
@@ -129,8 +195,16 @@ def test_rejected_near_shift_falls_back_to_eig_sigma(solved, monkeypatch):
     # the coarse estimate, the rejected near shift, then the fallback
     assert shifts == [EIG_SIGMA, near.shift, EIG_SIGMA]
     assert far.shift == EIG_SIGMA
-    assert far.lambda_min == pytest.approx(near.lambda_min, rel=1e-12)
-    assert far.residual < 1e-10
+    # two starts stop at two points of one descent, each once the quotient
+    # falls by at most EIG_TOL of itself
+    assert far.lambda_min == pytest.approx(near.lambda_min, rel=1e-9)
+    assert far.lower <= near.lambda_min and near.lower <= far.lambda_min
+    # from EIG_SIGMA each solve shrinks the second mode by 0.75 (0.026
+    # from the near shift), so the stop leaves more of it in the vector,
+    # and the Collatz-Wielandt end reads it at the nodes where v is least:
+    # 3.4e-5 wide here, against 1.1e-7 from the near shift
+    _assert_tight(near)
+    _assert_tight(far, rel=1e-4)
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -139,18 +213,20 @@ def test_near_shift_agrees_with_eig_sigma_and_dense(solved, m):
     assert asm.n_dof == 3240 and asm.coarse is not None
     near = min_eigenvalue(asm)
     far = min_eigenvalue(dataclasses.replace(asm, coarse=None))
-    assert EIG_SIGMA == far.shift < near.shift < near.lambda_min
-    assert near.lambda_min == pytest.approx(far.lambda_min, rel=1e-12)
-    assert dense_min_eigenvalue(asm) == pytest.approx(near.lambda_min,
-                                                      abs=1e-9)
+    assert EIG_SIGMA == far.shift < near.shift < near.lower
+    assert near.lambda_min == pytest.approx(far.lambda_min, rel=1e-9)
+    dense = dense_min_eigenvalue(asm)
+    assert dense == pytest.approx(near.lambda_min, abs=1e-9)
+    assert near.lower <= dense <= near.lambda_min
+    assert far.lower <= dense <= far.lambda_min
 
 
 def test_near_shift_cuts_the_solve_count(sol_m4):
-    # at EIG_SIGMA this pencil takes 21 solves
+    # at EIG_SIGMA this pencil takes 92 solves
     est = min_eigenvalue(assemble(sol_m4))
     assert est.shift > EIG_SIGMA
     assert est.iterations <= 10
-    assert est.residual < 1e-10
+    _assert_tight(est)
 
 
 def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
