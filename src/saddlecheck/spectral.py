@@ -12,7 +12,7 @@ even, so only the even sector is assembled: the triangle {t <= s} with the
 cone and axis as natural (reflection) boundaries and Dirichlet truncation on
 the outer edge.
 
-The eigensolve is inverse iteration on one LU of K - sigma B, in the Newton
+The eigensolve is inverse iteration on an LU of K - sigma B, in the Newton
 solve's symmetric minimum-degree ordering, with sigma SHIFT_GAP under the
 eigenvalue of the same pencil on the coarsest level of solver.grid_chain.
 K is a symmetric Z-matrix (the edge Laplacian's off-diagonals are -w <= 0;
@@ -22,10 +22,12 @@ sigma B a nonsingular M-matrix: every eigenvalue lies above sigma, and the
 inverse is entrywise >= 0, so the iterates stay positive (Berman &
 Plemmons, Nonnegative Matrices in the Mathematical Sciences, SIAM 1994,
 ch. 6).  If that fails, the shift falls back to EIG_SIGMA, below the
-spectrum since the potential 3u^2-1 is >= -1.  The last iterate v brackets
-lambda_min of the float pencil between the Collatz-Wielandt bound
-min_i (Kv)_i/(Bv)_i (Varga, Matrix Iterative Analysis, Springer 2000,
-ch. 2) and the Rayleigh quotient, both rounded outward.  That is lambda_min
+spectrum since the potential 3u^2-1 is >= -1, where the coarsest level
+starts too; from there the shift moves up as the iterates close in.  The
+last iterate v brackets lambda_min of the float pencil between the
+Collatz-Wielandt bound min_i (Kv)_i/(Bv)_i (Varga, Matrix Iterative
+Analysis, Springer 2000, ch. 2) and the Rayleigh quotient, both rounded
+outward.  That is lambda_min
 of the discrete, Dirichlet-truncated, even-sector pencil, which falls with
 R: a negative bracket reproduces the known instability for m <= 3; for
 m >= 4 a positive one is a consistency indicator (the stability proof
@@ -48,9 +50,9 @@ from saddlecheck.solver import (LU_ORDERING, SaddleSolution, _dot, grid_chain,
                                 weighted_form)
 
 EIG_SIGMA = -1.05        # shift below the spectrum
-EIG_TOL = 1e-10          # stop: Rayleigh quotient fell by <= this, relative
+EIG_TOL = 1e-10          # stop: bracket this narrow, or narrowed by this
 SHIFT_GAP = 0.01         # near shift: coarse-grid eigenvalue minus this
-MAX_SOLVES = 1000        # solves with one LU before inverse iteration refuses
+MAX_SOLVES = 1000        # solves before inverse iteration refuses
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,8 @@ class EigEstimate:
     """The smallest eigenvalue of the float pencil lies in [lower,
     lambda_min]."""
     lambda_min: float        # Rayleigh quotient of vector, rounded up
-    lower: float             # max(shift, Collatz-Wielandt bound), rounded down
-    iterations: int          # solves with the LU, the certificate's included
+    lower: float             # Collatz-Wielandt bound of vector, rounded down
+    iterations: int          # solves with the LUs, the certificates' included
     shift: float             # certified lower bound of the spectrum
     vector: np.ndarray = field(repr=False)
 
@@ -142,13 +144,23 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
 
     The shift is SHIFT_GAP below min_eigenvalue of the coarse pencil, or
     EIG_SIGMA when there is none or certify_shift rejects the near shift;
-    EIG_SIGMA is certified the same way.  Inverse iteration on that one LU,
-    v <- (K - sigma B)^-1 (B v) and v /= max v, starts from the
-    certificate's x and stops once the Rayleigh quotient falls by at most
-    EIG_TOL of itself; `iterations` counts every solve with the LU, the
-    certificate's included, and `shift` is sigma.  With the LU released,
-    _bracket bounds lambda_min on the last v.  MMatrixError if certify_shift
-    does, if EIG_SIGMA is rejected too, or after MAX_SOLVES solves.
+    EIG_SIGMA is certified the same way.  Inverse iteration on that LU,
+    v <- (K - sigma B)^-1 (B w) and v /= max v for the last iterate w,
+    starts from the certificate's x.  After each solve the bracket's
+    plain-float ends are the Collatz-Wielandt bound sigma + min w/v and the
+    Rayleigh quotient q; the iteration stops once they are at most
+    EIG_TOL |q| apart, or came closer by at most that in the solve (so it
+    also stops where rounding keeps the ends wider apart).  From EIG_SIGMA
+    each solve shrinks the second mode by only (lambda_1 + 1.05) /
+    (lambda_2 + 1.05), near 1 on a large domain, so once the bound lies
+    more than 2 SHIFT_GAP above the last shift tried, certify_shift is
+    asked for SHIFT_GAP under it, and on success the iteration goes on
+    with that LU.  `iterations` counts every solve, the
+    certificates' included, and `shift` is the last certified sigma.  With
+    the LU released, _bracket bounds lambda_min on the last v.  MMatrixError
+    if certify_shift does, if EIG_SIGMA is rejected too, after MAX_SOLVES
+    solves, or if the rounded Collatz-Wielandt bound is not above sigma
+    (v not > 0: in exact arithmetic every iterate's bound is).
     """
     sigma = EIG_SIGMA
     if asm.coarse is not None:
@@ -163,21 +175,36 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
     lu, x = cert
     del cert
     K, b = asm.stiffness, asm.mass.diagonal()
-    v = x / x.max()
-    q = _rayleigh(K, b, v)
-    for solves in range(2, MAX_SOLVES + 1):
-        v = lu.solve(b * v)
-        v /= v.max()
-        prev, q = q, _rayleigh(K, b, v)
-        if prev - q <= EIG_TOL * abs(q):
+    v, tried, solves = x / x.max(), sigma, 1
+    low, q = sigma, _rayleigh(K, b, v)
+    while solves < MAX_SOLVES:
+        w, v = v, lu.solve(b * v)
+        solves += 1
+        # (K - sigma B) v = B w, so the Collatz-Wielandt bound of v is
+        # sigma + min w/v
+        low_v, v = sigma + (w / v).min(), v / v.max()
+        q_v = _rayleigh(K, b, v)
+        narrowed = (q - q_v) + (low_v - low)
+        if min(q_v - low_v, narrowed) <= EIG_TOL * abs(q_v):
             break
+        low, q = low_v, q_v
+        if low - 2.0 * SHIFT_GAP > tried:
+            tried = low - SHIFT_GAP
+            moved = certify_shift(asm, tried)
+            solves += 1
+            if moved is not None:
+                lu, sigma = moved[0], tried
+            del moved
     else:
-        raise MMatrixError(f"inverse iteration at sigma = {sigma} did not "
-                           f"settle in {MAX_SOLVES} solves")
+        raise MMatrixError(f"inverse iteration did not settle in "
+                           f"{MAX_SOLVES} solves (sigma = {sigma})")
     del lu                                # no copy of |K| beside the LU
     lower, upper = _bracket(K, b, v)
-    return EigEstimate(lambda_min=upper, lower=max(sigma, lower),
-                       iterations=solves, shift=sigma, vector=v)
+    if not lower > sigma:
+        raise MMatrixError(f"the Collatz-Wielandt bound {lower} of the last "
+                           f"iterate is not above sigma = {sigma}")
+    return EigEstimate(lambda_min=upper, lower=lower, iterations=solves,
+                       shift=sigma, vector=v)
 
 
 def _rayleigh(K, b: np.ndarray, v: np.ndarray) -> float:

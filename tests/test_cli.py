@@ -628,8 +628,8 @@ def test_spectrum_refuses_at_the_solve_cap(monkeypatch, capsys):
     monkeypatch.setattr(spectral, "MAX_SOLVES", 2)
     assert main(["run", "--stages", "solve,spectrum"] + M_ARGS) == 2
     captured = capsys.readouterr()
-    assert re.search(r"^error: inverse iteration at sigma = -1\.05 did not "
-                     r"settle in 2 solves$", captured.err, re.M)
+    assert re.search(r"^error: inverse iteration did not settle in 2 solves "
+                     r"\(sigma = \S+\)$", captured.err, re.M)
     assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
     assert not Path("out/report.json").exists()
     _no_child_left()

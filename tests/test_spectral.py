@@ -14,9 +14,10 @@ import saddlecheck
 from oracles import dense_min_eigenvalue, even_sector_values, rayleigh_quotient
 from saddlecheck import spectral
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
-from saddlecheck.spectral import (EIG_SIGMA, CertificateError, MMatrixError,
-                                  assemble, certify_shift, min_eigenvalue,
-                                  report_digest, stability_certificate)
+from saddlecheck.spectral import (EIG_SIGMA, SHIFT_GAP, CertificateError,
+                                  MMatrixError, assemble, certify_shift,
+                                  min_eigenvalue, report_digest,
+                                  stability_certificate)
 from saddlecheck.solver import weighted_form
 
 
@@ -180,53 +181,85 @@ def test_shift_certificate_brackets_the_eigenvalue(solved, m):
     assert certify_shift(asm, lam + 1e-3) is None
 
 
-def test_rejected_near_shift_falls_back_to_eig_sigma(solved, monkeypatch):
-    asm = assemble(solved(4, 8.0, 0.1))
-    near = min_eigenvalue(asm)
-    assert near.shift > EIG_SIGMA
+def _only_eig_sigma(monkeypatch, pencil=None):
+    """certify_shift rejects every shift but EIG_SIGMA, on `pencil` or, if
+    None, on every pencil; returns the list of shifts it was asked for."""
     shifts = []
 
     def reject_near(asm, sigma):
+        if pencil is not None and asm is not pencil:
+            return certify_shift(asm, sigma)
         shifts.append(sigma)
         return certify_shift(asm, sigma) if sigma == EIG_SIGMA else None
 
     monkeypatch.setattr(spectral, "certify_shift", reject_near)
+    return shifts
+
+
+def test_rejected_near_shift_falls_back_to_eig_sigma(solved, monkeypatch):
+    asm = assemble(solved(4, 8.0, 0.1))
+    near = min_eigenvalue(asm)
+    assert near.shift > EIG_SIGMA
+    shifts = _only_eig_sigma(monkeypatch, asm)
     far = min_eigenvalue(asm)
-    # the coarse estimate, the rejected near shift, then the fallback
-    assert shifts == [EIG_SIGMA, near.shift, EIG_SIGMA]
+    # the rejected near shift, the fallback, then the rejected moves of the
+    # shift to SHIFT_GAP under the Collatz-Wielandt bound
+    assert shifts[:2] == [near.shift, EIG_SIGMA]
+    assert all(s > EIG_SIGMA + SHIFT_GAP for s in shifts[2:])
     assert far.shift == EIG_SIGMA
-    # two starts stop at two points of one descent, each once the quotient
-    # falls by at most EIG_TOL of itself
-    assert far.lambda_min == pytest.approx(near.lambda_min, rel=1e-9)
-    assert far.lower <= near.lambda_min and near.lower <= far.lambda_min
-    # from EIG_SIGMA each solve shrinks the second mode by 0.75 (0.026
-    # from the near shift), so the stop leaves more of it in the vector,
-    # and the Collatz-Wielandt end reads it at the nodes where v is least:
-    # 3.4e-5 wide here, against 1.1e-7 from the near shift
+    assert far.lambda_min == pytest.approx(near.lambda_min, rel=1e-12)
     _assert_tight(near)
-    _assert_tight(far, rel=1e-4)
+    _assert_tight(far)
 
 
 @pytest.mark.parametrize("m", [2, 4])
-def test_near_shift_agrees_with_eig_sigma_and_dense(solved, m):
+def test_near_shift_agrees_with_eig_sigma_and_dense(solved, monkeypatch, m):
     asm = assemble(solved(m, 8.0, 0.1))
     assert asm.n_dof == 3240 and asm.coarse is not None
     near = min_eigenvalue(asm)
+    # with no coarse level the shift starts at EIG_SIGMA and moves up
+    moved = min_eigenvalue(dataclasses.replace(asm, coarse=None))
+    _only_eig_sigma(monkeypatch)
     far = min_eigenvalue(dataclasses.replace(asm, coarse=None))
     assert EIG_SIGMA == far.shift < near.shift < near.lower
-    assert near.lambda_min == pytest.approx(far.lambda_min, rel=1e-9)
+    assert EIG_SIGMA + SHIFT_GAP < moved.shift < moved.lower
+    assert near.lambda_min == pytest.approx(far.lambda_min, rel=1e-12)
+    assert near.lambda_min == pytest.approx(moved.lambda_min, rel=1e-12)
     dense = dense_min_eigenvalue(asm)
     assert dense == pytest.approx(near.lambda_min, abs=1e-9)
-    assert near.lower <= dense <= near.lambda_min
-    assert far.lower <= dense <= far.lambda_min
+    for est in (near, moved, far):
+        assert est.lower <= dense <= est.lambda_min
 
 
 def test_near_shift_cuts_the_solve_count(sol_m4):
-    # at EIG_SIGMA this pencil takes 92 solves
+    # held at EIG_SIGMA this pencil takes 198 solves
     est = min_eigenvalue(assemble(sol_m4))
     assert est.shift > EIG_SIGMA
     assert est.iterations <= 10
     _assert_tight(est)
+
+
+def test_moving_shift_settles_on_a_large_domain(solved):
+    # on R40 h.2, the coarsest pencil of R40 h.1, EIG_SIGMA is 1.05 under
+    # an eigenvalue whose gap to the next is about 0.003: a fixed shift
+    # there takes over 1000 solves, the moving one 66
+    est = min_eigenvalue(assemble(solved(4, 40.0, 0.2)))
+    assert est.shift > EIG_SIGMA
+    assert est.iterations <= 100
+    _assert_tight(est)
+
+
+def test_bracket_not_above_the_shift_is_refused(solved, monkeypatch):
+    # lower is the Collatz-Wielandt bound itself, never the shift: a last
+    # iterate that is not positive gives none, and min_eigenvalue refuses
+    asm = assemble(solved(4, 8.0, 0.2))
+    v = min_eigenvalue(asm).vector.copy()
+    v[0] = 0.0
+    lower, upper = spectral._bracket(asm.stiffness, asm.mass.diagonal(), v)
+    assert lower == -np.inf and np.isfinite(upper)
+    monkeypatch.setattr(spectral, "_bracket", lambda K, b, v: (lower, upper))
+    with pytest.raises(MMatrixError, match="Collatz-Wielandt bound -inf"):
+        min_eigenvalue(asm)
 
 
 def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
