@@ -48,7 +48,10 @@ def cache_dir(override: str | os.PathLike | None = None) -> Path:
 
 
 def solution_key(m: int, R: float, h: float) -> str:
-    return f"sol_m{m}_R{R:g}_h{h:g}_tol{NEWTON_TOL:g}"
+    """The entry name; R and h are printed exactly, so two grids never
+    share one key."""
+    R, h = (np.format_float_positional(x, trim="-") for x in (R, h))
+    return f"sol_m{m}_R{R}_h{h}_tol{NEWTON_TOL:g}"
 
 
 def _header(sol: SaddleSolution) -> dict:
@@ -102,11 +105,13 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
     """Load and revalidate a cache entry; raises CacheMismatch, naming the
     cause, on an unreadable file, any format, header or hash discrepancy,
     an m that is not an int >= 1, an R or h that is not a finite real
-    number, a newton_iters that is not an int >= 0 or a residual_norm that
-    is not a float between 0 and NEWTON_TOL.  Derivative fields are not
+    number, a newton_iters that is not an int >= 0, a residual_norm that
+    is not a float between 0 and NEWTON_TOL or a field that is not a
+    finite float64 array of the grid's shape.  Derivative fields are not
     computed here but on first read."""
     try:
-        with np.load(path) as data:
+        # np.load(path) would leave its own file open on a damaged archive
+        with open(path, "rb") as fh, np.load(fh) as data:
             header = json.loads(bytes(data["header"]).decode())
             u = data["u"]
     except KeyError as exc:
@@ -147,6 +152,13 @@ def load_solution(path: str | os.PathLike) -> SaddleSolution:
     if u.shape != (grid.N + 1, grid.N + 1):
         raise CacheMismatch(f"{path}: field shape {u.shape} does not match "
                             f"grid N={grid.N}")
+    if u.dtype != np.float64:
+        raise CacheMismatch(f"{path}: field dtype {u.dtype}, expected float64")
+    finite = np.isfinite(u)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise CacheMismatch(f"{path}: field value {u[i, j]} at node "
+                            f"({i}, {j}) is not finite")
     return SaddleSolution(m=m, grid=grid, u=u, residual_norm=residual,
                           newton_iters=iters)
 

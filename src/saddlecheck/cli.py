@@ -12,11 +12,11 @@ and any other exception propagates with its traceback):
 
     RESULT <pass|fail> stages=<csv> failures=<k>
 
-k counts the report's 'failures', which one function derives from the
-report's stage payloads; the certificate is derived from the same payloads
-(run_stages).  With the spectrum stage, the eigensolve runs in a child
-forked with os.fork, which sends its result back through a socket pair,
-while this process runs the suite, the supersolution and the proofs.
+k counts the report's 'failures', which reporting.verdict derives from the
+report's stage payloads together with the certificate (run_stages).  With
+the spectrum stage, the eigensolve runs in a child forked with os.fork,
+which sends its result back through a socket pair, while this process runs
+the suite, the supersolution and the proofs.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ from saddlecheck.checks import (run_inequality_suite, summary,
 from saddlecheck.grid import grid_size
 from saddlecheck.reporting import (build_report, eig_to_dict, export_csv,
                                    export_signmaps, proof_to_dict,
-                                   solver_to_dict, write_report)
+                                   solver_to_dict, verdict, write_report)
 from saddlecheck.rigor import builtin_expressions, claims, prove_nonpositive
 from saddlecheck.solver import NEWTON_TOL, NewtonError, SaddleSolution
-from saddlecheck.spectral import (MMatrixError, assemble, min_eigenvalue,
-                                  stability_certificate)
+from saddlecheck.spectral import MMatrixError, assemble, min_eigenvalue
 
 ALL_STAGES = ("solve", "suite", "supersolution", "spectrum", "rigor")
 
@@ -103,11 +102,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     """Execute the requested stages in dependency order; returns the report
-    dictionary and the solution the stages ran on.  _failures derives the
-    report's 'failures' from its stage payloads alone; stages.certificate,
-    built on the payloads' check entries, is written exactly when the
-    supersolution stage ran and that list is empty (so for --stages
-    solve,supersolution too).
+    dictionary and the solution the stages ran on.  reporting.verdict
+    derives the report's 'failures' and stages.certificate from the stage
+    payloads alone: the certificate is written exactly when nothing failed
+    and the supersolution stage ran (so for --stages solve,supersolution
+    too).
 
     This process solves (cache load or Newton).  With the spectrum stage it
     then forks a worker (_spectrum_worker) that assembles the pencil and
@@ -172,35 +171,14 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
               f"({p['boxes_examined']} boxes, {secs:.2f} s, "
               f"{p['boxes_examined'] / secs:.0f} boxes/s)")
 
-    failures = _failures(stages)
-    if "supersolution" in stages and not failures:
-        stages["certificate"] = stability_certificate(
-            sol, _checks(stages, "suite") + _checks(stages, "supersolution"))
+    failures, certificate = verdict(sol, stages)
+    if certificate is not None:
+        stages["certificate"] = certificate
 
     timing["wall"] = time.perf_counter() - t_start
     report = build_report(_config_echo(cfg), stages, timing, trace)
     report["failures"] = failures
     return report, sol
-
-
-def _checks(stages: dict, name: str) -> list[dict]:
-    """The check entries of stage name's payload; [] if it did not run."""
-    return stages.get(name, {}).get("checks", [])
-
-
-def _failures(stages: dict) -> list[str]:
-    """The failed items of a run, read from its stage payloads: each failed
-    suite check (suite:<id>), a failed supersolution check, an inconsistent
-    spectrum sign, then each proof that is not proven (rigor:<claim>)."""
-    verdicts = (
-        [(f"suite:{c['id']}", c["passed"]) for c in _checks(stages, "suite")]
-        + [("supersolution", c["passed"])
-           for c in _checks(stages, "supersolution")]
-        + [("spectrum",
-            stages.get("spectrum", {}).get("sign_consistent", True))]
-        + [(f"rigor:{p['claim']}", p["status"] == "proven")
-           for p in stages.get("rigor", {}).get("proofs", [])])
-    return [name for name, passed in verdicts if not passed]
 
 
 @contextmanager

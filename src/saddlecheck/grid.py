@@ -15,9 +15,9 @@ import numpy as np
 H_MAX = 0.2            # coarsest spacing build_grid accepts
 
 # The largest N = R/h build_grid accepts.  The scale grid (N = 800) peaks at
-# 514 MB, in the eigensolve's LU, and the peak grows like N^2, so N = 4,000
-# would need about 13 GB: a larger grid is refused before anything is
-# allocated.  Like cli.MAX_M, the bound is fixed here, not a setting.
+# about 484 MB, in the eigensolve's LU, and the peak grows like N^2, so
+# N = 4,000 would need about 12 GB: a larger grid is refused before anything
+# is allocated.  Like cli.MAX_M, the bound is fixed here, not a setting.
 N_MAX = 4000
 
 

@@ -1,4 +1,4 @@
-"""Run reports and field exports.
+"""Run reports, the run's verdict and field exports.
 
 Three output formats, all deterministic:
 
@@ -6,7 +6,8 @@ Three output formats, all deterministic:
   payloads, wall-clock timings kept under a separate "timing" key so
   reports from identical runs are byte-identical outside that key, and,
   when the rigor stage runs, each proof's batches and deepest bisection
-  under "trace".
+  under "trace".  Its failures and its stability certificate are both
+  derived from the stage payloads by one function, verdict.
 * CSV field dumps: row-major, ``%.17g`` formatting (lossless float64
   round-trip), self-describing header line.
 * SVG maps: quantized, run-length-encoded heatmaps and three-color sign
@@ -15,11 +16,13 @@ Three output formats, all deterministic:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
+from saddlecheck import __version__
 from saddlecheck.candidate import (lambda_coeff, region_classify, REGION_E1,
                                    REGION_E3, t_ratio, wedge_fields)
 from saddlecheck.solver import SaddleSolution
@@ -85,6 +88,59 @@ def build_report(config: dict, stages: dict, timing: dict,
     if trace:
         report["trace"] = trace
     return report
+
+
+def verdict(sol: SaddleSolution, stages: dict) -> tuple[list[str], dict | None]:
+    """(failures, certificate) of a run, both read from its stage payloads.
+
+    The failures are each failed suite check (suite:<id>), a failed
+    supersolution check, an inconsistent spectrum sign, then each proof that
+    is not proven (rigor:<claim>).  The certificate records the
+    supersolution-based stability conclusion on the suite's and then the
+    supersolution's check entries (their hashes), with the version of the
+    package that reached it.  It is written exactly when nothing failed and
+    the supersolution entries hold supersolution-n<n>, n = 2 sol.m, the
+    solution's own dimension; else it is None.
+    """
+    suite, sup = (stages.get(name, {}).get("checks", [])
+                  for name in ("suite", "supersolution"))
+    verdicts = (
+        [(f"suite:{c['id']}", c["passed"]) for c in suite]
+        + [("supersolution", c["passed"]) for c in sup]
+        + [("spectrum",
+            stages.get("spectrum", {}).get("sign_consistent", True))]
+        + [(f"rigor:{p['claim']}", p["status"] == "proven")
+           for p in stages.get("rigor", {}).get("proofs", [])])
+    failures = [name for name, passed in verdicts if not passed]
+    n = 2 * sol.m
+    if failures or f"supersolution-n{n}" not in [c["id"] for c in sup]:
+        return failures, None
+    return failures, {
+        "schema": "stability-certificate/1",
+        "n": n,
+        "m": sol.m,
+        "grid": {"R": sol.grid.R, "h": sol.grid.h},
+        "conclusion": "stable",
+        "basis": "positive supersolution of the linearized operator",
+        "solution_sha256": _digest(sol.u),
+        "report_sha256": [report_digest(c) for c in suite + sup],
+        "report_ids": [c["id"] for c in suite + sup],
+        "package_version": __version__,
+    }
+
+
+def _digest(obj) -> str:
+    if isinstance(obj, np.ndarray):
+        return hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def report_digest(check: dict) -> str:
+    """sha256 of a check entry of report.json, on the keys that judge it."""
+    return _digest({k: check[k] for k in
+                    ("id", "passed", "worst_margin", "tolerance_used",
+                     "nodes_checked")})
 
 
 def write_report(report: dict, path: str | Path) -> Path:

@@ -36,13 +36,10 @@ itself goes through the supersolution certificate, not this pencil).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from saddlecheck import __version__
 from saddlecheck.grid import Grid
 from saddlecheck.rigor import _down, _up
 from saddlecheck.solver import (LU_ORDERING, SaddleSolution, _dot, grid_chain,
@@ -75,7 +72,9 @@ class EigEstimate:
     lambda_min: float        # Rayleigh quotient of vector, rounded up
     lower: float             # Collatz-Wielandt bound of vector, rounded down
     iterations: int          # solves with the LUs, the certificates' included
-    shift: float             # certified lower bound of the spectrum
+    # the last sigma certify_shift accepted, by its M-matrix test in plain
+    # (not rounded) floats; no gate reads it
+    shift: float
     vector: np.ndarray = field(repr=False)
 
 
@@ -250,51 +249,3 @@ def _bracket(K, b: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     den = (-_sum_up(-_down(bv_lo * av)) if num_hi >= 0.0
            else _sum_up(_up(bv_hi * av)))
     return lower, float(_up(num_hi / den))
-
-
-class CertificateError(RuntimeError):
-    """Prerequisite reports failed or do not match the solution."""
-
-
-def _digest(obj) -> str:
-    if isinstance(obj, np.ndarray):
-        return hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True).encode()).hexdigest()
-
-
-def report_digest(check: dict) -> str:
-    """sha256 of a check entry of report.json, on the keys that judge it."""
-    return _digest({k: check[k] for k in
-                    ("id", "passed", "worst_margin", "tolerance_used",
-                     "nodes_checked")})
-
-
-def stability_certificate(sol: SaddleSolution, checks) -> dict:
-    """Record the supersolution-based stability conclusion, with the
-    version of the package that reached it.
-
-    `checks` are the report's check entries, as run_inequality_suite and
-    verify_supersolution return them, the suite's and then the
-    supersolution's: cli.run_stages passes them when cli._failures, its
-    one failure function, finds nothing failed.  Refuses if a check
-    failed or none is supersolution-n<n>, n = 2 sol.m (so an empty list).
-    """
-    n = 2 * sol.m
-    for check in checks:
-        if not check["passed"]:
-            raise CertificateError(f"prerequisite report {check['id']} failed")
-    if not any(c["id"] == f"supersolution-n{n}" for c in checks):
-        raise CertificateError(f"missing supersolution-n{n} report")
-    return {
-        "schema": "stability-certificate/1",
-        "n": n,
-        "m": sol.m,
-        "grid": {"R": sol.grid.R, "h": sol.grid.h},
-        "conclusion": "stable",
-        "basis": "positive supersolution of the linearized operator",
-        "solution_sha256": _digest(sol.u),
-        "report_sha256": [report_digest(c) for c in checks],
-        "report_ids": [c["id"] for c in checks],
-        "package_version": __version__,
-    }

@@ -1,4 +1,5 @@
-"""Solution cache (hash-validated npz) and report/CSV/SVG serialization."""
+"""Solution cache (hash-validated npz), the run's verdict (failures and
+stability certificate) and report/CSV/SVG serialization."""
 
 import json
 import logging
@@ -6,15 +7,17 @@ import logging
 import numpy as np
 import pytest
 
+import saddlecheck
 from oracles import import_csv
 from saddlecheck import cache, rigor, solver
 from saddlecheck.cache import (CACHE_ENV_VAR, CacheMismatch, _content_hash,
                                cache_dir, load_or_solve, load_solution,
                                save_solution, solution_key)
-from saddlecheck.checks import run_inequality_suite
+from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.cli import RunConfig, run_stages
 from saddlecheck.reporting import (REPORT_SCHEMA, build_report, export_csv,
-                                   export_signmaps, svg_heatmap, svg_sign_map,
+                                   export_signmaps, report_digest,
+                                   svg_heatmap, svg_sign_map, verdict,
                                    write_report)
 
 M, R, H = 4, 8.0, 0.2
@@ -103,11 +106,12 @@ def test_concurrent_saves_of_one_key(tmp_path, solved, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def _rewrite_header(path, edit):
-    """Apply edit to a cache entry's header and give it a matching hash."""
+def _rewrite_header(path, edit, change=lambda u: u):
+    """Apply edit to a cache entry's header and change to its field, and
+    give it a matching hash."""
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
-        u = data["u"].copy()
+        u = change(data["u"].copy())
     header.pop("sha256")
     edit(header)
     header["sha256"] = _content_hash(header, u)
@@ -180,6 +184,17 @@ def _header_with(**fields):
     return lambda path: _rewrite_header(path, lambda hdr: hdr.update(fields))
 
 
+def _field_with(change):
+    # the field comes from outside the program too: only a finite float64
+    # array is a solved field, whatever its hash
+    return lambda path: _rewrite_header(path, lambda header: None, change)
+
+
+def _nan_at_5_3(u):
+    u[5, 3] = np.nan
+    return u
+
+
 @pytest.mark.parametrize("damage, cause", [
     (_empty, "EOFError"),
     (_truncated, "BadZipFile"),
@@ -197,10 +212,13 @@ def _header_with(**fields):
     (_header_with(R="8"), "R '8' is not a finite real number"),
     (_header_with(h=float("nan")), "h nan is not a finite real number"),
     (_header_with(newton_iters="x"), "newton_iters 'x' is not an int >= 0"),
+    (_field_with(lambda u: u.astype(np.float32)),
+     "field dtype float32, expected float64"),
+    (_field_with(_nan_at_5_3), "field value nan at node"),
 ], ids=["empty", "truncated", "plain-array", "no-residual-norm",
         "nan-residual-norm", "residual-negative", "residual-neg-inf",
         "m-zero", "m-float", "m-string", "R-string", "h-nan",
-        "newton-iters-string"])
+        "newton-iters-string", "field-float32", "field-nan"])
 def test_damaged_cache_entry_is_rejected_with_its_cause(tmp_path, solved,
                                                         damage, cause):
     sol = solved(M, R, H)
@@ -262,6 +280,20 @@ def test_entry_under_another_key_is_rejected(tmp_path, solved):
     assert "(5, 8.0, 0.2)" in solve["cache_rejected"]
 
 
+def test_two_grids_get_two_cache_keys(tmp_path):
+    # R = 8 and R = 8.000000001 give the same N at h = 0.2, but are two
+    # grids: each has its own entry, so neither run evicts the other's
+    radii = (8.0, 8.000000001)
+    for from_cache in (False, True):
+        for radius in radii:
+            sol, cached, reason = load_or_solve(M, radius, H,
+                                                directory=tmp_path)
+            assert sol.grid.R == radius
+            assert cached is from_cache and reason is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        solution_key(M, radius, H) + ".npz" for radius in radii)
+
+
 def test_coarse_levels_reach_the_report(tmp_path):
     cfg = RunConfig(m=M, R=R, h=0.1, stages=("solve",), cache=str(tmp_path))
     report, sol = run_stages(cfg)
@@ -317,6 +349,62 @@ def test_report_roundtrip_and_determinism(tmp_path, solved):
     assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
     path = write_report(r1, tmp_path / "report.json")
     assert json.loads(path.read_text()) == r1
+
+
+def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
+    sup = verify_supersolution(sol_m4_coarse)
+    suite = run_inequality_suite(sol_m4_coarse)
+    stages = {"suite": {"checks": suite}, "supersolution": {"checks": [sup]}}
+    failures, cert = verdict(sol_m4_coarse, stages)
+    assert failures == []
+    assert cert["schema"] == "stability-certificate/1"
+    assert cert["n"] == 8 and cert["m"] == 4
+    assert cert["conclusion"] == "stable"
+    # the suite's entries, then the supersolution's
+    assert cert["report_ids"] == [c["id"] for c in suite] + [sup["id"]]
+    assert cert["report_sha256"][-1] == report_digest(sup)
+    assert cert["package_version"] == saddlecheck.__version__
+    assert sorted(cert) == ["basis", "conclusion", "grid", "m", "n",
+                            "package_version", "report_ids",
+                            "report_sha256", "schema", "solution_sha256"]
+
+    # failed prerequisite
+    failed = dict(sup, passed=False)
+    assert verdict(sol_m4_coarse, dict(
+        stages, supersolution={"checks": [failed]})) == (["supersolution"],
+                                                         None)
+
+    # missing supersolution report
+    assert verdict(sol_m4_coarse, {"suite": {"checks": suite}}) == ([], None)
+
+    # empty payload
+    assert verdict(sol_m4_coarse, {}) == ([], None)
+
+    # suite and spectrum passed, but no supersolution stage ran
+    assert verdict(sol_m4_coarse, {"suite": {"checks": suite},
+                                   "spectrum": {"sign_consistent": True}}
+                   ) == ([], None)
+
+
+def test_certificate_dimension_mismatch(sol_m4_coarse):
+    # every check passes, but the supersolution entry is n = 10's: it does
+    # not certify the m = 4 (n = 8) solution
+    sup = verify_supersolution(sol_m4_coarse)
+    assert sup["id"] == "supersolution-n8"
+    suite = run_inequality_suite(sol_m4_coarse)
+    stages = {"suite": {"checks": suite},
+              "supersolution": {"checks": [dict(sup, id="supersolution-n10")]}}
+    assert all(c["passed"] for c in suite)
+    assert verdict(sol_m4_coarse, stages) == ([], None)
+
+
+def test_report_digest_refuses_a_value_that_is_not_json(sol_m4_coarse):
+    # a numpy scalar is not a JSON value: hashing its str would let two
+    # entries that report.json writes alike hash apart, or the reverse
+    entry = verify_supersolution(sol_m4_coarse)
+    report_digest(entry)
+    with pytest.raises(TypeError):
+        report_digest(dict(entry, nodes_checked=np.int64(entry["nodes_checked"])))
 
 
 def test_svg_emitters_deterministic(tmp_path, solved):

@@ -1,6 +1,5 @@
-"""Generalized eigenvalue pencil of the linearized quadratic form, the
-certified shift of its eigensolve, and the stability certificate built on the
-verification reports."""
+"""Generalized eigenvalue pencil of the linearized quadratic form and the
+certified shift and bracket of its eigensolve."""
 
 import dataclasses
 from fractions import Fraction
@@ -10,14 +9,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-import saddlecheck
 from oracles import dense_min_eigenvalue, even_sector_values, rayleigh_quotient
 from saddlecheck import spectral
-from saddlecheck.checks import run_inequality_suite, verify_supersolution
-from saddlecheck.spectral import (EIG_SIGMA, SHIFT_GAP, CertificateError,
-                                  MMatrixError, assemble, certify_shift,
-                                  min_eigenvalue, report_digest,
-                                  stability_certificate)
+from saddlecheck.spectral import (EIG_SIGMA, SHIFT_GAP, MMatrixError,
+                                  assemble, certify_shift, min_eigenvalue)
 from saddlecheck.solver import weighted_form
 
 
@@ -261,52 +256,3 @@ def test_bracket_not_above_the_shift_is_refused(solved, monkeypatch):
     with pytest.raises(MMatrixError, match="Collatz-Wielandt bound -inf"):
         min_eigenvalue(asm)
 
-
-def test_certificate_roundtrip_and_refusals(sol_m4_coarse):
-    sup = verify_supersolution(sol_m4_coarse)
-    suite = run_inequality_suite(sol_m4_coarse)
-    reports = [sup] + suite
-    cert = stability_certificate(sol_m4_coarse, reports)
-    assert cert["schema"] == "stability-certificate/1"
-    assert cert["n"] == 8 and cert["m"] == 4
-    assert cert["conclusion"] == "stable"
-    assert cert["report_ids"][0] == sup["id"]
-    assert len(cert["report_sha256"]) == len(reports)
-    assert cert["package_version"] == saddlecheck.__version__
-    assert sorted(cert) == ["basis", "conclusion", "grid", "m", "n",
-                            "package_version", "report_ids",
-                            "report_sha256", "schema", "solution_sha256"]
-
-    # failed prerequisite
-    failed = dict(sup, passed=False)
-    with pytest.raises(CertificateError):
-        stability_certificate(sol_m4_coarse, [failed] + suite)
-
-    # missing supersolution report
-    with pytest.raises(CertificateError):
-        stability_certificate(sol_m4_coarse, suite)
-
-    # empty report list
-    with pytest.raises(CertificateError):
-        stability_certificate(sol_m4_coarse, [])
-
-
-def test_certificate_dimension_mismatch(sol_m4_coarse):
-    # every check passes, but the supersolution entry is n = 10's: it does
-    # not certify the m = 4 (n = 8) solution
-    sup = verify_supersolution(sol_m4_coarse)
-    assert sup["id"] == "supersolution-n8"
-    checks = run_inequality_suite(sol_m4_coarse) + [
-        dict(sup, id="supersolution-n10")]
-    assert all(c["passed"] for c in checks)
-    with pytest.raises(CertificateError, match="missing supersolution-n8"):
-        stability_certificate(sol_m4_coarse, checks)
-
-
-def test_report_digest_refuses_a_value_that_is_not_json(sol_m4_coarse):
-    # a numpy scalar is not a JSON value: hashing its str would let two
-    # entries that report.json writes alike hash apart, or the reverse
-    entry = verify_supersolution(sol_m4_coarse)
-    report_digest(entry)
-    with pytest.raises(TypeError):
-        report_digest(dict(entry, nodes_checked=np.int64(entry["nodes_checked"])))
