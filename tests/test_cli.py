@@ -378,6 +378,21 @@ def test_report_does_not_follow_the_blas_thread_count(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_cold_report_keeps_its_bytes(capsys):
+    # a cold run of all five stages on R8 h.1 writes, outside timing and
+    # config.out, the bytes pinned here: a change that moves any field,
+    # margin, bracket, proof count or the certificate (package_version
+    # included) shows in this hash
+    assert main(["run", "--m", "4", "--R", "8", "--h", "0.1"]) == 0
+    report = json.loads(Path("out/report.json").read_text())
+    assert report["stages"]["solve"]["from_cache"] is False
+    assert report["stages"]["spectrum"]["iterations"] == 7
+    del report["timing"], report["config"]["out"]
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "72bfe3f9097f451aece141d4c5ebedaf0167920f97f69a60af724fc83559ef13"
+
+
 _NO_FRONTIER = hashlib.sha256(b"").hexdigest()
 
 
