@@ -47,11 +47,16 @@ def cache_dir(override: str | os.PathLike | None = None) -> Path:
     return Path(".saddlecheck_cache")
 
 
+def format_exact(x: float) -> str:
+    """x in the fewest digits that read back as x: '12', '0.05',
+    '8.000000001'."""
+    return np.format_float_positional(x, trim="-")
+
+
 def solution_key(m: int, R: float, h: float) -> str:
     """The entry name; R and h are printed exactly, so two grids never
     share one key."""
-    R, h = (np.format_float_positional(x, trim="-") for x in (R, h))
-    return f"sol_m{m}_R{R}_h{h}_tol{NEWTON_TOL:g}"
+    return f"sol_m{m}_R{format_exact(R)}_h{format_exact(h)}_tol{NEWTON_TOL:g}"
 
 
 def _header(sol: SaddleSolution) -> dict:

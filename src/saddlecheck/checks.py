@@ -80,8 +80,7 @@ def _sqrt_pos(x):
 
 
 def _build_suite(sol: SaddleSolution):
-    """Yield (id, description, margin, scale, mask, kappa_mult), one check at
-    a time.
+    """Yield (id, description, margin, scale, mask), one check at a time.
 
     margin >= 0 is the satisfied direction for every entry; scale is the sum
     of term magnitudes used by the tolerance model.  A check's one-shot
@@ -110,12 +109,12 @@ def _build_suite(sol: SaddleSolution):
     # 1. energy-gradient (Modica-type) bound
     grad2 = 0.5 * (us**2 + ut**2)
     yield ("01-modica", "F(u) - |grad u|^2/2 >= 0",
-           double_well(u) - grad2, double_well(u) + grad2, first, 1.0)
+           double_well(u) - grad2, double_well(u) + grad2, first)
     del grad2
 
     # 2. t u_s + s u_t <= 0 (equality on the diagonal)
     yield ("02-tus-sut", "-(t u_s + s u_t) >= 0",
-           -(T * us + S * ut), np.abs(T * us) + np.abs(S * ut), with_diag, 1.0)
+           -(T * us + S * ut), np.abs(T * us) + np.abs(S * ut), with_diag)
 
     # 3. 0 <= u_s + u_t <= (2z/(y+z)) u_s.  The factor comes from
     # |u_t| >= (t/s) u_s (a consequence of check 2): u_s + u_t <=
@@ -123,53 +122,52 @@ def _build_suite(sol: SaddleSolution):
     m3a = us + ut
     m3b = 2.0 * z / (y + z + 1e-300) * us - (us + ut)
     yield ("03-usut-decay", "u_s+u_t in [0, (2z/(y+z)) u_s]",
-           np.minimum(m3a, m3b), np.abs(us) + np.abs(ut), first, 1.0)
+           np.minimum(m3a, m3b), np.abs(us) + np.abs(ut), first)
     del m3a, m3b
 
     # 4. explicit exponential decay of u_s
     bound4 = 2.0 * (np.exp(0.85 * T) + 4.9 / _sqrt_pos(T + (T <= 0))) * np.exp(-0.85 * S)
     yield ("04-us-decay", "2(e^{0.85t}+4.9/sqrt t)e^{-0.85s} - u_s >= 0",
-           bound4 - us, bound4 + np.abs(us), tri_mask(g, cone=1), 1.0)
+           bound4 - us, bound4 + np.abs(us), tri_mask(g, cone=1))
     del bound4
 
     # 5. u_s/s - u_ss >= 0
     t5 = np.where(msk, us / np.where(msk, S, 1.0), 0.0)
     yield ("05-uss", "u_s/s - u_ss >= 0",
-           t5 - uss, np.abs(t5) + np.abs(uss), std, 1.0)
+           t5 - uss, np.abs(t5) + np.abs(uss), std)
 
     # 6. u_s/s + u_t/t - u_ss - u_tt >= 0
     t6 = np.where(msk, ut / np.where(msk, T, 1.0), 0.0)
     yield ("06-laplace-split", "u_s/s + u_t/t - u_ss - u_tt >= 0",
            t5 + t6 - uss - utt,
-           np.abs(t5) + np.abs(t6) + np.abs(uss) + np.abs(utt), std, 1.0)
+           np.abs(t5) + np.abs(t6) + np.abs(uss) + np.abs(utt), std)
 
     # 7. u_s+u_t <= (1/t^2 - 1/s^2)(2(u_s-u_t) + sqrt(u_s-u_t))
     rhs7 = inv_t2s2 * (2.0 * (us - ut) + _sqrt_pos(us - ut))
     yield ("07-usut-bound", "(1/t^2-1/s^2)(2(u_s-u_t)+sqrt(u_s-u_t)) - (u_s+u_t) >= 0",
-           rhs7 - (us + ut), np.abs(rhs7) + np.abs(us + ut), std, 1.0)
+           rhs7 - (us + ut), np.abs(rhs7) + np.abs(us + ut), std)
 
     # 8. u - u^3 + u_ss >= 0
     yield ("08-u-u3-uss", "u - u^3 + u_ss >= 0",
-           u - u**3 + uss, np.abs(u - u**3) + np.abs(uss), std, 1.0)
+           u - u**3 + uss, np.abs(u - u**3) + np.abs(uss), std)
 
     # 9. sqrt2 u_s u + u_ss >= 0
     yield ("09-uus", "sqrt2 u_s u + u_ss >= 0",
-           SQRT2 * us * u + uss, SQRT2 * np.abs(us * u) + np.abs(uss), std, 1.0)
+           SQRT2 * us * u + uss, SQRT2 * np.abs(us * u) + np.abs(uss), std)
 
     # 10. sqrt2 u_t u + u_st <= 0
     yield ("10-utust", "-(sqrt2 u_t u + u_st) >= 0",
-           -(SQRT2 * ut * u + ust), SQRT2 * np.abs(ut * u) + np.abs(ust),
-           std, 1.0)
+           -(SQRT2 * ut * u + ust), SQRT2 * np.abs(ut * u) + np.abs(ust), std)
 
     # 11. 2(u_s+u_t) + u_st + u_ss >= 0
     yield ("11-2us-ust-uss", "2(u_s+u_t) + u_st + u_ss >= 0",
            2.0 * (us + ut) + ust + uss,
-           2.0 * np.abs(us + ut) + np.abs(ust) + np.abs(uss), std, 1.0)
+           2.0 * np.abs(us + ut) + np.abs(ust) + np.abs(uss), std)
 
     # 12. 2(u_s+u_t) - u_st - u_tt >= 0
     yield ("12-2us-ust-utt", "2(u_s+u_t) - u_st - u_tt >= 0",
            2.0 * (us + ut) - ust - utt,
-           2.0 * np.abs(us + ut) + np.abs(ust) + np.abs(utt), std, 1.0)
+           2.0 * np.abs(us + ut) + np.abs(ust) + np.abs(utt), std)
 
     # 13. u/y + u/z - u_y - u_z >= 0, and u >= y u_y
     zsafe = np.where(z > 0, z, 1.0)
@@ -177,12 +175,12 @@ def _build_suite(sol: SaddleSolution):
     m13b = u - y * uy
     yield ("13-radial", "u/y + u/z - u_y - u_z >= 0 and u - y u_y >= 0",
            np.minimum(m13a, m13b),
-           np.abs(u / zsafe) + np.abs(uy) + np.abs(uz) + np.abs(y * uy),
-           std, 1.0)
+           np.abs(u / zsafe) + np.abs(uy) + np.abs(uz) + np.abs(y * uy), std)
     del zsafe, m13a, m13b
 
     # 14. u_z - y u_yz >= 0 on the cone (z = 0); diagonal trace with a
-    # looser tolerance since the cross term needs a one-sided read.
+    # looser tolerance, four times the scale, since the cross term needs a
+    # one-sided read.
     k = np.arange(g.N + 1)
     uz_diag = uz[k, k]
     uyz_diag = np.zeros_like(uz_diag)
@@ -194,55 +192,55 @@ def _build_suite(sol: SaddleSolution):
     mask14 = np.zeros_like(u, dtype=bool)
     np.fill_diagonal(mask14, (k >= 2) & (k <= g.N - 3))
     yield ("14-cone-uz", "u_z - y u_yz >= 0 on the cone",
-           m14, s14, mask14, 4.0)
+           m14, 4.0 * s14, mask14)
     del m14, s14, mask14
 
     # 15. -u_t/t + u_st + u_tt >= 0
     yield ("15-ut-over-t", "-u_t/t + u_st + u_tt >= 0",
-           -t6 + ust + utt, np.abs(t6) + np.abs(ust) + np.abs(utt), std, 1.0)
+           -t6 + ust + utt, np.abs(t6) + np.abs(ust) + np.abs(utt), std)
 
     # 16. (m-1)(1/t - 1/s) u_s + u_ss + 2 u_st >= 0
     yield ("16-uss-2ust", "(m-1)(1/t-1/s) u_s + u_ss + 2u_st >= 0",
            d * inv_ts * us + uss + 2.0 * ust,
-           d * np.abs(inv_ts * us) + np.abs(uss) + 2.0 * np.abs(ust), std, 1.0)
+           d * np.abs(inv_ts * us) + np.abs(uss) + 2.0 * np.abs(ust), std)
 
     # 17. (m-1)(1/t - 1/s)(u_s - u_t) + 2u_st + u_ss + u_tt >= 0
     yield ("17-ust-uss", "(m-1)(1/t-1/s)(u_s-u_t) + 2u_st + u_ss + u_tt >= 0",
            d * inv_ts * (us - ut) + 2.0 * ust + uss + utt,
            d * np.abs(inv_ts * (us - ut)) + 2.0 * np.abs(ust)
-           + np.abs(uss) + np.abs(utt), std, 1.0)
+           + np.abs(uss) + np.abs(utt), std)
 
     # 18. u_st + u_ss + (1/t^2-1/s^2)(2(u_s-u_t)+sqrt(u_s-u_t)) >= 0
     yield ("18-a1", "u_st + u_ss + (1/t^2-1/s^2)(2(u_s-u_t)+sqrt(u_s-u_t)) >= 0",
-           ust + uss + rhs7, np.abs(ust) + np.abs(uss) + np.abs(rhs7), std, 1.0)
+           ust + uss + rhs7, np.abs(ust) + np.abs(uss) + np.abs(rhs7), std)
 
     # 19. u_s u + u_ss >= 0
     yield ("19-usu-uss", "u_s u + u_ss >= 0",
-           us * u + uss, np.abs(us * u) + np.abs(uss), std, 1.0)
+           us * u + uss, np.abs(us * u) + np.abs(uss), std)
 
     # 20. -u_t u - u_st >= 0
     yield ("20-utu-ust", "-u_t u - u_st >= 0",
-           -ut * u - ust, np.abs(ut * u) + np.abs(ust), std, 1.0)
+           -ut * u - ust, np.abs(ut * u) + np.abs(ust), std)
 
     # 21. ((n-2)/4)(1/t - 1/s) u_s + u_ss + u_st >= 0
     yield ("21-half-uss-ust", "((n-2)/4)(1/t-1/s) u_s + u_ss + u_st >= 0",
            c2 * inv_ts * us + uss + ust,
-           c2 * np.abs(inv_ts * us) + np.abs(uss) + np.abs(ust), std, 1.0)
+           c2 * np.abs(inv_ts * us) + np.abs(uss) + np.abs(ust), std)
 
     # 22. ((n-2)/4)(1/s - 1/t) u_t - u_st - u_tt >= 0
     yield ("22-half-ust-utt", "((n-2)/4)(1/s-1/t) u_t - u_st - u_tt >= 0",
            -c2 * inv_ts * ut - ust - utt,
-           c2 * np.abs(inv_ts * ut) + np.abs(ust) + np.abs(utt), std, 1.0)
+           c2 * np.abs(inv_ts * ut) + np.abs(ust) + np.abs(utt), std)
 
     # 23. u_s + u_t - u_st - u_tt >= 0
     yield ("23-st-tt", "u_s + u_t - u_st - u_tt >= 0",
            us + ut - ust - utt,
-           np.abs(us + ut) + np.abs(ust) + np.abs(utt), std, 1.0)
+           np.abs(us + ut) + np.abs(ust) + np.abs(utt), std)
 
     # 24. u_s + u_t + u_st + u_ss >= 0
     yield ("24-us-ut-ust", "u_s + u_t + u_st + u_ss >= 0",
            us + ut + ust + uss,
-           np.abs(us + ut) + np.abs(ust) + np.abs(uss), std, 1.0)
+           np.abs(us + ut) + np.abs(ust) + np.abs(uss), std)
 
     # 25. bootstrapped bound and its corollary
     rhs25 = inv_t2s2 * (us - ut + 0.5 * _sqrt_pos(us - ut))
@@ -251,8 +249,7 @@ def _build_suite(sol: SaddleSolution):
     yield ("25-bootstrap", "u_s+u_t <= (1/t^2-1/s^2)(u_s-u_t+sqrt(u_s-u_t)/2); "
            "same bound + u_st + u_ss >= 0",
            np.minimum(m25a, m25b),
-           np.abs(rhs25) + np.abs(us + ut) + np.abs(ust) + np.abs(uss),
-           std, 1.0)
+           np.abs(rhs25) + np.abs(us + ut) + np.abs(ust) + np.abs(uss), std)
     del rhs25, m25a, m25b
 
     # 26. dE/dz >= 0 for E = u^2 + 2u_s, and the cone-anchored lower bound
@@ -262,7 +259,7 @@ def _build_suite(sol: SaddleSolution):
     yield ("26-E-monotone", "d(u^2+2u_s)/dz >= 0 and 2u_s + u^2 - 2u_s(y,0) >= 0",
            np.minimum(m26a, m26b),
            np.abs(us * u) + np.abs(ut * u) + np.abs(uss) + np.abs(ust)
-           + 2.0 * np.abs(us) + 2.0 * np.abs(us_cone) + u**2, std, 1.0)
+           + 2.0 * np.abs(us) + 2.0 * np.abs(us_cone) + u**2, std)
     del m26a, m26b
 
     # 27. deficit phi = H(y)H(z) - u: nonnegative and two upper bounds
@@ -278,7 +275,7 @@ def _build_suite(sol: SaddleSolution):
     m27 = np.where(zgt1, np.minimum(m27, b27b - phi), m27)
     yield ("27-deficit", "0 <= H(y)H(z)-u <= 4H(y)(H+zH')/(y^2-z^2); "
            "<= C (1/t-1/s)H(y)rho(z) for z>1",
-           m27, phi + np.abs(b27a), std, 1.0)
+           m27, phi + np.abs(b27a), std)
     del phi, denom, Hy, b27a, m27, zgt1, rho_z, b27b
 
     # 28. subsolution bound u >= H(0.45y)H(0.45z); where the proven a-range
@@ -289,14 +286,14 @@ def _build_suite(sol: SaddleSolution):
     if a_max < 0.45:
         desc28 += (f" (grid check only: a = 0.45 is above the proven "
                    f"a-range a <= {a_max:g} at n = {2 * m})")
-    yield ("28-subsolution", desc28, u - sub, np.abs(u) + sub, first, 1.0)
+    yield ("28-subsolution", desc28, u - sub, np.abs(u) + sub, first)
     del sub
 
     # 29. lower bound on the Laplacian combination (controls |u_tt|)
     lhs29 = uss + utt + d * t5 + d * t6
     rhs29 = -u * (2.0 * us + 1.0 - 2.0 * us_cone)
     yield ("29-utt-bound", "u_ss+u_tt+(m-1)(u_s/s+u_t/t) + u(2u_s+1-2u_s(y,0)) >= 0",
-           lhs29 - rhs29, np.abs(lhs29) + np.abs(rhs29), std, 1.0)
+           lhs29 - rhs29, np.abs(lhs29) + np.abs(rhs29), std)
 
 
 def _entry(cid: str, description: str, passed: bool, worst_margin: float,
@@ -316,8 +313,8 @@ def run_inequality_suite(sol: SaddleSolution) -> list[dict]:
     h = sol.grid.h
     entries = []
     total_nodes = int(sol.grid.mask_triangle.sum())
-    for cid, desc, margin, scale, mask, kmult in _build_suite(sol):
-        tol = np.maximum(KAPPA_DEFAULT * kmult * h * h * scale, TOL_FLOOR)
+    for cid, desc, margin, scale, mask in _build_suite(sol):
+        tol = np.maximum(KAPPA_DEFAULT * h * h * scale, TOL_FLOOR)
         slack = np.where(mask, margin + tol, np.inf)
         i, j = np.unravel_index(np.argmin(slack), slack.shape)
         checked = int(mask.sum())

@@ -5,10 +5,12 @@ Run settings come from command-line flags only.  Exit status is 0 iff every
 requested verification passed, 1 if one failed, and 2, with 'error: ...' on
 stderr and no report, if the run could not finish: a usage or configuration
 error (a grid above grid.N_MAX among them), a failed Newton solve, a
-spectrum worker that died or raised spectral.MMatrixError, an OSError (say
---out under a file) or a MemoryError, in this process or the worker.  The
-last stdout line is then machine-parseable (--help prints only the help,
-and any other exception propagates with its traceback):
+spectrum worker that died or raised spectral.MMatrixError (the pencil breaks
+a premise of the bracket, the iteration did not settle, or its last iterate
+is not positive; sigma is only a shift and never the cause), an OSError
+(say --out under a file) or a MemoryError, in this process or the worker.
+The last stdout line is then machine-parseable (--help prints only the
+help, and any other exception propagates with its traceback):
 
     RESULT <pass|fail> stages=<csv> failures=<k>
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NoReturn
 
-from saddlecheck.cache import load_or_solve
+from saddlecheck.cache import format_exact, load_or_solve
 from saddlecheck.candidate import CANDIDATE_DIMENSIONS
 from saddlecheck.checks import (run_inequality_suite, summary,
                                 verify_supersolution)
@@ -125,7 +127,7 @@ def run_stages(cfg: RunConfig) -> tuple[dict, SaddleSolution]:
     stages["solve"] = solver_to_dict(sol) | {"from_cache": cached}
     if rejected is not None:
         stages["solve"]["cache_rejected"] = rejected
-    print(f"solve: m={cfg.m} R={cfg.R:g} h={cfg.h:g} "
+    print(f"solve: m={cfg.m} R={format_exact(cfg.R)} h={format_exact(cfg.h)} "
           f"residual={sol.residual_norm:.3e} "
           f"cg_iters={stages['solve']['cg_iters']} "
           f"({'cache' if cached else _newton_summary(sol)})")
@@ -274,7 +276,7 @@ def _newton_summary(sol: SaddleSolution) -> str:
     steps per level."""
     text = f"{sol.newton_iters} Newton iters"
     if sol.coarse_iters:
-        *finer, coarsest = [f"h={h:g} ({iters})"
+        *finer, coarsest = [f"h={format_exact(h)} ({iters})"
                             for h, iters in sol.coarse_iters]
         chain = f"{', '.join(finer)} and {coarsest}" if finer else coarsest
         text += f", started from {chain}"

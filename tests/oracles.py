@@ -360,11 +360,16 @@ def rayleigh_quotient(asm, v: np.ndarray) -> float:
     return float(v @ (asm.stiffness @ v)) / float(v @ (asm.mass @ v))
 
 
+def dense_eigenvalues(asm, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of the pencil by LAPACK on the dense
+    matrices; only sensible on coarse grids."""
+    return scipy.linalg.eigh(asm.stiffness.toarray(), asm.mass.toarray(),
+                             eigvals_only=True, subset_by_index=[0, k - 1])
+
+
 def dense_min_eigenvalue(asm) -> float:
-    """Smallest eigenvalue of the pencil by LAPACK on the dense matrices;
-    only sensible on coarse grids."""
-    return float(scipy.linalg.eigh(asm.stiffness.toarray(), asm.mass.toarray(),
-                                   eigvals_only=True, subset_by_index=[0, 0])[0])
+    """Smallest eigenvalue of the pencil by LAPACK on the dense matrices."""
+    return float(dense_eigenvalues(asm, 1)[0])
 
 
 def residual_yz_form(sol, guard: float | None = None):

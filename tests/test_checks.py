@@ -100,7 +100,7 @@ def test_margins_decay_outward(sol_m4):
 
     S, T = sol_m4.grid.meshgrid()
     picked = 0
-    for cid, _, margin, _, mask, _ in _build_suite(sol_m4):
+    for cid, _, margin, _, mask in _build_suite(sol_m4):
         if cid not in ("11-2us-ust-uss", "23-st-tt", "24-us-ut-ust"):
             continue
         picked += 1

@@ -96,6 +96,21 @@ def test_solve_log_names_the_coarse_chain(capsys):
     assert re.search(r" cg_iters=\[\[0\.1, \[\d+(, \d+)*\]\]\] ", line), line
 
 
+def test_solve_log_prints_the_grid_exactly(capsys):
+    # R and h print as the cache key spells them, so a radius a hair above
+    # 8 does not read as 8 while its key and report hold 8.000000001
+    argv = ["run", "--m", "4", "--R", "8.000000001", "--h", "0.2",
+            "--stages", "solve"]
+    assert main(argv) == 0
+    [line] = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("solve:")]
+    assert line.startswith("solve: m=4 R=8.000000001 h=0.2 "), line
+    [entry] = Path(os.environ[CACHE_ENV_VAR]).iterdir()
+    assert entry.name.startswith("sol_m4_R8.000000001_h0.2_")
+    report = json.loads(Path("out/report.json").read_text())
+    assert report["config"]["R"] == 8.000000001
+
+
 def test_spectrum_stage_skips_candidate_validation(capsys):
     # m = 2 has no supersolution candidate, but the spectrum stage must run
     rc = main(["run", "--stages", "solve,spectrum",
@@ -622,24 +637,27 @@ def test_worker_exception_is_raised_here(exc, raised, message, monkeypatch,
 
 
 def test_spectrum_refusal_exits_two(monkeypatch, capsys):
-    # min_eigenvalue's refusal when no shift is certified, raised in the
-    # worker, ends the run like a failed Newton solve: exit 2, the error on
-    # stderr, a RESULT line and no report
+    # min_eigenvalue's refusal of a last iterate that is not positive,
+    # raised in the worker, ends the run like a failed Newton solve: exit 2,
+    # the error on stderr, a RESULT line and no report.  R8 h.2 has no
+    # coarse level, so the shift is EIG_SIGMA, held there: 0.46 lies between
+    # lambda_1 = 0.157 and lambda_2 = 0.565, nearer the sign-changing second
     _with_budget(monkeypatch, 500)
-    monkeypatch.setattr(spectral, "certify_shift", lambda asm, sigma: None)
+    monkeypatch.setattr(spectral, "EIG_SIGMA", 0.46)
+    monkeypatch.setattr(spectral, "SHIFT_GAP", float("inf"))
     assert main(["run"] + M_ARGS) == 2
     captured = capsys.readouterr()
-    assert re.search(r"^error: K - sigma B is not an M-matrix at "
-                     r"sigma = -1\.05$", captured.err, re.M)
+    assert re.search(r"^error: the last iterate is not positive "
+                     r"\(sigma = 0\.46\)$", captured.err, re.M)
     assert captured.out.splitlines()[-1] == "RESULT fail stages= failures=1"
     assert not Path("out/report.json").exists()
     _no_child_left()
 
 
 def test_spectrum_refuses_at_the_solve_cap(monkeypatch, capsys):
-    # inverse iteration that has not settled within MAX_SOLVES solves with
-    # its LU is refused like an uncertified shift: exit 2, the error on
-    # stderr, a RESULT line and no report
+    # inverse iteration that has not settled within MAX_SOLVES solves is
+    # refused like a last iterate that is not positive: exit 2, the error
+    # on stderr, a RESULT line and no report
     monkeypatch.setattr(spectral, "MAX_SOLVES", 2)
     assert main(["run", "--stages", "solve,spectrum"] + M_ARGS) == 2
     captured = capsys.readouterr()

@@ -1,5 +1,5 @@
 """Generalized eigenvalue pencil of the linearized quadratic form and the
-certified shift and bracket of its eigensolve."""
+certified bracket of its eigensolve."""
 
 import dataclasses
 from fractions import Fraction
@@ -9,10 +9,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oracles import dense_min_eigenvalue, even_sector_values, rayleigh_quotient
+from oracles import (dense_eigenvalues, dense_min_eigenvalue,
+                     even_sector_values, rayleigh_quotient)
 from saddlecheck import spectral
 from saddlecheck.spectral import (EIG_SIGMA, SHIFT_GAP, MMatrixError,
-                                  assemble, certify_shift, min_eigenvalue)
+                                  assemble, min_eigenvalue)
 from saddlecheck.solver import weighted_form
 
 
@@ -38,6 +39,7 @@ def test_eigenvalue_signs_by_dimension(solved):
         est = min_eigenvalue(assemble(solved(m, 12.0, 0.1)))
         assert np.sign(est.lambda_min) == sign, (m, est.lambda_min)
         assert np.sign(est.lower) == sign, (m, est.lower)
+        assert est.shift < est.lower, (m, est)
         _assert_tight(est)
 
 
@@ -101,8 +103,8 @@ def test_eigensolver_reports_its_solve_count(sol_m4_coarse):
 
 
 def test_stiffness_is_a_z_matrix(solved):
-    # the premise of the shift certificate: off-diagonals <= 0, on the
-    # pencil and on its coarse level
+    # the premise of the bracket: off-diagonals <= 0, on the pencil and on
+    # its coarse level
     for m in range(1, 7):
         asm = assemble(solved(m, 12.0, 0.1))
         for pencil in (asm, asm.coarse):
@@ -110,27 +112,32 @@ def test_stiffness_is_a_z_matrix(solved):
             assert (K - sp.diags(K.diagonal())).max() <= 0.0, m
 
 
-@pytest.mark.parametrize("pair, message", [
-    (False, "K is not symmetric"),
-    (True, "K has a positive off-diagonal entry"),
-], ids=["one-entry", "symmetric-pair"])
-def test_certify_shift_checks_the_z_matrix_premise(solved, pair, message):
-    # the M-matrix certificate and the Collatz-Wielandt bound both rest on
-    # K being a symmetric Z-matrix: flipping the sign of one off-diagonal
-    # entry breaks the symmetry, flipping it and its mirror the sign pattern
+@pytest.mark.parametrize("broken, message", [
+    ("one-entry", "K is not symmetric"),
+    ("symmetric-pair", "K has a positive off-diagonal entry"),
+    ("zero-mass", "B has a diagonal entry that is not positive"),
+], ids=["one-entry", "symmetric-pair", "zero-mass"])
+def test_min_eigenvalue_checks_the_bracket_premises(solved, broken, message):
+    # the Collatz-Wielandt bound rests on K being a symmetric Z-matrix and B
+    # a positive diagonal: flipping the sign of one off-diagonal entry
+    # breaks the symmetry, flipping it and its mirror the sign pattern, and
+    # one zero mass entry the diagonal
     asm = assemble(solved(4, 8.0, 0.2))
-    K = asm.stiffness.copy()
-    rows = np.repeat(np.arange(asm.n_dof), np.diff(K.indptr))
-    k = np.flatnonzero(rows != K.indices)[0]
-    i, j = rows[k], K.indices[k]
-    K[i, j] = -K[i, j]
-    if pair:
-        K[j, i] = -K[j, i]
-    broken = dataclasses.replace(asm, stiffness=K)
+    if broken == "zero-mass":
+        b = asm.mass.diagonal().copy()
+        b[asm.n_dof // 2] = 0.0
+        asm = dataclasses.replace(asm, mass=sp.diags(b))
+    else:
+        K = asm.stiffness.copy()
+        rows = np.repeat(np.arange(asm.n_dof), np.diff(K.indptr))
+        k = np.flatnonzero(rows != K.indices)[0]
+        i, j = rows[k], K.indices[k]
+        K[i, j] = -K[i, j]
+        if broken == "symmetric-pair":
+            K[j, i] = -K[j, i]
+        asm = dataclasses.replace(asm, stiffness=K)
     with pytest.raises(MMatrixError, match=message):
-        certify_shift(broken, EIG_SIGMA)
-    with pytest.raises(MMatrixError, match=message):
-        min_eigenvalue(broken)
+        min_eigenvalue(asm)
 
 
 def _exact_ends(asm, v):
@@ -169,52 +176,14 @@ def test_bracket_rounds_outward_of_exact_arithmetic(solved, m):
 
 
 @pytest.mark.parametrize("m", [2, 4])
-def test_shift_certificate_brackets_the_eigenvalue(solved, m):
-    asm = assemble(solved(m, 8.0, 0.2))
-    lam = min_eigenvalue(asm).lambda_min
-    assert certify_shift(asm, lam - 1e-3) is not None
-    assert certify_shift(asm, lam + 1e-3) is None
-
-
-def _only_eig_sigma(monkeypatch, pencil=None):
-    """certify_shift rejects every shift but EIG_SIGMA, on `pencil` or, if
-    None, on every pencil; returns the list of shifts it was asked for."""
-    shifts = []
-
-    def reject_near(asm, sigma):
-        if pencil is not None and asm is not pencil:
-            return certify_shift(asm, sigma)
-        shifts.append(sigma)
-        return certify_shift(asm, sigma) if sigma == EIG_SIGMA else None
-
-    monkeypatch.setattr(spectral, "certify_shift", reject_near)
-    return shifts
-
-
-def test_rejected_near_shift_falls_back_to_eig_sigma(solved, monkeypatch):
-    asm = assemble(solved(4, 8.0, 0.1))
-    near = min_eigenvalue(asm)
-    assert near.shift > EIG_SIGMA
-    shifts = _only_eig_sigma(monkeypatch, asm)
-    far = min_eigenvalue(asm)
-    # the rejected near shift, the fallback, then the rejected moves of the
-    # shift to SHIFT_GAP under the Collatz-Wielandt bound
-    assert shifts[:2] == [near.shift, EIG_SIGMA]
-    assert all(s > EIG_SIGMA + SHIFT_GAP for s in shifts[2:])
-    assert far.shift == EIG_SIGMA
-    assert far.lambda_min == pytest.approx(near.lambda_min, rel=1e-12)
-    _assert_tight(near)
-    _assert_tight(far)
-
-
-@pytest.mark.parametrize("m", [2, 4])
 def test_near_shift_agrees_with_eig_sigma_and_dense(solved, monkeypatch, m):
     asm = assemble(solved(m, 8.0, 0.1))
     assert asm.n_dof == 3240 and asm.coarse is not None
     near = min_eigenvalue(asm)
-    # with no coarse level the shift starts at EIG_SIGMA and moves up
+    # with no coarse level the shift starts at EIG_SIGMA and moves up; an
+    # infinite SHIFT_GAP holds it there
     moved = min_eigenvalue(dataclasses.replace(asm, coarse=None))
-    _only_eig_sigma(monkeypatch)
+    monkeypatch.setattr(spectral, "SHIFT_GAP", np.inf)
     far = min_eigenvalue(dataclasses.replace(asm, coarse=None))
     assert EIG_SIGMA == far.shift < near.shift < near.lower
     assert EIG_SIGMA + SHIFT_GAP < moved.shift < moved.lower
@@ -237,22 +206,85 @@ def test_near_shift_cuts_the_solve_count(sol_m4):
 def test_moving_shift_settles_on_a_large_domain(solved):
     # on R40 h.2, the coarsest pencil of R40 h.1, EIG_SIGMA is 1.05 under
     # an eigenvalue whose gap to the next is about 0.003: a fixed shift
-    # there takes over 1000 solves, the moving one 66
+    # there takes over 1000 solves, the moving one 59
     est = min_eigenvalue(assemble(solved(4, 40.0, 0.2)))
     assert est.shift > EIG_SIGMA
     assert est.iterations <= 100
     _assert_tight(est)
 
 
-def test_bracket_not_above_the_shift_is_refused(solved, monkeypatch):
-    # lower is the Collatz-Wielandt bound itself, never the shift: a last
-    # iterate that is not positive gives none, and min_eigenvalue refuses
+def _held_at(monkeypatch, sigma):
+    """min_eigenvalue on a pencil with no coarse level starts at sigma and,
+    with SHIFT_GAP infinite, stays there."""
+    monkeypatch.setattr(spectral, "EIG_SIGMA", sigma)
+    monkeypatch.setattr(spectral, "SHIFT_GAP", np.inf)
+
+
+def test_shift_above_lambda_min_bounds_nothing(solved, monkeypatch):
+    # sigma is only a shift: a quarter of the way from lambda_1 to lambda_2,
+    # K - sigma B is no M-matrix, yet the iterate stays positive and its
+    # bracket still holds lambda_1 (wide, since the stop sees the lower end
+    # fall)
     asm = assemble(solved(4, 8.0, 0.2))
-    v = min_eigenvalue(asm).vector.copy()
-    v[0] = 0.0
-    lower, upper = spectral._bracket(asm.stiffness, asm.mass.diagonal(), v)
-    assert lower == -np.inf and np.isfinite(upper)
-    monkeypatch.setattr(spectral, "_bracket", lambda K, b, v: (lower, upper))
-    with pytest.raises(MMatrixError, match="Collatz-Wielandt bound -inf"):
+    lam = dense_eigenvalues(asm, 2)
+    _held_at(monkeypatch, lam[0] + 0.25 * (lam[1] - lam[0]))
+    est = min_eigenvalue(asm)
+    assert est.lower <= lam[0] <= est.lambda_min < lam[0] + 0.25 * (
+        lam[1] - lam[0])
+
+
+def test_last_iterate_not_positive_is_refused(solved, monkeypatch):
+    # three quarters of the way from lambda_1 to lambda_2 the iteration
+    # settles on the second, sign-changing mode: its iterate gives no
+    # Collatz-Wielandt bound, and min_eigenvalue refuses
+    asm = assemble(solved(4, 8.0, 0.2))
+    lam = dense_eigenvalues(asm, 2)
+    _held_at(monkeypatch, lam[0] + 0.75 * (lam[1] - lam[0]))
+    with pytest.raises(MMatrixError, match=r"^the last iterate is not "
+                                           r"positive \(sigma = "):
         min_eigenvalue(asm)
 
+
+# LUs per pencil by its dofs: 1 + its moves of the shift
+@pytest.mark.parametrize("R, h, lus", [
+    (8.0, 0.1, {820: 6, 3240: 1}),
+    (40.0, 0.2, {20100: 8}),
+], ids=["R8-h.1", "R40-h.2"])
+def test_one_lu_alive_at_a_time(solved, monkeypatch, R, h, lus):
+    # each pencil gets one LU at its first shift and one per move of the
+    # shift, each move more than SHIFT_GAP up, the last at est.shift; the
+    # LU is released before the next is made and before the bracket.  R8
+    # h.1 has a coarse level, whose shift the fine pencil starts SHIFT_GAP
+    # under; R40 h.2 has none, and its shift moves up from EIG_SIGMA
+    asm = assemble(solved(4, R, h))
+    pencils = [p for p in (asm.coarse, asm) if p is not None]
+    first = [EIG_SIGMA if p.coarse is None
+             else min_eigenvalue(p.coarse).lambda_min - SHIFT_GAP
+             for p in pencils]
+    splu, alive, made = spla.splu, [0], []
+
+    class Counted:
+        def __init__(self, A, **kwargs):
+            assert alive[0] == 0, "a second LU while one is alive"
+            alive[0] += 1
+            made.append(A)
+            self.lu = splu(A, **kwargs)
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs)
+
+        def __del__(self):
+            alive[0] -= 1
+
+    monkeypatch.setattr(spla, "splu", Counted)
+    est = min_eigenvalue(asm)
+    assert alive[0] == 0
+    for pencil, start in zip(pencils, first):
+        K, b = pencil.stiffness, pencil.mass.diagonal()
+        shifts = [float(np.median((K.diagonal() - A.diagonal()) / b))
+                  for A in made if A.shape == K.shape]
+        assert shifts[0] == pytest.approx(start, abs=1e-9)
+        assert np.all(np.diff(shifts) > SHIFT_GAP), shifts
+        assert len(shifts) == lus[pencil.n_dof], (pencil.n_dof, shifts)
+    assert shifts[-1] == pytest.approx(est.shift, abs=1e-9)
+    assert len(made) == sum(lus.values())
