@@ -1,11 +1,15 @@
 """Versioned on-disk cache for solved fields.
 
 A cache entry is a single ``.npz`` holding the solved field plus a JSON
-header (format version, dimension, grid, solver metadata) and a SHA-256
-content hash.  An unreadable entry or any header or hash mismatch is treated
-as a miss and forces a re-solve; the reason is logged on the
-``saddlecheck.cache`` logger and returned by load_or_solve.  Loading never
-silently returns stale or corrupted data.
+header (format version, m, R, h, the Newton residual and iteration count)
+and a SHA-256 content hash of the header and the field.  The grid size is
+not stored, since build_grid(R, h) gives it, nor the Newton tolerance,
+since the entry's name holds it; an entry whose header holds those two
+fields still loads, because its hash covers the header as stored.  An
+unreadable entry or any header or hash mismatch is treated as a miss and
+forces a re-solve; the reason is logged on the ``saddlecheck.cache``
+logger and returned by load_or_solve.  Loading never silently returns
+stale or corrupted data.
 """
 
 from __future__ import annotations
@@ -65,8 +69,6 @@ def _header(sol: SaddleSolution) -> dict:
         "m": sol.m,
         "R": sol.grid.R,
         "h": sol.grid.h,
-        "N": sol.grid.N,
-        "newton_tol": NEWTON_TOL,
         "residual_norm": sol.residual_norm,
         "newton_iters": sol.newton_iters,
     }

@@ -6,8 +6,9 @@ requested verification passed, 1 if one failed, and 2, with 'error: ...' on
 stderr and no report, if the run could not finish: a usage or configuration
 error (a grid above grid.N_MAX among them), a failed Newton solve, a
 spectrum worker that died or raised spectral.MMatrixError (the pencil breaks
-a premise of the bracket, the iteration did not settle, or its last iterate
-is not positive; sigma is only a shift and never the cause), an OSError
+a premise of the bracket, the iteration did not settle, its last iterate is
+not positive, or the bracket's rounded lower end is not above the last
+shift sigma, which then lay above lambda_min), an OSError
 (say --out under a file) or a MemoryError, in this process or the worker.
 The last stdout line is then machine-parseable (--help prints only the
 help, and any other exception propagates with its traceback):

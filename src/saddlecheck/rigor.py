@@ -11,14 +11,16 @@ cross zero or pass +-inf, and for NaN.  Two ulps cover the correctly rounded
 below it (tests/test_libm_audit.py).  Partial operations
 (division through zero, roots/powers of nonpositive bases) mark a box "bad"
 instead of failing; bad boxes are simply split further.  A claim is proven
-when every surviving leaf box has an enclosure with hi <= -margin.
+when every leaf box has an enclosure with hi < 0; a NaN bound decides
+nothing.
 
 One node kind stands for a special function: dd(z, u), the divided
 difference of G(w) = 2 sqrt(w) / sinh(sqrt(2w)) over [z^2, (z + u)^2], which
-the defect claim needs, with its partials dd_z and dd_u.  Its enclosures
-come from G' and G'' at the two ends of the box's w-range, which bound them
-because sqrt(t)/sinh(sqrt(t)) is completely monotone, and those end values
-from the same rounded operations, with exp and sqrt the only libm calls.
+the defect claim needs, with its partials dd_z and dd_u.  It is enclosed
+over intervals only (a Tape refuses it over floats): from G' and G'' at the
+two ends of the box's w-range, which bound them because
+sqrt(t)/sinh(sqrt(t)) is completely monotone, and those end values from the
+same rounded operations, with exp and sqrt the only libm calls.
 
 A proof merges the claim and its gradients into one DAG in which
 structurally equal subtrees are one node, and runs it as a Tape: a
@@ -339,72 +341,53 @@ def _series_tables():
 
 
 _SERIES, _TAILS = _series_tables()
-_SERIES_FLOAT = [[float(0.5 * (c.lo + c.hi)) for c in row] for row in _SERIES]
 
 
-def _psi_series(t, order):
-    """psi, ..., psi^(order) from S = sinh(s)/s and its t-derivatives,
-    each by Horner's rule (positive terms only) plus its tail."""
-    interval = isinstance(t, IntervalArray)
+def _psi_series(t):
+    """[psi, psi', psi''] from S = sinh(s)/s and its t-derivatives, each by
+    Horner's rule (positive terms only) plus its tail."""
     series = []
-    for j in range(order + 1):
-        coefs = _SERIES[j] if interval else _SERIES_FLOAT[j]
+    for coefs, tail in zip(_SERIES, _TAILS):
         acc = coefs[-1]
         for c in reversed(coefs[:-1]):
             acc = acc * t + c
-        series.append(acc + _TAILS[j] if interval else acc)
-    s0 = series[0]
-    out = [(IntervalArray.point(1.0) if interval else 1.0) / s0]
-    if order >= 1:
-        out.append(-(series[1] / (s0 * s0)))
-    if order >= 2:
-        s1, s2 = series[1], series[2]
-        out.append((s1 * s1 * 2.0 - s0 * s2) / (s0 * s0 * s0))
-    return out
+        series.append(acc + tail)
+    s0, s1, s2 = series
+    return [IntervalArray.point(1.0) / s0, -(s1 / (s0 * s0)),
+            (s1 * s1 * 2.0 - s0 * s2) / (s0 * s0 * s0)]
 
 
-def _psi_closed(t, order):
-    """psi, ..., psi^(order) for t >= _PSI_SWITCH (s >= 2) in E = e^-s:
+def _psi_closed(t):
+    """[psi, psi', psi''] for t >= _PSI_SWITCH (s >= 2) in E = e^-s:
       psi   = 2 s E / (1 - E^2),
       psi'  = -E [(s - 1) + E^2 (s + 1)] / (s (1 - E^2)^2),
       psi'' = E [s(s - 1) - 1 + E^2 (6s^2 + 2) + E^4 (s(s + 1) - 1)]
               / (2 s^3 (1 - E^2)^3),
     every bracketed term positive for s >= 2."""
-    interval = isinstance(t, IntervalArray)
-    s = t.sqrt() if interval else np.sqrt(t)
-    e = (-s).exp() if interval else np.exp(-s)
+    s = t.sqrt()
+    e = (-s).exp()
     e2 = e * e
-    om = (IntervalArray.point(1.0) if interval else 1.0) - e2
-    out = [s * e * 2.0 / om]
-    if order >= 1:
-        out.append(-(e * ((s - 1.0) + e2 * (s + 1.0)) / (s * om * om)))
-    if order >= 2:
-        bracket = ((s * (s - 1.0) - 1.0) + e2 * (s * s * 6.0 + 2.0)
-                   + e2 * e2 * (s * (s + 1.0) - 1.0))
-        out.append(e * bracket / (s * s * s * om * om * om * 2.0))
-    return out
+    om = IntervalArray.point(1.0) - e2
+    bracket = ((s * (s - 1.0) - 1.0) + e2 * (s * s * 6.0 + 2.0)
+               + e2 * e2 * (s * (s + 1.0) - 1.0))
+    return [s * e * 2.0 / om,
+            -(e * ((s - 1.0) + e2 * (s + 1.0)) / (s * om * om)),
+            e * bracket / (s * s * s * om * om * om * 2.0)]
 
 
-def _psi(t, interval, order):
-    """[psi, psi', ..., psi^(order)] at the points t >= 0 (a float array):
-    enclosures if interval, else floats."""
+def _psi(t):
+    """Enclosures [psi, psi', psi''] at the points t >= 0 (a float array)."""
     small = t < _PSI_SWITCH
-    parts = [(m, form(IntervalArray.point(t[m]) if interval else t[m], order))
+    parts = [(m, form(IntervalArray.point(t[m])))
              for m, form in ((small, _psi_series), (~small, _psi_closed))
              if m.any()]
     out = []
-    for j in range(order + 1):
-        if interval:
-            lo, hi = np.empty(t.shape), np.empty(t.shape)
-            bad = np.zeros(t.shape, dtype=bool)
-            for m, vals in parts:
-                lo[m], hi[m], bad[m] = vals[j].lo, vals[j].hi, vals[j].bad
-            out.append(IntervalArray(lo, hi, bad))
-        else:
-            v = np.empty(t.shape)
-            for m, vals in parts:
-                v[m] = vals[j]
-            out.append(v)
+    for j in range(3):
+        lo, hi = np.empty(t.shape), np.empty(t.shape)
+        bad = np.zeros(t.shape, dtype=bool)
+        for m, vals in parts:
+            lo[m], hi[m], bad[m] = vals[j].lo, vals[j].hi, vals[j].bad
+        out.append(IntervalArray(lo, hi, bad))
     return out
 
 
@@ -440,7 +423,7 @@ def _dd_interval(z, u, kind, shared=None):
         t = 2.0 * np.concatenate([np.maximum(zz.lo, 0.0), zz.hi,
                                   np.maximum(yy.lo, 0.0), yy.hi])
         shared.update(shape=np.broadcast(z.lo, u.lo).shape, bad=bad, z=zs,
-                      u=us, y=y, psi=_psi(t, True, 2))
+                      u=us, y=y, psi=_psi(t))
     bad, z, u, y = shared["bad"], shared["z"], shared["u"], shared["y"]
     p0, p1, p2 = shared["psi"]
     n = len(bad)
@@ -464,54 +447,6 @@ def _dd_interval(z, u, kind, shared=None):
                          bad.reshape(shape))
 
 
-# Gauss-Legendre nodes and weights on [0, 1]; eight nodes integrate G' and
-# G'' over a w-interval of length <= 1 to below 1e-20 relative, since their
-# nearest singularity, w = -pi^2/2, is more than 4.9 away
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
-
-
-def _dd_float(z, u, kind):
-    """DD(z, u) or its partial at points: by quadrature of the integral form
-    where h = y^2 - z^2 <= 1, else from the quotient DD, whose partials are
-    2y (G'(y^2) - DD) / h in u and [2y (G'(y^2) - DD) + 2z (DD - G'(z^2))] / h
-    in z, sums of terms of one sign."""
-    z, u = np.broadcast_arrays(np.asarray(z, dtype=float),
-                               np.asarray(u, dtype=float))
-    shape = z.shape
-    z, u = z.ravel(), u.ravel()
-    y = z + u
-    h = u * (2.0 * z + u)
-    out = np.empty(len(z))
-    order = 1 if kind == "dd" else 2
-    r2 = np.sqrt(2.0)
-    near = h <= 1.0
-    if near.any():
-        zn, un, yn = z[near, None], u[near, None], y[near, None]
-        w = zn * zn + _GL_NODES * h[near, None]
-        g = _psi(2.0 * w.ravel(), False, order)[order].reshape(w.shape)
-        if kind == "dd":
-            out[near] = 2.0 * r2 * (g @ _GL_WEIGHTS)
-        else:
-            weight = (2.0 * zn + 2.0 * un * _GL_NODES if kind == "dd_z"
-                      else 2.0 * yn * _GL_NODES)
-            out[near] = 4.0 * r2 * ((g * weight) @ _GL_WEIGHTS)
-    far = ~near
-    if far.any():
-        zf, yf, hf = z[far], y[far], h[far]
-        m = len(zf)
-        p0, p1 = _psi(2.0 * np.concatenate([zf * zf, yf * yf]), False, 1)
-        dd = r2 * (p0[m:] - p0[:m]) / hf
-        g1_z, g1_y = 2.0 * r2 * p1[:m], 2.0 * r2 * p1[m:]
-        if kind == "dd":
-            out[far] = dd
-        else:
-            upper = 2.0 * yf * (g1_y - dd)
-            out[far] = (upper if kind == "dd_u"
-                        else upper + 2.0 * zf * (dd - g1_z)) / hf
-    return out.reshape(shape)[()]
-
-
 # ---------------------------------------------------------------------------
 # expression trees
 # ---------------------------------------------------------------------------
@@ -522,7 +457,8 @@ _UNARY = {"exp": np.exp, "tanh": np.tanh, "sqrt": np.sqrt}
 class ExprNode:
     """Expression DAG over {const, var, +, -, *, /, pow, exp, tanh, sqrt} and
     the divided difference dd(z, u) of G (see _dd_interval) with its partials
-    dd_z and dd_u, evaluable over floats or IntervalArray through a Tape."""
+    dd_z and dd_u, evaluable over IntervalArray through a Tape, and over
+    floats where it has no dd node."""
 
     __slots__ = ("kind", "children", "value", "name")
 
@@ -582,16 +518,6 @@ class ExprNode:
     def sqrt(self):
         return ExprNode("sqrt", (self,))
 
-    def variables(self):
-        out = set()
-        stack = [self]
-        while stack:
-            n = stack.pop()
-            if n.kind == "var":
-                out.add(n.name)
-            stack.extend(n.children)
-        return out
-
 
 nexp = ExprNode.exp
 
@@ -647,7 +573,9 @@ class Tape:
             self.release[i].append(slot)
 
     def run(self, env) -> list:
-        """Values of the roots over env, in the order the roots were given."""
+        """Values of the roots over env, in the order the roots were given.
+        A dd node over floats is a ValueError: it is enclosed over
+        intervals only."""
         interval = isinstance(next(iter(env.values())), IntervalArray)
         values = [None] * len(self.ops)
         shared = {}     # per (z, u) slots, what the dd kinds share
@@ -664,9 +592,11 @@ class Tape:
                 x = values[args[0]]
                 out = getattr(x, kind)() if interval else _UNARY[kind](x)
             elif kind in _DIVIDED:
-                x, y = values[args[0]], values[args[1]]
-                out = _dd_interval(x, y, kind, shared.setdefault(args, {})) \
-                    if interval else _dd_float(x, y, kind)
+                if not interval:
+                    raise ValueError(f"node kind {kind!r} is enclosed over "
+                                     f"intervals only, not over floats")
+                out = _dd_interval(values[args[0]], values[args[1]], kind,
+                                   shared.setdefault(args, {}))
             else:
                 raise ValueError(f"unknown node kind {kind!r}")
             values[i] = out
@@ -848,12 +778,14 @@ def claims(n: int) -> list[tuple[str, str, dict]]:
     (label, key into builtin_expressions(n), keyword arguments of
     prove_nonpositive).
 
-    The defect claim is Q = D / (H(y)H(z)) <= 0 (defect_quotient_expression)
-    in gap coordinates, for a in [0.01, DEFECT_A_MAX[n]], u in [0, 11.99] and
-    z in [0, 12], with d = m - 1 fixed and the single-occurrence a frozen.
-    It starts at the corner u = z = 0, where Q is 2a^2 - 1 + 2da^2/3 < 0;
-    the far field z > 12 or u > 11.99, where Q tends to 0, is not proven.
-    The coefficient claims (n = 8 only) hold on the wedge s >= t + 0.05.
+    Every row is proven as its expression < 0 on every leaf box.  The defect
+    claim is Q = D / (H(y)H(z)) < 0 (defect_quotient_expression) in gap
+    coordinates, for a in [0.01, DEFECT_A_MAX[n]], u in [0, 11.99] and
+    z in [0, 12], with d = m - 1 fixed and the single-occurrence a frozen;
+    its label says D <= 0, since H(y)H(z) >= 0 vanishes on the axes.  It
+    starts at the corner u = z = 0, where Q is 2a^2 - 1 + 2da^2/3 < 0; the
+    far field z > 12 or u > 11.99, where Q tends to 0, is not proven.  The
+    coefficient claims (n = 8 only) hold on the wedge s >= t + 0.05.
     """
     rows = [("defect<=0", "defect_gap",
              {"names": ["a", "u", "z"],
@@ -869,6 +801,7 @@ def claims(n: int) -> list[tuple[str, str, dict]]:
 
 
 MAX_DEPTH = 60              # bisections of one box before it counts as stuck
+MAX_BOXES = 2_000_000       # boxes examined before a proof stops undecided
 MIN_BATCH = 1024            # boxes split up to before a batch evaluation
 CHUNK = 65536               # bounds peak memory of a vectorized enclosure pass
 
@@ -923,18 +856,19 @@ def _bisect(boxes: np.ndarray, depth: np.ndarray, widths: np.ndarray,
 
 
 def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
-                      margin: float = 0.0, fixed=None, frozen_dims=(),
-                      min_width: float = 1e-4,
-                      max_boxes: int = 2_000_000) -> ProofResult:
-    """Prove expr <= -margin on the box (list of per-variable [lo, hi])
-    intersected with the half-plane constraints.
+                      fixed=None, frozen_dims=(),
+                      min_width: float = 1e-4) -> ProofResult:
+    """Prove expr < 0 on the box (list of per-variable [lo, hi]) intersected
+    with the half-plane constraints: a box is decided only when the upper
+    end of its enclosure is below 0, so an upper end of 0 or NaN is not.
 
     Bisects the scaled-widest dimension of every undecided box; stops
-    refining a box once it falls below min_width or MAX_DEPTH and reports
+    refining a box once it falls below min_width or MAX_DEPTH, and the
+    proof once it has examined more than MAX_BOXES boxes, and reports
     undecided with the surviving frontier.  A batch of fewer than MIN_BATCH
-    boxes, the root included, is bisected again before it is evaluated while
-    one of its boxes can be refined and twice its size fits max_boxes: a
-    tape pass costs about as much on one box as on a thousand.
+    boxes, the root included, is bisected again before it is evaluated
+    while one of its boxes can be refined and twice its size fits
+    MAX_BOXES: a tape pass costs about as much on one box as on a thousand.
 
     Each box is bounded twice and the tighter bound wins: once by direct
     interval evaluation, and once by the mean-value form
@@ -950,9 +884,9 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
     names = list(names)
     dims = len(names)
     splittable = np.array([nm not in frozen_dims for nm in names])
-    active = expr.variables()
+    # a partial in a variable expr does not read is const 0.0: used drops it
     grads = {k: differentiate(expr, nm) for k, nm in enumerate(names)
-             if splittable[k] and nm in active}
+             if splittable[k]}
     used = [k for k, g in grads.items()
             if not (g.kind == "const" and g.value == 0.0)]
     # one pass over the box gives the direct enclosure and the gradient
@@ -1011,7 +945,7 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
             queue.append((boxes[CHUNK:].copy(), depth[CHUNK:].copy()))
             boxes, depth = boxes[:CHUNK], depth[:CHUNK]
         while len(boxes) < MIN_BATCH and \
-                examined + 2 * len(boxes) <= max_boxes:
+                examined + 2 * len(boxes) <= MAX_BOXES:
             widths, split = refinable(boxes, depth)
             if not split.any():
                 break
@@ -1020,13 +954,13 @@ def prove_nonpositive(expr: ExprNode, names, box, constraints=(),
             boxes = np.concatenate([boxes[~split], children])
             depth = np.concatenate([depth[~split], child_depth])
         examined += len(boxes)
-        if examined > max_boxes:
+        if examined > MAX_BOXES:
             # the frontier is this batch, then the queue
             stuck += [boxes.copy()] + [b for b, _ in queue]
             break
         batches += 1
         max_depth = max(max_depth, int(depth.max(initial=0)))
-        live = np.broadcast_to(upper_bound(boxes) > -margin, len(boxes))
+        live = np.broadcast_to(~(upper_bound(boxes) < 0.0), len(boxes))
         boxes, depth = boxes[live], depth[live]
         if not len(boxes):
             continue

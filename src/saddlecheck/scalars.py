@@ -24,17 +24,14 @@ def st_to_yz(s, t):
 def heteroclinic(x, order: int = 0):
     """One-dimensional heteroclinic profile H(x) = tanh(x/sqrt(2)).
 
-    order 0 returns H, order 1 returns H' = (1 - H^2)/sqrt(2), order 2
-    returns H'' = H^3 - H.
+    order 0 returns H, order 1 returns H' = (1 - H^2)/sqrt(2).
     """
     h = np.tanh(np.asarray(x, dtype=float) / SQRT2)
     if order == 0:
         return h
     if order == 1:
         return (1.0 - h * h) / SQRT2
-    if order == 2:
-        return h * h * h - h
-    raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    raise ValueError(f"order must be 0 or 1, got {order}")
 
 
 def double_well(u):

@@ -65,8 +65,8 @@ class QuadraticFormAssembly:
 @dataclass(frozen=True)
 class EigEstimate:
     """The smallest eigenvalue of the float pencil lies in [lower,
-    lambda_min].  shift is only the last sigma of the iteration: no bound,
-    and no gate reads it."""
+    lambda_min].  shift is only the last sigma of the iteration, below
+    lower: no bound, and no gate reads it."""
     lambda_min: float        # Rayleigh quotient of vector, rounded up
     lower: float             # Collatz-Wielandt bound of vector, rounded down
     iterations: int          # solves with this pencil's LUs
@@ -96,8 +96,9 @@ def _pencil(m: int, grid: Grid, u: np.ndarray,
 class MMatrixError(ArithmeticError):
     """min_eigenvalue cannot bound the spectrum: K is not a symmetric
     Z-matrix or B not a positive diagonal, inverse iteration did not settle
-    within MAX_SOLVES solves, or its last iterate is not positive.  sigma,
-    only a shift, is never the cause."""
+    within MAX_SOLVES solves, its last iterate is not positive, or the
+    bracket's rounded lower end is not above the last sigma.  The last two
+    are what a sigma above lambda_min leads to."""
 
 
 def _check_z_matrix(K) -> None:
@@ -133,9 +134,11 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
     SHIFT_GAP under it: the LU is released, then the new one made, so one
     LU is alive at a time.  `iterations` counts the solves and `shift` is
     the last sigma.  With the LU released, _bracket bounds lambda_min on the
-    last v.  MMatrixError if a premise fails, after MAX_SOLVES solves, or if
+    last v.  MMatrixError if a premise fails, after MAX_SOLVES solves, if
     the last iterate is not positive (as it can be when sigma lies above
-    lambda_min and nearer the next eigenvalue).
+    lambda_min and nearer the next eigenvalue), or if the rounded lower end
+    is not above the last sigma (as when sigma lies above lambda_min and
+    nearer it): that bracket holds but bounds nothing useful.
     """
     K, B = asm.stiffness, asm.mass
     b = B.diagonal()
@@ -172,6 +175,9 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
         raise MMatrixError(f"the last iterate is not positive "
                            f"(sigma = {sigma})")
     lower, upper = _bracket(K, b, v)
+    if not lower > sigma:
+        raise MMatrixError(f"the rounded lower end {lower} is not above "
+                           f"the last shift sigma = {sigma}")
     return EigEstimate(lambda_min=upper, lower=lower, iterations=solves,
                        shift=sigma, vector=v)
 

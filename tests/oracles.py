@@ -5,7 +5,9 @@ second, independent route to a quantity the program computes another way
 (the subsolution defect in 60-digit arithmetic, forward-mode jets of the
 candidate profile and of its corrector Phi_0 against the program's symbolic
 partials, the kernel rho by adaptive quadrature, a dense eigensolve, a
-Rayleigh quotient), a closed form the program or the discretization must
+Rayleigh quotient, an expression DAG at points, its divided-difference
+nodes in plain floats included, which the program only encloses over
+intervals), a closed form the program or the discretization must
 reproduce (L Phi_0 derived by hand, the sine-Gordon saddle, the indicial
 roots), or a reader for what the program writes.  mpmath is a test-only
 dependency and is imported only here.
@@ -13,6 +15,7 @@ dependency and is imported only here.
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath
@@ -29,8 +32,59 @@ from saddlecheck.solver import weighted_form
 
 def evaluate(expr, env):
     """The value of one expression DAG over whatever value type env supplies
-    (floats, ndarrays, IntervalArray), by a tape of that one root."""
+    (floats, ndarrays, IntervalArray), by a tape of that one root; a DAG
+    with a dd node only over IntervalArray (evaluate_floats takes floats)."""
     return Tape([expr]).run(env)[0]
+
+
+def variables(expr):
+    """The names of the variables an expression DAG reads."""
+    return {node.name for node in dag_nodes(expr) if node.kind == "var"}
+
+
+def dag_nodes(expr):
+    """Every node of the DAG once, each after its children."""
+    seen, order, stack = set(), [], [(expr, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in seen:
+            continue
+        if node.children and not expanded:
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.children)
+            continue
+        seen.add(id(node))
+        order.append(node)
+    return order
+
+
+_FLOAT_BINARY = {"add": operator.add, "sub": operator.sub,
+                 "mul": operator.mul, "div": operator.truediv}
+
+
+def evaluate_floats(expr, env):
+    """The value of one expression DAG at points: env maps each variable to
+    a float or an ndarray.  Written apart from rigor.Tape: each node object
+    is evaluated once, and a dd, dd_z or dd_u node by
+    divided_difference_float."""
+    values = {}
+    for node in dag_nodes(expr):
+        args = [values[id(c)] for c in node.children]
+        kind = node.kind
+        if kind == "const":
+            out = node.value
+        elif kind == "var":
+            out = env[node.name]
+        elif kind in _FLOAT_BINARY:
+            out = _FLOAT_BINARY[kind](*args)
+        elif kind == "pow":
+            out = args[0] ** node.value
+        elif kind in ("exp", "tanh", "sqrt"):
+            out = getattr(np, kind)(args[0])
+        else:
+            out = divided_difference_float(*args, kind)
+        values[id(node)] = out
+    return values[id(expr)]
 
 
 def subsolution_defect(a, y, z, d):
@@ -100,6 +154,99 @@ def divided_difference(z, u):
         d_z = (2 * y * g(y * y, 1) - 2 * z * g(z * z, 1)
                - (2 * y - 2 * z) * dd) / h
         return float(dd), float(d_z), float(d_u)
+
+
+# The float route of psi = sqrt(t) / sinh(sqrt(t)): below _PSI_SWITCH from
+# S(t) = sinh(s)/s = sum t^k / (2k+1)! and its t-derivatives, whose terms
+# past the 14th sum to below 2e-20 relative there; above it from closed forms
+# in E = e^-s, s = sqrt(t), where the series form of psi'' cancels
+_PSI_SWITCH = 4.0
+_SINHC = [1.0 / math.factorial(2 * k + 1) for k in range(14)]
+_SINHC_SERIES = (_SINHC, [k * c for k, c in enumerate(_SINHC)][1:],
+                 [k * (k - 1) * c for k, c in enumerate(_SINHC)][2:])
+
+
+def _psi_floats(t):
+    """[psi, psi', psi''] at the points t >= 0 (a float array), in plain
+    floats."""
+    t = np.asarray(t, dtype=float)
+    out = [np.empty(t.shape) for _ in range(3)]
+    small = t < _PSI_SWITCH
+    ts = t[small]
+    s0, s1, s2 = (np.polynomial.polynomial.polyval(ts, c)
+                  for c in _SINHC_SERIES)
+    for k, v in enumerate((1.0 / s0, -s1 / (s0 * s0),
+                           (2.0 * s1 * s1 - s0 * s2) / (s0 * s0 * s0))):
+        out[k][small] = v
+    s = np.sqrt(t[~small])
+    e = np.exp(-s)
+    e2 = e * e
+    om = 1.0 - e2
+    bracket = (s * (s - 1.0) - 1.0 + e2 * (6.0 * s * s + 2.0)
+               + e2 * e2 * (s * (s + 1.0) - 1.0))
+    for k, v in enumerate((2.0 * s * e / om,
+                           -e * ((s - 1.0) + e2 * (s + 1.0)) / (s * om * om),
+                           e * bracket / (2.0 * s**3 * om**3))):
+        out[k][~small] = v
+    return out
+
+
+# Gauss-Legendre nodes and weights on [0, 1]; eight nodes integrate G' and
+# G'' over [z^2, z^2 + h] to below 1e-20 relative while h <= 1 + 2z^2/pi^2:
+# their nearest singularity, w = -pi^2/2, then lies at least 1 + pi^2
+# half-lengths from the interval's centre, as for h = 1 at z = 0
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
+
+def divided_difference_float(z, u, kind):
+    """DD(z, u) (kind "dd") or its partial in z ("dd_z") or u ("dd_u") at
+    points z, u >= 0, in plain floats: by Gauss-Legendre quadrature of the
+    integral forms
+
+      DD = int_0^1 G'(z^2 + tau h) dtau,
+      dDD/dz = int_0^1 G''(z^2 + tau h) (2z + 2 tau u) dtau,
+      dDD/du = int_0^1 G''(z^2 + tau h) 2 tau y dtau
+
+    where h = y^2 - z^2 <= 1 + 2z^2/pi^2, y = z + u, else from the quotient
+    DD and its partials 2y (G'(y^2) - DD) / h in u and
+    [2y (G'(y^2) - DD) + 2z (DD - G'(z^2))] / h in z, sums of terms of one
+    sign.  G(w) = sqrt2 psi(2w).  The quotient cancels where h is small
+    against z^2 (dd_u by 2e-13 relative at (z, u) = (11.28, 0.083), where
+    h = 1.87), which the bound on h keeps it from."""
+    z, u = np.broadcast_arrays(np.asarray(z, dtype=float),
+                               np.asarray(u, dtype=float))
+    shape = z.shape
+    z, u = z.ravel(), u.ravel()
+    y = z + u
+    h = u * (2.0 * z + u)
+    out = np.empty(len(z))
+    order = 1 if kind == "dd" else 2
+    near = h <= 1.0 + 2.0 * z * z / np.pi**2
+    if near.any():
+        zn, un, yn = z[near, None], u[near, None], y[near, None]
+        w = zn * zn + _GL_NODES * h[near, None]
+        g = _psi_floats(2.0 * w.ravel())[order].reshape(w.shape)
+        if kind == "dd":
+            out[near] = 2.0 * SQRT2 * (g @ _GL_WEIGHTS)
+        else:
+            weight = (2.0 * zn + 2.0 * un * _GL_NODES if kind == "dd_z"
+                      else 2.0 * yn * _GL_NODES)
+            out[near] = 4.0 * SQRT2 * ((g * weight) @ _GL_WEIGHTS)
+    far = ~near
+    if far.any():
+        zf, yf, hf = z[far], y[far], h[far]
+        m = len(zf)
+        p0, p1, _ = _psi_floats(2.0 * np.concatenate([zf * zf, yf * yf]))
+        dd = SQRT2 * (p0[m:] - p0[:m]) / hf
+        g1_z, g1_y = 2.0 * SQRT2 * p1[:m], 2.0 * SQRT2 * p1[m:]
+        if kind == "dd":
+            out[far] = dd
+        else:
+            upper = 2.0 * yf * (g1_y - dd)
+            out[far] = (upper if kind == "dd_u"
+                        else upper + 2.0 * zf * (dd - g1_z)) / hf
+    return out.reshape(shape)[()]
 
 
 @dataclass(frozen=True)

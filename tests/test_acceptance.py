@@ -7,7 +7,8 @@ output) and then asserts, so the gate doubles as a human-readable scorecard.
 import numpy as np
 import pytest
 
-from oracles import dense_min_eigenvalue, evaluate, rho1, validate_exact
+from oracles import (dense_min_eigenvalue, evaluate, evaluate_floats, rho1,
+                     validate_exact)
 from saddlecheck.candidate import CandidateParams, coefficient_set, wedge_fields
 from saddlecheck.checks import run_inequality_suite, verify_supersolution
 from saddlecheck.grid import build_grid
@@ -173,7 +174,7 @@ def test_criterion_9_property_suites():
     pts = {nm: lo[:, None] + w[:, None] * rng.uniform(0, 1, (n_boxes, n_samples))
            for nm, lo, w in (("a", a_lo, wa), ("u", u_lo, wu), ("z", z_lo, wz))}
     pts["d"] = np.full((n_boxes, n_samples), 3.0)
-    vals = evaluate(cat["defect_gap"], pts)
+    vals = evaluate_floats(cat["defect_gap"], pts)
     violations = int(np.sum(~iv.bad[:, None]
                             & ((vals < iv.lo[:, None]) | (vals > iv.hi[:, None]))))
 

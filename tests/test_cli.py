@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import saddlecheck
-from saddlecheck import cli, spectral
+from saddlecheck import cli, rigor, spectral
 from saddlecheck.cache import CACHE_ENV_VAR
 from saddlecheck.cli import (RunConfig, build_parser, main, run_rigor,
                              run_stages)
@@ -176,16 +176,19 @@ def test_out_writes_the_report_for_every_command(argv, stages, tmp_path,
 
 
 def _with_budget(monkeypatch, max_boxes, results=None):
-    """Run cli's proofs with a cut box budget, keeping each ProofResult."""
+    """Run cli's proofs with a cut box budget, keeping each ProofResult in
+    results when given."""
+    monkeypatch.setattr(rigor, "MAX_BOXES", max_boxes)
+    if results is None:
+        return
     prove = cli.prove_nonpositive
 
-    def prove_with_budget(*args, **kwargs):
-        result = prove(*args, **kwargs, max_boxes=max_boxes)
-        if results is not None:
-            results.append(result)
+    def recording(*args, **kwargs):
+        result = prove(*args, **kwargs)
+        results.append(result)
         return result
 
-    monkeypatch.setattr(cli, "prove_nonpositive", prove_with_budget)
+    monkeypatch.setattr(cli, "prove_nonpositive", recording)
 
 
 def test_exit_code_one_on_undecided_proof(monkeypatch, capsys):

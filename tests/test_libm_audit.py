@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import dag_nodes, variables
 from saddlecheck import rigor
 from saddlecheck.rigor import (IntervalArray, Tape, builtin_expressions,
                                claims, differentiate)
@@ -39,18 +40,7 @@ def _proof_expressions(expr, kwargs):
     bisected variables."""
     frozen = kwargs.get("frozen_dims", ())
     return [expr] + [differentiate(expr, nm) for nm in kwargs["names"]
-                     if nm not in frozen and nm in expr.variables()]
-
-
-def _nodes(expr):
-    """Every node of the DAG once."""
-    stack, seen = [expr], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            yield node
-            stack.extend(node.children)
+                     if nm not in frozen and nm in variables(expr)]
 
 
 def _divided_difference_exp_arguments(nodes, env):
@@ -83,7 +73,7 @@ def _claim_arguments(rng):
         for _, key, kwargs in claims(n):
             env = _domain_points(rng, kwargs, POINTS)
             nodes = [node for expr in _proof_expressions(cat[key], kwargs)
-                     for node in _nodes(expr)]
+                     for node in dag_nodes(expr)]
             calls = [node for node in nodes
                      if node.kind in ("exp", "tanh", "pow")]
             values = Tape([node.children[0] for node in calls]).run(env)
@@ -120,7 +110,7 @@ def test_libm_error_below_rounding_padding():
                  for _, key, kwargs in claims(n)
                  for expr in _proof_expressions(builtin_expressions(n)[key],
                                                 kwargs)
-                 for node in _nodes(expr) if node.kind == "pow"}
+                 for node in dag_nodes(expr) if node.kind == "pow"}
     assert set(args) >= {("pow", p) for p in exponents} | {("exp", "dd")}
     assert {kind for kind, _ in args} == {"exp", "tanh", "pow"}
     report = {}

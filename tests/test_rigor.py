@@ -6,8 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import (divided_difference, evaluate, jet_coefficients, psi,
-                     subsolution_defect)
+from oracles import (dag_nodes, divided_difference, divided_difference_float,
+                     evaluate, evaluate_floats, jet_coefficients, psi,
+                     subsolution_defect, variables)
 from saddlecheck import rigor
 from saddlecheck.candidate import CandidateParams
 from saddlecheck.rigor import (ExprNode, HalfPlane, IntervalArray, Tape,
@@ -66,7 +67,7 @@ def _claims_name_their_catalog(n, cat):
     for label, key, kwargs in claims(n):
         assert key in cat, (n, label, key)
         known = set(kwargs["names"]) | set(kwargs.get("fixed", {}))
-        assert cat[key].variables() <= known, (n, label)
+        assert variables(cat[key]) <= known, (n, label)
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
@@ -96,8 +97,8 @@ def _heteroclinic(x):
 
 def _defect_from_quotient(a, u, z, d):
     """D = Q H(y) H(z) from the catalogue's Q, y = z + u."""
-    q = evaluate(defect_quotient_expression(),
-                 {"a": a, "u": u, "z": z, "d": d})
+    q = evaluate_floats(defect_quotient_expression(),
+                        {"a": a, "u": u, "z": z, "d": d})
     return q * _heteroclinic(z + u) * _heteroclinic(z)
 
 
@@ -139,8 +140,8 @@ def test_quotient_times_heteroclinics_is_the_defect(d):
                                   (0.1, 5.0)])
 def test_quotient_corner_limit(a, d):
     # G'(0) = -sqrt2/3, so Q(u = 0, z = 0) = 2a^2 - 1 + 2 d a^2 / 3
-    got = evaluate(defect_quotient_expression(),
-                   {"a": a, "u": 0.0, "z": 0.0, "d": d})
+    got = evaluate_floats(defect_quotient_expression(),
+                          {"a": a, "u": 0.0, "z": 0.0, "d": d})
     assert got == pytest.approx(2 * a * a - 1 + 2 * d * a * a / 3, rel=1e-14)
 
 
@@ -149,16 +150,17 @@ def test_n12_claim_box_excludes_the_known_counterexample():
     # at (a, u, z) = (0.45, 0.014, 0.28) and turns sign between a = 0.43 and
     # 0.435, so the n = 12 claim must stop short of that
     assert subsolution_defect(0.45, 0.28 + 0.014, 0.28, 5.0) > 0.0
-    assert evaluate(builtin_expressions(12)["defect_gap"],
-                    {"a": 0.45, "u": 0.014, "z": 0.28, "d": 5.0}) > 0.0
+    assert evaluate_floats(builtin_expressions(12)["defect_gap"],
+                           {"a": 0.45, "u": 0.014, "z": 0.28, "d": 5.0}) > 0.0
     (kwargs,) = [kw for _, key, kw in claims(12) if key == "defect_gap"]
     assert kwargs["fixed"] == {"d": 5.0}
     assert kwargs["box"][kwargs["names"].index("a")][1] < 0.435
 
 
 def test_differentiate_matches_finite_differences():
-    # Q's partials through the divided-difference node, on both of its
-    # float routes (quadrature for y^2 - z^2 <= 1, quotient beyond)
+    # Q's partials through the divided-difference node, on both of the
+    # oracle's float routes (quadrature for y^2 - z^2 <= 1 + 2z^2/pi^2,
+    # quotient beyond)
     gap = defect_quotient_expression()
     names = ("a", "u", "z")
     eps = 1e-6
@@ -170,8 +172,9 @@ def test_differentiate_matches_finite_differences():
         lo = dict(base)
         hi[nm] += eps
         lo[nm] -= eps
-        fd = (evaluate(gap, hi) - evaluate(gap, lo)) / (2 * eps)
-        assert evaluate(g, base) == pytest.approx(fd, rel=1e-6), (u, z, nm)
+        fd = (evaluate_floats(gap, hi) - evaluate_floats(gap, lo)) / (2 * eps)
+        assert evaluate_floats(g, base) == pytest.approx(fd, rel=1e-6), \
+            (u, z, nm)
 
 
 def test_differentiate_shares_subtrees():
@@ -179,39 +182,41 @@ def test_differentiate_shares_subtrees():
     # both the function and its derivative
     x = ExprNode.var("x")
     e = nexp(x)
-    de = differentiate(e, "x")
-    stack, found = [de], False
-    while stack:
-        node = stack.pop()
-        if node is e:
-            found = True
-            break
-        stack.extend(node.children)
-    assert found
+    assert any(node is e for node in dag_nodes(differentiate(e, "x")))
 
 
-def test_prover_toy_claims():
+def test_prover_toy_claims(monkeypatch):
     x = ExprNode.var("x")
     # max of x(1-x) is 1/4: provable with slack, undecided without
     expr = x * (1.0 - x) - 0.26
     res = prove_nonpositive(expr, ["x"], [[0.0, 1.0]])
     assert res.status == "proven"
     assert res.min_undecided_width == 0.0
-    bad = prove_nonpositive(x * (1.0 - x) - 0.24, ["x"], [[0.0, 1.0]],
-                            max_boxes=20_000)
-    assert bad.status == "undecided"
-    # the surviving frontier hugs the true maximizer x = 1/2
-    assert np.all(bad.frontier[:, 0, 0] < 0.5 + 0.1)
-    assert np.all(bad.frontier[:, 0, 1] > 0.5 - 0.1)
     # no box variable in the claim: one 0-d enclosure decides every box of
     # the first batch, the root split unevaluated to 1,024 boxes
     const = prove_nonpositive(ExprNode.const(-1.0), ["x"], [[0.0, 1.0]])
     assert (const.status, const.boxes_examined) == ("proven", 1024)
+    monkeypatch.setattr(rigor, "MAX_BOXES", 20_000)
+    bad = prove_nonpositive(x * (1.0 - x) - 0.24, ["x"], [[0.0, 1.0]])
+    assert bad.status == "undecided"
+    # the surviving frontier hugs the true maximizer x = 1/2
+    assert np.all(bad.frontier[:, 0, 0] < 0.5 + 0.1)
+    assert np.all(bad.frontier[:, 0, 1] > 0.5 - 0.1)
     # a 100-box budget splits the root to 64 boxes, not 128, and stops at
     # their 128 children
-    const = prove_nonpositive(ExprNode.const(1.0), ["x"], [[0.0, 1.0]],
-                              max_boxes=100)
+    monkeypatch.setattr(rigor, "MAX_BOXES", 100)
+    const = prove_nonpositive(ExprNode.const(1.0), ["x"], [[0.0, 1.0]])
     assert const.status == "undecided" and const.frontier.shape == (128, 1, 2)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, np.nan])
+def test_prover_decides_only_upper_bounds_below_zero(value):
+    # an enclosure whose upper end is 0 or NaN decides no box: every box is
+    # split down to min_width and left in the frontier, 2^14 of them
+    res = prove_nonpositive(ExprNode.const(value), ["x"], [[0.0, 1.0]])
+    assert res.status == "undecided"
+    assert res.frontier.shape == (2**14, 1, 2)
+    assert res.boxes_examined == 1024 * (2**5 - 1)
 
 
 def test_prover_width_counts_splittable_dims_only():
@@ -255,14 +260,13 @@ def _inside_halfplane(boxes, c):
 _X, _S, _T = ExprNode.var("x"), ExprNode.var("s"), ExprNode.var("t")
 
 
-@pytest.mark.parametrize("expr, kwargs", [
-    (_X * (1.0 - _X) - 0.26, dict(names=["x"], box=[[0.0, 1.0]])),
+@pytest.mark.parametrize("expr, kwargs, max_boxes", [
+    (_X * (1.0 - _X) - 0.26, dict(names=["x"], box=[[0.0, 1.0]]), None),
     (_T - _S, dict(names=["s", "t"], box=[[0.0, 2.0], [0.0, 2.0]],
-                   constraints=(HalfPlane(0, 1, 0.05),))),
-    (_X * (1.0 - _X) - 0.24, dict(names=["x"], box=[[0.0, 1.0]],
-                                  max_boxes=1500)),
+                   constraints=(HalfPlane(0, 1, 0.05),)), None),
+    (_X * (1.0 - _X) - 0.24, dict(names=["x"], box=[[0.0, 1.0]]), 1500),
 ], ids=["1d", "2d-halfplane", "budget"])
-def test_prover_neither_drops_nor_duplicates_a_box(expr, kwargs,
+def test_prover_neither_drops_nor_duplicates_a_box(expr, kwargs, max_boxes,
                                                    monkeypatch):
     # the boxes the prover decided and its frontier tile the claim box
     # clipped to its constraints, and it evaluates a batch of fewer than
@@ -276,22 +280,24 @@ def test_prover_neither_drops_nor_duplicates_a_box(expr, kwargs,
         return run(self, env)
 
     monkeypatch.setattr(Tape, "run", recording)
+    if max_boxes is not None:
+        monkeypatch.setattr(rigor, "MAX_BOXES", max_boxes)
     res = prove_nonpositive(expr, **kwargs)
     names, box = kwargs["names"], np.array(kwargs["box"])
-    max_boxes = kwargs.get("max_boxes", 2_000_000)
+    budget = rigor.MAX_BOXES
     # each batch runs the box tape first, then the centre tape
     batches = [np.stack([np.stack([env[nm].lo, env[nm].hi], axis=1)
                          for nm in names], axis=1)
                for tape, env in runs if tape is runs[0][0]]
     assert len(batches) == res.batches and res.max_depth < rigor.MAX_DEPTH
-    assert (res.status == "undecided") == ("max_boxes" in kwargs)
+    assert (res.status == "undecided") == (max_boxes is not None)
 
     scale = box[:, 1] - box[:, 0]
     examined = 0
     for b in batches:
         refinable = ((b[:, :, 1] - b[:, :, 0]) / scale).max(axis=1) > 1e-4
         assert len(b) >= rigor.MIN_BATCH or not refinable.any() or \
-            examined + 2 * len(b) > max_boxes
+            examined + 2 * len(b) > budget
         examined += len(b)
 
     # a box the prover evaluated and never split further is decided unless
@@ -346,17 +352,6 @@ def test_prover_deterministic():
     assert r1.boxes_examined == r2.boxes_examined
 
 
-def test_prover_monotone_in_margin():
-    # demanding a deeper margin can only cost more boxes
-    cat = builtin_expressions(8)
-    kw = dict(names=["s", "t"], box=[[1.0, 4.0], [0.5, 2.0]],
-              constraints=(HalfPlane(0, 1, 0.05),))
-    loose = prove_nonpositive(cat["c_ss"], margin=0.0, **kw)
-    tight = prove_nonpositive(cat["c_ss"], margin=1e-5, **kw)
-    assert loose.status == tight.status == "proven"
-    assert tight.boxes_examined >= loose.boxes_examined
-
-
 def test_interval_division_by_zero_flags_bad():
     num = IntervalArray.from_bounds(np.array([1.0]), np.array([2.0]))
     den = IntervalArray.from_bounds(np.array([-1.0]), np.array([1.0]))
@@ -390,7 +385,7 @@ def test_psi_endpoint_enclosures_contain_the_exact_values():
     t = np.concatenate([[0.0, 1e-300, 1e-8, 1.0, np.nextafter(4.0, 0.0),
                          4.0, np.nextafter(4.0, 5.0), 1152.0],
                         10.0 ** RNG.uniform(-6, 3.1, 40)])
-    for k, iv in enumerate(rigor._psi(t, True, 2)):
+    for k, iv in enumerate(rigor._psi(t)):
         assert not iv.bad.any()
         for j, tj in enumerate(t):
             assert iv.lo[j] <= psi(tj, k) <= iv.hi[j], (k, tj)
@@ -437,17 +432,48 @@ def test_divided_difference_enclosures_contain_the_exact_values():
 
 def test_divided_difference_limits_at_the_diagonal_and_the_corner():
     # at u = 0 the node is G'(z^2), at the corner G'(0) = -sqrt2/3; the
-    # point enclosure holds the limit and the float route returns it
+    # point enclosure holds the limit and the oracle's float route returns it
     z = np.array([0.0, 1e-3, 0.5, 3.0, 12.0])
     iv = rigor._dd_interval(IntervalArray.point(z),
                             IntervalArray.point(np.zeros_like(z)), "dd")
     limit = np.array([float(np.sqrt(2.0) * 2 * psi(2 * zk * zk, 1))
                       for zk in z])
     assert np.all((iv.lo <= limit) & (limit <= iv.hi))
-    assert evaluate(ExprNode("dd", (ExprNode.var("z"), ExprNode.var("u"))),
-                    {"z": z, "u": 0.0 * z}) == pytest.approx(limit, rel=1e-14)
+    assert evaluate_floats(
+        ExprNode("dd", (ExprNode.var("z"), ExprNode.var("u"))),
+        {"z": z, "u": 0.0 * z}) == pytest.approx(limit, rel=1e-14)
     assert iv.lo[0] <= -np.sqrt(2.0) / 3.0 <= iv.hi[0]
     assert limit[0] == pytest.approx(-np.sqrt(2.0) / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["dd", "dd_z", "dd_u"])
+def test_tape_encloses_divided_differences_over_intervals_only(kind):
+    z, u = ExprNode.var("z"), ExprNode.var("u")
+    tape = Tape([ExprNode(kind, (z, u)) + 1.0])
+    with pytest.raises(ValueError, match=f"node kind '{kind}'"):
+        tape.run({"z": 0.5, "u": 0.25})
+    iv, = tape.run({"z": IntervalArray.point(0.5),
+                    "u": IntervalArray.point(0.25)})
+    assert not iv.bad and iv.lo <= iv.hi
+
+
+def test_float_divided_difference_oracle_matches_60_digits():
+    # the oracle's float DD and partials on both of its routes, quadrature
+    # where h = y^2 - z^2 <= 1 + 2z^2/pi^2 and the quotient beyond, u = 0,
+    # z = 0 and h just above 1 at z = 11.28 included
+    rng = np.random.default_rng(33)
+    z = np.concatenate([rng.uniform(0.0, 12.0, 200), [0.0, 0.0, 3.0, 12.0]])
+    u = np.concatenate([10.0 ** rng.uniform(-4, np.log10(12.0), 100),
+                        rng.uniform(0.0, 12.0, 100), [0.5, 2.0, 0.0, 1e-3]])
+    h = u * (2.0 * z + u)
+    quadrature = h <= 1.0 + 2.0 * z * z / np.pi**2
+    assert quadrature.sum() >= 50 and (~quadrature).sum() >= 50
+    assert np.any(quadrature & (h > 1.0) & (z > 11.0))
+    got = np.array([divided_difference_float(z, u, kind)
+                    for kind in ("dd", "dd_z", "dd_u")])
+    want = np.array([divided_difference(zk, uk) for zk, uk in zip(z, u)]).T
+    scale = np.where(want == 0.0, 1.0, np.abs(want))
+    assert np.max(np.abs(got - want) / scale) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
@@ -472,21 +498,22 @@ def test_defect_claim_enclosures_hold_down_to_the_corner(n):
            + (hi - lo)[:, None] * rng.uniform(0, 1, (len(lo), 20))
            for nm, (lo, hi) in boxes.items()}
     for root, iv in zip(roots, enclosures):
-        vals = evaluate(root, pts | {"d": d})
+        vals = evaluate_floats(root, pts | {"d": d})
         assert not iv.bad.any()
         assert np.all((iv.lo[:, None] <= vals) & (vals <= iv.hi[:, None]))
 
 
 @pytest.mark.parametrize("n, a_max", [(12, 0.435), (8, 0.51)])
-def test_defect_claim_past_the_corner_bound_stays_undecided(n, a_max):
+def test_defect_claim_past_the_corner_bound_stays_undecided(n, a_max,
+                                                            monkeypatch):
     # Q(0, 0) = 2a^2 - 1 + 2da^2/3 is positive once a > sqrt(3/(6 + 2d))
     # (0.4330 at d = 5, 0.5 at d = 3), so no enclosure may prove the claim
     # there, and what is left open sits at the corner
     assert 2 * a_max**2 - 1 + 2 * (n / 2 - 1) * a_max**2 / 3 > 0.0
     (kwargs,) = [kw for _, key, kw in claims(n) if key == "defect_gap"]
     kwargs = dict(kwargs, box=[[0.01, a_max]] + kwargs["box"][1:])
-    res = prove_nonpositive(builtin_expressions(n)["defect_gap"],
-                            max_boxes=30_000, **kwargs)
+    monkeypatch.setattr(rigor, "MAX_BOXES", 30_000)
+    res = prove_nonpositive(builtin_expressions(n)["defect_gap"], **kwargs)
     assert res.status == "undecided" and len(res.frontier)
     u_box, z_box = res.frontier[:, 1], res.frontier[:, 2]
     assert u_box[:, 1].max() <= 0.5 and z_box[:, 1].max() <= 0.5
@@ -794,7 +821,7 @@ def test_merged_tape_matches_unmerged_dag_bitwise(n):
         expr, names = cat[key], kwargs["names"]
         frozen = kwargs.get("frozen_dims", ())
         roots = [expr] + [differentiate(expr, nm) for nm in names
-                          if nm not in frozen and nm in expr.variables()]
+                          if nm not in frozen and nm in variables(expr)]
         boxes = _random_boxes(rng, kwargs, 10_000)
         centres = 0.5 * (boxes[:, :, 0] + boxes[:, :, 1])
         env = {nm: IntervalArray.from_bounds(boxes[:, k, 0], boxes[:, k, 1])
@@ -997,7 +1024,7 @@ def test_recorded_signs_hold_on_every_claim_tape(n, monkeypatch):
         expr, names = cat[key], kwargs["names"]
         frozen = kwargs.get("frozen_dims", ())
         roots = [expr] + [differentiate(expr, nm) for nm in names
-                          if nm not in frozen and nm in expr.variables()]
+                          if nm not in frozen and nm in variables(expr)]
         boxes = _random_boxes(rng, kwargs, 5_000)
         centres = 0.5 * (boxes[:, :, 0] + boxes[:, :, 1])
         env = {nm: IntervalArray.from_bounds(boxes[:, k, 0], boxes[:, k, 1])

@@ -14,10 +14,9 @@ RNG = np.random.default_rng(20240817)
 def test_heteroclinic_values():
     assert heteroclinic(0.0) == 0.0
     assert heteroclinic(0.0, 1) == pytest.approx(1.0 / SQRT2, abs=1e-15)
-    # H'' = H^3 - H
-    x = RNG.uniform(-6, 6, 100)
-    h = heteroclinic(x)
-    assert np.allclose(heteroclinic(x, 2), h**3 - h, atol=1e-14)
+    for order in (-1, 2):
+        with pytest.raises(ValueError, match="order must be 0 or 1"):
+            heteroclinic(0.0, order)
 
 
 def test_heteroclinic_shape():

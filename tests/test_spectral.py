@@ -2,6 +2,7 @@
 certified bracket of its eigensolve."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -221,16 +222,20 @@ def _held_at(monkeypatch, sigma):
 
 
 def test_shift_above_lambda_min_bounds_nothing(solved, monkeypatch):
-    # sigma is only a shift: a quarter of the way from lambda_1 to lambda_2,
-    # K - sigma B is no M-matrix, yet the iterate stays positive and its
-    # bracket still holds lambda_1 (wide, since the stop sees the lower end
-    # fall)
+    # a quarter of the way from lambda_1 to lambda_2, K - sigma B is no
+    # M-matrix, yet the iterate stays positive; its bracket holds lambda_1
+    # but its lower end (about -267) lies below sigma, so it bounds nothing
+    # useful, and min_eigenvalue refuses it, naming both numbers
     asm = assemble(solved(4, 8.0, 0.2))
     lam = dense_eigenvalues(asm, 2)
-    _held_at(monkeypatch, lam[0] + 0.25 * (lam[1] - lam[0]))
-    est = min_eigenvalue(asm)
-    assert est.lower <= lam[0] <= est.lambda_min < lam[0] + 0.25 * (
-        lam[1] - lam[0])
+    sigma = lam[0] + 0.25 * (lam[1] - lam[0])
+    _held_at(monkeypatch, sigma)
+    with pytest.raises(MMatrixError) as err:
+        min_eigenvalue(asm)
+    lower, shift = map(float, re.fullmatch(
+        r"the rounded lower end (\S+) is not above the last shift "
+        r"sigma = (\S+)", str(err.value)).groups())
+    assert lower <= lam[0] < shift == sigma
 
 
 def test_last_iterate_not_positive_is_refused(solved, monkeypatch):
