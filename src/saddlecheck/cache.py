@@ -29,8 +29,11 @@ from saddlecheck.solver import NEWTON_TOL, SaddleSolution, newton_solve
 
 # 2: fields solved with solver.weighted_form; 3: refined levels solved by
 # the CG loop of solver._TwoGrid, which sums without BLAS, so a field no
-# longer follows the BLAS thread count and has other bits than in format 2
-CACHE_FORMAT = 3
+# longer follows the BLAS thread count and has other bits than in format 2;
+# 4: every LU made by solver.factor with SuperLU panels of solver.LU_PANEL
+# columns, which reorders its supernodal updates, so a field's last bits
+# differ from those of format 3
+CACHE_FORMAT = 4
 CACHE_ENV_VAR = "SADDLECHECK_CACHE_DIR"
 
 log = logging.getLogger(__name__)

@@ -14,9 +14,10 @@ import numpy as np
 
 H_MAX = 0.2            # coarsest spacing build_grid accepts
 
-# The largest N = R/h build_grid accepts.  The scale grid (N = 800) peaks at
-# about 484 MB, in the eigensolve's LU, and the peak grows like N^2, so
-# N = 4,000 would need about 12 GB: a larger grid is refused before anything
+# The largest N = R/h build_grid accepts.  The peak of an m = 4, R = 20 run
+# without rigor is set by the eigensolve's LU: 135 MB at N = 400, 405-408 MB
+# at N = 800 (a factor 3.0) and 634 MB at N = 1,000, N^2 from N = 800 on, so
+# N = 4,000 would need about 10 GB.  A larger grid is refused before anything
 # is allocated.  Like cli.MAX_M, the bound is fixed here, not a setting.
 N_MAX = 4000
 

@@ -42,6 +42,7 @@ def eig_to_dict(est: EigEstimate) -> dict:
         "lower": float(est.lower),
         "iterations": int(est.iterations),
         "shift": float(est.shift),
+        "lu_nnz": list(est.lu_nnz),
     }
 
 

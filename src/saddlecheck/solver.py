@@ -10,12 +10,13 @@ odd sector (zero on the cone), which this Newton solve uses, and an even
 sector, which spectral uses for the stability pencil.  Newton runs over
 the levels of grid_chain, coarsest first, each started from the field solved
 on the level below it, prolonged bilinearly.  On the coarsest level every
-Newton step factors the symmetric Jacobian with one sparse LU in the
-minimum-degree ordering LU_ORDERING.  A refined level factors nothing of its
-own size: it solves each Newton system by conjugate gradients,
-preconditioned by one symmetric two-grid cycle whose coarse solve is the LU
-of the 2h Jacobian at the 2h solution.  That CG is a loop of this module
-whose dot products and norms are numpy's pairwise sums (_dot), not BLAS
+Newton step factors the symmetric Jacobian by factor, the program's one
+sparse LU: SuperLU in the minimum-degree ordering LU_ORDERING, with panels
+of LU_PANEL columns that keep its workspace small.  A refined level factors
+nothing of its own size: it solves each Newton system by conjugate
+gradients, preconditioned by one symmetric two-grid cycle whose coarse solve
+is the LU of the 2h Jacobian at the 2h solution.  That CG is a loop of this
+module whose dot products and norms are numpy's pairwise sums (_dot), not BLAS
 calls, so the BLAS thread count does not enter the field's bits.  The
 solved field is odd-reflected onto the full quadrant; each first and second
 derivative field is computed by a second-order stencil the first time it is
@@ -58,9 +59,15 @@ MAX_NEWTON_ITERS = 40
 DAMPING_HALVINGS = 30
 NEWTON_TOL = 1e-10                     # max-norm of the discrete residual
 LINEAR_TOL = 1e-10                     # relative residual of the inner solve
-# Both sparse LUs (the Newton J here, K - sigma B in spectral) factor
-# symmetric matrices: minimum degree on A^T + A keeps their fill low.
+# Every sparse LU is made by factor: the Newton J here, K - sigma B in
+# spectral, all symmetric, so minimum degree on A^T + A keeps their fill low.
+# SuperLU's panel workspace grows with the panel width times the rows, about
+# 15 bytes a row per panel column, and the fill does not depend on the width.
+# One LU of the scale pencil (320,400 rows) at width 4 in place of scipy's 20
+# raised the peak by 204 MB, not 282 MB, in 1.5-1.6 s, not 1.9-2.1 s; widths
+# 2 and 1 saved 10-15 MB more and were no faster, width 8 was 21 MB dearer.
 LU_ORDERING = "MMD_AT_PLUS_A"
+LU_PANEL = 4
 # CG on a refined level runs to this relative residual, below LINEAR_TOL so
 # that the checked solve passes, within CG_MAXITER iterations.
 CG_TOL = 1e-12
@@ -305,7 +312,7 @@ class _TwoGrid:
     """
 
     def __init__(self, J_c, P):
-        self.lu = spla.splu(J_c.tocsc(), permc_spec=LU_ORDERING)
+        self.lu = factor(J_c)
         self.P = P
         self.iters: list[int] = []
 
@@ -344,9 +351,15 @@ class _TwoGrid:
                           f" (target {CG_TOL:g})")
 
 
+def factor(A):
+    """The sparse LU of A: SuperLU in LU_ORDERING with panels of LU_PANEL
+    columns.  The one place the program factors a matrix."""
+    return spla.splu(A.tocsc(), permc_spec=LU_ORDERING, panel_size=LU_PANEL)
+
+
 def _lu_solve(J, rhs: np.ndarray) -> np.ndarray:
-    """J^-1 rhs by one sparse LU of J in LU_ORDERING, released on return."""
-    return spla.splu(J.tocsc(), permc_spec=LU_ORDERING).solve(rhs)
+    """J^-1 rhs by one LU of J from factor, released on return."""
+    return factor(J).solve(rhs)
 
 
 def _newton(m: int, grid: Grid, U: np.ndarray, solve):

@@ -12,23 +12,24 @@ even, so only the even sector is assembled: the triangle {t <= s} with the
 cone and axis as natural (reflection) boundaries and Dirichlet truncation on
 the outer edge.
 
-The eigensolve is inverse iteration on an LU of K - sigma B, in the Newton
-solve's symmetric minimum-degree ordering, with sigma SHIFT_GAP under the
-eigenvalue of the same pencil on the coarsest level of solver.grid_chain.
-On that coarsest level sigma starts at EIG_SIGMA, below the spectrum since
-the potential 3u^2-1 is >= -1, and moves up as the iterates close in.
-sigma is only a shift: it sets the speed of the iteration and bounds
-nothing.  The last iterate v brackets lambda_min of the float pencil
-between the Collatz-Wielandt bound min_i (Kv)_i/(Bv)_i and the Rayleigh
-quotient, both rounded outward.  The lower end holds for any v > 0 once K
-is a symmetric Z-matrix and B a positive diagonal (Varga, Matrix Iterative
-Analysis, Springer 2000, ch. 2): the edge Laplacian's off-diagonals are
--w <= 0, the potential touches only the diagonal, and both premises are
-checked exactly.  That is lambda_min of the discrete, Dirichlet-truncated,
-even-sector pencil, which falls with R: a negative bracket reproduces the
-known instability for m <= 3; for m >= 4 a positive one is a consistency
-indicator (the stability proof itself goes through the supersolution
-certificate, not this pencil).
+The eigensolve is inverse iteration on an LU of K - sigma B from
+solver.factor, the program's one LU recipe (the Newton solve's symmetric
+minimum-degree ordering, narrow SuperLU panels), with sigma SHIFT_GAP under
+the eigenvalue of the same pencil on the coarsest level of
+solver.grid_chain.  On that coarsest level sigma starts at EIG_SIGMA, below
+the spectrum since the potential 3u^2-1 is >= -1, and moves up as the
+iterates close in.  sigma is only a shift: it sets the speed of the
+iteration and bounds nothing.  The last iterate v brackets lambda_min of the
+float pencil between the Collatz-Wielandt bound min_i (Kv)_i/(Bv)_i and the
+Rayleigh quotient, both rounded outward.  The lower end holds for any v > 0
+once K is a symmetric Z-matrix and B a positive diagonal (Varga, Matrix
+Iterative Analysis, Springer 2000, ch. 2): the edge Laplacian's
+off-diagonals are -w <= 0, the potential touches only the diagonal, and both
+premises are checked exactly.  That is lambda_min of the discrete,
+Dirichlet-truncated, even-sector pencil, which falls with R: a negative
+bracket reproduces the known instability for m <= 3; for m >= 4 a positive
+one is a consistency indicator (the stability proof itself goes through the
+supersolution certificate, not this pencil).
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ import numpy as np
 
 from saddlecheck.grid import Grid
 from saddlecheck.rigor import _down, _up
-from saddlecheck.solver import (LU_ORDERING, SaddleSolution, _dot, grid_chain,
-                                jacobian, node_block, sp, spla,
-                                weighted_form)
+from saddlecheck.solver import (SaddleSolution, _dot, factor, grid_chain,
+                                jacobian, node_block, sp, weighted_form)
 
 EIG_SIGMA = -1.05        # shift below the spectrum
 EIG_TOL = 1e-10          # stop: bracket this narrow, or narrowed by this
@@ -71,6 +71,7 @@ class EigEstimate:
     lower: float             # Collatz-Wielandt bound of vector, rounded down
     iterations: int          # solves with this pencil's LUs
     shift: float
+    lu_nnz: tuple            # SuperLU's nnz of each LU of this pencil
     vector: np.ndarray = field(repr=False)
 
 
@@ -122,7 +123,7 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
     diagonal, the premises of the bracket.  The shift sigma is SHIFT_GAP
     below min_eigenvalue of the coarse pencil, or EIG_SIGMA when there is
     none; it is only a shift and bounds nothing.  Inverse iteration on an
-    LU of K - sigma B in solver.LU_ORDERING, v <- (K - sigma B)^-1 (B w) and
+    LU of K - sigma B from solver.factor, v <- (K - sigma B)^-1 (B w) and
     v /= max v for the last iterate w, starts from (K - sigma B)^-1 1.
     After each solve the bracket's plain-float ends are the Collatz-Wielandt
     bound sigma + min w/v and the Rayleigh quotient q; the iteration stops
@@ -132,8 +133,10 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
     (lambda_1 + 1.05) / (lambda_2 + 1.05), near 1 on a large domain, so
     once the bound lies more than 2 SHIFT_GAP above sigma, sigma moves to
     SHIFT_GAP under it: the LU is released, then the new one made, so one
-    LU is alive at a time.  `iterations` counts the solves and `shift` is
-    the last sigma.  With the LU released, _bracket bounds lambda_min on the
+    LU is alive at a time.  `iterations` counts the solves, `shift` is the
+    last sigma and `lu_nnz` holds the nnz of each LU, in order, read from
+    SuperLU's count rather than from its L and U, which would copy the
+    factors.  With the LU released, _bracket bounds lambda_min on the
     last v.  MMatrixError if a premise fails, after MAX_SOLVES solves, if
     the last iterate is not positive (as it can be when sigma lies above
     lambda_min and nearer the next eigenvalue), or if the rounded lower end
@@ -148,7 +151,8 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
     sigma = EIG_SIGMA
     if asm.coarse is not None:
         sigma = min_eigenvalue(asm.coarse).lambda_min - SHIFT_GAP
-    lu = spla.splu((K - sigma * B).tocsc(), permc_spec=LU_ORDERING)
+    lu = factor(K - sigma * B)
+    lu_nnz = [lu.nnz]
     v = lu.solve(np.ones(asm.n_dof))
     v, solves = v / v.max(), 1
     low, q = sigma, _rayleigh(K, b, v)
@@ -166,7 +170,8 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
         if low - 2.0 * SHIFT_GAP > sigma:
             sigma = low - SHIFT_GAP
             del lu
-            lu = spla.splu((K - sigma * B).tocsc(), permc_spec=LU_ORDERING)
+            lu = factor(K - sigma * B)
+            lu_nnz.append(lu.nnz)
     else:
         raise MMatrixError(f"inverse iteration did not settle in "
                            f"{MAX_SOLVES} solves (sigma = {sigma})")
@@ -179,7 +184,7 @@ def min_eigenvalue(asm: QuadraticFormAssembly) -> EigEstimate:
         raise MMatrixError(f"the rounded lower end {lower} is not above "
                            f"the last shift sigma = {sigma}")
     return EigEstimate(lambda_min=upper, lower=lower, iterations=solves,
-                       shift=sigma, vector=v)
+                       shift=sigma, lu_nnz=tuple(lu_nnz), vector=v)
 
 
 def _rayleigh(K, b: np.ndarray, v: np.ndarray) -> float:

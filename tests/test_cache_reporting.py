@@ -44,6 +44,7 @@ def test_cache_key_and_header_are_pinned(tmp_path, solved):
         header = json.loads(bytes(data["header"]).decode())
     assert sorted(header) == ["R", "format", "h", "m", "newton_iters",
                               "residual_norm", "sha256"]
+    assert header["format"] == 4
     # an entry whose header also holds the grid size and the tolerance, as
     # earlier entries of this format do, still loads: its hash covers the
     # header as stored
@@ -151,7 +152,12 @@ def test_cache_rejects_entry_of_older_format(tmp_path, solved):
     # format 2 fields came from a CG whose sums went through BLAS: their
     # bits followed the thread count, so they are re-solved too
     _rewrite_header(path, lambda header: header.update(format=2))
-    with pytest.raises(CacheMismatch, match="format 2, expected 3"):
+    with pytest.raises(CacheMismatch, match="format 2, expected 4"):
+        load_solution(path)
+    # format 3 fields came from LUs with scipy's default SuperLU panel: their
+    # last bits differ from those of solver.factor's, so they are re-solved
+    _rewrite_header(path, lambda header: header.update(format=3))
+    with pytest.raises(CacheMismatch, match="format 3, expected 4"):
         load_solution(path)
 
 
@@ -164,7 +170,7 @@ def test_rejected_cache_entry_is_logged_with_its_reason(tmp_path, solved,
     [record] = [r for r in caplog.records if r.name == "saddlecheck.cache"]
     assert record.levelno == logging.WARNING
     assert str(path) in record.getMessage()
-    assert "format 1, expected 3" in record.getMessage()
+    assert "format 1, expected 4" in record.getMessage()
 
 
 def _empty(path):
@@ -250,7 +256,7 @@ def test_rejected_cache_reason_reaches_the_report(tmp_path, solved):
     report, _ = run_stages(cfg)
     solve = report["stages"]["solve"]
     assert solve["from_cache"] is False
-    assert "format 1, expected 3" in solve["cache_rejected"]
+    assert "format 1, expected 4" in solve["cache_rejected"]
     # the re-solve replaced the entry: a hit carries no rejection key
     report, _ = run_stages(cfg)
     assert report["stages"]["solve"]["from_cache"] is True

@@ -8,7 +8,6 @@ from math import inf, nan
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from oracles import residual_yz_form, sine_gordon_saddle, weighted_residual
 from saddlecheck import solver
@@ -17,6 +16,7 @@ from saddlecheck.scalars import hh_supersolution, st_to_yz
 from saddlecheck.solver import (NEWTON_TOL, NewtonError, _lu_solve, _newton,
                                 impose_boundary, initial_guess, newton_solve,
                                 weighted_form)
+from saddlecheck.spectral import assemble, min_eigenvalue
 
 
 def test_build_grid_validation():
@@ -137,13 +137,13 @@ def test_derivative_fields_consistent(sol_m4_coarse):
 # sha256 of each derivative field at m = 4, R = 8, h = 0.2: the stencils are
 # elementwise numpy arithmetic, so their bits follow from the field's
 DERIVATIVE_SHA256 = {
-    "u_s": "46be96678d784e49acacaee67696bb0bd43626d38dfb67ebddf97b3c523c6c67",
-    "u_t": "c9a101e40b8c507968dfac07953ab49c0164dc3f5e4ffc9e83f7185ff0308f70",
-    "u_ss": "587e78e3b530945d37208f8b38857db5ac64437d69e04ec1e04db82a360f16b4",
-    "u_st": "755aab7071730a017f235c846ad01f8a1fab13449c907a0dd03ed5dea88fc01e",
-    "u_tt": "b4361226d499a1a93d043a886d40e9ad021b48c7276d1bfb782f0532b00abf65",
-    "u_y": "45eb0a230a34b8d1fa3a7cea50bc533506703c6f7de03021eafbdac6ff276b2f",
-    "u_z": "1c710936c91459c091bec8c5118d4f819a1a4ae225074aa7ad975f07b6e1ee88",
+    "u_s": "4a800e9058b15a8f547365032c6527426b2a93896209feed92008fa7a5dc31af",
+    "u_t": "24d80a20571c2e69e05f96eb03f40f1db7f2e48aea3e960bca193f209c82f48a",
+    "u_ss": "e7a263a01fbae648b3a15f831bdcab99cfdc4b51f3f5fa6ae463129ae601ede9",
+    "u_st": "39e432c94683a50c396eaf40250dc316489d6fa7777711371e1fcfc4153875c1",
+    "u_tt": "9475b29a27d7ca2caa7531f93ec32bea4fafcbe1e42257c340abd035d0a2fd72",
+    "u_y": "c1df0c27ffe1e8d6d50b6793415feb3557ac8715c2716b1a6ac1baad3f8f9045",
+    "u_z": "4dafc76014ed466c23f840d06bd55e5ce546d2cdb86b72249dbd5d4add8832ec",
 }
 
 
@@ -261,7 +261,7 @@ def test_cg_step_matches_the_lu_step(m, solved):
     rhs = -vol * solver._residual(K, V, U, grid)
     cg = solver._TwoGrid(_jacobian_at(Uc, m, coarse),
                          solver._prolongation(coarse, grid))(J, rhs)
-    lu = spla.splu(J.tocsc(), permc_spec=solver.LU_ORDERING).solve(rhs)
+    lu = solver.factor(J).solve(rhs)
 
     def norm(x):
         return np.sqrt(np.sum(vol * x * x))
@@ -339,6 +339,32 @@ def test_lu_level_factors_once_per_newton_step(monkeypatch):
     sol = newton_solve(4, build_grid(12.0, 0.2))
     assert sol.residual_norm <= NEWTON_TOL and sol.coarse_iters == ()
     assert len(factored) == sol.newton_iters > 0
+
+
+def test_every_lu_is_made_by_the_one_recipe(monkeypatch):
+    # each LU of the Newton chain R12 h.05 (the coarsest level's and the
+    # coarse LU of each two-grid cycle) and of the eigensolve on its field,
+    # both pencils, is SuperLU in LU_ORDERING with LU_PANEL-column panels
+    calls = []
+    factor = solver.spla.splu
+
+    def recording(A, **kwargs):
+        calls.append((A.shape[0], kwargs))
+        return factor(A, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", recording)
+    sol = newton_solve(4, build_grid(12.0, 0.05))
+    newton = len(calls)
+    asm = assemble(sol)
+    est = min_eigenvalue(asm)
+    recipe = {"permc_spec": solver.LU_ORDERING, "panel_size": solver.LU_PANEL}
+    assert 0 < newton < len(calls)
+    assert all(kwargs == recipe for _, kwargs in calls), calls
+    # the estimate holds SuperLU's nnz of each LU of its own pencil; the
+    # coarse pencil's LUs are counted in its own estimate
+    fine = [n for n, _ in calls[newton:] if n == asm.n_dof]
+    assert len(est.lu_nnz) == len(fine) < len(calls) - newton
+    assert all(type(n) is int and n > asm.n_dof for n in est.lu_nnz)
 
 
 def test_one_operator_per_level(monkeypatch):

@@ -51,3 +51,14 @@ def test_every_public_name_is_used_by_the_program():
               if name not in ENTRY_POINTS | HARNESS_NAMES
               and used[node.name] == _names(node)[node.name]]
     assert unused == [], unused
+
+
+def test_one_sparse_lu_call():
+    # every sparse LU of the program is made by solver.factor, so its
+    # ordering and panel width are set in one place
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert sum(_names(tree)["splu"] for tree in trees.values()) == 1
+    [factor] = [node for node in trees["solver"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "factor"]
+    assert _names(factor)["splu"] == 1

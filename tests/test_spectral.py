@@ -274,6 +274,7 @@ def test_one_lu_alive_at_a_time(solved, monkeypatch, R, h, lus):
             alive[0] += 1
             made.append(A)
             self.lu = splu(A, **kwargs)
+            self.nnz = self.lu.nnz
 
         def solve(self, rhs):
             return self.lu.solve(rhs)
