@@ -157,8 +157,8 @@ def coefficient_set(s, t, cand: CandidateParams) -> CoefficientSet:
 
 def wedge_fields(sol):
     """f, h, the five C's, Phi and L Phi at the N(N-1)/2 wedge nodes
-    0 < t < s <= R, outer edge included, from one run of the
-    coefficient_set tape, for the candidate of the solution's n = 2m.
+    0 < t < s <= R, the off-diagonal part of the suite's Grid.nodes, from one
+    run of the coefficient_set tape, for the candidate of n = 2m.
 
     Returns (i, j, cs, phi, l_phi): the nodes' s- and t-indices in
     row-major order, their CoefficientSet, Phi = f u_s + h u_t + Phi_0 and
@@ -166,8 +166,8 @@ def wedge_fields(sol):
     (1 - 3u^2) Phi_0, all 1-D over the nodes.
     """
     cand = CandidateParams(n=2 * sol.m)
-    i, j = np.tril_indices(sol.grid.N, -1)      # 0 <= j < i < N, shifted
-    i, j = i + 1, j + 1                         # by one: 0 < j < i <= N
+    i, j = sol.grid.nodes
+    i, j = i[i > j], j[i > j]                   # off the cone
     s, t = sol.grid.coords[i], sol.grid.coords[j]
     cs = coefficient_set(s, t, cand)
     u_s, u_t = sol.u_s[i, j], sol.u_t[i, j]

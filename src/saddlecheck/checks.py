@@ -2,12 +2,15 @@
 by the saddle solution, plus the supersolution condition for the stability
 candidate.
 
-Each check evaluates a closed-form combination of solution fields over an
-explicit node set and returns its worst margin as a report entry, a dict of
-plain JSON values.  All inequalities are exact in the continuum, so the
-tolerance model is tau = kappa * h^2 * scale with scale the local magnitude
-of the participating terms (discretization error is second order).
-Failures are entries with passed False, not exceptions.
+Each check evaluates a closed-form combination of solution fields over a
+subset of one node list, Grid.nodes, the nodes 0 < t <= s <= R (the
+supersolution reads its off-diagonal part), and returns its worst margin as
+a report entry, a dict of plain JSON values.  No check reads the axis t = 0
+or the mirrored half, so 1/s and 1/t need no guard.  All inequalities are
+exact in the continuum, so the tolerance model is tau = kappa * h^2 * scale
+with scale the local magnitude of the participating terms (discretization
+error is second order).  Failures are entries with passed False, not
+exceptions.
 """
 
 from __future__ import annotations
@@ -50,29 +53,22 @@ def summary(entry: dict) -> str:
 
 def tri_mask(grid, cone: int = 2, axis: int = 2,
              outer: float = OUTER_MARGIN) -> np.ndarray:
-    """Triangle nodes at least `cone` nodes above the diagonal, `axis` nodes
-    off the t=0 axis, and `outer` length units inside the truncation edge.
-    cone=0 includes the diagonal itself."""
-    n = grid.N + 1
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    """Mask over grid.nodes of those at least `cone` nodes above the diagonal,
+    `axis` nodes off the t=0 axis, and `outer` length units inside the
+    truncation edge.  cone=0 includes the diagonal itself."""
+    i, j = grid.nodes
     outer_nodes = max(int(round(outer / grid.h)), 3)
     return (i - j >= cone) & (j >= axis) & (i <= grid.N - outer_nodes)
 
 
-def cone_interp(sol: SaddleSolution, F: np.ndarray) -> np.ndarray:
-    """Interpolate the diagonal trace of a field at the cone foot of each
-    node: the point on s=t with the same y-coordinate, i.e. s'=t'=(s+t)/2."""
-    grid = sol.grid
-    k = np.arange(grid.N + 1)
-    S, T = grid.meshgrid()
-    return np.interp((S + T) / 2.0, k * grid.h, F[k, k])
-
-
-def _fields(sol: SaddleSolution):
-    g = sol.grid
-    S, T = g.meshgrid()
-    y, z = st_to_yz(S, T)
-    return S, T, y, z
+def cone_interp(grid, F: np.ndarray) -> np.ndarray:
+    """Interpolate the diagonal trace of a field F over the node list at the
+    cone foot of each node: the point on s=t with the same y-coordinate,
+    i.e. s'=t'=(s+t)/2."""
+    i, j = grid.nodes
+    s, t = grid.coords[i], grid.coords[j]
+    cone = i == j
+    return np.interp((s + t) / 2.0, s[cone], F[cone])
 
 
 def _sqrt_pos(x):
@@ -80,7 +76,8 @@ def _sqrt_pos(x):
 
 
 def _build_suite(sol: SaddleSolution):
-    """Yield (id, description, margin, scale, mask), one check at a time.
+    """Yield (id, description, margin, scale, mask), one check at a time,
+    each a 1-D array over the node list sol.grid.nodes.
 
     margin >= 0 is the satisfied direction for every entry; scale is the sum
     of term magnitudes used by the tolerance model.  A check's one-shot
@@ -91,20 +88,19 @@ def _build_suite(sol: SaddleSolution):
     m = sol.m
     d = float(m - 1)           # drift coefficient, 3 in the base dimension
     c2 = (m - 1) / 2.0         # the (n-2)/4 coefficient with n = 2m
-    S, T, y, z = _fields(sol)
-    u, us, ut = sol.u, sol.u_s, sol.u_t
-    uss, ust, utt = sol.u_ss, sol.u_st, sol.u_tt
-    uy, uz = sol.u_y, sol.u_z
+    i, j = g.nodes
+    s, t = g.coords[i], g.coords[j]
+    y, z = st_to_yz(s, t)
+    u, us, ut = sol.u[i, j], sol.u_s[i, j], sol.u_t[i, j]
+    uss, ust, utt = sol.u_ss[i, j], sol.u_st[i, j], sol.u_tt[i, j]
+    uy, uz = sol.u_y[i, j], sol.u_z[i, j]
 
     std = tri_mask(g)                      # 2nd derivatives / 1/t factors
     first = tri_mask(g, cone=1, axis=1)    # first derivatives only
     with_diag = tri_mask(g, cone=0, axis=1)
 
-    inv_t2s2 = np.zeros_like(u)
-    msk = (S > 0) & (T > 0)
-    inv_t2s2[msk] = 1.0 / T[msk] ** 2 - 1.0 / S[msk] ** 2
-    inv_ts = np.zeros_like(u)
-    inv_ts[msk] = 1.0 / T[msk] - 1.0 / S[msk]
+    inv_t2s2 = 1.0 / t ** 2 - 1.0 / s ** 2
+    inv_ts = 1.0 / t - 1.0 / s
 
     # 1. energy-gradient (Modica-type) bound
     grad2 = 0.5 * (us**2 + ut**2)
@@ -114,30 +110,30 @@ def _build_suite(sol: SaddleSolution):
 
     # 2. t u_s + s u_t <= 0 (equality on the diagonal)
     yield ("02-tus-sut", "-(t u_s + s u_t) >= 0",
-           -(T * us + S * ut), np.abs(T * us) + np.abs(S * ut), with_diag)
+           -(t * us + s * ut), np.abs(t * us) + np.abs(s * ut), with_diag)
 
     # 3. 0 <= u_s + u_t <= (2z/(y+z)) u_s.  The factor comes from
     # |u_t| >= (t/s) u_s (a consequence of check 2): u_s + u_t <=
     # ((s-t)/s) u_s = (2z/(y+z)) u_s, with equality in the axis limit.
     m3a = us + ut
-    m3b = 2.0 * z / (y + z + 1e-300) * us - (us + ut)
+    m3b = 2.0 * z / (y + z) * us - (us + ut)
     yield ("03-usut-decay", "u_s+u_t in [0, (2z/(y+z)) u_s]",
            np.minimum(m3a, m3b), np.abs(us) + np.abs(ut), first)
     del m3a, m3b
 
     # 4. explicit exponential decay of u_s
-    bound4 = 2.0 * (np.exp(0.85 * T) + 4.9 / _sqrt_pos(T + (T <= 0))) * np.exp(-0.85 * S)
+    bound4 = 2.0 * (np.exp(0.85 * t) + 4.9 / np.sqrt(t)) * np.exp(-0.85 * s)
     yield ("04-us-decay", "2(e^{0.85t}+4.9/sqrt t)e^{-0.85s} - u_s >= 0",
            bound4 - us, bound4 + np.abs(us), tri_mask(g, cone=1))
     del bound4
 
     # 5. u_s/s - u_ss >= 0
-    t5 = np.where(msk, us / np.where(msk, S, 1.0), 0.0)
+    t5 = us / s
     yield ("05-uss", "u_s/s - u_ss >= 0",
            t5 - uss, np.abs(t5) + np.abs(uss), std)
 
     # 6. u_s/s + u_t/t - u_ss - u_tt >= 0
-    t6 = np.where(msk, ut / np.where(msk, T, 1.0), 0.0)
+    t6 = ut / t
     yield ("06-laplace-split", "u_s/s + u_t/t - u_ss - u_tt >= 0",
            t5 + t6 - uss - utt,
            np.abs(t5) + np.abs(t6) + np.abs(uss) + np.abs(utt), std)
@@ -171,7 +167,7 @@ def _build_suite(sol: SaddleSolution):
 
     # 13. u/y + u/z - u_y - u_z >= 0, and u >= y u_y
     zsafe = np.where(z > 0, z, 1.0)
-    m13a = np.where(z > 0, u / np.where(y > 0, y, 1.0) + u / zsafe - uy - uz, 0.0)
+    m13a = np.where(z > 0, u / y + u / zsafe - uy - uz, 0.0)
     m13b = u - y * uy
     yield ("13-radial", "u/y + u/z - u_y - u_z >= 0 and u - y u_y >= 0",
            np.minimum(m13a, m13b),
@@ -181,19 +177,18 @@ def _build_suite(sol: SaddleSolution):
     # 14. u_z - y u_yz >= 0 on the cone (z = 0); diagonal trace with a
     # looser tolerance, four times the scale, since the cross term needs a
     # one-sided read.
-    k = np.arange(g.N + 1)
-    uz_diag = uz[k, k]
+    cone = i == j
+    k = i[cone]
+    uz_diag = uz[cone]
     uyz_diag = np.zeros_like(uz_diag)
     uyz_diag[1:-1] = (uz_diag[2:] - uz_diag[:-2]) / (2.0 * SQRT2 * g.h)
     m14 = np.full_like(u, np.inf)
     s14 = np.zeros_like(u)
-    np.fill_diagonal(m14, uz_diag - SQRT2 * k * g.h * uyz_diag)
-    np.fill_diagonal(s14, np.abs(uz_diag) + np.abs(SQRT2 * k * g.h * uyz_diag))
-    mask14 = np.zeros_like(u, dtype=bool)
-    np.fill_diagonal(mask14, (k >= 2) & (k <= g.N - 3))
+    m14[cone] = uz_diag - SQRT2 * k * g.h * uyz_diag
+    s14[cone] = np.abs(uz_diag) + np.abs(SQRT2 * k * g.h * uyz_diag)
     yield ("14-cone-uz", "u_z - y u_yz >= 0 on the cone",
-           m14, 4.0 * s14, mask14)
-    del m14, s14, mask14
+           m14, 4.0 * s14, cone & (i >= 2) & (i <= g.N - 3))
+    del cone, m14, s14
 
     # 15. -u_t/t + u_st + u_tt >= 0
     yield ("15-ut-over-t", "-u_t/t + u_st + u_tt >= 0",
@@ -254,7 +249,7 @@ def _build_suite(sol: SaddleSolution):
 
     # 26. dE/dz >= 0 for E = u^2 + 2u_s, and the cone-anchored lower bound
     m26a = us * u - ut * u + uss - ust
-    us_cone = cone_interp(sol, us)
+    us_cone = cone_interp(g, us)
     m26b = 2.0 * us + u**2 - 2.0 * us_cone
     yield ("26-E-monotone", "d(u^2+2u_s)/dz >= 0 and 2u_s + u^2 - 2u_s(y,0) >= 0",
            np.minimum(m26a, m26b),
@@ -264,19 +259,15 @@ def _build_suite(sol: SaddleSolution):
 
     # 27. deficit phi = H(y)H(z) - u: nonnegative and two upper bounds
     phi = hh_supersolution(y, z) - u
-    denom = np.where(msk, y**2 - z**2, 1.0)
     Hy = heteroclinic(y)
-    b27a = 8.0 * Hy * g_profile(z) / denom   # 4H(y)(H(z)+zH'(z))
+    b27a = 8.0 * Hy * g_profile(z) / (y**2 - z**2)   # 4H(y)(H(z)+zH'(z))
     m27 = np.minimum(phi, b27a - phi)
-    zgt1 = z > 1.0
-    rho_z = np.zeros_like(u)
-    rho_z[zgt1] = rho(z[zgt1])
-    b27b = _deficit_rho_constant() * inv_ts * Hy * rho_z
-    m27 = np.where(zgt1, np.minimum(m27, b27b - phi), m27)
+    b27b = _deficit_rho_constant() * inv_ts * Hy * rho(z)
+    m27 = np.where(z > 1.0, np.minimum(m27, b27b - phi), m27)
     yield ("27-deficit", "0 <= H(y)H(z)-u <= 4H(y)(H+zH')/(y^2-z^2); "
            "<= C (1/t-1/s)H(y)rho(z) for z>1",
            m27, phi + np.abs(b27a), std)
-    del phi, denom, Hy, b27a, m27, zgt1, rho_z, b27b
+    del phi, Hy, b27a, m27, b27b
 
     # 28. subsolution bound u >= H(0.45y)H(0.45z); where the proven a-range
     # of the defect claim stops below 0.45 it is a grid check only
@@ -310,17 +301,18 @@ def _entry(cid: str, description: str, passed: bool, worst_margin: float,
 
 def run_inequality_suite(sol: SaddleSolution) -> list[dict]:
     """Evaluate every catalog inequality; returns its report entries."""
-    h = sol.grid.h
+    h, N = sol.grid.h, sol.grid.N
+    ni, nj = sol.grid.nodes
     entries = []
-    total_nodes = int(sol.grid.mask_triangle.sum())
+    total_nodes = (N + 1) * (N + 2) // 2       # 0 <= t <= s <= R
     for cid, desc, margin, scale, mask in _build_suite(sol):
         tol = np.maximum(KAPPA_DEFAULT * h * h * scale, TOL_FLOOR)
         slack = np.where(mask, margin + tol, np.inf)
-        i, j = np.unravel_index(np.argmin(slack), slack.shape)
+        k = np.argmin(slack)
         checked = int(mask.sum())
-        entries.append(_entry(cid, desc, slack[i, j] >= 0.0, margin[i, j],
-                              (i * h, j * h), checked, total_nodes - checked,
-                              tol[i, j]))
+        entries.append(_entry(cid, desc, slack[k] >= 0.0, margin[k],
+                              (ni[k] * h, nj[k] * h), checked,
+                              total_nodes - checked, tol[k]))
     return entries
 
 
@@ -338,4 +330,4 @@ def verify_supersolution(sol: SaddleSolution) -> dict:
                   "L Phi < 0 and Phi > 0 at interior nodes",
                   worst < 0.0 and ph.min() > 0.0, -worst,
                   (i[k] * h, j[k] * h), lp.size,
-                  int(sol.grid.mask_triangle.sum()) - lp.size, 0.0)
+                  (sol.grid.N + 1) * (sol.grid.N + 2) // 2 - lp.size, 0.0)

@@ -9,6 +9,7 @@ with even-reflection ghosts, and the plain interior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,13 @@ class Grid:
     def coords(self) -> np.ndarray:
         """1-D array of node coordinates along either axis."""
         return np.arange(self.N + 1) * self.h
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s-, t-indices) of the nodes 0 < t <= s <= R that the checks read,
+        row-major; made on first read, so the forked eigensolve lacks it."""
+        idx = np.arange(self.N + 1)
+        return np.nonzero((idx[None, :] <= idx[:, None]) & (idx[None, :] > 0))
 
     @property
     def n_unknowns(self) -> int:

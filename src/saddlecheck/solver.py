@@ -167,8 +167,7 @@ def impose_boundary(U: np.ndarray, grid: Grid) -> np.ndarray:
     np.fill_diagonal(U, 0.0)
     U[grid.N, :] = outer_boundary_values(grid)
     U[grid.N, grid.N] = 0.0
-    i, j = np.meshgrid(np.arange(grid.N + 1), np.arange(grid.N + 1), indexing="ij")
-    upper = j > i
+    upper = ~np.tri(grid.N + 1, dtype=bool)        # t > s
     U[upper] = -U.T[upper]
     return U
 

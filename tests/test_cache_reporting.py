@@ -70,6 +70,46 @@ def test_load_or_solve_hits_and_refreshes(tmp_path, solved):
     assert np.array_equal(fresh.u, sol.u)   # deterministic solver
 
 
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_cached_residual_norm_is_the_recomputed_residual(tmp_path, solved,
+                                                          m):
+    # a genuine entry's residual_norm is the max-norm of the residual of
+    # its field, to the bit: recomputing it on load would keep every
+    # genuine hit (ROADMAP item 2)
+    back = load_solution(save_solution(solved(m, 12.0, 0.05), tmp_path))
+    res = solver._residual(*solver.weighted_form(m, back.grid), back.u,
+                           back.grid)
+    assert back.residual_norm == np.max(np.abs(res))
+
+
+def _bumped_m4_field(sol):
+    """The m = 4 field plus the odd bump 1e-3 (b - b^T), b a Gaussian of
+    width 0.5 at (s, t) = (6, 3), under the genuine header."""
+    S, T = sol.grid.meshgrid()
+    b = np.exp(-((S - 6.0) ** 2 + (T - 3.0) ** 2) / (2.0 * 0.5 ** 2))
+    return solver.SaddleSolution(m=4, grid=sol.grid,
+                                 u=sol.u + 1e-3 * (b - b.T),
+                                 residual_norm=sol.residual_norm,
+                                 newton_iters=sol.newton_iters)
+
+
+def test_bumped_field_does_not_solve_the_equation(solved):
+    # the premise of the xfail below: the bump is far above NEWTON_TOL
+    bumped = _bumped_m4_field(solved(4, 12.0, 0.05))
+    res = solver._residual(*solver.weighted_form(4, bumped.grid), bumped.u,
+                           bumped.grid)
+    assert np.max(np.abs(res)) > 1e-3 > solver.NEWTON_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a cache hit trusts "
+                   "the header's residual_norm; the field is not checked")
+def test_cache_refuses_a_field_that_does_not_solve_the_equation(tmp_path,
+                                                                solved):
+    save_solution(_bumped_m4_field(solved(4, 12.0, 0.05)), tmp_path)
+    _, cached, _ = load_or_solve(4, 12.0, 0.05, directory=tmp_path)
+    assert not cached
+
+
 def test_cache_rejects_tampering(tmp_path, solved):
     sol = solved(M, R, H)
     path = save_solution(sol, tmp_path)

@@ -98,14 +98,15 @@ def test_margins_decay_outward(sol_m4):
     # from the cone vertex but stay strictly positive on both bands
     from saddlecheck.checks import _build_suite
 
-    S, T = sol_m4.grid.meshgrid()
+    g = sol_m4.grid
+    s = g.coords[g.nodes[0]]            # the suite's arrays are over the list
     picked = 0
     for cid, _, margin, _, mask in _build_suite(sol_m4):
         if cid not in ("11-2us-ust-uss", "23-st-tt", "24-us-ut-ust"):
             continue
         picked += 1
-        inner = margin[mask & (S >= 2) & (S <= 4)].min()
-        outer = margin[mask & (S >= 6) & (S <= 8)].min()
+        inner = margin[mask & (s >= 2) & (s <= 4)].min()
+        outer = margin[mask & (s >= 6) & (s <= 8)].min()
         assert 0.0 < outer < inner
     assert picked == 3
 
@@ -113,19 +114,21 @@ def test_margins_decay_outward(sol_m4):
 def test_tri_mask_geometry():
     grid = build_grid(8.0, 0.2)
     m = tri_mask(grid, cone=2, axis=2, outer=1.0)
-    i, j = np.where(m)
+    i, j = grid.nodes[0][m], grid.nodes[1][m]
     assert np.all(i - j >= 2)
     assert np.all(j >= 2)
     assert np.all(i <= grid.N - 3)
     with_diag = tri_mask(grid, cone=0, axis=1, outer=1.0)
-    assert with_diag[3, 3]
-    assert not m[3, 3]
+    [node_33] = np.flatnonzero((grid.nodes[0] == 3) & (grid.nodes[1] == 3))
+    assert with_diag[node_33]
+    assert not m[node_33]
 
 
 def test_cone_interp_exact_on_linear_field(sol_m4_coarse):
-    S, T = sol_m4_coarse.grid.meshgrid()
+    g = sol_m4_coarse.grid
+    S, T = g.coords[g.nodes[0]], g.coords[g.nodes[1]]
     F = S + T
-    got = cone_interp(sol_m4_coarse, F)
+    got = cone_interp(g, F)
     assert np.allclose(got, S + T, rtol=0.0, atol=1e-12)
 
 

@@ -61,6 +61,23 @@ def test_node_classification():
     assert np.array_equal(g.ii * (g.N + 1) + g.jj, np.flatnonzero(rest))
 
 
+def test_node_list_is_the_checked_triangle_row_by_row():
+    # the pointwise checks read the nodes 0 < t <= s <= R, numbered row by
+    # row as in the full quadrant, so the first of equal margins is the
+    # same node in either
+    g = build_grid(12.0, 0.1)
+    listed = g.mask_triangle.copy()
+    listed[:, 0] = False
+    i, j = g.nodes
+    assert np.array_equal(i * (g.N + 1) + j, np.flatnonzero(listed))
+    assert i.size == g.N * (g.N + 1) // 2
+    # the nodes of the 2h grid are the even nodes of the list, in order
+    ci, cj = build_grid(12.0, 0.2).nodes
+    even = (i % 2 == 0) & (j % 2 == 0)
+    assert np.array_equal(i[even], 2 * ci)
+    assert np.array_equal(j[even], 2 * cj)
+
+
 @pytest.mark.parametrize("m", [3, 4, 6])
 def test_weighted_operator_rate_on_manufactured_field(m):
     # the sine-Gordon oracle runs at m = 1, where the (s t)^(m-1) weights

@@ -62,3 +62,16 @@ def test_one_sparse_lu_call():
     [factor] = [node for node in trees["solver"].body
                 if isinstance(node, ast.FunctionDef) and node.name == "factor"]
     assert _names(factor)["splu"] == 1
+
+
+def test_meshgrid_only_in_grid():
+    # full-quadrant coordinate arrays are made in one place, Grid.meshgrid;
+    # the checks and the solver's mirror read index lists
+    calls = {p.stem for p in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "meshgrid"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "np"}
+    assert calls == {"grid"}, calls
